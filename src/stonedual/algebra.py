@@ -8,12 +8,15 @@ failed universal statements report the lexicographically first counterexample.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
+from operator import add
 
 from . import gba as gba_mod
 from .errors import (BadTableShape, InputError, MathFail, NoLeftUnit,
                      NoPlusTable, NotAssociative, PlusStarMismatch)
+from .report import format_witness
 
 _NUMPY_THRESHOLD = 48
 
@@ -477,6 +480,11 @@ _FLAGS = (
 
 @dataclass
 class AlgebraClassification:
+    """Named flags in report order, with a witness for each failed one.
+
+    classify returns it for algebras; check_cofunctor returns it, under the
+    name CofunctorFlags, for cofunctors.
+    """
     flags: dict = field(default_factory=dict)
     witnesses: dict = field(default_factory=dict)
     plus_inferred: bool = False
@@ -492,16 +500,15 @@ class AlgebraClassification:
 
     def render(self, names=None):
         out = []
-        for flag in _FLAGS:
-            line = f"{flag}={str(self.flags[flag]).lower()}"
+        for flag, ok in self.flags.items():
+            line = f"{flag}={str(ok).lower()}"
             w = self.witnesses.get(flag)
-            if w is not None and not self.flags[flag]:
+            if w is not None and not ok:
                 if names is not None:
                     axiom, tup = w
                     tup = tuple(names[i] if isinstance(i, int) and 0 <= i < len(names)
                                 else i for i in tup)
                     w = (axiom, tup)
-                from .report import format_witness
                 line += f" witness={format_witness(w)}"
             out.append(line)
         if self.plus_inferred:
@@ -653,7 +660,8 @@ def classify(S):
             break
     put("has_binary_meets", w is None, w)
 
-    cls = AlgebraClassification(flags, wit, plus_inferred)
+    cls = AlgebraClassification({f: flags[f] for f in _FLAGS}, wit,
+                                plus_inferred)
     _assert_implications(cls)
     S._cache["classification"] = cls
     return cls
@@ -841,91 +849,114 @@ def _proper_witness(f):
     return None
 
 
-def _signatures(S):
-    n, mult, star = S.n, S.mult, S.star
+def _refine(structs, init):
+    """Colour refinement, repeated until the number of classes stops growing.
+
+    A structure is a pair (unary tables, binary table), the binary table
+    holding -1 where it is undefined; init gives one tuple of ints per
+    element of each structure as its first colour.  Codes rank the
+    signatures of all the given structures together, so the returned code
+    lists are comparable between them; codes from separate calls are not.
+    """
+    cols = [list(zip(*binary)) for _, binary in structs]
+    sigs = init
+    classes = 0
+    while True:
+        ids = {s: k for k, s in enumerate(sorted({s for sig in sigs for s in sig}))}
+        codes = [[ids[s] for s in sig] for sig in sigs]
+        if len(ids) == classes:
+            return codes
+        classes = len(ids)
+        del sigs, ids  # hold one round of signatures at a time
+        # element i meets j in the triple (c[j], c[i*j], c[j*i]), packed as
+        # one int in base classes + 1 with an undefined entry read as digit 0;
+        # ints sort several times faster than tuples
+        base = classes + 1
+        sigs = []
+        for (unary, binary), col, c in zip(structs, cols, codes):
+            high = [(x + 1) * base * base for x in c]
+            mid = [(x + 1) * base for x in c] + [0]
+            low = [x + 1 for x in c] + [0]
+            sigs.append([(c[i], *[c[u[i]] for u in unary],
+                          tuple(sorted(map(add, high, map(add, map(mid.__getitem__, binary[i]),
+                                                          map(low.__getitem__, col[i]))))))
+                         for i in range(len(c))])
+
+
+def _find_iso(A, B, sigA, sigB):
+    """A bijection between two structures preserving every table, or None.
+
+    Each element maps only into its own colour class, and the elements with
+    the fewest candidates are placed first.  A placement is checked against
+    the elements already placed; those checks skip entries whose image is
+    still open, so a complete assignment gets one exhaustive check.
+    """
+    if sorted(sigA) != sorted(sigB):
+        return None
+    (unaryA, binA), (unaryB, binB) = A, B
+    n = len(sigA)
+    by_colour = {}
+    for t, c in enumerate(sigB):
+        by_colour.setdefault(c, []).append(t)
+    order = sorted(range(n), key=lambda s: len(by_colour[sigA[s]]))
+    fwd = [-1] * n
+    back = [-1] * n
+    placed = []
+
+    def agrees(x, y):
+        # entries x of A and y of B must be undefined together, share a
+        # colour, and be each other's images once either of them is placed
+        if x < 0 or y < 0:
+            return x == y
+        return sigA[x] == sigB[y] and (fwd[x] == y or fwd[x] == back[y] == -1)
+
+    def fits(s, t):
+        rowA, rowB = binA[s], binB[t]
+        for s2, t2 in placed:
+            if not (agrees(rowA[s2], rowB[t2]) and agrees(binA[s2][s], binB[t2][t])):
+                return False
+        return all(agrees(u[s], v[t]) for u, v in zip(unaryA, unaryB))
+
+    def complete():
+        # every table a of A and its partner b of B satisfy m(a[j]) = b[m(j)]
+        get = (fwd + [-1]).__getitem__
+        tables = [*zip(unaryA, unaryB), *((binA[s], binB[fwd[s]]) for s in range(n))]
+        return all(list(map(get, a)) == list(map(b.__getitem__, fwd)) for a, b in tables)
+
+    def extend(k):
+        if k == n:
+            return complete()
+        s = order[k]
+        for t in by_colour[sigA[s]]:
+            if back[t] >= 0:
+                continue
+            fwd[s], back[t] = t, s
+            placed.append((s, t))
+            if fits(s, t) and extend(k + 1):
+                return True
+            placed.pop()
+            fwd[s] = back[t] = -1
+        return False
+
+    return tuple(fwd) if extend(0) else None
+
+
+def _algebra_colours(S):
+    mult, star = S.mult, S.star
     plus = S.plus or star
     up, down = S.up_masks(), S.down_masks()
     z = S.detected_zero()
-    sig = [(star[i] == i, plus[i] == i, mult[i][i] == i, i == z,
-            sum(1 for j in range(n) if star[j] == i),
-            sum(1 for j in range(n) if plus[j] == i),
-            bin(up[i]).count("1"), bin(down[i]).count("1")) for i in range(n)]
-    for _ in range(2):
-        ids = {s: k for k, s in enumerate(sorted(set(sig)))}
-        coded = [ids[s] for s in sig]
-        sig = [(coded[i], coded[star[i]], coded[plus[i]],
-                tuple(sorted((coded[j], coded[mult[i][j]], coded[mult[j][i]])
-                             for j in range(n))))
-               for i in range(n)]
-    ids = {s: k for k, s in enumerate(sorted(set(sig)))}
-    return [ids[s] for s in sig]
+    n_star, n_plus = Counter(star), Counter(plus)
+    return [(star[i] == i, plus[i] == i, mult[i][i] == i, i == z,
+             n_star[i], n_plus[i], up[i].bit_count(), down[i].bit_count())
+            for i in range(S.n)]
 
 
 def iso_algebras(S, T):
-    """Search for a table isomorphism S -> T; None when there is none.
-
-    Backtracking over signature-compatible assignments; the fast path
-    rejects on size or signature-profile mismatch.
-    """
-    if S.n != T.n:
+    """Search for an isomorphism S -> T preserving mult, star and plus;
+    None when there is none."""
+    if S.n != T.n or (S.plus is None) != (T.plus is None):
         return None
-    if (S.plus is None) != (T.plus is None):
-        return None
-    sigS, sigT = _signatures(S), _signatures(T)
-    if sorted(sigS) != sorted(sigT):
-        return None
-    candidates = [[t for t in range(T.n) if sigT[t] == sigS[s]] for s in range(S.n)]
-    order = sorted(range(S.n), key=lambda s: len(candidates[s]))
-    mapping = [-1] * S.n
-    used = [False] * T.n
-
-    def consistent(s, t):
-        # partial check: product constraints where the image is already fixed
-        for s2 in order:
-            t2 = mapping[s2]
-            if t2 < 0:
-                continue
-            for a, b, ta, tb in ((s, s2, t, t2), (s2, s, t2, t)):
-                p = mapping[S.mult[a][b]]
-                if p >= 0 and p != T.mult[ta][tb]:
-                    return False
-        if mapping[S.star[s]] >= 0 and mapping[S.star[s]] != T.star[t]:
-            return False
-        if S.plus is not None:
-            if mapping[S.plus[s]] >= 0 and mapping[S.plus[s]] != T.plus[t]:
-                return False
-        return True
-
-    def full_check():
-        # the partial checks skip products whose image was unassigned at the
-        # time, so a completed assignment still needs one exhaustive pass
-        for i in range(S.n):
-            if mapping[S.star[i]] != T.star[mapping[i]]:
-                return False
-            if S.plus is not None and mapping[S.plus[i]] != T.plus[mapping[i]]:
-                return False
-            mi = S.mult[i]
-            ti = T.mult[mapping[i]]
-            for j in range(S.n):
-                if mapping[mi[j]] != ti[mapping[j]]:
-                    return False
-        return True
-
-    def extend(k):
-        if k == len(order):
-            return full_check()
-        s = order[k]
-        for t in candidates[s]:
-            if used[t]:
-                continue
-            mapping[s] = t
-            used[t] = True
-            if consistent(s, t) and extend(k + 1):
-                return True
-            mapping[s] = -1
-            used[t] = False
-        return False
-
-    if not extend(0):
-        return None
-    return tuple(mapping)
+    A, B = (([X.star, X.plus or X.star], X.mult) for X in (S, T))
+    sigS, sigT = _refine([A, B], [_algebra_colours(S), _algebra_colours(T)])
+    return _find_iso(A, B, sigS, sigT)

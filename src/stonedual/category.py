@@ -13,15 +13,16 @@ D -> C and back, exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import product as iproduct
 from math import prod
 
-from .algebra import (BiUnaryAlgebra, SemigroupMorphism, check_morphism,
-                      classify, deterministic_sets, make_algebra)
+from .algebra import (AlgebraClassification, BiUnaryAlgebra,
+                      SemigroupMorphism, check_morphism, classify,
+                      deterministic_sets, make_algebra)
 from .errors import (AxiomFail, BadTableShape, CompDomainMismatch,
-                     CompositionMismatch, MathFail, NotBijectiveOnArrows,
-                     NotStarBijective, ParentMismatch, TooLarge)
+                     CompositionMismatch, InputError, MathFail,
+                     NotBijectiveOnArrows, NotStarBijective, ParentMismatch,
+                     TooLarge)
 
 DEFAULT_MAX_SIZE = 100000
 
@@ -222,8 +223,7 @@ def slice_semigroup(C, bislices_only=False, max_size=DEFAULT_MAX_SIZE):
         return C._cache[cache_key]
     elems = enumerate_slices(C, bislices_only)
     index = {s: i for i, s in enumerate(elems)}
-    names = ["{" + ",".join(C.arrows[a] for a in sorted(s)) + "}"
-             for s in elems]
+    names = [_slice_name(C, s) for s in elems]
     comp, d, r, unit = C.comp, C.d, C.r, C.unit
 
     def setprod(A, B):
@@ -245,17 +245,26 @@ def slice_semigroup(C, bislices_only=False, max_size=DEFAULT_MAX_SIZE):
     return S
 
 
+def _slice_name(C, arrows):
+    return "{" + ",".join(C.arrows[a] for a in sorted(arrows)) + "}"
+
+
 def semigroup_slices(C, S):
-    """The arrow sets behind the elements of a slice semigroup of C."""
+    """The arrow sets behind the elements of a slice semigroup of C.
+
+    When S was built elsewhere (say, loaded from a file), each element name
+    must be the name slice_semigroup gives to exactly one slice of C."""
     if S._cache.get("slice_parent") is C:
         return S._cache["slice_sets"]
-    pos = {nm: a for a, nm in enumerate(C.arrows)}
-    sets = []
-    for name in S.names:
-        body = name[1:-1]
-        sets.append(frozenset(pos[nm] for nm in body.split(",")) if body
-                    else frozenset())
-    return tuple(sets)
+    by_name = {}
+    for arrows in enumerate_slices(C):
+        name = _slice_name(C, arrows)
+        by_name[name] = None if name in by_name else arrows
+    sets = tuple(by_name.get(name) for name in S.names)
+    if None in sets:
+        raise InputError(f"element {S.names[sets.index(None)]} does not name "
+                         "exactly one slice of the category")
+    return sets
 
 
 def slice_of_index(C, S, i):
@@ -358,28 +367,7 @@ def identity_cofunctor(C):
     return Cofunctor(C, C, anchor, mu, rho1)
 
 
-@dataclass
-class CofunctorFlags:
-    flags: dict = field(default_factory=dict)
-    witnesses: dict = field(default_factory=dict)
-
-    def __getattr__(self, item):
-        flags = object.__getattribute__(self, "flags")
-        if item in flags:
-            return flags[item]
-        raise AttributeError(item)
-
-    def render(self):
-        from .report import format_witness
-        out = []
-        for name in ("injective_on_arrows", "surjective_on_arrows",
-                     "bijective_on_arrows", "action_injective"):
-            line = f"{name}={str(self.flags[name]).lower()}"
-            w = self.witnesses.get(name)
-            if w is not None and not self.flags[name]:
-                line += f" witness={format_witness(w)}"
-            out.append(line)
-        return "\n".join(out)
+CofunctorFlags = AlgebraClassification
 
 
 def check_cofunctor(F):

@@ -25,8 +25,7 @@ from .report import Report, format_witness
 from .zoo import (gen_free_arrow, gen_i, gen_pair_groupoid, gen_pt,
                   gen_triangular, search_no_cosupport)
 
-__all__ = ["main", "run", "gen_pt", "gen_i", "gen_triangular",
-           "gen_pair_groupoid", "gen_free_arrow"]
+__all__ = ["main", "run"]
 
 _GENERATORS = {
     "pt": (gen_pt, 1),
@@ -41,7 +40,11 @@ def _max_size(args):
     value = getattr(args, "max_size", None)
     if value is not None:
         return value
-    return int(os.environ.get("SDL_MAX_SIZE", DEFAULT_MAX_SIZE))
+    raw = os.environ.get("SDL_MAX_SIZE", str(DEFAULT_MAX_SIZE))
+    try:
+        return int(raw)
+    except ValueError:
+        raise InputError(f"SDL_MAX_SIZE must be an integer, got {raw!r}")
 
 
 def _emit(rep):

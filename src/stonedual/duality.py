@@ -10,9 +10,10 @@ kept in the test oracles as an independent cross-check.
 
 from __future__ import annotations
 
-from .algebra import (BiUnaryAlgebra, SemigroupMorphism, bd_subalgebra,
-                      check_morphism, classify, deterministic_sets,
-                      infer_cosupport, partial_isomorphisms, projection_gba)
+from .algebra import (BiUnaryAlgebra, SemigroupMorphism, _find_iso, _refine,
+                      bd_subalgebra, check_morphism, classify,
+                      deterministic_sets, infer_cosupport,
+                      partial_isomorphisms, projection_gba)
 from .category import (Cofunctor, DEFAULT_MAX_SIZE, FinCat, Slice,
                        check_cofunctor, cofunctor_to_morphism,
                        compose_cofunctors, identity_cofunctor, is_groupoid,
@@ -330,137 +331,37 @@ def verify_groupoidal(instance, max_size=DEFAULT_MAX_SIZE):
     raise UnknownElement(f"cannot check groupoidality of {type(instance).__name__}")
 
 
-def _refined_signatures(cats):
-    """WL-style arrow signatures refined through the composition tables.
+def _category_structure(E):
+    # the arrows with comp and the unary tables a -> 1_d(a), a -> 1_r(a)
+    return [[E.unit[o] for o in E.d], [E.unit[o] for o in E.r]], E.comp
 
-    Integer codes are shared across all the given categories, so the
-    returned code lists are comparable between them; codes from separate
-    calls are not.
-    """
-    sigs = []
-    for E in cats:
-        prof = {o: (len(E.d_fiber(o)), E.r.count(o),
-                    sum(1 for a in range(E.n_arr)
-                        if E.d[a] == o and E.r[a] == o))
-                for o in range(E.n_obj)}
-        sigs.append([(prof[E.d[a]], prof[E.r[a]], E.unit[E.d[a]] == a,
-                      E.comp[a][a] == a if E.d[a] == E.r[a] else None)
-                     for a in range(E.n_arr)])
-    for _ in range(3):
-        codes = {s: i for i, s in enumerate(
-            sorted({s for sig in sigs for s in sig}, key=repr))}
-        new = []
-        for E, sig in zip(cats, sigs):
-            c = [codes[s] for s in sig]
-            new.append([
-                (c[a],
-                 tuple(sorted((c[b],
-                               c[E.comp[a][b]] if E.d[a] == E.r[b] else -1,
-                               c[E.comp[b][a]] if E.d[b] == E.r[a] else -1)
-                              for b in range(E.n_arr))))
-                for a in range(E.n_arr)])
-        sigs = new
-    codes = {s: i for i, s in enumerate(
-        sorted({s for sig in sigs for s in sig}, key=repr))}
-    return [[codes[s] for s in sig] for sig in sigs]
+
+def _category_colours(E):
+    prof = [(len(E.d_fiber(o)), E.r.count(o),
+             sum(1 for a in range(E.n_arr) if E.d[a] == o and E.r[a] == o))
+            for o in range(E.n_obj)]
+    return [(*prof[E.d[a]], *prof[E.r[a]], E.unit[E.d[a]] == a,
+             E.comp[a][a] == a if E.d[a] == E.r[a] else -1)
+            for a in range(E.n_arr)]
 
 
 def category_signature(E):
     """Iso-invariant arrow codes; equal multisets are necessary (not
     sufficient) for isomorphism, which makes them usable as dedup keys."""
-    return _refined_signatures([E])[0]
+    return _refine([_category_structure(E)], [_category_colours(E)])[0]
 
 
 def iso_categories(C, D):
     """Search for an isomorphism (object map, arrow map); None if there is
-    none.  Arrow candidates are pruned by refined composition signatures;
-    the object map is forced along d/r; complete assignments are verified
-    against the full tables.
+    none.  An arrow bijection preserving comp and the unit tables of
+    _category_structure is exactly an isomorphism: it sends units to units,
+    so the object map is read off them.
     """
     if C.n_obj != D.n_obj or C.n_arr != D.n_arr:
         return None
-    sigC, sigD = _refined_signatures([C, D])
-    if sorted(sigC) != sorted(sigD):
+    A, B = _category_structure(C), _category_structure(D)
+    sigC, sigD = _refine([A, B], [_category_colours(C), _category_colours(D)])
+    amap = _find_iso(A, B, sigC, sigD)
+    if amap is None:
         return None
-    cand = [[b for b in range(D.n_arr) if sigD[b] == sigC[a]]
-            for a in range(C.n_arr)]
-    order = sorted(range(C.n_arr), key=lambda a: len(cand[a]))
-    amap = [-1] * C.n_arr
-    used = [False] * D.n_arr
-    omap = [-1] * C.n_obj
-    oused = [False] * D.n_obj
-
-    def bind_objects(pairs):
-        bound = []
-        for o, p in pairs:
-            if omap[o] == p:
-                continue
-            if omap[o] != -1 or oused[p]:
-                for q in bound:
-                    oused[omap[q]] = False
-                    omap[q] = -1
-                return None
-            omap[o] = p
-            oused[p] = True
-            bound.append(o)
-        return bound
-
-    def release(bound):
-        for q in bound:
-            oused[omap[q]] = False
-            omap[q] = -1
-
-    def consistent(a, b):
-        if (C.unit[C.d[a]] == a) != (D.unit[D.d[b]] == b):
-            return False
-        for a2 in order:
-            b2 = amap[a2]
-            if b2 < 0:
-                continue
-            for p, q, tp, tq in ((a, a2, b, b2), (a2, a, b2, b)):
-                if C.d[p] == C.r[q]:
-                    if D.d[tp] != D.r[tq]:
-                        return False
-                    img = amap[C.comp[p][q]]
-                    if img >= 0 and img != D.comp[tp][tq]:
-                        return False
-                elif D.d[tp] == D.r[tq]:
-                    return False
-        return True
-
-    def full_check():
-        for o in range(C.n_obj):
-            if amap[C.unit[o]] != D.unit[omap[o]]:
-                return False
-        for x in range(C.n_arr):
-            if omap[C.d[x]] != D.d[amap[x]] or omap[C.r[x]] != D.r[amap[x]]:
-                return False
-            for y in range(C.n_arr):
-                if C.d[x] != C.r[y]:
-                    continue
-                if amap[C.comp[x][y]] != D.comp[amap[x]][amap[y]]:
-                    return False
-        return True
-
-    def extend(k):
-        if k == len(order):
-            return full_check()
-        a = order[k]
-        for b in cand[a]:
-            if used[b]:
-                continue
-            bound = bind_objects([(C.d[a], D.d[b]), (C.r[a], D.r[b])])
-            if bound is None:
-                continue
-            amap[a] = b
-            used[b] = True
-            if consistent(a, b) and extend(k + 1):
-                return True
-            amap[a] = -1
-            used[b] = False
-            release(bound)
-        return False
-
-    if not extend(0):
-        return None
-    return tuple(omap), tuple(amap)
+    return tuple(D.d[amap[u]] for u in C.unit), amap

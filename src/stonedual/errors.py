@@ -31,10 +31,6 @@ class TooLarge(InputError):
         self.bound = bound
 
 
-class SizeMismatch(InputError):
-    pass
-
-
 class UnknownElement(InputError):
     pass
 

@@ -133,7 +133,7 @@ def atoms(E):
 
 
 def char_eval(phi, e):
-    return 1 if phi.atom & e == phi.atom else 0
+    return phi(e)
 
 
 def basic_set(E, e):

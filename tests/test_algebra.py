@@ -314,12 +314,19 @@ def test_iso_algebras_finds_relabeling():
     assert sorted(found) == list(range(S.n))
     for i in range(S.n):
         assert found[S.star[i]] == T.star[found[i]]
+        assert found[S.plus[i]] == T.plus[found[i]]
         for j in range(S.n):
             assert found[S.mult[i][j]] == T.mult[found[i]][found[j]]
 
 
 def test_iso_algebras_size_fast_path():
     assert iso_algebras(gen_pt(2), gen_i(2)) is None
+
+
+def test_iso_algebras_preserves_plus():
+    S = gen_pt(2)
+    plus_is_star = make_algebra(S.names, S.mult, S.star, S.star, S.zero)
+    assert iso_algebras(S, plus_is_star) is None
 
 
 def test_iso_algebras_rejects_same_size_non_isomorphic():

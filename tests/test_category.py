@@ -12,10 +12,11 @@ from stonedual.category import (Cofunctor, CoveringFunctor, Slice,
                                 slice_semigroup, slice_support)
 from stonedual.duality import counit_epsilon
 from stonedual.errors import (AxiomFail, BadTableShape, CompDomainMismatch,
-                              CompositionMismatch, MathFail,
+                              CompositionMismatch, InputError, MathFail,
                               NotBijectiveOnArrows, NotStarBijective,
                               ParentMismatch, TooLarge)
-from stonedual.zoo import gen_free_arrow, gen_pair_groupoid
+from stonedual.io import load_instance, save_instance
+from stonedual.zoo import gen_free_arrow, gen_pair_groupoid, gen_pt
 
 
 def one_object_loop():
@@ -161,6 +162,18 @@ def test_semigroup_slices_parses_names_without_cache():
     S = slice_semigroup(C)
     rebuilt = C.__class__(C.objects, C.arrows, C.d, C.r, C.unit, C.comp)
     assert semigroup_slices(rebuilt, S) == semigroup_slices(C, S)
+
+
+def test_semigroup_slices_of_loaded_semigroup_matches_whole_names(tmp_path):
+    C = make_category(["o"], ["1", "a,b"], [0, 0], [0, 0], [0],
+                      [[0, 1], [1, 0]])
+    path = tmp_path / "s.json"
+    save_instance(slice_semigroup(C), path)
+    loaded = load_instance(str(path))
+    assert semigroup_slices(C, loaded) == (frozenset(), frozenset({0}),
+                                           frozenset({1}))
+    with pytest.raises(InputError):
+        semigroup_slices(C, gen_pt(2))
 
 
 # -- cofunctors -----------------------------------------------------------------

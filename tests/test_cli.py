@@ -128,6 +128,12 @@ def test_slices_size_guard(files, tmp_path, monkeypatch):
     assert run(["slices", files["k3"], "-o", out]) == 0
 
 
+def test_max_size_env_must_be_an_integer(files, monkeypatch, capsys):
+    monkeypatch.setenv("SDL_MAX_SIZE", "abc")
+    assert run(["roundtrip", files["pt2"]]) == 2
+    assert capsys.readouterr().err.startswith("error: SDL_MAX_SIZE")
+
+
 def test_roundtrip_semigroup(files, capsys):
     assert run(["roundtrip", files["i2"]]) == 0
     out = capsys.readouterr().out

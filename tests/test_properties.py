@@ -351,8 +351,11 @@ def test_iso_found_for_any_relabeling(operm, aperm):
     res = iso_categories(_K2, D)
     assert res is not None
     omap, amap = res
+    for o in range(_K2.n_obj):
+        assert amap[_K2.unit[o]] == D.unit[omap[o]]
     for x in range(_K2.n_arr):
         assert D.d[amap[x]] == omap[_K2.d[x]]
+        assert D.r[amap[x]] == omap[_K2.r[x]]
         for y in range(_K2.n_arr):
             if _K2.d[x] == _K2.r[y]:
                 assert D.comp[amap[x]][amap[y]] == amap[_K2.comp[x][y]]

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property, reduce
 from itertools import combinations
-from operator import add
+from operator import add, or_
 
 from . import gba as gba_mod
 from .errors import (BadTableShape, InputError, MathFail, NoLeftUnit,
@@ -22,7 +23,8 @@ _NUMPY_THRESHOLD = 48
 
 
 class BiUnaryAlgebra:
-    """Immutable (2,1)- or (2,1,1)-algebra given by explicit tables."""
+    """Immutable (2,1)- or (2,1,1)-algebra given by explicit tables; what
+    is derived from them is kept in cached properties."""
 
     def __init__(self, names, mult, star, plus=None, zero=None):
         self.names = tuple(names)
@@ -31,7 +33,9 @@ class BiUnaryAlgebra:
         self.star = tuple(star)
         self.plus = tuple(plus) if plus is not None else None
         self.zero = zero
-        self._cache = {}
+        self._projections = tuple(sorted(set(self.star)))
+        # set by category.slice_semigroup and duality.germ_category
+        self.slice_parent = self.slice_sets = self.germ = None
 
     def __len__(self):
         return self.n
@@ -44,22 +48,21 @@ class BiUnaryAlgebra:
         return self.names[i]
 
     def projections(self):
-        return self._cache.setdefault("proj", tuple(sorted(set(self.star))))
+        return self._projections
 
     def is_projection(self, i):
         return self.star[i] == i
 
     def detected_zero(self):
         """The two-sided zero element, if the multiplication has one."""
-        if "zero" not in self._cache:
-            found = None
-            for z in range(self.n):
-                row = self.mult[z]
-                if all(row[s] == z and self.mult[s][z] == z for s in range(self.n)):
-                    found = z
-                    break
-            self._cache["zero"] = found
-        return self._cache["zero"]
+        return self._detected_zero
+
+    @cached_property
+    def _detected_zero(self):
+        mult = self.mult
+        return next((z for z in range(self.n)
+                     if all(mult[z][s] == z and mult[s][z] == z
+                            for s in range(self.n))), None)
 
     def leq(self, a, b):
         # natural partial order: a <= b iff a = b * a^*
@@ -70,25 +73,89 @@ class BiUnaryAlgebra:
             raise NoPlusTable("the dual order needs a plus table")
         return self.mult[self.plus[a]][b] == a
 
-    def up_masks(self):
+    @property
+    def up(self):
         """up[i] = bitmask of {j : i <= j}."""
-        if "up" not in self._cache:
-            n, mult, star = self.n, self.mult, self.star
-            up = [0] * n
-            down = [0] * n
-            for i in range(n):
-                si = star[i]
-                for j in range(n):
-                    if mult[j][si] == i:
-                        up[i] |= 1 << j
-                        down[j] |= 1 << i
-            self._cache["up"] = tuple(up)
-            self._cache["down"] = tuple(down)
-        return self._cache["up"]
+        return self._order_masks[0]
 
-    def down_masks(self):
-        self.up_masks()
-        return self._cache["down"]
+    @property
+    def down(self):
+        """down[j] = bitmask of {i : i <= j}."""
+        return self._order_masks[1]
+
+    @cached_property
+    def _order_masks(self):
+        n, mult, star = self.n, self.mult, self.star
+        up = [0] * n
+        down = [0] * n
+        for i in range(n):
+            si = star[i]
+            for j in range(n):
+                if mult[j][si] == i:
+                    up[i] |= 1 << j
+                    down[j] |= 1 << i
+        return tuple(up), tuple(down)
+
+    @cached_property
+    def joins(self):
+        """joins[s][t] = join(self, s, t), for every pair at once."""
+        up, n = self.up, self.n
+        table = [[None] * n for _ in range(n)]
+        for s in range(n):
+            for t in range(s, n):
+                table[s][t] = table[t][s] = _least(up, s, t)
+        return tuple(map(tuple, table))
+
+    @cached_property
+    def classification(self):
+        """classify(self), computed once."""
+        return _classify(self)
+
+    @cached_property
+    def _projection_gba(self):
+        proj = self.projections()
+        z = detected_zero_projection(self)
+        if z is None:
+            raise MathFail("P(S) has no zero projection",
+                           witness=("MissingZeroProjection",))
+        mult = self.mult
+        nonzero = [e for e in proj if e != z]
+        # e <= f on projections is e = f*e
+        below = {e: [f for f in nonzero if mult[e][f] == f] for e in nonzero}
+        atoms = [e for e in nonzero if below[e] == [e]]
+        to_mask = {}
+        for e in proj:
+            mask = 0
+            for i, a in enumerate(atoms):
+                if mult[e][a] == a:
+                    mask |= 1 << i
+            to_mask[e] = mask
+        from_mask = {}
+        for e in proj:
+            m = to_mask[e]
+            if m in from_mask:
+                raise MathFail(
+                    f"projections {self.name(from_mask[m])} and {self.name(e)} "
+                    "sit over the same atoms",
+                    witness=("RepNotInjective", from_mask[m], e))
+            from_mask[m] = e
+        family = set(from_mask)
+        for a, b in combinations(sorted(family), 2):
+            for op, res in (("or", a | b), ("diff", a & ~b), ("diff", b & ~a)):
+                if res not in family:
+                    raise MathFail(
+                        f"projection lattice not closed under {op}",
+                        witness=("NotClosed", op, from_mask[a], from_mask[b]))
+        # closure under diff gives closure under meet, a & b = a & ~(a & ~b),
+        # and the zero projection has mask 0, so no second check is needed
+        universe = [self.name(a) for a in atoms]
+        return gba_mod.FinGBA(universe, family), to_mask, from_mask
+
+    @cached_property
+    def _with_plus(self):
+        res = infer_cosupport(self)
+        return (BiUnaryAlgebra(self.names, self.mult, self.star, res.table, self.zero)
+                if res else None)
 
 
 def _iter_bits(mask):
@@ -96,6 +163,16 @@ def _iter_bits(mask):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _least(masks, s, t):
+    """The element of masks[s] & masks[t] whose own mask covers that
+    intersection, or None: the join on up masks, the meet on down masks."""
+    common = masks[s] & masks[t]
+    for m in _iter_bits(common):
+        if common & ~masks[m] == 0:
+            return m
+    return None
 
 
 def _check_table(names, table, n, what):
@@ -195,29 +272,12 @@ def compatible(S, s, t, mode="right"):
 
 def join(S, s, t):
     """Least upper bound of s and t under <=, or None."""
-    cache = S._cache.setdefault("join", {})
-    key = (s, t) if s <= t else (t, s)
-    if key in cache:
-        return cache[key]
-    up = S.up_masks()
-    common = up[s] & up[t]
-    result = None
-    for m in _iter_bits(common):
-        if common & ~up[m] == 0:
-            result = m
-            break
-    cache[key] = result
-    return result
+    return _least(S.up, s, t)
 
 
 def meet(S, s, t):
     """Greatest lower bound of s and t under <=, or None."""
-    down = S.down_masks()
-    common = down[s] & down[t]
-    for m in _iter_bits(common):
-        if common & ~down[m] == 0:
-            return m
-    return None
+    return _least(S.down, s, t)
 
 
 def join_all(S, elems):
@@ -253,44 +313,7 @@ def projection_gba(S):
     a GBA: no zero projection, atom map not injective, or image not closed
     under union / difference.  Diagnoses, never repairs.
     """
-    if "pgba" in S._cache:
-        return S._cache["pgba"]
-    proj = S.projections()
-    z = detected_zero_projection(S)
-    if z is None:
-        raise MathFail("P(S) has no zero projection",
-                       witness=("MissingZeroProjection",))
-    mult = S.mult
-    nonzero = [e for e in proj if e != z]
-    # e <= f on projections is e = f*e
-    below = {e: [f for f in nonzero if mult[e][f] == f] for e in nonzero}
-    atoms = [e for e in nonzero if below[e] == [e]]
-    to_mask = {}
-    for e in proj:
-        mask = 0
-        for i, a in enumerate(atoms):
-            if mult[e][a] == a:
-                mask |= 1 << i
-        to_mask[e] = mask
-    from_mask = {}
-    for e in proj:
-        m = to_mask[e]
-        if m in from_mask:
-            raise MathFail(
-                f"projections {S.name(from_mask[m])} and {S.name(e)} sit over "
-                "the same atoms", witness=("RepNotInjective", from_mask[m], e))
-        from_mask[m] = e
-    family = set(from_mask)
-    for a, b in combinations(sorted(family), 2):
-        for op, res in (("or", a | b), ("diff", a & ~b), ("diff", b & ~a)):
-            if res not in family:
-                raise MathFail(
-                    f"projection lattice not closed under {op}",
-                    witness=("NotClosed", op, from_mask[a], from_mask[b]))
-    universe = [S.name(a) for a in atoms]
-    result = gba_mod.make_gba(universe, sorted(family)), to_mask, from_mask
-    S._cache["pgba"] = result
-    return result
+    return S._projection_gba
 
 
 def deterministic_sets(S):
@@ -404,6 +427,12 @@ def infer_cosupport(S):
     if wit is not None:
         return CosupportResult(None, wit[0], wit[1])
     return CosupportResult(cand)
+
+
+def with_inferred_plus(S):
+    """S itself if it has a plus table, else S extended by the forced one, or
+    None if that fails the cosupport axioms; raises what infer_cosupport does."""
+    return S if S.plus is not None else S._with_plus
 
 
 def _star_axiom_witness(S):
@@ -523,8 +552,10 @@ def classify(S):
     none is stored but a compatible cosupport is forced by the star reduct,
     the inferred table is used and plus_inferred is set.
     """
-    if "classification" in S._cache:
-        return S._cache["classification"]
+    return S.classification
+
+
+def _classify(S):
     flags = {}
     wit = {}
 
@@ -538,16 +569,12 @@ def classify(S):
     put("ehresmann", w is None, w)
 
     probe = S
-    plus_inferred = False
-    if S.plus is None and flags["ehresmann"]:
+    if flags["ehresmann"]:
         try:
-            inferred = infer_cosupport(S)
-        except (NoLeftUnit, MathFail) as exc:
-            inferred = CosupportResult(None, "no-left-unit",
-                                       getattr(exc, "witness", None))
-        if inferred:
-            probe = BiUnaryAlgebra(S.names, S.mult, S.star, inferred.table, S.zero)
-            plus_inferred = True
+            probe = with_inferred_plus(S) or S
+        except MathFail:
+            pass
+    plus_inferred = probe is not S
 
     if probe.plus is None:
         missing = ("no-plus-table", ())
@@ -583,22 +610,13 @@ def classify(S):
     put("has_local_units", lu, ("no-left-unit", luw) if luw else None)
 
     # (BR2) P(S) is a GBA; shared by the restriction and birestriction ladders
-    br2 = False
-    br2_wit = None
+    br2_wit = ("has_zero_projection", ())
     if flags["has_zero_projection"]:
         try:
             projection_gba(S)
-            br2 = True
+            br2_wit = None
         except MathFail as exc:
             br2_wit = ("BR2", exc.witness)
-    else:
-        br2_wit = ("BR2", ("MissingZeroProjection",))
-
-    br1 = br1p = br3 = None  # witnesses; computed only when meaningful
-    if flags["restriction"] and flags["has_zero_projection"] and br2:
-        br1 = _br1_witness(S, probe, bicompat=False)
-        br1p = _br1prime_witness(S)
-        br3 = _br3_witness(S)
 
     def ladder(flag, base_ok, base_wit, *conds):
         if not base_ok:
@@ -608,31 +626,31 @@ def classify(S):
                 return put(flag, False, cond)
         return put(flag, True)
 
-    base_r = flags["restriction"] and flags["has_zero_projection"] and br2
-    base_r_wit = (wit.get("restriction")
-                  or (("has_zero_projection", ()) if not flags["has_zero_projection"]
-                      else br2_wit))
+    base_r = flags["restriction"] and br2_wit is None
+    br1 = br1p = br3 = None  # witnesses; computed only when meaningful
+    if base_r:
+        up = S.up
+        br1 = _br1_witness(S, "BR1", lambda s, t: compatible(S, s, t, "right"))
+        br1p = _br1_witness(S, "BR1'", lambda s, t: up[s] & up[t])
+        br3 = _br3_witness(S)
+    base_r_wit = wit.get("restriction") or br2_wit
     ladder("preboolean_restriction", base_r, base_r_wit, br1p, br3)
     ladder("boolean_restriction", base_r, base_r_wit, br1, br3)
 
-    base_b = flags["birestriction"] and flags["has_zero_projection"] and br2
-    base_b_wit = (wit.get("birestriction")
-                  or (("has_zero_projection", ()) if not flags["has_zero_projection"]
-                      else br2_wit))
-    if base_b:
-        bbr1 = _br1_witness(S, probe, bicompat=True)
-        ladder("preboolean_birestriction", base_b, base_b_wit, br1p, br3)
-        ladder("boolean_birestriction", base_b, base_b_wit, bbr1)
-    else:
-        put("preboolean_birestriction", False, base_b_wit)
-        put("boolean_birestriction", False, base_b_wit)
+    # birestriction implies restriction, so br1p and br3 are computed here
+    base_b = flags["birestriction"] and br2_wit is None
+    bbr1 = (_br1_witness(S, "BBR1", lambda s, t: compatible(probe, s, t, "bi"))
+            if base_b else None)
+    base_b_wit = wit.get("birestriction") or br2_wit
+    ladder("preboolean_birestriction", base_b, base_b_wit, br1p, br3)
+    ladder("boolean_birestriction", base_b, base_b_wit, bbr1)
 
     put("boolean_range", flags["range"] and flags["boolean_restriction"],
         wit.get("range") or wit.get("boolean_restriction"))
 
     if flags["boolean_range"]:
         _, _, bidet = deterministic_sets(probe)
-        w = _join_cover_witness(S, set(bidet))
+        w = _join_cover_witness(S, sum(1 << b for b in bidet))
         put("etale_range", w is None, w)
     else:
         put("etale_range", False, wit.get("boolean_range"))
@@ -640,7 +658,7 @@ def classify(S):
     # join cover by partial isomorphisms; unlike etale this needs no
     # boolean_range prerequisite (a projection semilattice qualifies)
     try:
-        piso = set(partial_isomorphisms(S))
+        piso = sum(1 << s for s in partial_isomorphisms(S))
     except MathFail as exc:
         put("groupoidal_etale", False, ("partial-isomorphisms", exc.witness))
     else:
@@ -650,66 +668,46 @@ def classify(S):
     w = _inverse_witness(S)
     put("inverse", w is None, w)
 
-    w = None
-    for s in range(S.n):
-        for t in range(S.n):
-            if meet(S, s, t) is None:
-                w = ("no-meet", (s, t))
-                break
-        if w:
-            break
+    down = S.down
+    w = next((("no-meet", (s, t)) for s in range(S.n) for t in range(S.n)
+              if _least(down, s, t) is None), None)
     put("has_binary_meets", w is None, w)
 
     cls = AlgebraClassification({f: flags[f] for f in _FLAGS}, wit,
                                 plus_inferred)
     _assert_implications(cls)
-    S._cache["classification"] = cls
     return cls
 
 
-def _br1_witness(S, probe, bicompat):
-    n = S.n
-    for s in range(n):
-        for t in range(n):
-            if bicompat:
-                if not compatible(probe, s, t, "bi"):
-                    continue
-            elif not compatible(S, s, t, "right"):
-                continue
-            if join(S, s, t) is None:
-                return ("BBR1" if bicompat else "BR1", (s, t))
-    return None
-
-
-def _br1prime_witness(S):
-    up = S.up_masks()
-    n = S.n
-    for s in range(n):
-        for t in range(n):
-            if up[s] & up[t] and join(S, s, t) is None:
-                return ("BR1'", (s, t))
-    return None
+def _br1_witness(S, axiom, related):
+    """First pair (s, t) that is related but has no join, as a witness."""
+    joins = S.joins
+    return next(((axiom, (s, t)) for s in range(S.n) for t in range(S.n)
+                 if related(s, t) and joins[s][t] is None), None)
 
 
 def _br3_witness(S):
-    n, mult = S.n, S.mult
+    # (s, t) and (t, s) fail at the same u, so the first failure has s <= t
+    n, mult, joins = S.n, S.mult, S.joins
     for s in range(n):
-        for t in range(n):
-            j = join(S, s, t)
+        ms = mult[s]
+        for t in range(s, n):
+            j = joins[s][t]
             if j is None:
                 continue
-            for u in range(n):
-                ju = join(S, mult[s][u], mult[t][u])
-                if ju is None or ju != mult[j][u]:
-                    return ("BR3", (s, t, u))
+            row = [joins[a][b] for a, b in zip(ms, mult[t])]
+            if row != list(mult[j]):
+                u = next(u for u in range(n) if row[u] != mult[j][u])
+                return ("BR3", (s, t, u))
     return None
 
 
-def _join_cover_witness(S, lower_class):
-    down = S.down_masks()
+def _join_cover_witness(S, lower):
+    """First s that is not the join of the elements of the bitmask lower
+    that lie below it."""
+    down = S.down
     for s in range(S.n):
-        lows = [b for b in _iter_bits(down[s]) if b in lower_class]
-        if join_all(S, lows) != s:
+        if join_all(S, _iter_bits(down[s] & lower)) != s:
             return ("join-cover", (s,))
     return None
 
@@ -772,9 +770,11 @@ def check_morphism(f, mtype, require_plus=False):
         raise InputError(f"unknown morphism type {mtype}")
     S, T, m = f.source, f.target, f.map
 
+    # locals: on CPython 3.11 a filled cached property slows attribute reads
+    multS, multT = S.mult, T.mult
     for i in range(S.n):
         for j in range(S.n):
-            if m[S.mult[i][j]] != T.mult[m[i]][m[j]]:
+            if m[multS[i][j]] != multT[m[i]][m[j]]:
                 return MorphismVerdict(False, mtype, "mult", (i, j))
     for i in range(S.n):
         if m[S.star[i]] != T.star[m[i]]:
@@ -813,16 +813,17 @@ def check_morphism(f, mtype, require_plus=False):
         if w is not None:
             return MorphismVerdict(False, mtype, "weakly-meet-preserving", w)
     if mtype in (3, 4):
-        w = _proper_witness(f)
+        image = reduce(or_, map(T.down.__getitem__, set(m)))
+        w = _join_cover_witness(T, image)
         if w is not None:
-            return MorphismVerdict(False, mtype, "proper", w)
+            return MorphismVerdict(False, mtype, "proper", w[1])
     return MorphismVerdict(True, mtype)
 
 
 def _weak_meet_witness(f):
     S, T, m = f.source, f.target, f.map
-    downT = T.down_masks()
-    downS = S.down_masks()
+    downT = T.down
+    downS = S.down
     pre = [0] * T.n  # pre[u] = bitmask of {s in S : u <= f(s)}
     for s in range(S.n):
         for u in _iter_bits(downT[m[s]]):
@@ -833,19 +834,6 @@ def _weak_meet_witness(f):
             for t in _iter_bits(cand):
                 if not downS[s] & downS[t] & cand:
                     return (s, t, u)
-    return None
-
-
-def _proper_witness(f):
-    S, T, m = f.source, f.target, f.map
-    downT = T.down_masks()
-    image_down = 0
-    for s in range(S.n):
-        image_down |= downT[m[s]]
-    for t in range(T.n):
-        pieces = list(_iter_bits(downT[t] & image_down))
-        if join_all(T, pieces) != t:
-            return (t,)
     return None
 
 
@@ -923,28 +911,40 @@ def _find_iso(A, B, sigA, sigB):
         tables = [*zip(unaryA, unaryB), *((binA[s], binB[fwd[s]]) for s in range(n))]
         return all(list(map(get, a)) == list(map(b.__getitem__, fwd)) for a, b in tables)
 
-    def extend(k):
+    # depth-first over the placements of order[0], order[1], ... without
+    # recursion, so the depth is not bounded by the interpreter's stack;
+    # its[k] holds the candidates of order[k] not yet tried
+    its = [None] * n
+    k = 0
+    while k >= 0:
         if k == n:
-            return complete()
+            if complete():
+                return tuple(fwd)
+            k -= 1
         s = order[k]
-        for t in by_colour[sigA[s]]:
-            if back[t] >= 0:
-                continue
-            fwd[s], back[t] = t, s
-            placed.append((s, t))
-            if fits(s, t) and extend(k + 1):
-                return True
+        if fwd[s] >= 0:  # undo the placement tried last at this depth
             placed.pop()
-            fwd[s] = back[t] = -1
-        return False
-
-    return tuple(fwd) if extend(0) else None
+            back[fwd[s]] = fwd[s] = -1
+        its[k] = its[k] or iter(by_colour[sigA[s]])
+        for t in its[k]:
+            if back[t] < 0:
+                fwd[s], back[t] = t, s
+                placed.append((s, t))
+                if fits(s, t):
+                    k += 1
+                    break
+                placed.pop()
+                fwd[s] = back[t] = -1
+        else:
+            its[k] = None
+            k -= 1
+    return None
 
 
 def _algebra_colours(S):
     mult, star = S.mult, S.star
     plus = S.plus or star
-    up, down = S.up_masks(), S.down_masks()
+    up, down = S.up, S.down
     z = S.detected_zero()
     n_star, n_plus = Counter(star), Counter(plus)
     return [(star[i] == i, plus[i] == i, mult[i][i] == i, i == z,

@@ -13,6 +13,7 @@ D -> C and back, exactly.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import product as iproduct
 from math import prod
 
@@ -39,7 +40,7 @@ class FinCat:
         self.comp = tuple(tuple(row) for row in comp)
         self.n_obj = len(self.objects)
         self.n_arr = len(self.arrows)
-        self._cache = {}
+        self.slice_sg = self.bislice_sg = None  # set by slice_semigroup
 
     def __repr__(self):
         return f"FinCat({self.n_obj} objects, {self.n_arr} arrows)"
@@ -57,12 +58,14 @@ class FinCat:
 
     def d_fiber(self, o):
         """Arrows starting at object o."""
-        if "dfib" not in self._cache:
-            fib = [[] for _ in range(self.n_obj)]
-            for a in range(self.n_arr):
-                fib[self.d[a]].append(a)
-            self._cache["dfib"] = tuple(tuple(f) for f in fib)
-        return self._cache["dfib"][o]
+        return self._d_fibers[o]
+
+    @cached_property
+    def _d_fibers(self):
+        fib = [[] for _ in range(self.n_obj)]
+        for a in range(self.n_arr):
+            fib[self.d[a]].append(a)
+        return tuple(map(tuple, fib))
 
     def is_unit(self, a):
         return self.unit[self.d[a]] == a
@@ -218,9 +221,9 @@ def slice_semigroup(C, bislices_only=False, max_size=DEFAULT_MAX_SIZE):
     predicted = predicted_slice_count(C)
     if predicted > max_size:
         raise TooLarge(predicted, max_size)
-    cache_key = ("slice_sg", bislices_only)
-    if cache_key in C._cache:
-        return C._cache[cache_key]
+    memo = C.bislice_sg if bislices_only else C.slice_sg
+    if memo is not None:
+        return memo
     elems = enumerate_slices(C, bislices_only)
     index = {s: i for i, s in enumerate(elems)}
     names = [_slice_name(C, s) for s in elems]
@@ -233,15 +236,18 @@ def slice_semigroup(C, bislices_only=False, max_size=DEFAULT_MAX_SIZE):
     star = [index[frozenset(unit[d[a]] for a in A)] for A in elems]
     plus = [index[frozenset(unit[r[a]] for a in A)] for A in elems]
     S = make_algebra(names, mult, star, plus, zero=index[frozenset()])
-    S._cache["slice_sets"] = tuple(elems)
-    S._cache["slice_parent"] = C
+    S.slice_sets = tuple(elems)
+    S.slice_parent = C
     cls = classify(S)
     if bislices_only:
         assert cls.flags["boolean_birestriction"], cls.witnesses
     else:
         assert cls.flags["boolean_range"], cls.witnesses
         assert cls.flags["etale_range"], cls.witnesses
-    C._cache[cache_key] = S
+    if bislices_only:
+        C.bislice_sg = S
+    else:
+        C.slice_sg = S
     return S
 
 
@@ -254,8 +260,8 @@ def semigroup_slices(C, S):
 
     When S was built elsewhere (say, loaded from a file), each element name
     must be the name slice_semigroup gives to exactly one slice of C."""
-    if S._cache.get("slice_parent") is C:
-        return S._cache["slice_sets"]
+    if S.slice_parent is C:
+        return S.slice_sets
     by_name = {}
     for arrows in enumerate_slices(C):
         name = _slice_name(C, arrows)

@@ -3,6 +3,10 @@
 Exit codes: 0 all checks pass, 1 a mathematical check failed (a witness is
 printed), 2 the input is malformed or too large.  The slice-semigroup size
 bound defaults to 100000 and can be overridden with SDL_MAX_SIZE.
+
+`adjunction --corpus DIR` prints one PASS, FAIL or ERROR line per file and
+goes on past a file it cannot read or check; it exits 2 if any file gave an
+ERROR, else 1 if any gave a FAIL, else 0.
 """
 
 from __future__ import annotations
@@ -147,33 +151,33 @@ def _cmd_roundtrip(args):
 
 def _cmd_adjunction(args):
     ms = _max_size(args)
-    if args.corpus is not None:
+    if args.corpus is None:
+        return _emit(verify_adjunction(load_instance(args.file), max_size=ms))
+    try:
+        files = sorted(f for f in os.listdir(args.corpus) if f.endswith(".json"))
+    except OSError as exc:
+        raise InputError(f"cannot list {args.corpus}: {exc.strerror}")
+    if not files:
+        raise InputError(f"no .json files in {args.corpus}")
+    status = 0
+    for name in files:
         try:
-            files = sorted(f for f in os.listdir(args.corpus)
-                           if f.endswith(".json"))
-        except OSError as exc:
-            raise InputError(f"cannot list {args.corpus}: {exc.strerror}")
-        if not files:
-            raise InputError(f"no .json files in {args.corpus}")
-        status = 0
-        for name in files:
             obj = load_instance(os.path.join(args.corpus, name))
-            try:
-                rep = verify_adjunction(obj, max_size=ms)
-            except MathFail as exc:
-                print(f"FAIL {name} " + _describe(exc))
-                status = 1
-                continue
-            ok = rep.passed
-            line = ("PASS " if ok else "FAIL ") + name
-            if not ok:
-                w = rep.failures()[0]
-                line += f" witness={format_witness(w)}"
-                status = 1
-            print(line)
-        return status
-    obj = load_instance(args.file)
-    return _emit(verify_adjunction(obj, max_size=ms))
+            rep = verify_adjunction(obj, max_size=ms)
+        except InputError as exc:
+            print(f"ERROR {name} {exc}")
+            status = 2
+            continue
+        except MathFail as exc:
+            print(f"FAIL {name} " + _describe(exc))
+            status = max(status, 1)
+            continue
+        line = ("PASS " if rep.passed else "FAIL ") + name
+        if not rep.passed:
+            line += f" witness={format_witness(rep.failures()[0])}"
+            status = max(status, 1)
+        print(line)
+    return status
 
 
 def _cmd_morphism_check(args):

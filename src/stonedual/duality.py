@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from .algebra import (BiUnaryAlgebra, SemigroupMorphism, _find_iso, _refine,
                       bd_subalgebra, check_morphism, classify,
-                      deterministic_sets, infer_cosupport,
-                      partial_isomorphisms, projection_gba)
+                      deterministic_sets, partial_isomorphisms,
+                      projection_gba, with_inferred_plus)
 from .category import (Cofunctor, DEFAULT_MAX_SIZE, FinCat, Slice,
                        check_cofunctor, cofunctor_to_morphism,
                        compose_cofunctors, identity_cofunctor, is_groupoid,
@@ -35,16 +35,6 @@ class GermCategory:
         self.germ_index = {e: j for j, e in enumerate(self.germ_elems)}
 
 
-def with_inferred_plus(S):
-    """S itself if it has a plus table, else S extended by the forced one."""
-    if S.plus is not None:
-        return S
-    res = infer_cosupport(S)
-    if not res:
-        return None
-    return BiUnaryAlgebra(S.names, S.mult, S.star, res.table, S.zero)
-
-
 def germ_category(S):
     """Build and fully re-verify the category of germs of S.
 
@@ -52,8 +42,8 @@ def germ_category(S):
     support, r(x) the unique atom acting as a left unit on x (checked
     against x^+ on range instances), and comp(x,y) = (xy)*y^*.
     """
-    if "germ" in S._cache:
-        return S._cache["germ"]
+    if S.germ is not None:
+        return S.germ
     cls = classify(S)
     if not cls.flags["preboolean_restriction"]:
         raise NotPreBoolean("projection-ordered joins are missing",
@@ -72,7 +62,7 @@ def germ_category(S):
 
     plus_ref = None
     if cls.flags["range"]:
-        plus_ref = S.plus if S.plus is not None else infer_cosupport(S).table
+        plus_ref = with_inferred_plus(S).plus
 
     germs = [x for x in range(S.n) if star[x] in atom_set]
     gidx = {e: j for j, e in enumerate(germs)}
@@ -96,9 +86,8 @@ def germ_category(S):
             comp[i][j] = gidx[p]
     cat = make_category([S.names[a] for a in atoms],
                         [S.names[x] for x in germs], d, r, unit, comp)
-    G = GermCategory(S, cat, atoms, germs)
-    S._cache["germ"] = G
-    return G
+    S.germ = GermCategory(S, cat, atoms, germs)
+    return S.germ
 
 
 def theta(S, s):

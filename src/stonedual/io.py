@@ -241,8 +241,10 @@ def load_instance(path):
             payload = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise InputError(f"{path} nests too deeply") from exc
     if not isinstance(payload, dict):
         raise InputError("top level must be a JSON object")
     kind = payload.get("kind")

@@ -272,8 +272,7 @@ def search_no_cosupport(max_order=8, budget=5.0, base=3):
     import time
     from itertools import combinations
 
-    from .algebra import classify, infer_cosupport
-    from .errors import MathFail, NoLeftUnit
+    from .algebra import classify
 
     start = time.monotonic()
     PT = gen_pt(base)
@@ -320,10 +319,7 @@ def search_no_cosupport(max_order=8, budget=5.0, base=3):
             if not (cls.flags["restriction"] and cls.flags["has_local_units"]):
                 continue
             checked += 1
-            try:
-                res = infer_cosupport(S)
-            except (NoLeftUnit, MathFail):
-                return True, checked, tuple(sorted(elems))
-            if not res:
+            # classify infers the plus table whenever S is Ehresmann
+            if not cls.plus_inferred:
                 return True, checked, tuple(sorted(elems))
     return False, checked, None

@@ -111,6 +111,59 @@ def brute_join(S, s, t):
     return least[0] if least else None
 
 
+def brute_meet(S, s, t):
+    lbs = [u for u in range(S.n) if leq(S, u, s) and leq(S, u, t)]
+    greatest = [u for u in lbs if all(leq(S, v, u) for v in lbs)]
+    return greatest[0] if greatest else None
+
+
+# first witnesses of the join axioms, scanning pairs (and then u) in
+# lexicographic order straight from the definitions
+
+
+def _join_table(S):
+    return {(s, t): brute_join(S, s, t) for s in range(S.n) for t in range(S.n)}
+
+
+def br1_witness_brute(S):
+    """BR1: right-compatible elements (s t^* = t s^*) have a join."""
+    joins = _join_table(S)
+    for (s, t), j in joins.items():
+        if S.mult[s][S.star[t]] == S.mult[t][S.star[s]] and j is None:
+            return ("BR1", (s, t))
+    return None
+
+
+def br1prime_witness_brute(S):
+    """BR1': elements with a common upper bound have a join."""
+    joins = _join_table(S)
+    for (s, t), j in joins.items():
+        bounded = any(leq(S, s, u) and leq(S, t, u) for u in range(S.n))
+        if bounded and j is None:
+            return ("BR1'", (s, t))
+    return None
+
+
+def br3_witness_brute(S):
+    """BR3: (s v t) u = su v tu whenever s v t exists."""
+    joins = _join_table(S)
+    for (s, t), j in joins.items():
+        if j is None:
+            continue
+        for u in range(S.n):
+            if joins[S.mult[s][u], S.mult[t][u]] != S.mult[j][u]:
+                return ("BR3", (s, t, u))
+    return None
+
+
+def no_meet_witness_brute(S):
+    for s in range(S.n):
+        for t in range(S.n):
+            if brute_meet(S, s, t) is None:
+                return ("no-meet", (s, t))
+    return None
+
+
 # ---------------------------------------------------------------------------
 # slices by raw subset enumeration
 

@@ -1,8 +1,12 @@
+from itertools import combinations
+
 import pytest
 
-from oracles import brute_join, inverse_map, leq as oracle_leq, parse_map
-from stonedual.algebra import (bd_subalgebra, check_morphism, classify,
-                               compatible, deterministic_sets,
+from oracles import (br1_witness_brute, br1prime_witness_brute,
+                     br3_witness_brute, brute_join, inverse_map,
+                     leq as oracle_leq, no_meet_witness_brute, parse_map)
+from stonedual.algebra import (BiUnaryAlgebra, bd_subalgebra, check_morphism,
+                               classify, compatible, deterministic_sets,
                                has_local_units, infer_cosupport, iso_algebras,
                                join, join_all, make_algebra, meet, nat_leq,
                                partial_isomorphisms, projection_gba,
@@ -105,11 +109,60 @@ def test_join_and_meet_match_brute_force(gen):
     for s in range(S.n):
         for t in range(S.n):
             assert join(S, s, t) == brute_join(S, s, t)
+            assert S.joins[s][t] == brute_join(S, s, t)
             lbs = [u for u in range(S.n)
                    if oracle_leq(S, u, s) and oracle_leq(S, u, t)]
             greatest = [u for u in lbs
                         if all(oracle_leq(S, v, u) for v in lbs)]
             assert meet(S, s, t) == (greatest[0] if greatest else None)
+
+
+def _small_subsemigroups(P, limit=12):
+    """Sub-semigroups of P generated by one or two elements and closed
+    under product and star, with at most limit elements."""
+    seen = set()
+    for gens in [(a,) for a in range(P.n)] + list(combinations(range(P.n), 2)):
+        elems = set(gens)
+        while len(elems) <= limit:
+            new = {P.mult[a][b] for a in elems for b in elems}
+            new |= {P.star[a] for a in elems}
+            if new <= elems:
+                break
+            elems |= new
+        keep = tuple(sorted(elems))
+        if len(keep) > limit or keep in seen:
+            continue
+        seen.add(keep)
+        pos = {e: i for i, e in enumerate(keep)}
+        yield make_algebra([P.names[e] for e in keep],
+                           [[pos[P.mult[a][b]] for b in keep] for a in keep],
+                           [pos[P.star[a]] for a in keep])
+
+
+def test_join_axiom_witnesses_match_brute_force():
+    failed = {"BR1": 0, "BR3": 0, "no-meet": 0}
+    for S in _small_subsemigroups(gen_pt(3)):
+        cls = classify(S)
+        no_meet = no_meet_witness_brute(S)
+        assert cls.has_binary_meets == (no_meet is None)
+        assert cls.witness("has_binary_meets") == no_meet
+        failed["no-meet"] += no_meet is not None
+        try:
+            projection_gba(S)
+        except MathFail:
+            continue
+        if not (cls.restriction and cls.has_zero_projection):
+            continue
+        br1, br1p, br3 = (br1_witness_brute(S), br1prime_witness_brute(S),
+                          br3_witness_brute(S))
+        failed["BR1"] += br1 is not None
+        failed["BR3"] += br3 is not None
+        for flag, first in (("boolean_restriction", br1 or br3),
+                            ("preboolean_restriction", br1p or br3)):
+            assert cls.flags[flag] == (first is None), (S.names, flag)
+            assert cls.witness(flag) == first, (S.names, flag)
+    # the family has BR1, BR3 and no-meet failures (none of BR1')
+    assert all(failed.values()), failed
 
 
 def test_join_all_folds_and_fails():
@@ -327,6 +380,23 @@ def test_iso_algebras_preserves_plus():
     S = gen_pt(2)
     plus_is_star = make_algebra(S.names, S.mult, S.star, S.star, S.zero)
     assert iso_algebras(S, plus_is_star) is None
+
+
+def test_iso_algebras_on_a_long_chain():
+    # one search step per element; built without make_algebra, whose
+    # associativity check is cubic
+    n = 1000
+    names = [f"c{i}" for i in range(n)]
+    S = BiUnaryAlgebra(names, [[min(i, j) for j in range(n)] for i in range(n)],
+                       range(n))
+    perm = [(7 * i) % n for i in range(n)]  # 7 is prime to 1000
+    inv = [0] * n
+    for i, p in enumerate(perm):
+        inv[p] = i
+    T = BiUnaryAlgebra([names[inv[i]] for i in range(n)],
+                       [[perm[min(inv[i], inv[j])] for j in range(n)]
+                        for i in range(n)], range(n))
+    assert iso_algebras(S, T) == tuple(perm)
 
 
 def test_iso_algebras_rejects_same_size_non_isomorphic():

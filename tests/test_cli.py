@@ -64,6 +64,15 @@ def test_loader_rejects_schema_problems(tmp_path):
     assert run(["check", str(tmp_path / "absent.json")]) == 2
 
 
+def test_loader_rejects_undecodable_and_deeply_nested_files(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"kind": "semigroup", "elements": ["\xff"]}')
+    assert run(["check", str(bad)]) == 2
+    bad.write_text("[" * 100000)
+    assert run(["check", str(bad)]) == 2
+    assert capsys.readouterr().err.count("error:") == 2
+
+
 def test_loader_flags_math_failures_as_exit_1(tmp_path):
     # shape-valid but non-associative
     payload = {"kind": "semigroup", "elements": ["a", "b"],
@@ -160,6 +169,27 @@ def test_adjunction_single_and_corpus(files, tmp_path, capsys):
     assert "PASS i2.json" in out and "PASS pt2.json" in out
     (corpus / "zz.json").write_text("{broken")
     assert run(["adjunction", "--corpus", str(corpus)]) == 2
+
+
+def test_adjunction_corpus_goes_on_past_an_unreadable_file(files, tmp_path,
+                                                           capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "a.json").write_text(open(files["pt2"]).read())
+    (corpus / "b.json").write_text("{broken")
+    (corpus / "c.json").write_text(open(files["k2"]).read())
+    assert run(["adjunction", "--corpus", str(corpus)]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3
+    assert lines[0] == "PASS a.json" and lines[2] == "PASS c.json"
+    assert lines[1].startswith("ERROR b.json ")
+    # with every file readable, a failed check gives 1
+    chain = {"kind": "semigroup", "elements": ["c0", "c1", "c2"],
+             "mult": [[0, 0, 0], [0, 1, 1], [0, 1, 2]], "star": [0, 1, 2]}
+    (corpus / "b.json").write_text(json.dumps(chain))
+    assert run(["adjunction", "--corpus", str(corpus)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].startswith("FAIL b.json ") and lines[2] == "PASS c.json"
 
 
 def test_adjunction_requires_input(files):

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 
 from oracles import germ_relation_mismatch, proj_atoms
@@ -215,6 +218,20 @@ def test_with_inferred_plus_matches_stored_table():
     stripped = make_algebra(S.names, S.mult, S.star, zero=S.zero)
     assert with_inferred_plus(stripped).plus == S.plus
     assert with_inferred_plus(S) is S
+
+
+def test_memos_die_with_their_object():
+    S = gen_i(2)
+    stripped = make_algebra(S.names, S.mult, S.star, zero=S.zero)
+    C = gen_pair_groupoid(2)
+    T = slice_semigroup(C)
+    memos = [classify(S), germ_category(S), classify(stripped),
+             with_inferred_plus(stripped), germ_category(T),
+             slice_semigroup(C, bislices_only=True)]
+    refs = [weakref.ref(x) for x in [S, stripped, C, T, *memos]]
+    del S, stripped, C, T, memos
+    gc.collect()
+    assert [r() for r in refs] == [None] * len(refs)
 
 
 # -- category isomorphism search -------------------------------------------------------

@@ -152,6 +152,17 @@ class BiUnaryAlgebra:
         return gba_mod.FinGBA(universe, family), to_mask, from_mask
 
     @cached_property
+    def iso_codes(self):
+        """Refinement codes of the elements (see _refine), computed once."""
+        mult, star, plus = self.mult, self.star, self.plus or self.star
+        up, down, z = self.up, self.down, self.detected_zero()
+        n_star, n_plus = Counter(star), Counter(plus)
+        return _refine(([star, plus], mult),
+                       [(star[i] == i, plus[i] == i, mult[i][i] == i, i == z,
+                         n_star[i], n_plus[i], up[i].bit_count(), down[i].bit_count())
+                        for i in range(self.n)])
+
+    @cached_property
     def _with_plus(self):
         res = infer_cosupport(self)
         return (BiUnaryAlgebra(self.names, self.mult, self.star, res.table, self.zero)
@@ -837,38 +848,36 @@ def _weak_meet_witness(f):
     return None
 
 
-def _refine(structs, init):
-    """Colour refinement, repeated until the number of classes stops growing.
+def _refine(struct, init):
+    """Colour refinement of one structure until its class count stops growing.
 
     A structure is a pair (unary tables, binary table), the binary table
     holding -1 where it is undefined; init gives one tuple of ints per
-    element of each structure as its first colour.  Codes rank the
-    signatures of all the given structures together, so the returned code
-    lists are comparable between them; codes from separate calls are not.
+    element as its first colour.  Codes rank signatures within the one
+    structure and no step reads how elements are numbered, so any
+    isomorphism preserves codes, however separately they were computed.
     """
-    cols = [list(zip(*binary)) for _, binary in structs]
-    sigs = init
-    classes = 0
+    unary, binary = struct
+    col = list(zip(*binary))
+    sig, classes = init, 0
     while True:
-        ids = {s: k for k, s in enumerate(sorted({s for sig in sigs for s in sig}))}
-        codes = [[ids[s] for s in sig] for sig in sigs]
+        ids = {s: k for k, s in enumerate(sorted(set(sig)))}
+        c = [ids[s] for s in sig]
         if len(ids) == classes:
-            return codes
+            return tuple(c)
         classes = len(ids)
-        del sigs, ids  # hold one round of signatures at a time
+        del sig, ids  # hold one round of signatures at a time
         # element i meets j in the triple (c[j], c[i*j], c[j*i]), packed as
         # one int in base classes + 1 with an undefined entry read as digit 0;
         # ints sort several times faster than tuples
         base = classes + 1
-        sigs = []
-        for (unary, binary), col, c in zip(structs, cols, codes):
-            high = [(x + 1) * base * base for x in c]
-            mid = [(x + 1) * base for x in c] + [0]
-            low = [x + 1 for x in c] + [0]
-            sigs.append([(c[i], *[c[u[i]] for u in unary],
-                          tuple(sorted(map(add, high, map(add, map(mid.__getitem__, binary[i]),
-                                                          map(low.__getitem__, col[i]))))))
-                         for i in range(len(c))])
+        high = [(x + 1) * base * base for x in c]
+        mid = [(x + 1) * base for x in c] + [0]
+        low = [x + 1 for x in c] + [0]
+        sig = [(c[i], *[c[u[i]] for u in unary],
+                tuple(sorted(map(add, high, map(add, map(mid.__getitem__, binary[i]),
+                                                map(low.__getitem__, col[i]))))))
+               for i in range(len(c))]
 
 
 def _find_iso(A, B, sigA, sigB):
@@ -941,22 +950,10 @@ def _find_iso(A, B, sigA, sigB):
     return None
 
 
-def _algebra_colours(S):
-    mult, star = S.mult, S.star
-    plus = S.plus or star
-    up, down = S.up, S.down
-    z = S.detected_zero()
-    n_star, n_plus = Counter(star), Counter(plus)
-    return [(star[i] == i, plus[i] == i, mult[i][i] == i, i == z,
-             n_star[i], n_plus[i], up[i].bit_count(), down[i].bit_count())
-            for i in range(S.n)]
-
-
 def iso_algebras(S, T):
     """Search for an isomorphism S -> T preserving mult, star and plus;
     None when there is none."""
     if S.n != T.n or (S.plus is None) != (T.plus is None):
         return None
     A, B = (([X.star, X.plus or X.star], X.mult) for X in (S, T))
-    sigS, sigT = _refine([A, B], [_algebra_colours(S), _algebra_colours(T)])
-    return _find_iso(A, B, sigS, sigT)
+    return _find_iso(A, B, S.iso_codes, T.iso_codes)

@@ -41,6 +41,7 @@ class FinCat:
         self.n_obj = len(self.objects)
         self.n_arr = len(self.arrows)
         self.slice_sg = self.bislice_sg = None  # set by slice_semigroup
+        self.iso_codes = None  # set by duality.category_signature
 
     def __repr__(self):
         return f"FinCat({self.n_obj} objects, {self.n_arr} arrows)"

@@ -4,9 +4,9 @@ Exit codes: 0 all checks pass, 1 a mathematical check failed (a witness is
 printed), 2 the input is malformed or too large.  The slice-semigroup size
 bound defaults to 100000 and can be overridden with SDL_MAX_SIZE.
 
-`adjunction --corpus DIR` prints one PASS, FAIL or ERROR line per file and
-goes on past a file it cannot read or check; it exits 2 if any file gave an
-ERROR, else 1 if any gave a FAIL, else 0.
+`adjunction` takes FILE or --corpus DIR, not both.  With --corpus it prints one
+PASS, FAIL or ERROR line per file, going on past a file it cannot read or check;
+it exits 2 if any file gave an ERROR, else 1 if any gave a FAIL, else 0.
 """
 
 from __future__ import annotations
@@ -311,9 +311,9 @@ def _describe(exc):
 def run(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "adjunction" and args.file is None \
-            and args.corpus is None:
-        parser.error("adjunction needs FILE or --corpus DIR")
+    if args.command == "adjunction" and \
+            (args.file is None) == (args.corpus is None):
+        parser.error("adjunction needs exactly one of FILE and --corpus DIR")
     try:
         return args.func(args)
     except InputError as exc:

@@ -325,19 +325,22 @@ def _category_structure(E):
     return [[E.unit[o] for o in E.d], [E.unit[o] for o in E.r]], E.comp
 
 
-def _category_colours(E):
-    prof = [(len(E.d_fiber(o)), E.r.count(o),
-             sum(1 for a in range(E.n_arr) if E.d[a] == o and E.r[a] == o))
-            for o in range(E.n_obj)]
-    return [(*prof[E.d[a]], *prof[E.r[a]], E.unit[E.d[a]] == a,
+def _arrow_codes(E):
+    if E.iso_codes is None:
+        prof = [(len(E.d_fiber(o)), E.r.count(o),
+                 sum(1 for a in range(E.n_arr) if E.d[a] == o and E.r[a] == o))
+                for o in range(E.n_obj)]
+        E.iso_codes = _refine(_category_structure(E), [
+            (*prof[E.d[a]], *prof[E.r[a]], E.unit[E.d[a]] == a,
              E.comp[a][a] == a if E.d[a] == E.r[a] else -1)
-            for a in range(E.n_arr)]
+            for a in range(E.n_arr)])
+    return E.iso_codes
 
 
 def category_signature(E):
-    """Iso-invariant arrow codes; equal multisets are necessary (not
-    sufficient) for isomorphism, which makes them usable as dedup keys."""
-    return _refine([_category_structure(E)], [_category_colours(E)])[0]
+    """Arrow codes from algebra._refine, computed once and kept on E; equal
+    sorted codes are necessary (not sufficient) for isomorphism: dedup keys."""
+    return _arrow_codes(E)
 
 
 def iso_categories(C, D):
@@ -348,9 +351,8 @@ def iso_categories(C, D):
     """
     if C.n_obj != D.n_obj or C.n_arr != D.n_arr:
         return None
-    A, B = _category_structure(C), _category_structure(D)
-    sigC, sigD = _refine([A, B], [_category_colours(C), _category_colours(D)])
-    amap = _find_iso(A, B, sigC, sigD)
+    amap = _find_iso(_category_structure(C), _category_structure(D),
+                     _arrow_codes(C), _arrow_codes(D))
     if amap is None:
         return None
     return tuple(D.d[amap[u]] for u in C.unit), amap

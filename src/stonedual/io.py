@@ -229,8 +229,12 @@ def dumps_canonical(payload):
 
 
 def save_instance(obj, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_canonical(instance_to_dict(obj)))
+    text = dumps_canonical(instance_to_dict(obj))
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 def load_instance(path):

@@ -372,6 +372,15 @@ def test_iso_algebras_finds_relabeling():
             assert found[S.mult[i][j]] == T.mult[found[i]][found[j]]
 
 
+def test_iso_codes_correspond_under_the_found_isomorphism():
+    S = gen_pt(3)
+    T = shuffle_algebra(S, [(5 * i + 3) % S.n for i in range(S.n)])
+    found = iso_algebras(S, T)
+    assert found is not None
+    for i in range(S.n):
+        assert S.iso_codes[i] == T.iso_codes[found[i]]
+
+
 def test_iso_algebras_size_fast_path():
     assert iso_algebras(gen_pt(2), gen_i(2)) is None
 

@@ -197,6 +197,28 @@ def test_adjunction_requires_input(files):
         run(["adjunction"])
 
 
+def test_adjunction_rejects_file_with_corpus(files, capsys):
+    corpus = files["dir"] / "corpus"
+    corpus.mkdir()
+    (corpus / "pt2.json").write_text(open(files["pt2"]).read())
+    with pytest.raises(SystemExit) as exc:
+        run(["adjunction", files["k2"], "--corpus", str(corpus)])
+    assert exc.value.code == 2
+    assert "exactly one of FILE and --corpus DIR" in capsys.readouterr().err
+
+
+def test_unwritable_output_is_an_input_error(files, capsys):
+    missing = files["dir"] / "missing"
+    cases = [["zoo", "pt", "2", "-o", str(missing / "x.json")],
+             ["zoo", "pt", "2", "-o", str(files["dir"])],
+             ["germs", files["pt2"], "-o", str(missing / "g.json")]]
+    for argv in cases:
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write ") and "Traceback" not in err
+    assert not missing.exists()
+
+
 def test_morphism_check_command(files, capsys):
     incl = ",".join(str(gen_pt(2).names.index(nm)) for nm in gen_i(2).names)
     for t in ("1", "2", "3", "4"):

@@ -5,7 +5,7 @@ import pytest
 
 from oracles import germ_relation_mismatch, proj_atoms
 from stonedual.algebra import (SemigroupMorphism, bd_subalgebra, classify,
-                               make_algebra)
+                               iso_algebras, make_algebra)
 from stonedual.category import (check_cofunctor, is_groupoid, make_category,
                                 semigroup_slices, slice_semigroup)
 from stonedual.duality import (category_signature, counit_epsilon,
@@ -228,6 +228,9 @@ def test_memos_die_with_their_object():
     memos = [classify(S), germ_category(S), classify(stripped),
              with_inferred_plus(stripped), germ_category(T),
              slice_semigroup(C, bislices_only=True)]
+    # the iso searches memoise refinement codes on every object they touch
+    assert iso_algebras(S, S) is not None and iso_algebras(T, T) is not None
+    assert iso_categories(germ_category(S).category, C) is not None
     refs = [weakref.ref(x) for x in [S, stripped, C, T, *memos]]
     del S, stripped, C, T, memos
     gc.collect()
@@ -283,3 +286,6 @@ def test_category_signature_is_relabeling_invariant():
     C = gen_pair_groupoid(3)
     D = relabel_category(C, (2, 0, 1), tuple(reversed(range(C.n_arr))))
     assert sorted(category_signature(C)) == sorted(category_signature(D))
+    _, amap = iso_categories(C, D)
+    for a in range(C.n_arr):
+        assert category_signature(C)[a] == category_signature(D)[amap[a]]

@@ -1,5 +1,7 @@
 import pytest
 
+import stonedual.duality
+import stonedual.zoo
 from oracles import (MONOID_COUNTS, count_monoids_brute, expected_map_tables,
                      is_increasing, is_injective, parse_map)
 from stonedual.algebra import classify
@@ -127,6 +129,26 @@ def test_enumeration_shape_and_validity():
     for i, C in enumerate(four):
         for D in four[i + 1:]:
             assert iso_categories(C, D) is None
+
+
+def test_enumeration_refines_each_completion_once(monkeypatch):
+    # the bucket key refines a completion once; the pairwise iso checks
+    # reuse the codes memoised on both categories
+    calls = {"refine": 0, "make_category": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(stonedual.duality, "_refine",
+                        counted("refine", stonedual.duality._refine))
+    monkeypatch.setattr(stonedual.zoo, "make_category",
+                        counted("make_category", stonedual.zoo.make_category))
+    enumerate_categories(max_objects=3, max_arrows=4)
+    assert calls["make_category"] > 0
+    assert calls["refine"] == calls["make_category"]
 
 
 def test_corpus_contents():

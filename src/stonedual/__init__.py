@@ -9,8 +9,7 @@ enough that no approximation is ever needed.
 from .errors import (InputError, MathFail, SdlError, TooLarge)
 from .report import Report, format_witness
 from .gba import (FinGBA, PrimeCharacter, atoms, basic_set, char_eval,
-                  enumerate_filters, filters_coincide, make_gba,
-                  verify_stone_duality)
+                  make_gba, verify_stone_duality)
 from .algebra import (AlgebraClassification, BiUnaryAlgebra, CosupportResult,
                       MorphismVerdict, SemigroupMorphism, bd_subalgebra,
                       check_morphism, classify, compatible,

@@ -50,9 +50,6 @@ class BiUnaryAlgebra:
     def projections(self):
         return self._projections
 
-    def is_projection(self, i):
-        return self.star[i] == i
-
     def detected_zero(self):
         """The two-sided zero element, if the multiplication has one."""
         return self._detected_zero
@@ -509,25 +506,40 @@ def _corestriction_witness(S):
     return None
 
 
-_FLAGS = (
-    "ehresmann", "coehresmann", "biehresmann", "restriction", "corestriction",
-    "birestriction", "range", "has_zero_projection", "has_local_units",
-    "preboolean_restriction", "boolean_restriction", "preboolean_birestriction",
-    "boolean_birestriction", "boolean_range", "etale_range", "groupoidal_etale",
-    "inverse", "has_binary_meets",
-)
-
-
 @dataclass
 class AlgebraClassification:
     """Named flags in report order, with a witness for each failed one.
 
     classify returns it for algebras; check_cofunctor returns it, under the
-    name CofunctorFlags, for cofunctors.
+    name CofunctorFlags, for cofunctors.  Both build it with from_rules, the
+    one evaluator of flags from a prerequisite table.
     """
     flags: dict = field(default_factory=dict)
     witnesses: dict = field(default_factory=dict)
     plus_inferred: bool = False
+
+    @classmethod
+    def from_rules(cls, rules, plus_inferred=False):
+        """Evaluate (flag, prerequisites, check) rules in order.
+
+        A flag holds when every prerequisite holds and its check, if any,
+        returns no witness; the check runs only when the prerequisites hold.
+        A flag failing on a prerequisite carries the first witness among its
+        failed prerequisites.  Flags named _... are shared steps, kept out of
+        the result.
+        """
+        flags, wit = {}, {}
+        for flag, prereqs, check in rules:
+            failed = [p for p in prereqs if not flags[p]]
+            if failed:
+                w = next((wit[p] for p in failed if p in wit), None)
+            else:
+                w = None if check is None else check()
+            flags[flag] = not failed and w is None
+            if w is not None:
+                wit[flag] = w
+        return cls({f: ok for f, ok in flags.items() if f[0] != "_"},
+                   {f: w for f, w in wit.items() if f[0] != "_"}, plus_inferred)
 
     def __getattr__(self, item):
         flags = object.__getattribute__(self, "flags")
@@ -567,133 +579,84 @@ def classify(S):
 
 
 def _classify(S):
-    flags = {}
-    wit = {}
-
-    def put(flag, ok, witness=None):
-        flags[flag] = bool(ok)
-        if not ok and witness is not None:
-            wit[flag] = witness
-        return bool(ok)
-
-    w = _star_axiom_witness(S)
-    put("ehresmann", w is None, w)
-
+    star_wit = _star_axiom_witness(S)
     probe = S
-    if flags["ehresmann"]:
+    if star_wit is None:
         try:
             probe = with_inferred_plus(S) or S
         except MathFail:
             pass
-    plus_inferred = probe is not S
-
-    if probe.plus is None:
-        missing = ("no-plus-table", ())
-        for flag in ("coehresmann", "corestriction"):
-            put(flag, False, missing)
-    else:
-        w = _plus_axiom_witness(probe)
-        put("coehresmann", w is None, w)
-        if flags["coehresmann"]:
-            w = _corestriction_witness(probe)
-            put("corestriction", w is None, w)
-        else:
-            put("corestriction", False, wit.get("coehresmann"))
-
-    put("biehresmann", flags["ehresmann"] and flags["coehresmann"],
-        wit.get("ehresmann") or wit.get("coehresmann"))
-
-    if flags["ehresmann"]:
-        w = _restriction_witness(S)
-        put("restriction", w is None, w)
-    else:
-        put("restriction", False, wit.get("ehresmann"))
-
-    put("birestriction", flags["restriction"] and flags["corestriction"]
-        and flags["biehresmann"],
-        wit.get("restriction") or wit.get("corestriction") or wit.get("biehresmann"))
-    put("range", flags["biehresmann"] and flags["restriction"],
-        wit.get("biehresmann") or wit.get("restriction"))
-
-    z = detected_zero_projection(S)
-    put("has_zero_projection", z is not None, ("MissingZeroProjection", ()))
-    lu, luw = has_local_units(S)
-    put("has_local_units", lu, ("no-left-unit", luw) if luw else None)
-
-    # (BR2) P(S) is a GBA; shared by the restriction and birestriction ladders
-    br2_wit = ("has_zero_projection", ())
-    if flags["has_zero_projection"]:
-        try:
-            projection_gba(S)
-            br2_wit = None
-        except MathFail as exc:
-            br2_wit = ("BR2", exc.witness)
-
-    def ladder(flag, base_ok, base_wit, *conds):
-        if not base_ok:
-            return put(flag, False, base_wit)
-        for cond in conds:
-            if cond is not None:
-                return put(flag, False, cond)
-        return put(flag, True)
-
-    base_r = flags["restriction"] and br2_wit is None
-    br1 = br1p = br3 = None  # witnesses; computed only when meaningful
-    if base_r:
-        up = S.up
-        br1 = _br1_witness(S, "BR1", lambda s, t: compatible(S, s, t, "right"))
-        br1p = _br1_witness(S, "BR1'", lambda s, t: up[s] & up[t])
-        br3 = _br3_witness(S)
-    base_r_wit = wit.get("restriction") or br2_wit
-    ladder("preboolean_restriction", base_r, base_r_wit, br1p, br3)
-    ladder("boolean_restriction", base_r, base_r_wit, br1, br3)
-
-    # birestriction implies restriction, so br1p and br3 are computed here
-    base_b = flags["birestriction"] and br2_wit is None
-    bbr1 = (_br1_witness(S, "BBR1", lambda s, t: compatible(probe, s, t, "bi"))
-            if base_b else None)
-    base_b_wit = wit.get("birestriction") or br2_wit
-    ladder("preboolean_birestriction", base_b, base_b_wit, br1p, br3)
-    ladder("boolean_birestriction", base_b, base_b_wit, bbr1)
-
-    put("boolean_range", flags["range"] and flags["boolean_restriction"],
-        wit.get("range") or wit.get("boolean_restriction"))
-
-    if flags["boolean_range"]:
-        _, _, bidet = deterministic_sets(probe)
-        w = _join_cover_witness(S, sum(1 << b for b in bidet))
-        put("etale_range", w is None, w)
-    else:
-        put("etale_range", False, wit.get("boolean_range"))
-
-    # join cover by partial isomorphisms; unlike etale this needs no
-    # boolean_range prerequisite (a projection semilattice qualifies)
-    try:
-        piso = sum(1 << s for s in partial_isomorphisms(S))
-    except MathFail as exc:
-        put("groupoidal_etale", False, ("partial-isomorphisms", exc.witness))
-    else:
-        w = _join_cover_witness(S, piso)
-        put("groupoidal_etale", w is None, w)
-
-    w = _inverse_witness(S)
-    put("inverse", w is None, w)
-
-    down = S.down
-    w = next((("no-meet", (s, t)) for s in range(S.n) for t in range(S.n)
-              if _least(down, s, t) is None), None)
-    put("has_binary_meets", w is None, w)
-
-    cls = AlgebraClassification({f: flags[f] for f in _FLAGS}, wit,
-                                plus_inferred)
+    up, down = S.up, S.down
+    base_r, base_b = ("restriction", "_BR2"), ("birestriction", "_BR2")
+    cls = AlgebraClassification.from_rules([
+        ("ehresmann", (), lambda: star_wit),
+        ("coehresmann", (), lambda: ("no-plus-table", ()) if probe.plus is None
+         else _plus_axiom_witness(probe)),
+        ("biehresmann", ("ehresmann", "coehresmann"), None),
+        ("restriction", ("ehresmann",), lambda: _restriction_witness(S)),
+        ("corestriction", ("coehresmann",), lambda: _corestriction_witness(probe)),
+        ("birestriction", ("restriction", "corestriction", "biehresmann"), None),
+        ("range", ("biehresmann", "restriction"), None),
+        ("has_zero_projection", (), lambda: ("MissingZeroProjection", ())
+         if detected_zero_projection(S) is None else None),
+        ("has_local_units", (), lambda: _local_units_witness(S)),
+        # (BR2) P(S) is a GBA; (BR1), (BR1') and (BR3) are the join axioms
+        ("_BR2", (), lambda: _br2_witness(S)),
+        ("_BR1", base_r, lambda: _br1_witness(
+            S, "BR1", lambda s, t: compatible(S, s, t, "right"))),
+        ("_BR1'", base_r, lambda: _br1_witness(S, "BR1'", lambda s, t: up[s] & up[t])),
+        ("_BR3", base_r, lambda: _br3_witness(S)),
+        ("preboolean_restriction", ("_BR1'", "_BR3"), None),
+        ("boolean_restriction", ("_BR1", "_BR3"), None),
+        ("preboolean_birestriction", (*base_b, "_BR1'", "_BR3"), None),
+        ("boolean_birestriction", base_b, lambda: _br1_witness(
+            S, "BBR1", lambda s, t: compatible(probe, s, t, "bi"))),
+        ("boolean_range", ("range", "boolean_restriction"), None),
+        ("etale_range", ("boolean_range",), lambda: _join_cover_witness(
+            S, sum(1 << b for b in deterministic_sets(probe)[2]))),
+        # join cover by partial isomorphisms; unlike etale this needs no
+        # boolean_range prerequisite (a projection semilattice qualifies)
+        ("groupoidal_etale", (), lambda: _groupoidal_witness(S)),
+        ("inverse", (), lambda: _inverse_witness(S)),
+        ("has_binary_meets", (), lambda: next(
+            (("no-meet", (s, t)) for s in range(S.n) for t in range(s, S.n)
+             if _least(down, s, t) is None), None)),
+    ], plus_inferred=probe is not S)
     _assert_implications(cls)
     return cls
 
 
+def _local_units_witness(S):
+    ok, w = has_local_units(S)
+    return None if ok else ("no-left-unit", w)
+
+
+def _br2_witness(S):
+    if detected_zero_projection(S) is None:
+        return ("has_zero_projection", ())
+    try:
+        projection_gba(S)
+    except MathFail as exc:
+        return ("BR2", exc.witness)
+    return None
+
+
+def _groupoidal_witness(S):
+    try:
+        piso = sum(1 << s for s in partial_isomorphisms(S))
+    except MathFail as exc:
+        return ("partial-isomorphisms", exc.witness)
+    return _join_cover_witness(S, piso)
+
+
 def _br1_witness(S, axiom, related):
-    """First pair (s, t) that is related but has no join, as a witness."""
+    """First pair (s, t) that is related but has no join, as a witness.
+
+    related and joins are symmetric, so the first failing pair in row-major
+    order has s <= t, and only those pairs are scanned; the same holds for
+    the meets scan of has_binary_meets."""
     joins = S.joins
-    return next(((axiom, (s, t)) for s in range(S.n) for t in range(S.n)
+    return next(((axiom, (s, t)) for s in range(S.n) for t in range(s, S.n)
                  if related(s, t) and joins[s][t] is None), None)
 
 
@@ -919,6 +882,10 @@ def _find_iso(A, B, sigA, sigB):
         get = (fwd + [-1]).__getitem__
         tables = [*zip(unaryA, unaryB), *((binA[s], binB[fwd[s]]) for s in range(n))]
         return all(list(map(get, a)) == list(map(b.__getitem__, fwd)) for a, b in tables)
+
+    if len(by_colour) == n:  # every class a singleton: the map is forced
+        fwd[:] = [by_colour[c][0] for c in sigA]
+        return tuple(fwd) if complete() else None
 
     # depth-first over the placements of order[0], order[1], ... without
     # recursion, so the depth is not bounded by the interpreter's stack;

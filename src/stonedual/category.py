@@ -51,12 +51,6 @@ class FinCat:
                 and self.d == other.d and self.r == other.r
                 and self.unit == other.unit and self.comp == other.comp)
 
-    def composable(self, x, y):
-        return self.d[x] == self.r[y]
-
-    def compose(self, x, y):
-        return self.comp[x][y]
-
     def d_fiber(self, o):
         """Arrows starting at object o."""
         return self._d_fibers[o]
@@ -67,9 +61,6 @@ class FinCat:
         for a in range(self.n_arr):
             fib[self.d[a]].append(a)
         return tuple(map(tuple, fib))
-
-    def is_unit(self, a):
-        return self.unit[self.d[a]] == a
 
 
 def make_category(objects, arrows, d, r, unit, comp):
@@ -308,9 +299,12 @@ class Cofunctor:
     def _validate(self):
         C, D, f = self.source, self.target, self.anchor
         mu, rho1 = self.mu, self.rho1
+        # locals: on CPython 3.11 a filled cached property slows attribute reads
+        dC, rC, compC = C.d, C.r, C.comp
+        dD, rD, compD = D.d, D.r, D.comp
         for s in range(C.n_arr):
             for x in range(D.n_obj):
-                if C.d[s] != f[x]:
+                if dC[s] != f[x]:
                     if mu[s][x] != -1 or rho1[s][x] != -1:
                         raise CompDomainMismatch(
                             f"action defined off its domain at ({s},{x})")
@@ -319,11 +313,11 @@ class Cofunctor:
                 if not 0 <= sx < D.n_obj or not 0 <= rx < D.n_arr:
                     raise CompDomainMismatch(
                         f"action undefined on its domain at ({s},{x})")
-                if f[sx] != C.r[s]:
+                if f[sx] != rC[s]:
                     raise AxiomFail("A1", (s, x))
-                if D.d[rx] != x:
+                if dD[rx] != x:
                     raise AxiomFail("rho-d", (s, x))
-                if D.r[rx] != sx:
+                if rD[rx] != sx:
                     raise AxiomFail("rho-r", (s, x))
         for x in range(D.n_obj):
             u = C.unit[f[x]]
@@ -333,16 +327,16 @@ class Cofunctor:
                 raise AxiomFail("rho-unit", (x,))
         for t in range(C.n_arr):
             for x in range(D.n_obj):
-                if C.d[t] != f[x]:
+                if dC[t] != f[x]:
                     continue
                 tx = mu[t][x]
                 for s in range(C.n_arr):
-                    if C.d[s] != C.r[t]:
+                    if dC[s] != rC[t]:
                         continue
-                    st = C.comp[s][t]
+                    st = compC[s][t]
                     if mu[s][tx] != mu[st][x]:
                         raise AxiomFail("A2", (s, t, x))
-                    if D.comp[rho1[s][tx]][rho1[t][x]] != rho1[st][x]:
+                    if compD[rho1[s][tx]][rho1[t][x]] != rho1[st][x]:
                         raise AxiomFail("rho-comp", (s, t, x))
 
     def pairs(self):
@@ -379,55 +373,43 @@ CofunctorFlags = AlgebraClassification
 
 def check_cofunctor(F):
     """Injectivity/surjectivity flags of the arrow lift and the action."""
-    C, D = F.source, F.target
-    flags, wit = {}, {}
+    return CofunctorFlags.from_rules([
+        ("injective_on_arrows", (), lambda: _lift_collision(F)),
+        ("surjective_on_arrows", (), lambda: _unlifted_arrow(F)),
+        ("bijective_on_arrows", ("injective_on_arrows", "surjective_on_arrows"),
+         None),
+        ("action_injective", (), lambda: _action_collision(F)),
+    ])
 
-    inj = True
-    for x in range(D.n_obj):
+
+def _lift_collision(F):
+    """First (s, s2, x) with s < s2 lifted at x to one arrow, or None."""
+    d, f, rho1 = F.source.d, F.anchor, F.rho1
+    for x in range(F.target.n_obj):
         seen = {}
-        for s in range(C.n_arr):
-            if not F.defined(s, x):
-                continue
-            t = F.rho1[s][x]
-            if t in seen:
-                inj = False
-                wit["injective_on_arrows"] = (seen[t], s, x)
-                break
-            seen[t] = s
-        if not inj:
-            break
-    flags["injective_on_arrows"] = inj
+        for s in range(F.source.n_arr):
+            if d[s] == f[x] and seen.setdefault(rho1[s][x], s) != s:
+                return (seen[rho1[s][x]], s, x)
+    return None
 
-    surj = True
+
+def _unlifted_arrow(F):
+    """First target arrow t that no source arrow lifts to at d(t), as (t,),
+    or None."""
+    D = F.target
     lifted = {(x, F.rho1[s][x]) for s, x in F.pairs()}
-    for t in range(D.n_arr):
-        if (D.d[t], t) not in lifted:
-            surj = False
-            wit["surjective_on_arrows"] = (t,)
-            break
-    flags["surjective_on_arrows"] = surj
+    return next(((t,) for t in range(D.n_arr) if (D.d[t], t) not in lifted), None)
 
-    flags["bijective_on_arrows"] = inj and surj
-    if not (inj and surj):
-        wit["bijective_on_arrows"] = wit.get("injective_on_arrows",
-                                             wit.get("surjective_on_arrows"))
 
-    act = True
-    for s in range(C.n_arr):
+def _action_collision(F):
+    """First (s, x, x2) with x < x2 that s moves to one object, or None."""
+    d, f, mu = F.source.d, F.anchor, F.mu
+    for s in range(F.source.n_arr):
         seen = {}
-        for x in range(D.n_obj):
-            if not F.defined(s, x):
-                continue
-            sx = F.mu[s][x]
-            if sx in seen:
-                act = False
-                wit["action_injective"] = (s, seen[sx], x)
-                break
-            seen[sx] = x
-        if not act:
-            break
-    flags["action_injective"] = act
-    return CofunctorFlags(flags, wit)
+        for x in range(F.target.n_obj):
+            if d[s] == f[x] and seen.setdefault(mu[s][x], x) != x:
+                return (s, seen[mu[s][x]], x)
+    return None
 
 
 def compose_cofunctors(G, F):
@@ -496,15 +478,17 @@ class CoveringFunctor:
 
     def _validate(self):
         D, C, f0, f1 = self.source, self.target, self.f0, self.f1
+        # locals: on CPython 3.11 a filled cached property slows attribute reads
+        dD, rD, compD, compC = D.d, D.r, D.comp, C.comp
         for t in range(D.n_arr):
-            if C.d[f1[t]] != f0[D.d[t]] or C.r[f1[t]] != f0[D.r[t]]:
+            if C.d[f1[t]] != f0[dD[t]] or C.r[f1[t]] != f0[rD[t]]:
                 raise AxiomFail("functor-dr", (t,))
         for x in range(D.n_obj):
             if f1[D.unit[x]] != C.unit[f0[x]]:
                 raise AxiomFail("functor-unit", (x,))
         for t in range(D.n_arr):
             for u in range(D.n_arr):
-                if D.d[t] == D.r[u] and f1[D.comp[t][u]] != C.comp[f1[t]][f1[u]]:
+                if dD[t] == rD[u] and f1[compD[t][u]] != compC[f1[t]][f1[u]]:
                     raise AxiomFail("functor-comp", (t, u))
         for x in range(D.n_obj):
             fiber = D.d_fiber(x)

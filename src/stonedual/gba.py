@@ -186,50 +186,3 @@ def verify_stone_duality(E):
             break
     rpt.check("counit-point-identity", ok_pt, wp)
     return rpt
-
-
-def enumerate_filters(E):
-    """All proper filters of E: non-empty, upward closed, meet closed, 0-free."""
-    n = len(E.elements)
-    filters = []
-    for bits in range(1, 1 << n):
-        members = [E.elements[i] for i in range(n) if bits >> i & 1]
-        if 0 in members:
-            continue
-        ok = True
-        for a in members:
-            for b in E.elements:
-                if a & b == a and b not in members:  # upward closure
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            for a in members:
-                for b in members:
-                    if (a & b) not in members:  # meet closure
-                        ok = False
-                        break
-                if not ok:
-                    break
-        if ok:
-            filters.append(frozenset(members))
-    return filters
-
-
-def filters_coincide(E):
-    """Prime = ultra = principal-at-an-atom, by exhaustive enumeration.
-
-    Enumerates all subsets, so only usable on small instances (<= 16 or so
-    elements); the statement itself holds in every finite GBA.
-    """
-    filters = enumerate_filters(E)
-    prime = set()
-    for f in filters:
-        if all((a | b) not in f or a in f or b in f
-               for a in E.elements for b in E.elements):
-            prime.add(f)
-    ultra = {f for f in filters if not any(f < g for g in filters)}
-    principal = {frozenset(e for e in E.elements if a & e == a)
-                 for a in E.lattice_atoms()}
-    return prime == ultra == principal

@@ -1,3 +1,4 @@
+import hashlib
 from itertools import combinations
 
 import pytest
@@ -163,6 +164,14 @@ def test_join_axiom_witnesses_match_brute_force():
             assert cls.witness(flag) == first, (S.names, flag)
     # the family has BR1, BR3 and no-meet failures (none of BR1')
     assert all(failed.values()), failed
+
+
+def test_classification_of_pt3_subsemigroups_is_pinned():
+    # every flag, witness and rendered line over the family, as SHA-256
+    text = "\n\n".join(classify(S).render(S.names)
+                        for S in _small_subsemigroups(gen_pt(3)))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "2ed128b36e06eb4b4e472ff6a9f0bbd3c8997c5a543cba3c313e8ac8e8cc540e")
 
 
 def test_join_all_folds_and_fails():

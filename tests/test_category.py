@@ -216,6 +216,41 @@ def test_cofunctor_flags_on_partial_action():
     assert flags.witnesses["surjective_on_arrows"] is not None
 
 
+def idempotent_monoid():
+    # one object, arrows 1 and e with e*e = e
+    return make_category(["o"], ["1", "e"], [0, 0], [0, 0], [0], [[0, 1], [1, 1]])
+
+
+def lift_collapsing_cofunctor():
+    # 1 and e both lift to the one arrow of K_1
+    return Cofunctor(idempotent_monoid(), gen_pair_groupoid(1), [0],
+                     [[0], [0]], [[0], [0]])
+
+
+def constant_action_cofunctor():
+    # e sends both objects of K_2 to the first one, by 1_1 and by 2 -> 1
+    return Cofunctor(idempotent_monoid(), gen_pair_groupoid(2), [0, 0],
+                     [[0, 1], [0, 0]], [[0, 3], [0, 2]])
+
+
+@pytest.mark.parametrize("make,witnesses", [
+    (trivial_cofunctor_k1_to_k2,
+     {"surjective_on_arrows": (1,), "bijective_on_arrows": (1,)}),
+    (lift_collapsing_cofunctor,
+     {"injective_on_arrows": (0, 1, 0), "bijective_on_arrows": (0, 1, 0)}),
+    # both arrow flags fail: bijective_on_arrows takes the injectivity witness
+    (constant_action_cofunctor,
+     {"injective_on_arrows": (0, 1, 0), "surjective_on_arrows": (1,),
+      "bijective_on_arrows": (0, 1, 0), "action_injective": (1, 0, 1)}),
+])
+def test_cofunctor_flag_witnesses(make, witnesses):
+    flags = check_cofunctor(make())
+    assert flags.witnesses == witnesses
+    assert flags.flags == {f: f not in witnesses for f in (
+        "injective_on_arrows", "surjective_on_arrows", "bijective_on_arrows",
+        "action_injective")}
+
+
 def test_compose_with_identity():
     F = trivial_cofunctor_k1_to_k2()
     left = compose_cofunctors(F, identity_cofunctor(F.source))

@@ -1,10 +1,9 @@
 import pytest
 
-from oracles import brute_prime_filters
+from oracles import brute_prime_filters, enumerate_filters, filters_coincide
 from stonedual.algebra import projection_gba
 from stonedual.errors import MissingBottom, NotClosed, UnknownElement
-from stonedual.gba import (FinGBA, atoms, basic_set, char_eval,
-                           enumerate_filters, filters_coincide, make_gba,
+from stonedual.gba import (FinGBA, atoms, basic_set, char_eval, make_gba,
                            verify_stone_duality)
 from stonedual.zoo import gen_pt
 

@@ -183,19 +183,20 @@ def _least(masks, s, t):
     return None
 
 
-def _check_table(names, table, n, what):
-    if len(table) != n:
-        raise BadTableShape(f"{what} table has {len(table)} rows, expected {n}")
-    for row in table:
-        if isinstance(row, int):
-            if not 0 <= row < n:
-                raise BadTableShape(f"{what} entry {row} out of range")
-        else:
-            if len(row) != n:
-                raise BadTableShape(f"{what} row has {len(row)} entries, expected {n}")
-            for v in row:
-                if not 0 <= v < n:
-                    raise BadTableShape(f"{what} entry {v} out of range")
+def _check_table(what, table, shape, bound, low=0):
+    """Raise BadTableShape unless table has shape[0] entries (rows of
+    shape[1] entries, given a second length), each in low..bound-1."""
+    if len(table) != shape[0]:
+        raise BadTableShape(f"{what} has {len(table)} entries, "
+                            f"expected {shape[0]}")
+    width = shape[-1]
+    for row in table if len(shape) == 2 else (table,):
+        if len(row) != width:
+            raise BadTableShape(f"{what} row has {len(row)} entries, "
+                                f"expected {width}")
+        for v in row:
+            if not low <= v < bound:
+                raise BadTableShape(f"{what} entry {v} out of range")
 
 
 def _assoc_pure(mult):
@@ -223,21 +224,22 @@ def _assoc_numpy(mult):
 
 
 def make_algebra(names, mult, star, plus=None, zero=None):
-    """Validate tables (shape, associativity, zero laws) and build the algebra."""
+    """Validate tables (shape, associativity, zero laws) and build the algebra;
+    every shape and range check runs before any law is checked."""
     n = len(names)
     if len(set(names)) != n:
         raise BadTableShape("element names are not unique")
-    _check_table(names, mult, n, "mult")
-    _check_table(names, star, n, "star")
+    _check_table("mult", mult, (n, n), n)
+    _check_table("star", star, (n,), n)
     if plus is not None:
-        _check_table(names, plus, n, "plus")
+        _check_table("plus", plus, (n,), n)
+    if zero is not None and not 0 <= zero < n:
+        raise BadTableShape(f"zero index {zero} out of range")
     if n > _NUMPY_THRESHOLD:
         _assoc_numpy(mult)
     else:
         _assoc_pure(mult)
     if zero is not None:
-        if not 0 <= zero < n:
-            raise BadTableShape(f"zero index {zero} out of range")
         for s in range(n):
             if mult[zero][s] != zero or mult[s][zero] != zero:
                 raise MathFail(f"declared zero is not a zero at {names[s]}",
@@ -717,11 +719,7 @@ class SemigroupMorphism:
     map: tuple
 
     def __post_init__(self):
-        if len(self.map) != self.source.n:
-            raise BadTableShape("morphism map has wrong length")
-        for v in self.map:
-            if not 0 <= v < self.target.n:
-                raise BadTableShape(f"morphism value {v} out of range")
+        _check_table("morphism map", self.map, (self.source.n,), self.target.n)
 
 
 @dataclass

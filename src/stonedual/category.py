@@ -17,9 +17,9 @@ from functools import cached_property
 from itertools import product as iproduct
 from math import prod
 
-from .algebra import (AlgebraClassification, BiUnaryAlgebra,
-                      SemigroupMorphism, check_morphism, classify,
-                      deterministic_sets, make_algebra)
+from .algebra import (AlgebraClassification, SemigroupMorphism, _check_table,
+                      check_morphism, classify, deterministic_sets,
+                      make_algebra)
 from .errors import (AxiomFail, BadTableShape, CompDomainMismatch,
                      CompositionMismatch, InputError, MathFail,
                      NotBijectiveOnArrows, NotStarBijective, ParentMismatch,
@@ -41,7 +41,8 @@ class FinCat:
         self.n_obj = len(self.objects)
         self.n_arr = len(self.arrows)
         self.slice_sg = self.bislice_sg = None  # set by slice_semigroup
-        self.iso_codes = None  # set by duality.category_signature
+        # set by duality.category_signature
+        self._iso_structure = self.iso_codes = None
 
     def __repr__(self):
         return f"FinCat({self.n_obj} objects, {self.n_arr} arrows)"
@@ -66,26 +67,22 @@ class FinCat:
 def make_category(objects, arrows, d, r, unit, comp):
     """Validate the axioms exhaustively and build the category.
 
-    Checks, in order: table shapes; comp defined exactly on composable
-    pairs; units anchored (DRU); domain/range of composites (DP, RP);
-    associativity on composable triples (A); unit laws (UL).
+    Checks, in order: table shapes and ranges; comp defined exactly on
+    composable pairs; units anchored (DRU); domain/range of composites (DP,
+    RP); associativity on composable triples (A); unit laws (UL).
     """
     n_obj, n_arr = len(objects), len(arrows)
     if len(set(objects)) != n_obj or len(set(arrows)) != n_arr:
         raise BadTableShape("object or arrow names are not unique")
-    if len(d) != n_arr or len(r) != n_arr:
-        raise BadTableShape("d/r tables must have one entry per arrow")
-    if any(not 0 <= o < n_obj for o in d) or any(not 0 <= o < n_obj for o in r):
-        raise BadTableShape("d/r entry out of range")
-    if len(unit) != n_obj or any(not 0 <= a < n_arr for a in unit):
-        raise BadTableShape("unit table must pick an arrow per object")
-    if len(comp) != n_arr or any(len(row) != n_arr for row in comp):
-        raise BadTableShape("comp table must be n_arr x n_arr")
+    _check_table("d", d, (n_arr,), n_obj)
+    _check_table("r", r, (n_arr,), n_obj)
+    _check_table("unit", unit, (n_obj,), n_arr)
+    _check_table("comp", comp, (n_arr, n_arr), n_arr, low=-1)
     for x in range(n_arr):
         for y in range(n_arr):
             v = comp[x][y]
             if d[x] == r[y]:
-                if not 0 <= v < n_arr:
+                if v == -1:
                     raise CompDomainMismatch(
                         f"comp undefined on composable pair ({x},{y})")
             elif v != -1:
@@ -273,8 +270,8 @@ def slice_of_index(C, S, i):
 class Cofunctor:
     """An action (mu, f) of C on the objects of D plus its arrow lift rho1.
 
-    mu[s][x] and rho1[s][x] are -1 exactly when d(s) != f(x); every
-    structural law is verified at construction.
+    mu[s][x] and rho1[s][x] are -1 exactly when d(s) != f(x); shapes and
+    ranges are checked first, then every structural law.
     """
 
     def __init__(self, source, target, anchor, mu, rho1):
@@ -283,14 +280,9 @@ class Cofunctor:
         self.anchor = tuple(anchor)
         self.mu = tuple(tuple(row) for row in mu)
         self.rho1 = tuple(tuple(row) for row in rho1)
-        if len(self.anchor) != D.n_obj or any(
-                not 0 <= o < C.n_obj for o in self.anchor):
-            raise BadTableShape("anchor must map target objects to source objects")
-        if len(self.mu) != C.n_arr or any(len(row) != D.n_obj for row in self.mu):
-            raise BadTableShape("mu must be n_arr(source) x n_obj(target)")
-        if len(self.rho1) != C.n_arr or any(
-                len(row) != D.n_obj for row in self.rho1):
-            raise BadTableShape("rho1 must be n_arr(source) x n_obj(target)")
+        _check_table("anchor", self.anchor, (D.n_obj,), C.n_obj)
+        _check_table("mu", self.mu, (C.n_arr, D.n_obj), D.n_obj, low=-1)
+        _check_table("rho1", self.rho1, (C.n_arr, D.n_obj), D.n_arr, low=-1)
         self._validate()
 
     def defined(self, s, x):
@@ -310,7 +302,7 @@ class Cofunctor:
                             f"action defined off its domain at ({s},{x})")
                     continue
                 sx, rx = mu[s][x], rho1[s][x]
-                if not 0 <= sx < D.n_obj or not 0 <= rx < D.n_arr:
+                if sx == -1 or rx == -1:
                     raise CompDomainMismatch(
                         f"action undefined on its domain at ({s},{x})")
                 if f[sx] != rC[s]:
@@ -353,19 +345,37 @@ class Cofunctor:
                          for x in range(self.target.n_obj) if d[s] == f[x])
 
     def equal_tables(self, other):
-        return (self.source.same_tables(other.source)
-                and self.target.same_tables(other.target)
-                and self.anchor == other.anchor and self.mu == other.mu
-                and self.rho1 == other.rho1)
+        return _cofunctor_diff(self, other) is None
+
+
+def _cofunctor_diff(A, B):
+    """The first place where two cofunctors' tables differ, or None."""
+    if not A.source.same_tables(B.source) or not A.target.same_tables(B.target):
+        return ("categories",)
+    if A.anchor != B.anchor:
+        x = next(i for i, (p, q) in enumerate(zip(A.anchor, B.anchor)) if p != q)
+        return ("anchor", x)
+    for s in range(len(A.mu)):
+        for x in range(len(A.mu[s])):
+            if A.mu[s][x] != B.mu[s][x]:
+                return ("mu", s, x)
+            if A.rho1[s][x] != B.rho1[s][x]:
+                return ("rho1", s, x)
+    return None
+
+
+def _lifted_cofunctor(C, D, anchor, lift):
+    """The cofunctor C ~> D whose arrow lift at (s, x), defined where
+    d(s) = anchor[x], is lift(s, x); the action is the range of the lift."""
+    objects, r = range(D.n_obj), D.r
+    rho1 = [[lift(s, x) if ds == anchor[x] else -1 for x in objects]
+            for s, ds in enumerate(C.d)]
+    mu = [[-1 if t == -1 else r[t] for t in row] for row in rho1]
+    return Cofunctor(C, D, anchor, mu, rho1)
 
 
 def identity_cofunctor(C):
-    anchor = list(range(C.n_obj))
-    mu = [[C.r[s] if C.d[s] == x else -1 for x in range(C.n_obj)]
-          for s in range(C.n_arr)]
-    rho1 = [[s if C.d[s] == x else -1 for x in range(C.n_obj)]
-            for s in range(C.n_arr)]
-    return Cofunctor(C, C, anchor, mu, rho1)
+    return _lifted_cofunctor(C, C, range(C.n_obj), lambda s, x: s)
 
 
 CofunctorFlags = AlgebraClassification
@@ -416,18 +426,9 @@ def compose_cofunctors(G, F):
     """The composite of F: C ~> D followed by G: D ~> E, acting through D."""
     if F.target is not G.source and not F.target.same_tables(G.source):
         raise CompositionMismatch("inner categories do not match")
-    C, E = F.source, G.target
-    anchor = [F.anchor[G.anchor[x]] for x in range(E.n_obj)]
-    mu = [[-1] * E.n_obj for _ in range(C.n_arr)]
-    rho1 = [[-1] * E.n_obj for _ in range(C.n_arr)]
-    for s in range(C.n_arr):
-        for x in range(E.n_obj):
-            if C.d[s] != anchor[x]:
-                continue
-            mid = F.rho1[s][G.anchor[x]]
-            mu[s][x] = G.mu[mid][x]
-            rho1[s][x] = G.rho1[mid][x]
-    return Cofunctor(C, E, anchor, mu, rho1)
+    anchor = [F.anchor[y] for y in G.anchor]
+    return _lifted_cofunctor(F.source, G.target, anchor,
+                             lambda s, x: G.rho1[F.rho1[s][G.anchor[x]]][x])
 
 
 def cofunctor_to_morphism(F, max_size=DEFAULT_MAX_SIZE):
@@ -470,10 +471,8 @@ class CoveringFunctor:
         self.source, self.target = D, C
         self.f0 = tuple(f0)
         self.f1 = tuple(f1)
-        if len(self.f0) != D.n_obj or any(not 0 <= o < C.n_obj for o in self.f0):
-            raise BadTableShape("f0 must map source objects to target objects")
-        if len(self.f1) != D.n_arr or any(not 0 <= a < C.n_arr for a in self.f1):
-            raise BadTableShape("f1 must map source arrows to target arrows")
+        _check_table("f0", self.f0, (D.n_obj,), C.n_obj)
+        _check_table("f1", self.f1, (D.n_arr,), C.n_arr)
         self._validate()
 
     def _validate(self):
@@ -531,12 +530,4 @@ def cofunctor_to_covering(F):
 
 def covering_to_cofunctor(g):
     """Rebuild the cofunctor C ~> D whose arrow lift is g's fiber inverse."""
-    D, C = g.source, g.target
-    mu = [[-1] * D.n_obj for _ in range(C.n_arr)]
-    rho1 = [[-1] * D.n_obj for _ in range(C.n_arr)]
-    for x in range(D.n_obj):
-        for s in C.d_fiber(g.f0[x]):
-            t = g.translate(s, x)
-            mu[s][x] = D.r[t]
-            rho1[s][x] = t
-    return Cofunctor(C, D, g.f0, mu, rho1)
+    return _lifted_cofunctor(g.target, g.source, g.f0, g.translate)

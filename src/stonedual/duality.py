@@ -14,10 +14,11 @@ from .algebra import (BiUnaryAlgebra, SemigroupMorphism, _find_iso, _refine,
                       bd_subalgebra, check_morphism, classify,
                       deterministic_sets, partial_isomorphisms,
                       projection_gba, with_inferred_plus)
-from .category import (Cofunctor, DEFAULT_MAX_SIZE, FinCat, Slice,
-                       check_cofunctor, cofunctor_to_morphism,
-                       compose_cofunctors, identity_cofunctor, is_groupoid,
-                       make_category, semigroup_slices, slice_semigroup)
+from .category import (DEFAULT_MAX_SIZE, FinCat, Slice, _cofunctor_diff,
+                       _lifted_cofunctor, check_cofunctor,
+                       cofunctor_to_morphism, compose_cofunctors,
+                       identity_cofunctor, is_groupoid, make_category,
+                       semigroup_slices, slice_semigroup)
 from .errors import (NoLocalUnits, NotAMorphism, NotBooleanBirestriction,
                      NotPreBoolean, UnknownElement)
 from .report import Report
@@ -140,50 +141,37 @@ def counit_epsilon(C, max_size=DEFAULT_MAX_SIZE):
     G = germ_category(S_C)
     anchor = [G.obj_index[elem_of[frozenset({C.unit[x]})]]
               for x in range(C.n_obj)]
-    n_arr = G.category.n_arr
-    mu = [[-1] * C.n_obj for _ in range(n_arr)]
-    rho1 = [[-1] * C.n_obj for _ in range(n_arr)]
-    for j in range(n_arr):
+
+    def lift(j, x):
         (t,) = sets[G.germ_elems[j]]
-        x = C.d[t]
-        assert G.category.d[j] == anchor[x]
-        mu[j][x] = C.r[t]
-        rho1[j][x] = t
-    F = Cofunctor(G.category, C, anchor, mu, rho1)
+        assert C.d[t] == x
+        return t
+
+    F = _lifted_cofunctor(G.category, C, anchor, lift)
     assert len(set(anchor)) == C.n_obj == G.category.n_obj
     assert check_cofunctor(F).flags["bijective_on_arrows"]
     return F
 
 
-def morphism_to_cofunctor(f, require_type1=True):
-    """Turn a semigroup morphism S -> T into a cofunctor between germ
+def morphism_to_cofunctor(f):
+    """Turn a type-1 semigroup morphism S -> T into a cofunctor between germ
     categories: the anchor pulls each atom b of P(T) back to the unique
     atom a of P(S) with b <= f(a), and the lift sends a germ u to f(u)*b.
     """
     S, T = f.source, f.target
-    if require_type1:
-        verdict = check_morphism(f, 1)
-        if not verdict.ok:
-            raise NotAMorphism(f"map fails {verdict.failed}",
-                               witness=(verdict.failed, verdict.witness))
+    verdict = check_morphism(f, 1)
+    if not verdict.ok:
+        raise NotAMorphism(f"map fails {verdict.failed}",
+                           witness=(verdict.failed, verdict.witness))
     GS, GT = germ_category(S), germ_category(T)
     anchor = []
     for b in GT.atoms:
         hits = [i for i, a in enumerate(GS.atoms) if T.leq(b, f.map[a])]
         assert len(hits) == 1, (b, hits)
         anchor.append(hits[0])
-    n_arr, n_obj = GS.category.n_arr, GT.category.n_obj
-    mu = [[-1] * n_obj for _ in range(n_arr)]
-    rho1 = [[-1] * n_obj for _ in range(n_arr)]
-    for j, u in enumerate(GS.germ_elems):
-        for x, b in enumerate(GT.atoms):
-            if GS.category.d[j] != anchor[x]:
-                continue
-            v = T.mult[f.map[u]][b]
-            arr = GT.germ_index[v]
-            mu[j][x] = GT.category.r[arr]
-            rho1[j][x] = arr
-    F = Cofunctor(GS.category, GT.category, anchor, mu, rho1)
+    F = _lifted_cofunctor(
+        GS.category, GT.category, anchor, lambda j, x: GT.germ_index[
+            T.mult[f.map[GS.germ_elems[j]]][GT.atoms[x]]])
     clsS, clsT = classify(S), classify(T)
     if clsS.flags["etale_range"] and clsT.flags["etale_range"]:
         Sp, Tp = with_inferred_plus(S), with_inferred_plus(T)
@@ -191,21 +179,6 @@ def morphism_to_cofunctor(f, require_type1=True):
         if all(f.map[i] in bd_T for i in deterministic_sets(Sp)[2]):
             assert check_cofunctor(F).flags["action_injective"]
     return F
-
-
-def _cofunctor_diff(A, B):
-    if not A.source.same_tables(B.source) or not A.target.same_tables(B.target):
-        return ("categories",)
-    if A.anchor != B.anchor:
-        x = next(i for i, (p, q) in enumerate(zip(A.anchor, B.anchor)) if p != q)
-        return ("anchor", x)
-    for s in range(len(A.mu)):
-        for x in range(len(A.mu[s])):
-            if A.mu[s][x] != B.mu[s][x]:
-                return ("mu", s, x)
-            if A.rho1[s][x] != B.rho1[s][x]:
-                return ("rho1", s, x)
-    return None
 
 
 def verify_adjunction(instance, max_size=DEFAULT_MAX_SIZE):
@@ -323,17 +296,15 @@ def verify_groupoidal(instance, max_size=DEFAULT_MAX_SIZE):
     raise UnknownElement(f"cannot check groupoidality of {type(instance).__name__}")
 
 
-def _category_structure(E):
-    # the arrows with comp and the unary tables a -> 1_d(a), a -> 1_r(a)
-    return [[E.unit[o] for o in E.d], [E.unit[o] for o in E.r]], E.comp
-
-
 def _arrow_codes(E):
     if E.iso_codes is None:
+        # the arrows with comp and the unary tables a -> 1_d(a), a -> 1_r(a)
+        E._iso_structure = ([[E.unit[o] for o in E.d],
+                             [E.unit[o] for o in E.r]], E.comp)
         prof = [(len(E.d_fiber(o)), E.r.count(o),
                  sum(1 for a in range(E.n_arr) if E.d[a] == o and E.r[a] == o))
                 for o in range(E.n_obj)]
-        E.iso_codes = _refine(_category_structure(E), [
+        E.iso_codes = _refine(E._iso_structure, [
             (*prof[E.d[a]], *prof[E.r[a]], E.unit[E.d[a]] == a,
              E.comp[a][a] == a if E.d[a] == E.r[a] else -1)
             for a in range(E.n_arr)])
@@ -349,13 +320,13 @@ def category_signature(E):
 def iso_categories(C, D):
     """Search for an isomorphism (object map, arrow map); None if there is
     none.  An arrow bijection preserving comp and the unit tables of
-    _category_structure is exactly an isomorphism: it sends units to units,
-    so the object map is read off them.
+    _iso_structure (see _arrow_codes) is exactly an isomorphism: it sends
+    units to units, so the object map is read off them.
     """
     if C.n_obj != D.n_obj or C.n_arr != D.n_arr:
         return None
-    amap = _find_iso(_category_structure(C), _category_structure(D),
-                     _arrow_codes(C), _arrow_codes(D))
+    codes = _arrow_codes(C), _arrow_codes(D)
+    amap = _find_iso(C._iso_structure, D._iso_structure, *codes)
     if amap is None:
         return None
     return tuple(D.d[amap[u]] for u in C.unit), amap

@@ -4,6 +4,10 @@ Tables store element indices, never names.  Canonical form sorts keys and
 indents by two, so `dumps(loads(text)) == text` holds byte for byte on
 canonically formatted files.  Morphism and cofunctor files reference their
 endpoint files by path, resolved relative to the referencing file.
+
+The loader checks JSON types only (strings, integer lists and tables,
+arrow objects); shapes, index ranges and laws are checked by the
+constructors it hands the raw tables to, shapes and ranges first.
 """
 
 from __future__ import annotations
@@ -35,73 +39,48 @@ class CofunctorFile:
     target_path: str
 
 
-def _need(payload, key, typ):
+def _ints(v):
+    return isinstance(v, list) and {int}.issuperset(map(type, v))
+
+
+# what each key must hold; shapes and ranges are the constructors' to check
+_TYPES = {
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "int": ("an integer", lambda v: type(v) is int),
+    "ints": ("a list of integers", _ints),
+    "table": ("a list of integer lists",
+              lambda v: isinstance(v, list) and all(map(_ints, v))),
+    "names": ("a non-empty list of strings",
+              lambda v: isinstance(v, list) and v != []
+              and {str}.issuperset(map(type, v))),
+    "arrows": ("a list of objects with a string name and integer dom and cod",
+               lambda v: isinstance(v, list) and all(
+                   isinstance(a, dict) and isinstance(a.get("name"), str)
+                   and type(a.get("dom")) is type(a.get("cod")) is int
+                   for a in v)),
+}
+
+
+def _need(payload, key, kind, optional=False):
+    """payload[key] after checking its JSON type; an optional key may be
+    absent or null, giving None."""
+    value = payload.get(key)
+    if optional and value is None:
+        return None
     if key not in payload:
         raise InputError(f"missing key {key!r}")
-    value = payload[key]
-    if not isinstance(value, typ):
-        raise InputError(f"key {key!r} must be {typ.__name__}")
+    what, ok = _TYPES[kind]
+    if not ok(value):
+        raise InputError(f"{key} must be {what}")
     return value
 
 
-def _index_list(payload, key, bound, allow_gap=False):
-    values = _need(payload, key, list)
-    for v in values:
-        if not isinstance(v, int) or isinstance(v, bool):
-            raise InputError(f"{key} entries must be integers")
-        if allow_gap and v == -1:
-            continue
-        if not 0 <= v < bound:
-            raise InputError(f"{key} index {v} out of range")
-    return values
-
-
-def _index_table(payload, key, rows, cols, bound, allow_gap=False):
-    table = _need(payload, key, list)
-    if len(table) != rows:
-        raise InputError(f"{key} must have {rows} rows")
-    for row in table:
-        if not isinstance(row, list) or len(row) != cols:
-            raise InputError(f"{key} rows must have {cols} entries")
-        for v in row:
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise InputError(f"{key} entries must be integers")
-            if allow_gap and v == -1:
-                continue
-            if not 0 <= v < bound:
-                raise InputError(f"{key} index {v} out of range")
-    return table
-
-
-def _names(payload, key):
-    names = _need(payload, key, list)
-    if not names:
-        raise InputError(f"{key} must be non-empty")
-    if any(not isinstance(s, str) for s in names):
-        raise InputError(f"{key} entries must be strings")
-    if len(set(names)) != len(names):
-        raise InputError(f"{key} are not unique")
-    return names
-
-
 def semigroup_from_dict(payload):
-    names = _names(payload, "elements")
-    n = len(names)
-    mult = _index_table(payload, "mult", n, n, n)
-    star = _index_list(payload, "star", n)
-    if len(star) != n:
-        raise InputError("star must have one entry per element")
-    plus = None
-    if payload.get("plus") is not None:
-        plus = _index_list(payload, "plus", n)
-        if len(plus) != n:
-            raise InputError("plus must have one entry per element")
-    zero = payload.get("zero")
-    if zero is not None:
-        if not isinstance(zero, int) or isinstance(zero, bool) \
-                or not 0 <= zero < n:
-            raise InputError("zero index out of range")
-    return make_algebra(names, mult, star, plus, zero)
+    return make_algebra(_need(payload, "elements", "names"),
+                        _need(payload, "mult", "table"),
+                        _need(payload, "star", "ints"),
+                        _need(payload, "plus", "ints", optional=True),
+                        _need(payload, "zero", "int", optional=True))
 
 
 def semigroup_to_dict(S):
@@ -119,33 +98,13 @@ def semigroup_to_dict(S):
 
 
 def category_from_dict(payload):
-    objects = _names(payload, "objects")
-    n_obj = len(objects)
-    entries = _need(payload, "arrows", list)
-    if not entries:
-        raise InputError("arrows must be non-empty")
-    arrows, d, r = [], [], []
-    for item in entries:
-        if not isinstance(item, dict):
-            raise InputError("arrows entries must be objects")
-        name = item.get("name")
-        if not isinstance(name, str):
-            raise InputError("arrow name must be a string")
-        arrows.append(name)
-        for key, into in (("dom", d), ("cod", r)):
-            v = item.get(key)
-            if not isinstance(v, int) or isinstance(v, bool) \
-                    or not 0 <= v < n_obj:
-                raise InputError(f"arrow {key} index out of range")
-            into.append(v)
-    if len(set(arrows)) != len(arrows):
-        raise InputError("arrow names are not unique")
-    n_arr = len(arrows)
-    unit = _index_list(payload, "units", n_arr)
-    if len(unit) != n_obj:
-        raise InputError("units must have one entry per object")
-    comp = _index_table(payload, "comp", n_arr, n_arr, n_arr, allow_gap=True)
-    return make_category(objects, arrows, d, r, unit, comp)
+    arrows = _need(payload, "arrows", "arrows")
+    return make_category(_need(payload, "objects", "names"),
+                         [a["name"] for a in arrows],
+                         [a["dom"] for a in arrows],
+                         [a["cod"] for a in arrows],
+                         _need(payload, "units", "ints"),
+                         _need(payload, "comp", "table"))
 
 
 def category_to_dict(C):
@@ -160,7 +119,7 @@ def category_to_dict(C):
 
 
 def _endpoint(payload, key, base_dir, want):
-    rel = _need(payload, key, str)
+    rel = _need(payload, key, "str")
     obj = load_instance(os.path.join(base_dir, rel))
     if not isinstance(obj, want):
         raise InputError(f"{key} file is not a {want.__name__.lower()}")
@@ -170,10 +129,7 @@ def _endpoint(payload, key, base_dir, want):
 def morphism_from_dict(payload, base_dir):
     src_path, S = _endpoint(payload, "source", base_dir, BiUnaryAlgebra)
     tgt_path, T = _endpoint(payload, "target", base_dir, BiUnaryAlgebra)
-    fmap = _index_list(payload, "map", T.n)
-    if len(fmap) != S.n:
-        raise InputError("map must have one entry per source element")
-    f = SemigroupMorphism(S, T, tuple(fmap))
+    f = SemigroupMorphism(S, T, tuple(_need(payload, "map", "ints")))
     return MorphismFile(f, src_path, tgt_path)
 
 
@@ -189,14 +145,8 @@ def morphism_to_dict(mf):
 def cofunctor_from_dict(payload, base_dir):
     src_path, C = _endpoint(payload, "source", base_dir, FinCat)
     tgt_path, D = _endpoint(payload, "target", base_dir, FinCat)
-    anchor = _index_list(payload, "anchor", C.n_obj)
-    if len(anchor) != D.n_obj:
-        raise InputError("anchor must have one entry per target object")
-    mu = _index_table(payload, "mu", C.n_arr, D.n_obj, D.n_obj,
-                      allow_gap=True)
-    rho1 = _index_table(payload, "rho1", C.n_arr, D.n_obj, D.n_arr,
-                        allow_gap=True)
-    F = Cofunctor(C, D, anchor, mu, rho1)
+    F = Cofunctor(C, D, _need(payload, "anchor", "ints"),
+                  _need(payload, "mu", "table"), _need(payload, "rho1", "table"))
     return CofunctorFile(F, src_path, tgt_path)
 
 

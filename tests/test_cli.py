@@ -3,8 +3,11 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stonedual.algebra import SemigroupMorphism
+from stonedual.category import identity_cofunctor
 from stonedual.cli import run
 from stonedual.duality import counit_epsilon, iso_categories
 from stonedual.io import (CofunctorFile, MorphismFile, dumps_canonical,
@@ -88,6 +91,98 @@ def test_out_of_range_index_is_schema_error(tmp_path):
     path = tmp_path / "range.json"
     path.write_text(json.dumps(payload))
     assert run(["check", str(path)]) == 2
+    # a malformed file exits 2 even when it also fails a law
+    payload = {"kind": "semigroup", "elements": ["a", "b"],
+               "mult": [[0, 1], [0, 0]], "star": [0, 1]}
+    path.write_text(json.dumps(payload))
+    assert run(["check", str(path)]) == 1  # not associative
+    path.write_text(json.dumps({**payload, "zero": 5}))
+    assert run(["check", str(path)]) == 2
+    K2 = gen_pair_groupoid(2)
+    save_instance(K2, tmp_path / "k2.json")
+    F = identity_cofunctor(K2)
+    payload = instance_to_dict(CofunctorFile(F, "k2.json", "k2.json"))
+    s, x = next(F.pairs())
+    payload["rho1"][s][x] = next(t for t in K2.d_fiber(x) if t != s)
+    path.write_text(json.dumps(payload))
+    assert run(["check", str(path)]) == 1  # rho-r fails at (s, x)
+    last = K2.n_arr - 1
+    assert last > s
+    payload["mu"][last][K2.d[last]] = K2.n_obj
+    path.write_text(json.dumps(payload))
+    assert run(["check", str(path)]) == 2
+
+
+# -- loader fuzz -------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def fuzz_payloads(tmp_path_factory):
+    """One valid payload per file kind, written beside its endpoint files,
+    with the table cells a mutation may hit: (path, low, bound)."""
+    base = tmp_path_factory.mktemp("fuzz")
+    P, I, K2 = gen_pt(2), gen_i(2), gen_pair_groupoid(2)
+    eps = counit_epsilon(K2)
+    for name, obj in (("pt2", P), ("i2", I), ("k2", K2),
+                      ("eps_src", eps.source)):
+        save_instance(obj, base / f"{name}.json")
+    incl = tuple(P.names.index(nm) for nm in I.names)
+    morph = MorphismFile(SemigroupMorphism(I, P, incl), "i2.json", "pt2.json")
+    cof = CofunctorFile(eps, "eps_src.json", "k2.json")
+    n, C = P.n, eps.source
+    cells = {
+        "semigroup": [(("mult", i, j), 0, n) for i in range(n)
+                      for j in range(n)]
+        + [((key, i), 0, n) for key in ("star", "plus") for i in range(n)]
+        + [(("zero",), 0, n)],
+        "category": [(("arrows", a, key), 0, K2.n_obj)
+                     for a in range(K2.n_arr) for key in ("dom", "cod")]
+        + [(("units", o), 0, K2.n_arr) for o in range(K2.n_obj)]
+        + [(("comp", a, b), -1, K2.n_arr) for a in range(K2.n_arr)
+           for b in range(K2.n_arr)],
+        "morphism": [(("map", i), 0, P.n) for i in range(I.n)],
+        "cofunctor": [(("anchor", x), 0, C.n_obj) for x in range(K2.n_obj)]
+        + [((key, s, x), -1, bound) for key, bound in
+           (("mu", K2.n_obj), ("rho1", K2.n_arr))
+           for s in range(C.n_arr) for x in range(K2.n_obj)],
+    }
+    payloads = {"semigroup": instance_to_dict(P),
+                "category": instance_to_dict(K2),
+                "morphism": instance_to_dict(morph),
+                "cofunctor": instance_to_dict(cof)}
+    return base, {kind: (payloads[kind], cells[kind]) for kind in payloads}
+
+
+_CELL_VALUES = st.one_of(st.integers(-3, 12), st.sampled_from([-2, -1]),
+                         st.integers(10 ** 6, 10 ** 20), st.booleans(),
+                         st.none(), st.text(max_size=2),
+                         st.floats(-2, 12, allow_nan=False),
+                         st.lists(st.integers(0, 2), max_size=2))
+
+
+@settings(deadline=None, max_examples=60, database=None)
+@given(st.sampled_from(["semigroup", "category", "morphism", "cofunctor"]),
+       st.data())
+def test_mutated_files_exit_cleanly(fuzz_payloads, kind, data):
+    base, kinds = fuzz_payloads
+    payload, cells = kinds[kind]
+    payload = json.loads(json.dumps(payload))
+    picked = data.draw(st.lists(st.sampled_from(cells), min_size=1,
+                                max_size=3, unique_by=lambda c: c[0]))
+    malformed = False
+    for path, low, bound in picked:
+        value = data.draw(_CELL_VALUES)
+        *outer, last = path
+        holder = payload
+        for key in outer:
+            holder = holder[key]
+        holder[last] = value
+        if value is None and path == ("zero",):
+            continue  # a null zero means no zero
+        malformed |= type(value) is not int or not low <= value < bound
+    target = base / f"mutated_{kind}.json"
+    target.write_text(json.dumps(payload))
+    code = run(["check", str(target)])
+    assert code == 2 if malformed else code in (0, 1, 2)
 
 
 # -- commands --------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import weakref
 
 import pytest
@@ -6,8 +7,11 @@ import pytest
 from oracles import germ_relation_mismatch, proj_atoms
 from stonedual.algebra import (SemigroupMorphism, bd_subalgebra, classify,
                                iso_algebras, make_algebra)
-from stonedual.category import (check_cofunctor, is_groupoid, make_category,
-                                semigroup_slices, slice_semigroup)
+from stonedual.category import (check_cofunctor, cofunctor_to_covering,
+                                compose_cofunctors, covering_to_cofunctor,
+                                identity_cofunctor, is_groupoid, make_category,
+                                predicted_slice_count, semigroup_slices,
+                                slice_semigroup)
 from stonedual.duality import (category_signature, counit_epsilon,
                                germ_category, iso_categories,
                                morphism_to_cofunctor, theta, unit_eta,
@@ -156,6 +160,36 @@ def test_verify_adjunction_rejects_other_inputs():
 
 
 # -- cofunctors from morphisms ---------------------------------------------------------
+
+def _tables_digest(cofunctors):
+    return hashlib.sha256(repr([(F.anchor, F.mu, F.rho1)
+                                for F in cofunctors]).encode()).hexdigest()
+
+
+def test_cofunctor_builders_are_pinned(corpus_cats, zoo_sgs):
+    # SHA-256 of the (anchor, mu, rho1) tables every cofunctor builder
+    # gives on the corpus categories and on the zoo and small slice
+    # semigroups: a builder whose output changes by one cell fails here
+    built = []
+    for _, C in corpus_cats:
+        eps = counit_epsilon(C)
+        built += [eps, identity_cofunctor(C),
+                  covering_to_cofunctor(cofunctor_to_covering(eps)),
+                  compose_cofunctors(eps, identity_cofunctor(eps.source)),
+                  compose_cofunctors(identity_cofunctor(C), eps)]
+    assert len(built) == 5 * 398
+    assert _tables_digest(built) == (
+        "c4995e318b39684412ced8c8e784df3a19927b2881a424ce008fd229c3291a0f")
+    sgs = list(zoo_sgs.values()) + [slice_semigroup(C) for _, C in corpus_cats
+                                    if predicted_slice_count(C) <= 40]
+    built = []
+    for S in sgs:
+        F = morphism_to_cofunctor(unit_eta(S))
+        built += [F, compose_cofunctors(counit_epsilon(F.source), F)]
+    assert len(built) == 2 * 402
+    assert _tables_digest(built) == (
+        "3c18fb8ac676011cc07a2fbfc85771cd0351edfdee2d794a23a51924125dfd62")
+
 
 def test_inclusion_gives_action_injective_cofunctor():
     I, P = gen_i(2), gen_pt(2)

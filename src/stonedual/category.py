@@ -17,15 +17,12 @@ from functools import cached_property
 from itertools import product as iproduct
 from math import prod
 
-from .algebra import (AlgebraClassification, SemigroupMorphism, _check_table,
-                      check_morphism, classify, deterministic_sets,
-                      make_algebra)
+from .algebra import (AlgebraClassification, SemigroupMorphism, _check_size,
+                      _check_table, check_morphism, classify,
+                      deterministic_sets, make_algebra)
 from .errors import (AxiomFail, BadTableShape, CompDomainMismatch,
                      CompositionMismatch, InputError, MathFail,
-                     NotBijectiveOnArrows, NotStarBijective, ParentMismatch,
-                     TooLarge)
-
-DEFAULT_MAX_SIZE = 100000
+                     NotBijectiveOnArrows, NotStarBijective, ParentMismatch)
 
 
 class FinCat:
@@ -67,11 +64,12 @@ class FinCat:
 def make_category(objects, arrows, d, r, unit, comp):
     """Validate the axioms exhaustively and build the category.
 
-    Checks, in order: table shapes and ranges; comp defined exactly on
-    composable pairs; units anchored (DRU); domain/range of composites (DP,
-    RP); associativity on composable triples (A); unit laws (UL).
+    Checks, in order: arrows within the size bound; shapes and ranges; comp
+    defined exactly on composable pairs; units anchored (DRU); domain and
+    range of composites (DP, RP); associativity (A); unit laws (UL).
     """
     n_obj, n_arr = len(objects), len(arrows)
+    _check_size(n_arr)
     if len(set(objects)) != n_obj or len(set(arrows)) != n_arr:
         raise BadTableShape("object or arrow names are not unique")
     _check_table("d", d, (n_arr,), n_obj)
@@ -200,16 +198,15 @@ def enumerate_slices(C, bislices_only=False):
     return out
 
 
-def slice_semigroup(C, bislices_only=False, max_size=DEFAULT_MAX_SIZE):
+def slice_semigroup(C, bislices_only=False):
     """The semigroup of all local (bi)sections with support and cosupport.
 
     Element 0 is the empty slice, the zero.  The result always classifies
     boolean_range and etale_range (boolean_birestriction when restricted to
-    bisections); that is asserted here, not assumed.
+    bisections); that is asserted here, not assumed.  The predicted slice
+    count must be within the size bound before any slice is enumerated.
     """
-    predicted = predicted_slice_count(C)
-    if predicted > max_size:
-        raise TooLarge(predicted, max_size)
+    _check_size(predicted_slice_count(C))
     memo = C.bislice_sg if bislices_only else C.slice_sg
     if memo is not None:
         return memo
@@ -230,12 +227,10 @@ def slice_semigroup(C, bislices_only=False, max_size=DEFAULT_MAX_SIZE):
     cls = classify(S)
     if bislices_only:
         assert cls.flags["boolean_birestriction"], cls.witnesses
+        C.bislice_sg = S
     else:
         assert cls.flags["boolean_range"], cls.witnesses
         assert cls.flags["etale_range"], cls.witnesses
-    if bislices_only:
-        C.bislice_sg = S
-    else:
         C.slice_sg = S
     return S
 
@@ -431,15 +426,15 @@ def compose_cofunctors(G, F):
                              lambda s, x: G.rho1[F.rho1[s][G.anchor[x]]][x])
 
 
-def cofunctor_to_morphism(F, max_size=DEFAULT_MAX_SIZE):
+def cofunctor_to_morphism(F):
     """The pushforward A -> F_*(A) between the slice semigroups.
 
     Asserts the structure theorems relating cofunctor flags to morphism
     types: injective on arrows gives weak meet preservation, surjective
     gives properness, injective action preserves bideterministic elements.
     """
-    S = slice_semigroup(F.source, max_size=max_size)
-    T = slice_semigroup(F.target, max_size=max_size)
+    S = slice_semigroup(F.source)
+    T = slice_semigroup(F.target)
     sets_S = semigroup_slices(F.source, S)
     index_T = {fs: i for i, fs in enumerate(semigroup_slices(F.target, T))}
     m = []

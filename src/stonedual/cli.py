@@ -1,8 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 all checks pass, 1 a mathematical check failed (a witness is
-printed), 2 the input is malformed or too large.  The slice-semigroup size
-bound defaults to 100000 and can be overridden with SDL_MAX_SIZE.
+printed), 2 the input is malformed or too large: no table with more than
+SIZE_BOUND (1000) elements, arrows or predicted slices is built.
 
 `adjunction` takes FILE or --corpus DIR, not both.  With --corpus it prints one
 PASS, FAIL or ERROR line per file, going on past a file it cannot read or check;
@@ -17,9 +17,8 @@ import sys
 
 from .algebra import (BiUnaryAlgebra, SemigroupMorphism, check_morphism,
                       classify)
-from .category import (DEFAULT_MAX_SIZE, FinCat, check_cofunctor,
-                       cofunctor_to_covering, covering_to_cofunctor,
-                       slice_semigroup)
+from .category import (FinCat, check_cofunctor, cofunctor_to_covering,
+                       covering_to_cofunctor, slice_semigroup)
 from .duality import (counit_epsilon, germ_category, iso_categories,
                       unit_eta, verify_adjunction,
                       verify_birestriction_equivalence)
@@ -38,17 +37,6 @@ _GENERATORS = {
     "pair-groupoid": (gen_pair_groupoid, 1),
     "free-arrow": (gen_free_arrow, 0),
 }
-
-
-def _max_size(args):
-    value = getattr(args, "max_size", None)
-    if value is not None:
-        return value
-    raw = os.environ.get("SDL_MAX_SIZE", str(DEFAULT_MAX_SIZE))
-    try:
-        return int(raw)
-    except ValueError:
-        raise InputError(f"SDL_MAX_SIZE must be an integer, got {raw!r}")
 
 
 def _emit(rep):
@@ -104,8 +92,7 @@ def _cmd_germs(args):
 
 def _cmd_slices(args):
     C = _load_as(args.file, FinCat, "category")
-    T = slice_semigroup(C, bislices_only=args.bislices,
-                        max_size=_max_size(args))
+    T = slice_semigroup(C, bislices_only=args.bislices)
     save_instance(T, args.output)
     rep = Report()
     rep.check("bislice-semigroup" if args.bislices else "slice-semigroup",
@@ -116,30 +103,28 @@ def _cmd_slices(args):
 
 def _cmd_roundtrip(args):
     obj = load_instance(args.file)
-    ms = _max_size(args)
     if isinstance(obj, BiUnaryAlgebra):
         S = obj
         cls = classify(S)
         rep = Report("roundtrip at a semigroup")
-        eta = unit_eta(S, max_size=ms)
+        eta = unit_eta(S)
         rep.check("unit-injective", len(set(eta.map)) == S.n)
         iso = len(set(eta.map)) == eta.target.n
         rep.check("unit-iso-iff-boolean-restriction",
                   iso == cls.flags["boolean_restriction"], (iso,))
         rep.info("unit-iso", iso)
-        rep.merge(verify_adjunction(S, max_size=ms), prefix="triangle/")
+        rep.merge(verify_adjunction(S), prefix="triangle/")
         if cls.flags["boolean_birestriction"]:
-            rep.merge(verify_birestriction_equivalence(S, max_size=ms),
-                      prefix="bd/")
+            rep.merge(verify_birestriction_equivalence(S), prefix="bd/")
         return _emit(rep)
     if isinstance(obj, FinCat):
         C = obj
         rep = Report("roundtrip at a category")
-        eps = counit_epsilon(C, max_size=ms)
+        eps = counit_epsilon(C)
         rep.check("counit-bijective-on-arrows",
                   check_cofunctor(eps).flags["bijective_on_arrows"])
-        rep.merge(verify_adjunction(C, max_size=ms), prefix="triangle/")
-        S_C = slice_semigroup(C, max_size=ms)
+        rep.merge(verify_adjunction(C), prefix="triangle/")
+        S_C = slice_semigroup(C)
         res = iso_categories(germ_category(S_C).category, C)
         rep.check("germ-of-slices-iso-to-original", res is not None)
         if res is not None:
@@ -150,9 +135,8 @@ def _cmd_roundtrip(args):
 
 
 def _cmd_adjunction(args):
-    ms = _max_size(args)
     if args.corpus is None:
-        return _emit(verify_adjunction(load_instance(args.file), max_size=ms))
+        return _emit(verify_adjunction(load_instance(args.file)))
     try:
         files = sorted(f for f in os.listdir(args.corpus) if f.endswith(".json"))
     except OSError as exc:
@@ -163,7 +147,7 @@ def _cmd_adjunction(args):
     for name in files:
         try:
             obj = load_instance(os.path.join(args.corpus, name))
-            rep = verify_adjunction(obj, max_size=ms)
+            rep = verify_adjunction(obj)
         except InputError as exc:
             print(f"ERROR {name} {exc}")
             status = 2
@@ -254,7 +238,6 @@ def _build_parser():
     p = sub.add_parser("slices", help="write the slice semigroup")
     p.add_argument("file")
     p.add_argument("--bislices", action="store_true")
-    p.add_argument("--max-size", type=int, default=None)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_slices)
 

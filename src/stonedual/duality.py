@@ -14,11 +14,10 @@ from .algebra import (BiUnaryAlgebra, SemigroupMorphism, _find_iso, _refine,
                       bd_subalgebra, check_morphism, classify,
                       deterministic_sets, partial_isomorphisms,
                       projection_gba, with_inferred_plus)
-from .category import (DEFAULT_MAX_SIZE, FinCat, Slice, _cofunctor_diff,
-                       _lifted_cofunctor, check_cofunctor,
-                       cofunctor_to_morphism, compose_cofunctors,
-                       identity_cofunctor, is_groupoid, make_category,
-                       semigroup_slices, slice_semigroup)
+from .category import (FinCat, Slice, _cofunctor_diff, _lifted_cofunctor,
+                       check_cofunctor, cofunctor_to_morphism,
+                       compose_cofunctors, identity_cofunctor, is_groupoid,
+                       make_category, semigroup_slices, slice_semigroup)
 from .errors import (NoLocalUnits, NotAMorphism, NotBooleanBirestriction,
                      NotPreBoolean, UnknownElement)
 from .report import Report
@@ -108,14 +107,14 @@ def theta(S, s):
     return Slice(G.category, arrows)
 
 
-def unit_eta(S, max_size=DEFAULT_MAX_SIZE):
+def unit_eta(S):
     """The map s -> Theta(s) into the slice semigroup of the germ category.
 
     Always a verified injective morphism; a bijection exactly on Boolean
     restriction instances, asserted accordingly.
     """
     G = germ_category(S)
-    T = slice_semigroup(G.category, max_size=max_size)
+    T = slice_semigroup(G.category)
     index = {fs: i for i, fs in enumerate(semigroup_slices(G.category, T))}
     m = tuple(index[theta(S, s).arrows] for s in range(S.n))
     f = SemigroupMorphism(S, T, m)
@@ -127,7 +126,7 @@ def unit_eta(S, max_size=DEFAULT_MAX_SIZE):
     return f
 
 
-def counit_epsilon(C, max_size=DEFAULT_MAX_SIZE):
+def counit_epsilon(C):
     """The cofunctor germ_category(slice_semigroup(C)) ~> C.
 
     Germ arrows of the slice semigroup are singleton slices {t}; the anchor
@@ -135,7 +134,7 @@ def counit_epsilon(C, max_size=DEFAULT_MAX_SIZE):
     d(t) = x to r(t), and the lift returns t itself.  Verified to be an
     isomorphism: anchor and arrow lift are bijections.
     """
-    S_C = slice_semigroup(C, max_size=max_size)
+    S_C = slice_semigroup(C)
     sets = semigroup_slices(C, S_C)
     elem_of = {fs: i for i, fs in enumerate(sets)}
     G = germ_category(S_C)
@@ -181,7 +180,7 @@ def morphism_to_cofunctor(f):
     return F
 
 
-def verify_adjunction(instance, max_size=DEFAULT_MAX_SIZE):
+def verify_adjunction(instance):
     """Check the triangle identity on a semigroup or a category.
 
     Semigroup side: the composite of the counit at the germ category with
@@ -192,9 +191,9 @@ def verify_adjunction(instance, max_size=DEFAULT_MAX_SIZE):
     if isinstance(instance, BiUnaryAlgebra):
         S = instance
         rep = Report("triangle identity at a semigroup")
-        eta = unit_eta(S, max_size=max_size)
+        eta = unit_eta(S)
         F = morphism_to_cofunctor(eta)
-        eps = counit_epsilon(germ_category(S).category, max_size=max_size)
+        eps = counit_epsilon(germ_category(S).category)
         comp = compose_cofunctors(eps, F)
         diff = _cofunctor_diff(comp, identity_cofunctor(comp.source))
         rep.check("counit-after-germ-of-unit-is-identity", diff is None, diff)
@@ -202,10 +201,10 @@ def verify_adjunction(instance, max_size=DEFAULT_MAX_SIZE):
     if isinstance(instance, FinCat):
         C = instance
         rep = Report("triangle identity at a category")
-        S_C = slice_semigroup(C, max_size=max_size)
-        eta = unit_eta(S_C, max_size=max_size)
-        eps = counit_epsilon(C, max_size=max_size)
-        eps_star = cofunctor_to_morphism(eps, max_size=max_size)
+        S_C = slice_semigroup(C)
+        eta = unit_eta(S_C)
+        eps = counit_epsilon(C)
+        eps_star = cofunctor_to_morphism(eps)
         composite = [eps_star.map[eta.map[i]] for i in range(S_C.n)]
         bad = next((i for i in range(S_C.n) if composite[i] != i), None)
         rep.check("pushforward-of-counit-after-unit-is-identity",
@@ -214,7 +213,7 @@ def verify_adjunction(instance, max_size=DEFAULT_MAX_SIZE):
     raise UnknownElement(f"cannot verify adjunction on {type(instance).__name__}")
 
 
-def verify_birestriction_equivalence(S, max_size=DEFAULT_MAX_SIZE):
+def verify_birestriction_equivalence(S):
     """For Boolean birestriction S: the unit corestricts to a (2,1,1)-
     isomorphism onto the bideterministic part of the dual slice semigroup."""
     cls = classify(S)
@@ -223,10 +222,8 @@ def verify_birestriction_equivalence(S, max_size=DEFAULT_MAX_SIZE):
             "input is not a Boolean birestriction semigroup",
             witness=cls.witnesses.get("boolean_birestriction"))
     rep = Report("birestriction equivalence")
-    G = germ_category(S)
-    T = slice_semigroup(G.category, max_size=max_size)
-    eta = unit_eta(S, max_size=max_size)
-    sub, keep = bd_subalgebra(T)
+    eta = unit_eta(S)
+    sub, keep = bd_subalgebra(eta.target)
     pos = {e: i for i, e in enumerate(keep)}
     landed = all(m in pos for m in eta.map)
     rep.check("unit-lands-in-bideterministic-part", landed,
@@ -237,27 +234,16 @@ def verify_birestriction_equivalence(S, max_size=DEFAULT_MAX_SIZE):
     m = [pos[v] for v in eta.map]
     rep.check("corestricted-unit-bijective",
               len(set(m)) == S.n and len(m) == sub.n, (S.n, sub.n))
-    Sp = with_inferred_plus(S)
-    # locals: on CPython 3.11 a filled cached property slows attribute reads
-    star, plus, mult = Sp.star, Sp.plus, Sp.mult
-    sub_star, sub_plus, sub_mult = sub.star, sub.plus, sub.mult
-    w = None
-    for i in range(S.n):
-        if m[star[i]] != sub_star[m[i]] or m[plus[i]] != sub_plus[m[i]]:
-            w = ("unary", i)
-            break
-        for j in range(S.n):
-            if m[mult[i][j]] != sub_mult[m[i]][m[j]]:
-                w = ("mult", i, j)
-                break
-        if w:
-            break
-    rep.check("corestricted-unit-preserves-all-tables", w is None, w)
+    verdict = check_morphism(
+        SemigroupMorphism(with_inferred_plus(S), sub, tuple(m)), 1,
+        require_plus=True)
+    rep.check("corestricted-unit-preserves-all-tables", verdict.ok,
+              None if verdict.ok else (verdict.failed, verdict.witness))
     rep.info("bijection", tuple(m))
     return rep
 
 
-def verify_groupoidal(instance, max_size=DEFAULT_MAX_SIZE):
+def verify_groupoidal(instance):
     """Cross-check the groupoid property against its algebraic mirror.
 
     On a category: bideterministic slices always coincide with bislices,
@@ -269,7 +255,7 @@ def verify_groupoidal(instance, max_size=DEFAULT_MAX_SIZE):
         C = instance
         rep = Report("groupoid criterion at a category")
         inv, _ = is_groupoid(C)
-        S_C = slice_semigroup(C, max_size=max_size)
+        S_C = slice_semigroup(C)
         sets = semigroup_slices(C, S_C)
         bd = set(deterministic_sets(S_C)[2])
         piso = set(partial_isomorphisms(S_C))

@@ -50,9 +50,8 @@ _TYPES = {
     "ints": ("a list of integers", _ints),
     "table": ("a list of integer lists",
               lambda v: isinstance(v, list) and all(map(_ints, v))),
-    "names": ("a non-empty list of strings",
-              lambda v: isinstance(v, list) and v != []
-              and {str}.issuperset(map(type, v))),
+    "names": ("a list of strings",
+              lambda v: isinstance(v, list) and {str}.issuperset(map(type, v))),
     "arrows": ("a list of objects with a string name and integer dom and cod",
                lambda v: isinstance(v, list) and all(
                    isinstance(a, dict) and isinstance(a.get("name"), str)
@@ -119,16 +118,19 @@ def category_to_dict(C):
 
 
 def _endpoint(payload, key, base_dir, want):
+    """payload[key] and its instance, whose kind is checked before it is built."""
     rel = _need(payload, key, "str")
-    obj = load_instance(os.path.join(base_dir, rel))
-    if not isinstance(obj, want):
-        raise InputError(f"{key} file is not a {want.__name__.lower()}")
-    return rel, obj
+    endpoint, kind = _read(os.path.join(base_dir, rel))
+    if kind != want:
+        raise InputError(f"{key} file {rel} is a {kind}, not a {want}")
+    if want == "semigroup":
+        return rel, semigroup_from_dict(endpoint)
+    return rel, category_from_dict(endpoint)
 
 
 def morphism_from_dict(payload, base_dir):
-    src_path, S = _endpoint(payload, "source", base_dir, BiUnaryAlgebra)
-    tgt_path, T = _endpoint(payload, "target", base_dir, BiUnaryAlgebra)
+    src_path, S = _endpoint(payload, "source", base_dir, "semigroup")
+    tgt_path, T = _endpoint(payload, "target", base_dir, "semigroup")
     f = SemigroupMorphism(S, T, tuple(_need(payload, "map", "ints")))
     return MorphismFile(f, src_path, tgt_path)
 
@@ -143,8 +145,8 @@ def morphism_to_dict(mf):
 
 
 def cofunctor_from_dict(payload, base_dir):
-    src_path, C = _endpoint(payload, "source", base_dir, FinCat)
-    tgt_path, D = _endpoint(payload, "target", base_dir, FinCat)
+    src_path, C = _endpoint(payload, "source", base_dir, "category")
+    tgt_path, D = _endpoint(payload, "target", base_dir, "category")
     F = Cofunctor(C, D, _need(payload, "anchor", "ints"),
                   _need(payload, "mu", "table"), _need(payload, "rho1", "table"))
     return CofunctorFile(F, src_path, tgt_path)
@@ -187,9 +189,8 @@ def save_instance(obj, path):
         raise InputError(f"cannot write {path}: {exc.strerror}") from exc
 
 
-def load_instance(path):
-    """Read one instance file; morphisms and cofunctors pull in their
-    endpoint files relative to the referencing file's directory."""
+def _read(path):
+    """The JSON object in path and its kind."""
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -204,6 +205,13 @@ def load_instance(path):
     kind = payload.get("kind")
     if kind not in KINDS:
         raise InputError(f"unknown kind {kind!r}")
+    return payload, kind
+
+
+def load_instance(path):
+    """Read one instance file; morphisms and cofunctors pull in their
+    endpoint files relative to the referencing file's directory."""
+    payload, kind = _read(path)
     base_dir = os.path.dirname(os.path.abspath(path))
     if kind == "semigroup":
         return semigroup_from_dict(payload)

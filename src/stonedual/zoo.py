@@ -262,9 +262,9 @@ def corpus_categories(max_objects=3, max_arrows=5):
     return members
 
 
-def search_no_cosupport(max_order=8, budget=5.0, base=3):
+def search_no_cosupport(max_order=8, budget=5.0):
     """Exploratory: hunt for a restriction semigroup with local units that
-    admits no compatible cosupport, among small subalgebras of PT_base.
+    admits no compatible cosupport, among small subalgebras of PT_3.
 
     Closes random-free, systematically generated subsets under product and
     star; stops at the time budget.  Returns (found, checked, witness).
@@ -275,7 +275,7 @@ def search_no_cosupport(max_order=8, budget=5.0, base=3):
     from .algebra import classify
 
     start = time.monotonic()
-    PT = gen_pt(base)
+    PT = gen_pt(3)
     n = PT.n
     checked = 0
     seen = set()

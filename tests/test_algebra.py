@@ -6,14 +6,16 @@ import pytest
 from oracles import (br1_witness_brute, br1prime_witness_brute,
                      br3_witness_brute, brute_join, inverse_map,
                      leq as oracle_leq, no_meet_witness_brute, parse_map)
-from stonedual.algebra import (BiUnaryAlgebra, bd_subalgebra, check_morphism,
-                               classify, compatible, deterministic_sets,
-                               has_local_units, infer_cosupport, iso_algebras,
+from stonedual.algebra import (SIZE_BOUND, BiUnaryAlgebra, bd_subalgebra,
+                               check_morphism, classify, compatible,
+                               deterministic_sets, has_local_units,
+                               infer_cosupport, iso_algebras,
                                join, join_all, make_algebra, meet, nat_leq,
                                partial_isomorphisms, projection_gba,
                                projections, SemigroupMorphism)
 from stonedual.errors import (BadTableShape, MathFail, NoLeftUnit,
-                              NoPlusTable, NotAssociative, PlusStarMismatch)
+                              NoPlusTable, NotAssociative, PlusStarMismatch,
+                              TooLarge)
 from stonedual.zoo import gen_i, gen_pt, gen_triangular
 
 
@@ -51,6 +53,16 @@ def test_numpy_associativity_path():
     with pytest.raises(NotAssociative) as exc:
         make_algebra([f"e{i}" for i in range(n)], mult, list(range(n)))
     assert exc.value.witness == (0, 0, 1)
+
+
+def test_make_algebra_size_guard_fires_before_the_laws():
+    # SIZE_BOUND + 1 elements; x*y = f(y) with f(0) = 1, else 0, is not
+    # associative: (x*y)*0 = 1 but x*(y*0) = 0
+    n = SIZE_BOUND + 1
+    with pytest.raises(TooLarge) as exc:
+        make_algebra([f"e{i}" for i in range(n)], [[1] + [0] * (n - 1)] * n,
+                     [0] * n)
+    assert (exc.value.predicted, exc.value.bound) == (n, SIZE_BOUND)
 
 
 def test_declared_zero_must_absorb():

@@ -1,6 +1,9 @@
+import time
+
 import pytest
 
 from oracles import count_slices_brute, slice_sets_brute
+from stonedual.algebra import SIZE_BOUND
 from stonedual.category import (Cofunctor, CoveringFunctor, Slice,
                                 check_cofunctor, cofunctor_to_covering,
                                 cofunctor_to_morphism, compose_cofunctors,
@@ -152,9 +155,21 @@ def test_slice_parent_mismatch():
 
 
 def test_slice_semigroup_size_guard_fires_before_work():
+    K5 = gen_pair_groupoid(5)
+    start = time.perf_counter()
     with pytest.raises(TooLarge) as exc:
-        slice_semigroup(gen_pair_groupoid(3), max_size=10)
-    assert exc.value.predicted == 64
+        slice_semigroup(K5)
+    assert time.perf_counter() - start < 0.1
+    assert (exc.value.predicted, exc.value.bound) == (7776, SIZE_BOUND)
+
+
+def test_make_category_size_guard_fires_before_the_laws():
+    # SIZE_BOUND + 1 loops at o; the unit of p is one of them, breaking DRU
+    n = SIZE_BOUND + 1
+    with pytest.raises(TooLarge) as exc:
+        make_category(["o", "p"], [f"a{i}" for i in range(n)], [0] * n,
+                      [0] * n, [0, 0], [[0] * n] * n)
+    assert exc.value.predicted == n
 
 
 def test_semigroup_slices_parses_names_without_cache():

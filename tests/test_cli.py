@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -74,6 +75,43 @@ def test_loader_rejects_undecodable_and_deeply_nested_files(tmp_path, capsys):
     bad.write_text("[" * 100000)
     assert run(["check", str(bad)]) == 2
     assert capsys.readouterr().err.count("error:") == 2
+
+
+def test_empty_name_lists_round_trip(tmp_path, capsys):
+    # the one-element semigroup's germ category has no objects
+    one = tmp_path / "one.json"
+    one.write_text(json.dumps({"kind": "semigroup", "elements": ["0"],
+                               "mult": [[0]], "star": [0], "plus": [0],
+                               "zero": 0}))
+    germ = str(tmp_path / "germ.json")
+    assert run(["germs", str(one), "-o", germ]) == 0
+    assert json.loads(open(germ).read())["objects"] == []
+    assert run(["check", germ]) == 0
+    assert run(["slices", germ, "-o", str(tmp_path / "s.json")]) == 0
+    assert run(["roundtrip", germ]) == 0
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"kind": "semigroup", "elements": [],
+                                 "mult": [], "star": []}))
+    assert run(["check", str(empty)]) == 0
+    capsys.readouterr()
+    assert run(["roundtrip", str(empty)]) == 1
+    assert "witness=" in capsys.readouterr().out
+
+
+def test_endpoint_kind_is_checked_before_it_is_loaded(tmp_path, capsys):
+    (tmp_path / "m.json").write_text(json.dumps(
+        {"kind": "morphism", "source": "m.json", "target": "m.json",
+         "map": [0]}))
+    for a, b in (("a", "b"), ("b", "a")):
+        (tmp_path / f"{a}.json").write_text(json.dumps(
+            {"kind": "cofunctor", "source": f"{b}.json",
+             "target": f"{b}.json", "anchor": [], "mu": [], "rho1": []}))
+    for name, want in (("m", "is a morphism, not a semigroup"),
+                       ("a", "is a cofunctor, not a category")):
+        start = time.perf_counter()
+        assert run(["check", str(tmp_path / f"{name}.json")]) == 2
+        assert time.perf_counter() - start < 1
+        assert want in capsys.readouterr().err
 
 
 def test_loader_flags_math_failures_as_exit_1(tmp_path):
@@ -223,19 +261,18 @@ def test_slices_command(files, tmp_path, capsys):
     assert load_instance(str(out)).n == 7
 
 
-def test_slices_size_guard(files, tmp_path, monkeypatch):
+def test_slices_size_guard(files, tmp_path, capsys):
+    # K_5 has 6^5 = 7776 slices, over the size bound
+    k5 = str(tmp_path / "k5.json")
+    save_instance(gen_pair_groupoid(5), k5)
     out = str(tmp_path / "s.json")
-    assert run(["slices", files["k3"], "--max-size", "10", "-o", out]) == 2
-    monkeypatch.setenv("SDL_MAX_SIZE", "10")
-    assert run(["slices", files["k3"], "-o", out]) == 2
-    monkeypatch.delenv("SDL_MAX_SIZE")
+    for argv in (["slices", k5, "-o", out], ["roundtrip", k5],
+                 ["adjunction", k5]):
+        start = time.perf_counter()
+        assert run(argv) == 2
+        assert time.perf_counter() - start < 1
+        assert "7776 exceeds bound 1000" in capsys.readouterr().err
     assert run(["slices", files["k3"], "-o", out]) == 0
-
-
-def test_max_size_env_must_be_an_integer(files, monkeypatch, capsys):
-    monkeypatch.setenv("SDL_MAX_SIZE", "abc")
-    assert run(["roundtrip", files["pt2"]]) == 2
-    assert capsys.readouterr().err.startswith("error: SDL_MAX_SIZE")
 
 
 def test_roundtrip_semigroup(files, capsys):

@@ -18,18 +18,17 @@ from .algebra import (AlgebraClassification, BiUnaryAlgebra, CosupportResult,
                       nat_leq, partial_isomorphisms, projection_gba,
                       projections)
 from .category import (Cofunctor, CofunctorFlags, CoveringFunctor, FinCat,
-                       Slice, check_cofunctor, cofunctor_to_covering,
-                       cofunctor_to_morphism, compose_cofunctors,
-                       covering_to_cofunctor, enumerate_slices,
-                       identity_cofunctor, is_groupoid, make_category,
-                       predicted_slice_count, semigroup_slices,
-                       slice_cosupport, slice_of_index, slice_product,
-                       slice_semigroup, slice_support)
-from .duality import (GermCategory, category_signature, counit_epsilon,
-                      germ_category, iso_categories, morphism_to_cofunctor,
-                      theta, unit_eta, verify_adjunction,
-                      verify_birestriction_equivalence, verify_groupoidal,
-                      with_inferred_plus)
+                       Slice, category_signature, check_cofunctor,
+                       cofunctor_to_covering, cofunctor_to_morphism,
+                       compose_cofunctors, covering_to_cofunctor,
+                       enumerate_slices, identity_cofunctor, is_groupoid,
+                       iso_categories, make_category, predicted_slice_count,
+                       semigroup_slices, slice_cosupport, slice_of_index,
+                       slice_product, slice_semigroup, slice_support)
+from .duality import (GermCategory, counit_epsilon, germ_category,
+                      morphism_to_cofunctor, theta, unit_eta,
+                      verify_adjunction, verify_birestriction_equivalence,
+                      verify_groupoidal, with_inferred_plus)
 from .zoo import (corpus_categories, corpus_semigroups, enumerate_categories,
                   gen_free_arrow, gen_i, gen_pair_groupoid, gen_pt,
                   gen_triangular, search_no_cosupport, zoo_categories,

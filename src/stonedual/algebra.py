@@ -153,12 +153,18 @@ class BiUnaryAlgebra:
         return gba_mod.FinGBA(universe, family), to_mask, from_mask
 
     @cached_property
+    def iso_structure(self):
+        """The tables an isomorphism preserves: ([star, plus], mult), with
+        star standing in for a missing plus."""
+        return [self.star, self.plus or self.star], self.mult
+
+    @cached_property
     def iso_codes(self):
         """Refinement codes of the elements (see _refine), computed once."""
-        mult, star, plus = self.mult, self.star, self.plus or self.star
+        (star, plus), mult = self.iso_structure
         up, down, z = self.up, self.down, self.detected_zero()
         n_star, n_plus = Counter(star), Counter(plus)
-        return _refine(([star, plus], mult),
+        return _refine(self.iso_structure,
                        [(star[i] == i, plus[i] == i, mult[i][i] == i, i == z,
                          n_star[i], n_plus[i], up[i].bit_count(), down[i].bit_count())
                         for i in range(self.n)])
@@ -232,6 +238,15 @@ def _assoc_numpy(mult):
             raise NotAssociative(i, j, k)
 
 
+def _check_assoc(mult):
+    """Raise NotAssociative at the lexicographically first triple (i, j, k)
+    with (i*j)*k != i*(j*k)."""
+    if len(mult) > _NUMPY_THRESHOLD:
+        _assoc_numpy(mult)
+    else:
+        _assoc_pure(mult)
+
+
 def make_algebra(names, mult, star, plus=None, zero=None):
     """Validate tables (shape, associativity, zero laws) and build the algebra;
     the size bound, then every shape and range check, run before any law."""
@@ -245,10 +260,7 @@ def make_algebra(names, mult, star, plus=None, zero=None):
         _check_table("plus", plus, (n,), n)
     if zero is not None and not 0 <= zero < n:
         raise BadTableShape(f"zero index {zero} out of range")
-    if n > _NUMPY_THRESHOLD:
-        _assoc_numpy(mult)
-    else:
-        _assoc_pure(mult)
+    _check_assoc(mult)
     if zero is not None:
         for s in range(n):
             if mult[zero][s] != zero or mult[s][zero] != zero:
@@ -712,14 +724,10 @@ def _inverse_witness(S):
 
 
 def _assert_implications(cls):
+    # the other implications between flags are prerequisites in the rules
     f = cls.flags
-    assert not f["restriction"] or f["ehresmann"]
-    assert not f["birestriction"] or f["biehresmann"]
     assert not f["boolean_restriction"] or f["preboolean_restriction"]
     assert not f["boolean_birestriction"] or f["preboolean_birestriction"]
-    assert not f["etale_range"] or f["boolean_range"]
-    assert not f["boolean_range"] or f["range"]
-    assert not f["range"] or (f["restriction"] and f["biehresmann"])
 
 
 @dataclass(frozen=True)
@@ -851,17 +859,19 @@ def _refine(struct, init):
                for i in range(len(c))]
 
 
-def _find_iso(A, B, sigA, sigB):
-    """A bijection between two structures preserving every table, or None.
+def _find_iso(X, Y):
+    """An isomorphism between two algebras or two categories: a bijection
+    preserving every table of their iso_structure, or None.
 
     Each element maps only into its own colour class, and the elements with
     the fewest candidates are placed first.  A placement is checked against
     the elements already placed; those checks skip entries whose image is
     still open, so a complete assignment gets one exhaustive check.
     """
+    sigA, sigB = X.iso_codes, Y.iso_codes
     if sorted(sigA) != sorted(sigB):
         return None
-    (unaryA, binA), (unaryB, binB) = A, B
+    (unaryA, binA), (unaryB, binB) = X.iso_structure, Y.iso_structure
     n = len(sigA)
     by_colour = {}
     for t, c in enumerate(sigB):
@@ -930,5 +940,4 @@ def iso_algebras(S, T):
     None when there is none."""
     if S.n != T.n or (S.plus is None) != (T.plus is None):
         return None
-    A, B = (([X.star, X.plus or X.star], X.mult) for X in (S, T))
-    return _find_iso(A, B, S.iso_codes, T.iso_codes)
+    return _find_iso(S, T)

@@ -1,4 +1,5 @@
-"""Finite categories, local sections, slice semigroups, and cofunctors.
+"""Finite categories, their isomorphisms, local sections, slice semigroups,
+and cofunctors.
 
 A category is stored as dense index tables; comp[x][y] is the composite
 "y then x" and carries -1 where d(x) != r(y).  Composability is always
@@ -14,15 +15,16 @@ D -> C and back, exactly.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import product as iproduct
 from math import prod
 
-from .algebra import (AlgebraClassification, SemigroupMorphism, _check_size,
-                      _check_table, check_morphism, classify,
-                      deterministic_sets, make_algebra)
+from .algebra import (AlgebraClassification, SemigroupMorphism, _check_assoc,
+                      _check_size, _check_table, _find_iso, _refine,
+                      check_morphism, classify, deterministic_sets,
+                      make_algebra)
 from .errors import (AxiomFail, BadTableShape, CompDomainMismatch,
                      CompositionMismatch, InputError, MathFail,
-                     NotBijectiveOnArrows, NotStarBijective, ParentMismatch)
+                     NotAssociative, NotBijectiveOnArrows, NotStarBijective,
+                     ParentMismatch)
 
 
 class FinCat:
@@ -38,8 +40,6 @@ class FinCat:
         self.n_obj = len(self.objects)
         self.n_arr = len(self.arrows)
         self.slice_sg = self.bislice_sg = None  # set by slice_semigroup
-        # set by duality.category_signature
-        self._iso_structure = self.iso_codes = None
 
     def __repr__(self):
         return f"FinCat({self.n_obj} objects, {self.n_arr} arrows)"
@@ -59,6 +59,46 @@ class FinCat:
         for a in range(self.n_arr):
             fib[self.d[a]].append(a)
         return tuple(map(tuple, fib))
+
+    @cached_property
+    def iso_structure(self):
+        """The tables an isomorphism preserves: the unary tables
+        a -> 1_d(a) and a -> 1_r(a), and comp."""
+        return ([[self.unit[o] for o in self.d],
+                 [self.unit[o] for o in self.r]], self.comp)
+
+    @cached_property
+    def iso_codes(self):
+        """Refinement codes of the arrows (see algebra._refine), computed
+        once."""
+        d, r, unit, comp = self.d, self.r, self.unit, self.comp
+        prof = [(len(self.d_fiber(o)), r.count(o),
+                 sum(1 for a in range(self.n_arr) if d[a] == o and r[a] == o))
+                for o in range(self.n_obj)]
+        return _refine(self.iso_structure, [
+            (*prof[d[a]], *prof[r[a]], unit[d[a]] == a,
+             comp[a][a] == a if d[a] == r[a] else -1)
+            for a in range(self.n_arr)])
+
+
+def category_signature(E):
+    """E.iso_codes: equal sorted codes are necessary (not sufficient) for
+    isomorphism, so they serve as dedup keys."""
+    return E.iso_codes
+
+
+def iso_categories(C, D):
+    """Search for an isomorphism (object map, arrow map); None if there is
+    none.  An arrow bijection preserving comp and the unit tables of
+    iso_structure is exactly an isomorphism: it sends units to units, so
+    the object map is read off them.
+    """
+    if C.n_obj != D.n_obj or C.n_arr != D.n_arr:
+        return None
+    amap = _find_iso(C, D)
+    if amap is None:
+        return None
+    return tuple(D.d[amap[u]] for u in C.unit), amap
 
 
 def make_category(objects, arrows, d, r, unit, comp):
@@ -99,14 +139,13 @@ def make_category(objects, arrows, d, r, unit, comp):
                 raise AxiomFail("DP", (x, y))
             if r[xy] != r[x]:
                 raise AxiomFail("RP", (x, y))
-    for x in range(n_arr):
-        for y in range(n_arr):
-            if d[x] != r[y]:
-                continue
-            xy = comp[x][y]
-            for z in range(n_arr):
-                if d[y] == r[z] and comp[xy][z] != comp[x][comp[y][z]]:
-                    raise AxiomFail("A", (x, y, z))
+    # an adjoined zero n_arr stands for every undefined composite; given DP
+    # and RP, only composable triples can then break associativity
+    try:
+        _check_assoc([[n_arr if v == -1 else v for v in row] + [n_arr]
+                      for row in comp] + [[n_arr] * (n_arr + 1)])
+    except NotAssociative as exc:
+        raise AxiomFail("A", exc.witness) from None
     for x in range(n_arr):
         if comp[unit[r[x]]][x] != x or comp[x][unit[d[x]]] != x:
             raise AxiomFail("UL", (x,))
@@ -186,14 +225,16 @@ def predicted_slice_count(C):
 
 
 def enumerate_slices(C, bislices_only=False):
-    """All local (bi)sections as frozensets, ordered by size then contents."""
-    fibers = [(None,) + C.d_fiber(o) for o in range(C.n_obj)]
-    out = []
-    for choice in iproduct(*fibers):
-        picked = frozenset(a for a in choice if a is not None)
-        if bislices_only and len({C.r[a] for a in picked}) != len(picked):
-            continue
-        out.append(picked)
+    """All local (bi)sections as frozensets, ordered by size then contents,
+    grown one object at a time.  Every partial bislice extends to a bislice,
+    so more than SIZE_BOUND partial bislices raise TooLarge at once."""
+    r = C.r
+    out = [frozenset()]
+    for o in range(C.n_obj):
+        out += [s | {a} for s in out for a in C.d_fiber(o)
+                if not bislices_only or all(r[b] != r[a] for b in s)]
+        if bislices_only:
+            _check_size(len(out))
     out.sort(key=lambda s: (len(s), sorted(s)))
     return out
 
@@ -204,12 +245,14 @@ def slice_semigroup(C, bislices_only=False):
     Element 0 is the empty slice, the zero.  The result always classifies
     boolean_range and etale_range (boolean_birestriction when restricted to
     bisections); that is asserted here, not assumed.  The predicted slice
-    count must be within the size bound before any slice is enumerated.
+    count, or the count of bislices as they are enumerated, must be within
+    the size bound before the table is built.
     """
-    _check_size(predicted_slice_count(C))
     memo = C.bislice_sg if bislices_only else C.slice_sg
     if memo is not None:
         return memo
+    if not bislices_only:
+        _check_size(predicted_slice_count(C))
     elems = enumerate_slices(C, bislices_only)
     index = {s: i for i, s in enumerate(elems)}
     names = [_slice_name(C, s) for s in elems]
@@ -445,13 +488,11 @@ def cofunctor_to_morphism(F):
                            witness=(i,))
         m.append(index_T[image])
     f = SemigroupMorphism(S, T, tuple(m))
-    flags = check_cofunctor(F)
-    assert check_morphism(f, 1).ok
-    if flags.flags["injective_on_arrows"]:
-        assert check_morphism(f, 2).ok
-    if flags.flags["surjective_on_arrows"]:
-        assert check_morphism(f, 3).ok
-    if flags.flags["action_injective"]:
+    flags = check_cofunctor(F).flags
+    # type 4 is types 2 and 3 together
+    mtype = 1 + flags["injective_on_arrows"] + 2 * flags["surjective_on_arrows"]
+    assert check_morphism(f, mtype).ok
+    if flags["action_injective"]:
         _, _, bd_S = deterministic_sets(S)
         bd_T = set(deterministic_sets(T)[2])
         assert all(m[i] in bd_T for i in bd_S)

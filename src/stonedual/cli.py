@@ -2,7 +2,7 @@
 
 Exit codes: 0 all checks pass, 1 a mathematical check failed (a witness is
 printed), 2 the input is malformed or too large: no table with more than
-SIZE_BOUND (1000) elements, arrows or predicted slices is built.
+SIZE_BOUND (1000) elements, arrows, slices or bislices is built.
 
 `adjunction` takes FILE or --corpus DIR, not both.  With --corpus it prints one
 PASS, FAIL or ERROR line per file, going on past a file it cannot read or check;
@@ -208,8 +208,7 @@ def _cmd_zoo(args):
 
 
 def _cmd_search(args):
-    found, checked, witness = search_no_cosupport(max_order=args.max_order,
-                                                  budget=args.budget)
+    found, checked, witness = search_no_cosupport(max_order=args.max_order)
     print(f"checked={checked} found={found}")
     if witness is not None:
         print("witness=" + format_witness(witness))
@@ -277,7 +276,6 @@ def _build_parser():
                        help="exploratory search for restriction subalgebras "
                             "with no cosupport")
     p.add_argument("--max-order", type=int, default=8)
-    p.add_argument("--budget", type=float, default=5.0)
     p.set_defaults(func=_cmd_search)
 
     return parser

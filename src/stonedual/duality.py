@@ -10,13 +10,15 @@ kept in the test oracles as an independent cross-check.
 
 from __future__ import annotations
 
-from .algebra import (BiUnaryAlgebra, SemigroupMorphism, _find_iso, _refine,
-                      bd_subalgebra, check_morphism, classify,
-                      deterministic_sets, partial_isomorphisms,
-                      projection_gba, with_inferred_plus)
+from .algebra import (BiUnaryAlgebra, SemigroupMorphism, bd_subalgebra,
+                      check_morphism, classify, deterministic_sets,
+                      partial_isomorphisms, projection_gba,
+                      with_inferred_plus)
+# category_signature and iso_categories keep their stonedual.duality names
 from .category import (FinCat, Slice, _cofunctor_diff, _lifted_cofunctor,
-                       check_cofunctor, cofunctor_to_morphism,
-                       compose_cofunctors, identity_cofunctor, is_groupoid,
+                       category_signature, check_cofunctor,
+                       cofunctor_to_morphism, compose_cofunctors,
+                       identity_cofunctor, is_groupoid, iso_categories,
                        make_category, semigroup_slices, slice_semigroup)
 from .errors import (NoLocalUnits, NotAMorphism, NotBooleanBirestriction,
                      NotPreBoolean, UnknownElement)
@@ -281,38 +283,3 @@ def verify_groupoidal(instance):
         return rep
     raise UnknownElement(f"cannot check groupoidality of {type(instance).__name__}")
 
-
-def _arrow_codes(E):
-    if E.iso_codes is None:
-        # the arrows with comp and the unary tables a -> 1_d(a), a -> 1_r(a)
-        E._iso_structure = ([[E.unit[o] for o in E.d],
-                             [E.unit[o] for o in E.r]], E.comp)
-        prof = [(len(E.d_fiber(o)), E.r.count(o),
-                 sum(1 for a in range(E.n_arr) if E.d[a] == o and E.r[a] == o))
-                for o in range(E.n_obj)]
-        E.iso_codes = _refine(E._iso_structure, [
-            (*prof[E.d[a]], *prof[E.r[a]], E.unit[E.d[a]] == a,
-             E.comp[a][a] == a if E.d[a] == E.r[a] else -1)
-            for a in range(E.n_arr)])
-    return E.iso_codes
-
-
-def category_signature(E):
-    """Arrow codes from algebra._refine, computed once and kept on E; equal
-    sorted codes are necessary (not sufficient) for isomorphism: dedup keys."""
-    return _arrow_codes(E)
-
-
-def iso_categories(C, D):
-    """Search for an isomorphism (object map, arrow map); None if there is
-    none.  An arrow bijection preserving comp and the unit tables of
-    _iso_structure (see _arrow_codes) is exactly an isomorphism: it sends
-    units to units, so the object map is read off them.
-    """
-    if C.n_obj != D.n_obj or C.n_arr != D.n_arr:
-        return None
-    codes = _arrow_codes(C), _arrow_codes(D)
-    amap = _find_iso(C._iso_structure, D._iso_structure, *codes)
-    if amap is None:
-        return None
-    return tuple(D.d[amap[u]] for u in C.unit), amap

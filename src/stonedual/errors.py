@@ -26,7 +26,7 @@ class BadTableShape(InputError):
 
 class TooLarge(InputError):
     def __init__(self, predicted, bound):
-        super().__init__(f"predicted size {predicted} exceeds bound {bound}")
+        super().__init__(f"size {predicted} exceeds bound {bound}")
         self.predicted = predicted
         self.bound = bound
 

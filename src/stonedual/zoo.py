@@ -11,11 +11,11 @@ Categories beyond the named ones come from a bounded exhaustive enumeration
 
 from __future__ import annotations
 
+from itertools import combinations, combinations_with_replacement
 from itertools import product as iproduct
 
-from .algebra import BiUnaryAlgebra, make_algebra
-from .category import FinCat, make_category
-from .duality import category_signature, iso_categories
+from .algebra import classify, make_algebra
+from .category import category_signature, iso_categories, make_category
 from .errors import InputError, TooLarge
 
 PT_ORDER_BOUND = 4
@@ -23,19 +23,12 @@ PAIR_GROUPOID_BOUND = 6
 
 
 def _partial_maps(n, keep):
-    """Partial self-maps of {1..n} passing keep(map), in canonical order."""
-    maps = []
-    for dom_mask in range(1 << n):
-        dom = [x for x in range(1, n + 1) if dom_mask >> (x - 1) & 1]
-        for images in iproduct(range(1, n + 1), repeat=len(dom)):
-            m = dict(zip(dom, images))
-            if keep(m):
-                maps.append(m)
-    return maps
+    """Partial self-maps of {1..n} passing keep(map), in canonical order.
 
-
-def _map_name(m, n):
-    return "".join(str(m[x]) if x in m else "-" for x in range(1, n + 1))
+    A map is its tuple of images of 1..n, with 0 where it is undefined;
+    maps are ordered by domain bitmask, then by images."""
+    return sorted(filter(keep, iproduct(range(n + 1), repeat=n)),
+                  key=lambda m: (sum(1 << x for x, v in enumerate(m) if v), m))
 
 
 def _map_algebra(n, keep):
@@ -44,20 +37,15 @@ def _map_algebra(n, keep):
     if n > PT_ORDER_BOUND:
         raise TooLarge((n + 1) ** n, (PT_ORDER_BOUND + 1) ** PT_ORDER_BOUND)
     maps = _partial_maps(n, keep)
-    key = {tuple(sorted(m.items())): i for i, m in enumerate(maps)}
-
-    def idx(m):
-        return key[tuple(sorted(m.items()))]
-
-    def compose(s, t):
-        # right to left: (s*t)(x) = s(t(x))
-        return {x: s[t[x]] for x in t if t[x] in s}
-
-    mult = [[idx(compose(s, t)) for t in maps] for s in maps]
-    star = [idx({x: x for x in m}) for m in maps]
-    plus = [idx({y: y for y in m.values()}) for m in maps]
-    names = [_map_name(m, n) for m in maps]
-    return make_algebra(names, mult, star, plus, zero=idx({}))
+    idx = {m: i for i, m in enumerate(maps)}
+    points = range(1, n + 1)
+    # right to left: (s*t)(x) = s(t(x))
+    mult = [[idx[tuple(s[v - 1] if v else 0 for v in t)] for t in maps]
+            for s in maps]
+    star = [idx[tuple(x if v else 0 for x, v in zip(points, m))] for m in maps]
+    plus = [idx[tuple(x if x in m else 0 for x in points)] for m in maps]
+    names = ["".join(str(v) if v else "-" for v in m) for m in maps]
+    return make_algebra(names, mult, star, plus, zero=idx[(0,) * n])
 
 
 def gen_pt(n):
@@ -67,12 +55,13 @@ def gen_pt(n):
 
 def gen_i(n):
     """All injective partial self-maps of an n-point set."""
-    return _map_algebra(n, lambda m: len(set(m.values())) == len(m))
+    return _map_algebra(n, lambda m: len({v for v in m if v}) == n - m.count(0))
 
 
 def gen_triangular(n):
     """All order-increasing partial self-maps: s(x) >= x on the domain."""
-    return _map_algebra(n, lambda m: all(v >= x for x, v in m.items()))
+    return _map_algebra(n, lambda m: all(v == 0 or v >= x
+                                          for x, v in enumerate(m, 1)))
 
 
 def gen_pair_groupoid(n):
@@ -223,7 +212,7 @@ def enumerate_categories(max_objects=3, max_arrows=5):
             # non-unit arrows get nondecreasing (d, r) pairs; isomorphic
             # relabelings are removed afterwards
             pair_choices = [(x, y) for x in range(n_obj) for y in range(n_obj)]
-            for drs in _nondecreasing_tuples(pair_choices, extra):
+            for drs in combinations_with_replacement(pair_choices, extra):
                 d = unit[:] + [x for x, _ in drs]
                 r = unit[:] + [y for _, y in drs]
                 for comp in _complete_comp(n_arr, d, r, unit):
@@ -240,15 +229,6 @@ def enumerate_categories(max_objects=3, max_arrows=5):
     return found
 
 
-def _nondecreasing_tuples(choices, k):
-    if k == 0:
-        yield ()
-        return
-    for i, c in enumerate(choices):
-        for rest in _nondecreasing_tuples(choices[i:], k - 1):
-            yield (c,) + rest
-
-
 def corpus_semigroups():
     """Semigroup members of the verification corpus."""
     return list(zoo_semigroups().items())
@@ -262,19 +242,13 @@ def corpus_categories(max_objects=3, max_arrows=5):
     return members
 
 
-def search_no_cosupport(max_order=8, budget=5.0):
+def search_no_cosupport(max_order=8):
     """Exploratory: hunt for a restriction semigroup with local units that
     admits no compatible cosupport, among small subalgebras of PT_3.
 
-    Closes random-free, systematically generated subsets under product and
-    star; stops at the time budget.  Returns (found, checked, witness).
+    Closes systematically generated subsets of up to three generators under
+    product and star.  Returns (found, checked, witness).
     """
-    import time
-    from itertools import combinations
-
-    from .algebra import classify
-
-    start = time.monotonic()
     PT = gen_pt(3)
     n = PT.n
     checked = 0
@@ -308,8 +282,6 @@ def search_no_cosupport(max_order=8, budget=5.0):
 
     for size in (1, 2, 3):
         for gens in combinations(range(n), size):
-            if time.monotonic() - start > budget:
-                return False, checked, None
             elems = closure(gens)
             if elems is None or elems in seen:
                 continue

@@ -165,6 +165,24 @@ def no_meet_witness_brute(S):
 
 
 # ---------------------------------------------------------------------------
+# category associativity by the composable-triple loop
+
+
+def first_assoc_failure(d, r, comp):
+    """First composable (x, y, z), in lexicographic order, with
+    (x y) z != x (y z), or None."""
+    n = len(d)
+    for x in range(n):
+        for y in range(n):
+            if d[x] != r[y]:
+                continue
+            for z in range(n):
+                if d[y] == r[z] and comp[comp[x][y]][z] != comp[x][comp[y][z]]:
+                    return (x, y, z)
+    return None
+
+
+# ---------------------------------------------------------------------------
 # slices by raw subset enumeration
 
 

@@ -2,8 +2,8 @@ import time
 
 import pytest
 
-from oracles import count_slices_brute, slice_sets_brute
-from stonedual.algebra import SIZE_BOUND
+from oracles import count_slices_brute, first_assoc_failure, slice_sets_brute
+from stonedual.algebra import SIZE_BOUND, classify
 from stonedual.category import (Cofunctor, CoveringFunctor, Slice,
                                 check_cofunctor, cofunctor_to_covering,
                                 cofunctor_to_morphism, compose_cofunctors,
@@ -63,6 +63,33 @@ def test_associativity_checked():
         make_category(["o"], ["u", "a", "b"], [0, 0, 0], [0, 0, 0], [0],
                       [[0, 1, 2], [1, 2, 1], [2, 1, 1]])
     assert exc.value.axiom in ("A", "UL")
+
+
+def test_associativity_witness_is_the_first_failing_composable_triple(
+        corpus_cats):
+    # composites changed within their hom-set keep DP and RP; the cyclic
+    # group of order 13 takes the numpy path of the associativity check
+    n = 13
+    cyclic = make_category(["o"], [f"g{a}" for a in range(n)], [0] * n,
+                           [0] * n, [0], [[(a + b) % n for b in range(n)]
+                                          for a in range(n)])
+    failures = 0
+    for C in [C for _, C in corpus_cats] + [cyclic]:
+        arrows = range(C.n_arr)
+        cells = [(x, y, z) for x in arrows for y in arrows for z in arrows
+                 if C.d[x] == C.r[y] and z != C.comp[x][y]
+                 and (C.d[z], C.r[z]) == (C.d[y], C.r[x])]
+        for x, y, z in cells[-3:]:
+            comp = [list(row) for row in C.comp]
+            comp[x][y] = z
+            expected = first_assoc_failure(C.d, C.r, comp)
+            if expected is None:
+                continue
+            with pytest.raises(AxiomFail) as exc:
+                make_category(C.objects, C.arrows, C.d, C.r, C.unit, comp)
+            assert exc.value.witness == ("A", expected)
+            failures += 1
+    assert failures > 500
 
 
 def test_unit_law_checked():
@@ -161,6 +188,32 @@ def test_slice_semigroup_size_guard_fires_before_work():
         slice_semigroup(K5)
     assert time.perf_counter() - start < 0.1
     assert (exc.value.predicted, exc.value.bound) == (7776, SIZE_BOUND)
+
+
+def test_bislice_semigroup_is_bounded_by_its_own_count():
+    # objects 0..7 and one arrow i -> 0 from each i >= 1: 4,374 slices,
+    # of which 704 are bislices
+    n = 8
+    d = list(range(n)) + list(range(1, n))  # the units, then the i -> 0
+    r = list(range(n)) + [0] * (n - 1)
+    m = len(d)
+    # every composite has a unit factor: no i -> 0 follows another
+    comp = [[-1 if d[x] != r[y] else y if x < n else x for y in range(m)]
+            for x in range(m)]
+    C = make_category([f"o{o}" for o in range(n)],
+                      [f"a{a}" for a in range(m)], d, r, range(n), comp)
+    assert predicted_slice_count(C) == 4374 > SIZE_BOUND
+    S = slice_semigroup(C, bislices_only=True)
+    assert S.n == 704
+    assert classify(S).flags["boolean_birestriction"]
+
+
+def test_bislice_size_guard_fires_before_work():
+    K5 = gen_pair_groupoid(5)  # its bislices form I_5, 1,546 elements
+    start = time.perf_counter()
+    with pytest.raises(TooLarge):
+        slice_semigroup(K5, bislices_only=True)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_make_category_size_guard_fires_before_the_laws():

@@ -395,8 +395,7 @@ def test_every_zoo_output_passes_check(tmp_path):
 
 
 def test_search_command(capsys):
-    assert run(["search-no-cosupport", "--max-order", "4",
-                "--budget", "0.0"]) == 0
+    assert run(["search-no-cosupport", "--max-order", "3"]) == 0
     assert "found=False" in capsys.readouterr().out
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-import stonedual.duality
+import stonedual.category
 import stonedual.zoo
 from oracles import (MONOID_COUNTS, count_monoids_brute, expected_map_tables,
                      is_increasing, is_injective, parse_map)
@@ -142,8 +142,8 @@ def test_enumeration_refines_each_completion_once(monkeypatch):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(stonedual.duality, "_refine",
-                        counted("refine", stonedual.duality._refine))
+    monkeypatch.setattr(stonedual.category, "_refine",
+                        counted("refine", stonedual.category._refine))
     monkeypatch.setattr(stonedual.zoo, "make_category",
                         counted("make_category", stonedual.zoo.make_category))
     enumerate_categories(max_objects=3, max_arrows=4)
@@ -163,11 +163,12 @@ def test_corpus_contents():
 
 
 def test_search_no_cosupport_finds_small_witness():
-    found, checked, witness = search_no_cosupport(max_order=6, budget=30.0)
+    found, checked, witness = search_no_cosupport(max_order=6)
     assert found and checked > 0
     assert witness is not None and len(witness) <= 6
 
 
-def test_search_no_cosupport_respects_budget():
-    found, checked, witness = search_no_cosupport(max_order=8, budget=0.0)
-    assert not found and witness is None
+def test_search_no_cosupport_answers_by_order():
+    assert [search_no_cosupport(max_order=k) for k in (1, 2, 3, 4)] == [
+        (False, 8, None), (False, 48, None), (False, 169, None),
+        (True, 103, (0, 1, 2, 8))]

@@ -6,7 +6,8 @@ Everything is table-driven and exhaustively verified; sizes stay small
 enough that no approximation is ever needed.
 """
 
-from .errors import (InputError, MathFail, SdlError, TooLarge)
+from .errors import (InputError, InvariantViolation, MathFail, SdlError,
+                     TooLarge)
 from .report import Report, format_witness
 from .gba import (FinGBA, PrimeCharacter, atoms, basic_set, char_eval,
                   make_gba, verify_stone_duality)

@@ -22,9 +22,9 @@ from .algebra import (AlgebraClassification, SemigroupMorphism, _check_assoc,
                       check_morphism, classify, deterministic_sets,
                       make_algebra)
 from .errors import (AxiomFail, BadTableShape, CompDomainMismatch,
-                     CompositionMismatch, InputError, MathFail,
-                     NotAssociative, NotBijectiveOnArrows, NotStarBijective,
-                     ParentMismatch)
+                     CompositionMismatch, InputError, InvariantViolation,
+                     MathFail, NotAssociative, NotBijectiveOnArrows,
+                     NotStarBijective, ParentMismatch)
 
 
 class FinCat:
@@ -194,8 +194,7 @@ class Slice:
         return hash((id(self.parent), self.arrows))
 
     def __repr__(self):
-        names = ",".join(self.parent.arrows[a] for a in sorted(self.arrows))
-        return "{" + names + "}"
+        return _slice_name(self.parent, self.arrows)
 
     def is_bislice(self):
         return len({self.parent.r[a] for a in self.arrows}) == len(self.arrows)
@@ -244,7 +243,8 @@ def slice_semigroup(C, bislices_only=False):
 
     Element 0 is the empty slice, the zero.  The result always classifies
     boolean_range and etale_range (boolean_birestriction when restricted to
-    bisections); that is asserted here, not assumed.  The predicted slice
+    bisections); that is checked here, not assumed, and a failure raises
+    InvariantViolation with the flag and its witness.  The predicted slice
     count, or the count of bislices as they are enumerated, must be within
     the size bound before the table is built.
     """
@@ -254,28 +254,39 @@ def slice_semigroup(C, bislices_only=False):
     if not bislices_only:
         _check_size(predicted_slice_count(C))
     elems = enumerate_slices(C, bislices_only)
-    index = {s: i for i, s in enumerate(elems)}
-    names = [_slice_name(C, s) for s in elems]
-    comp, d, r, unit = C.comp, C.d, C.r, C.unit
-
-    def setprod(A, B):
-        return frozenset(comp[a][b] for a in A for b in B if d[a] == r[b])
-
-    mult = [[index[setprod(A, B)] for B in elems] for A in elems]
-    star = [index[frozenset(unit[d[a]] for a in A)] for A in elems]
-    plus = [index[frozenset(unit[r[a]] for a in A)] for A in elems]
-    S = make_algebra(names, mult, star, plus, zero=index[frozenset()])
+    S = _slice_algebra(C, elems, [_slice_name(C, s) for s in elems])
     S.slice_sets = tuple(elems)
     S.slice_parent = C
     cls = classify(S)
+    for flag in (("boolean_birestriction",) if bislices_only
+                 else ("boolean_range", "etale_range")):
+        if not cls.flags[flag]:
+            raise InvariantViolation(f"slice semigroup is not {flag}",
+                                     witness=(flag, cls.witnesses.get(flag)))
     if bislices_only:
-        assert cls.flags["boolean_birestriction"], cls.witnesses
         C.bislice_sg = S
     else:
-        assert cls.flags["boolean_range"], cls.witnesses
-        assert cls.flags["etale_range"], cls.witnesses
         C.slice_sg = S
     return S
+
+
+def _slice_algebra(C, slices, names):
+    """The algebra of the given slices of C, which must be closed under the
+    operations: A*B composes each arrow b of B after the arrow of A at r(b),
+    where A has one; support and cosupport are the units over the domains
+    and ranges.  The empty slice is the zero."""
+    comp, d, r, unit = C.comp, C.d, C.r, C.unit
+    index = {s: i for i, s in enumerate(slices)}
+    ends = [[(r[b], b) for b in B] for B in slices]
+    mult = []
+    for A in slices:
+        # after[o][b]: b, then the arrow of A at o
+        after = {d[a]: comp[a] for a in A}
+        mult.append([index[frozenset(after[o][b] for o, b in B if o in after)]
+                     for B in ends])
+    star = [index[frozenset(unit[d[a]] for a in A)] for A in slices]
+    plus = [index[frozenset(unit[r[a]] for a in A)] for A in slices]
+    return make_algebra(names, mult, star, plus, zero=index[frozenset()])
 
 
 def _slice_name(C, arrows):

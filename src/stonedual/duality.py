@@ -10,10 +10,10 @@ kept in the test oracles as an independent cross-check.
 
 from __future__ import annotations
 
-from .algebra import (BiUnaryAlgebra, SemigroupMorphism, bd_subalgebra,
-                      check_morphism, classify, deterministic_sets,
-                      partial_isomorphisms, projection_gba,
-                      with_inferred_plus)
+from .algebra import (BiUnaryAlgebra, SemigroupMorphism, _iter_bits,
+                      bd_subalgebra, check_morphism, classify,
+                      deterministic_sets, partial_isomorphisms,
+                      projection_gba, with_inferred_plus)
 # category_signature and iso_categories keep their stonedual.duality names
 from .category import (FinCat, Slice, _cofunctor_diff, _lifted_cofunctor,
                        category_signature, check_cofunctor,
@@ -53,12 +53,9 @@ def germ_category(S):
     if not cls.flags["has_local_units"]:
         raise NoLocalUnits("some element has no left local unit",
                            witness=cls.witnesses.get("has_local_units"))
-    _, to_mask, _ = projection_gba(S)
-    k = max(to_mask.values()).bit_length()
-    atoms = [None] * k
-    for e, mask in to_mask.items():
-        if mask and mask & (mask - 1) == 0:
-            atoms[mask.bit_length() - 1] = e
+    _, to_mask, from_mask = projection_gba(S)
+    atoms = [from_mask[1 << i]
+             for i in range(max(to_mask.values()).bit_length())]
     atom_set = set(atoms)
     mult, star = S.mult, S.star
 
@@ -98,15 +95,8 @@ def theta(S, s):
         raise UnknownElement(f"element index {s} out of range")
     G = germ_category(S)
     _, to_mask, _ = projection_gba(S)
-    mask = to_mask[S.star[s]]
-    arrows = set()
-    i = 0
-    while mask:
-        if mask & 1:
-            arrows.add(G.germ_index[S.mult[s][G.atoms[i]]])
-        mask >>= 1
-        i += 1
-    return Slice(G.category, arrows)
+    return Slice(G.category, {G.germ_index[S.mult[s][G.atoms[i]]]
+                              for i in _iter_bits(to_mask[S.star[s]])})
 
 
 def unit_eta(S):
@@ -261,8 +251,7 @@ def verify_groupoidal(instance):
         sets = semigroup_slices(C, S_C)
         bd = set(deterministic_sets(S_C)[2])
         piso = set(partial_isomorphisms(S_C))
-        bis = {i for i, fs in enumerate(sets)
-               if len({C.r[a] for a in fs}) == len(fs)}
+        bis = {i for i, fs in enumerate(sets) if Slice(C, fs).is_bislice()}
         rep.check("bideterministic-equals-bislices", bd == bis,
                   tuple(sorted(bd ^ bis)) or None)
         agrees = (inv is not None) == (piso == bd)

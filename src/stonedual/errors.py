@@ -20,6 +20,10 @@ class MathFail(SdlError):
         self.witness = witness
 
 
+class InvariantViolation(MathFail):
+    """A theorem the library relies on failed on a structure it built."""
+
+
 class BadTableShape(InputError):
     pass
 

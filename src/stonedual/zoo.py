@@ -1,9 +1,12 @@
 """Instance generators and the verification corpus.
 
-Partial-map semigroups are generated with a fixed element order: domains by
-bitmask ascending, images lexicographically within a domain.  Element names
-are value strings ("12", "2-", "--"), one character per point.  PT_2 is
-therefore --, 1-, 2-, -1, -2, 11, 12, 21, 22 in indices 0..8.
+The partial-map semigroups are slice semigroups of the pair groupoid K_n:
+PT_n is its slice semigroup, I_n its bislice semigroup, and the triangular
+semigroup the slices of the arrows x -> y with y >= x.  They are built by
+the slice-table builder of category, under its size bound, in their own
+element order (domains by bitmask ascending, images lexicographically
+within a domain) and with value strings ("12", "2-", "--") as names.
+PT_2 is therefore --, 1-, 2-, -1, -2, 11, 12, 21, 22 in indices 0..8.
 
 Categories beyond the named ones come from a bounded exhaustive enumeration
 (up to isomorphism) used as the adjunction test corpus.
@@ -14,38 +17,28 @@ from __future__ import annotations
 from itertools import combinations, combinations_with_replacement
 from itertools import product as iproduct
 
-from .algebra import classify, make_algebra
-from .category import category_signature, iso_categories, make_category
-from .errors import InputError, TooLarge
-
-PT_ORDER_BOUND = 4
-PAIR_GROUPOID_BOUND = 6
-
-
-def _partial_maps(n, keep):
-    """Partial self-maps of {1..n} passing keep(map), in canonical order.
-
-    A map is its tuple of images of 1..n, with 0 where it is undefined;
-    maps are ordered by domain bitmask, then by images."""
-    return sorted(filter(keep, iproduct(range(n + 1), repeat=n)),
-                  key=lambda m: (sum(1 << x for x, v in enumerate(m) if v), m))
+from .algebra import _check_size, classify, make_algebra
+from .category import (_slice_algebra, category_signature, iso_categories,
+                       make_category)
+from .errors import InputError
 
 
 def _map_algebra(n, keep):
+    """The partial self-maps of {1..n} passing keep, as slices of K_n.
+
+    A map m is the tuple of its images, with 0 where it is undefined, and
+    the slice of arrows x -> m(x), so s*t is s after t.  Maps are ordered
+    by domain bitmask, then by images."""
     if not 1 <= n:
         raise InputError("point count must be at least 1")
-    if n > PT_ORDER_BOUND:
-        raise TooLarge((n + 1) ** n, (PT_ORDER_BOUND + 1) ** PT_ORDER_BOUND)
-    maps = _partial_maps(n, keep)
-    idx = {m: i for i, m in enumerate(maps)}
-    points = range(1, n + 1)
-    # right to left: (s*t)(x) = s(t(x))
-    mult = [[idx[tuple(s[v - 1] if v else 0 for v in t)] for t in maps]
-            for s in maps]
-    star = [idx[tuple(x if v else 0 for x, v in zip(points, m))] for m in maps]
-    plus = [idx[tuple(x if x in m else 0 for x in points)] for m in maps]
+    _check_size(n + 1)  # a lower bound first: the power may not print
+    _check_size((n + 1) ** n)  # the slices of K_n
+    maps = sorted(filter(keep, iproduct(range(n + 1), repeat=n)),
+                  key=lambda m: (sum(1 << x for x, v in enumerate(m) if v), m))
+    slices = [frozenset(x * n + v - 1 for x, v in enumerate(m) if v)
+              for m in maps]
     names = ["".join(str(v) if v else "-" for v in m) for m in maps]
-    return make_algebra(names, mult, star, plus, zero=idx[(0,) * n])
+    return _slice_algebra(gen_pair_groupoid(n), slices, names)
 
 
 def gen_pt(n):
@@ -65,20 +58,22 @@ def gen_triangular(n):
 
 
 def gen_pair_groupoid(n):
-    """K_n: objects 1..n, one arrow between every ordered pair of objects."""
+    """K_n: objects 1..n, one arrow between every ordered pair of objects.
+    The arrow x -> y is named a<y><x>, with an underscore between the two
+    numbers from n = 10 on."""
     if not 1 <= n:
         raise InputError("object count must be at least 1")
-    if n > PAIR_GROUPOID_BOUND:
-        raise TooLarge(n * n, PAIR_GROUPOID_BOUND * PAIR_GROUPOID_BOUND)
+    _check_size(n)  # as in _map_algebra
+    _check_size(n * n)
     objects = [str(o) for o in range(1, n + 1)]
-    pairs = [(x, y) for x in range(n) for y in range(n)]  # arrow x -> y
-    idx = {p: i for i, p in enumerate(pairs)}
-    arrows = [f"a{y + 1}{x + 1}" for x, y in pairs]
-    d = [x for x, _ in pairs]
-    r = [y for _, y in pairs]
-    unit = [idx[(o, o)] for o in range(n)]
-    comp = [[idx[(x2, y1)] if x1 == y2 else -1
-             for (x2, y2) in pairs] for (x1, y1) in pairs]
+    sep = "" if n < 10 else "_"  # a1_11 and a11_1, not a111 twice
+    # the arrow x -> y is x * n + y; a after b is d(b) -> r(a)
+    arrows = [f"a{y + 1}{sep}{x + 1}" for x in range(n) for y in range(n)]
+    d = [a // n for a in range(n * n)]
+    r = [a % n for a in range(n * n)]
+    unit = [o * n + o for o in range(n)]
+    comp = [[d[b] * n + r[a] if d[a] == r[b] else -1 for b in range(n * n)]
+            for a in range(n * n)]
     return make_category(objects, arrows, d, r, unit, comp)
 
 
@@ -98,22 +93,14 @@ ZOO_CATEGORY_NAMES = ("k_1", "k_2", "k_3", "free_arrow")
 
 
 def zoo_semigroups():
-    return {
-        "pt_1": gen_pt(1),
-        "pt_2": gen_pt(2),
-        "i_2": gen_i(2),
-        "triangular_2": gen_triangular(2),
-        "triangular_3": gen_triangular(3),
-    }
+    return {"pt_1": gen_pt(1), "pt_2": gen_pt(2), "i_2": gen_i(2),
+            "triangular_2": gen_triangular(2),
+            "triangular_3": gen_triangular(3)}
 
 
 def zoo_categories():
-    return {
-        "k_1": gen_pair_groupoid(1),
-        "k_2": gen_pair_groupoid(2),
-        "k_3": gen_pair_groupoid(3),
-        "free_arrow": gen_free_arrow(),
-    }
+    return {"k_1": gen_pair_groupoid(1), "k_2": gen_pair_groupoid(2),
+            "k_3": gen_pair_groupoid(3), "free_arrow": gen_free_arrow()}
 
 
 def _complete_comp(n_arr, d, r, unit):

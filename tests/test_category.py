@@ -1,3 +1,5 @@
+import subprocess
+import sys
 import time
 
 import pytest
@@ -15,7 +17,8 @@ from stonedual.category import (Cofunctor, CoveringFunctor, Slice,
                                 slice_semigroup, slice_support)
 from stonedual.duality import counit_epsilon
 from stonedual.errors import (AxiomFail, BadTableShape, CompDomainMismatch,
-                              CompositionMismatch, InputError, MathFail,
+                              CompositionMismatch, InputError,
+                              InvariantViolation, MathFail,
                               NotBijectiveOnArrows, NotStarBijective,
                               ParentMismatch, TooLarge)
 from stonedual.io import load_instance, save_instance
@@ -223,6 +226,44 @@ def test_make_category_size_guard_fires_before_the_laws():
         make_category(["o", "p"], [f"a{i}" for i in range(n)], [0] * n,
                       [0] * n, [0, 0], [[0] * n] * n)
     assert exc.value.predicted == n
+
+
+@pytest.mark.parametrize("flag,bislices", [("boolean_range", False),
+                                          ("etale_range", False),
+                                          ("boolean_birestriction", True)])
+def test_slice_invariant_failure_raises_with_witness(fail_slice_flag, flag,
+                                                     bislices):
+    fail_slice_flag(flag)
+    C = gen_pair_groupoid(2)
+    with pytest.raises(InvariantViolation) as exc:
+        slice_semigroup(C, bislices_only=bislices)
+    assert exc.value.witness == (flag, ("planted",))
+    assert (C.bislice_sg if bislices else C.slice_sg) is None
+
+
+def test_slice_invariant_is_checked_under_python_O():
+    code = """
+import stonedual.category as cat
+from stonedual.algebra import AlgebraClassification
+from stonedual.errors import InvariantViolation
+from stonedual.zoo import gen_pair_groupoid
+real = cat.classify
+cat.classify = lambda S: AlgebraClassification(
+    {**real(S).flags, "boolean_range": False}, {})
+try:
+    cat.slice_semigroup(gen_pair_groupoid(2))
+except InvariantViolation as exc:
+    print("raised", exc.witness)
+"""
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True)
+    assert proc.stdout.strip() == "raised ('boolean_range', None)", proc.stderr
+
+
+def test_slice_repr_is_the_element_name():
+    C = gen_free_arrow()
+    S = slice_semigroup(C)
+    assert [repr(Slice(C, s)) for s in S.slice_sets] == list(S.names)
 
 
 def test_semigroup_slices_parses_names_without_cache():

@@ -275,6 +275,15 @@ def test_slices_size_guard(files, tmp_path, capsys):
     assert run(["slices", files["k3"], "-o", out]) == 0
 
 
+def test_slices_invariant_failure_exits_1(files, tmp_path, capsys,
+                                          fail_slice_flag):
+    fail_slice_flag("etale_range")
+    assert run(["slices", files["k2"], "-o", str(tmp_path / "s.json")]) == 1
+    line = capsys.readouterr().out.strip()
+    assert line.startswith("FAIL InvariantViolation")
+    assert line.endswith("witness=(etale_range,(planted))")
+
+
 def test_roundtrip_semigroup(files, capsys):
     assert run(["roundtrip", files["i2"]]) == 0
     out = capsys.readouterr().out
@@ -382,6 +391,10 @@ def test_zoo_command(tmp_path, capsys):
     assert run(["zoo", "pt", "-o", str(out)]) == 2
     assert run(["zoo", "nonesuch", "1", "-o", str(out)]) == 2
     assert run(["zoo", "pt", "9", "-o", str(out)]) == 2
+    capsys.readouterr()
+    # (n+1)^n would be too long to print; the guard never forms it
+    assert run(["zoo", "pt", "2000", "-o", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: size ")
 
 
 def test_every_zoo_output_passes_check(tmp_path):

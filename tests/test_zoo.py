@@ -1,10 +1,12 @@
+import time
+
 import pytest
 
 import stonedual.category
 import stonedual.zoo
 from oracles import (MONOID_COUNTS, count_monoids_brute, expected_map_tables,
                      is_increasing, is_injective, parse_map)
-from stonedual.algebra import classify
+from stonedual.algebra import SIZE_BOUND, classify
 from stonedual.category import is_groupoid
 from stonedual.duality import iso_categories
 from stonedual.errors import InputError, TooLarge
@@ -69,8 +71,36 @@ def test_size_guards():
         gen_pt(5)
     with pytest.raises(InputError):
         gen_pair_groupoid(0)
-    with pytest.raises(TooLarge):
-        gen_pair_groupoid(7)
+    # n^2 arrows: K_31 has 961, K_32 1,024
+    with pytest.raises(TooLarge) as exc:
+        gen_pair_groupoid(32)
+    assert (exc.value.predicted, exc.value.bound) == (1024, SIZE_BOUND)
+    with pytest.raises(TooLarge) as exc:
+        gen_pair_groupoid(10 ** 3000)  # its square is too long to print
+    assert exc.value.bound == SIZE_BOUND and "exceeds" in str(exc.value)
+    assert gen_pair_groupoid(7).n_arr == 49
+
+
+def test_pair_groupoid_arrow_names_are_unique_from_ten_objects():
+    assert gen_pair_groupoid(9).arrows[:2] == ("a11", "a21")
+    arrows = gen_pair_groupoid(11).arrows
+    assert arrows[:2] == ("a1_1", "a2_1")
+    assert {"a1_11", "a11_1"} <= set(arrows)
+
+
+@pytest.mark.parametrize("gen", [gen_pt, gen_i, gen_triangular])
+@pytest.mark.parametrize("n", [5, 2000, 10 ** 6])
+def test_map_generators_refuse_before_work(gen, n):
+    # bounded by the (n+1)^n slices of K_n, a power with over 6,000 digits
+    # at n = 2000, which is never formed
+    start = time.perf_counter()
+    with pytest.raises(TooLarge) as exc:
+        gen(n)
+    assert time.perf_counter() - start < 0.1
+    assert exc.value.bound == SIZE_BOUND
+    assert "exceeds bound" in str(exc.value)
+    if n == 5:
+        assert exc.value.predicted == 6 ** 5
 
 
 # -- categories -----------------------------------------------------------------

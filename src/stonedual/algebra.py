@@ -15,15 +15,23 @@ from itertools import combinations
 from operator import add, or_
 
 from . import gba as gba_mod
-from .errors import (BadTableShape, InputError, MathFail, NoLeftUnit,
-                     NoPlusTable, NotAssociative, PlusStarMismatch, TooLarge)
+from .errors import (BadTableShape, InputError, InvariantViolation, MathFail,
+                     NoLeftUnit, NoPlusTable, NotAssociative, PlusStarMismatch,
+                     TooLarge)
 from .report import format_witness
 
 # the most elements, arrows or predicted slices a table may index; on a
-# 2-core machine make_algebra takes about 6s and classify 80s at 1,000
+# 2-core machine make_algebra takes about 3s and classify 2s on the
+# 1,000-element chain
 SIZE_BOUND = 1000
-# above this many elements numpy checks associativity faster than Python
-_NUMPY_THRESHOLD = 12
+# above this many elements associativity and the whole-table axiom scans
+# run in numpy; at or below it the pure Python scans are faster
+_NUMPY_THRESHOLD = 14
+# the most cells of one intermediate array in a chunked numpy scan
+_CHUNK_CELLS = 1 << 16
+# numpy element indices, and -1 for none: 16 bits hold every index below
+# SIZE_BOUND and keep the tables a quarter the size of 64-bit ones
+_INDEX_DTYPE = "int16"
 
 
 class BiUnaryAlgebra:
@@ -87,6 +95,8 @@ class BiUnaryAlgebra:
     @cached_property
     def _order_masks(self):
         n, mult, star = self.n, self.mult, self.star
+        if n > _NUMPY_THRESHOLD:
+            return _row_masks(self._leq), _row_masks(self._leq.T)
         up = [0] * n
         down = [0] * n
         for i in range(n):
@@ -101,11 +111,34 @@ class BiUnaryAlgebra:
     def joins(self):
         """joins[s][t] = join(self, s, t), for every pair at once."""
         up, n = self.up, self.n
+        if n > _NUMPY_THRESHOLD:
+            return tuple(tuple(None if j < 0 else j for j in row)
+                         for row in self._join_arrays[0].tolist())
         table = [[None] * n for _ in range(n)]
         for s in range(n):
             for t in range(s, n):
                 table[s][t] = table[t][s] = _least(up, s, t)
         return tuple(map(tuple, table))
+
+    # numpy forms, used above _NUMPY_THRESHOLD elements
+
+    @cached_property
+    def _mult_array(self):
+        import numpy as np
+        return np.array(self.mult, dtype=_INDEX_DTYPE)
+
+    @cached_property
+    def _leq(self):
+        """_leq[i, j] = self.leq(i, j), as a bool matrix."""
+        import numpy as np
+        return self._mult_array[:, self.star].T == np.arange(self.n)[:, None]
+
+    @cached_property
+    def _join_arrays(self):
+        """(joins, bounded): the join of every pair as an int matrix, -1
+        where there is none, and whether it has an upper bound."""
+        return _least_array(self._leq, self.up)
+
 
     @cached_property
     def classification(self):
@@ -193,6 +226,70 @@ def _least(masks, s, t):
     return None
 
 
+def _row_masks(rel):
+    """The rows of a bool matrix as bitmasks."""
+    import numpy as np
+    return tuple(int.from_bytes(row.tobytes(), "little")
+                 for row in np.packbits(rel, axis=1, bitorder="little"))
+
+
+def _least_array(rel, masks):
+    """(least, shared) for every pair s, t of rows of the bool matrix rel,
+    whose rows as bitmasks are masks: least[s, t] = _least(masks, s, t), -1
+    for None, and shared[s, t] says whether masks[s] & masks[t] is nonzero.
+
+    When rel is antisymmetric and transitive, the bound that _least seeks
+    is the one element of masks[s] & masks[t] whose mask equals that
+    intersection, and every other element of it has a smaller mask.  So
+    with the columns sorted by descending mask size it is the first common
+    bit, confirmed by one containment test on rows packed into 64-bit
+    words.  Other relations fall back to _least.
+    """
+    import numpy as np
+    n = len(rel)
+    order = np.argsort(-rel.sum(axis=1), kind="stable")
+    # words[w, s] = bits 64w..64w+63 of masks[s], columns in that order
+    packed = np.zeros((n, -(-n // 64) * 8), dtype=np.uint8)
+    packed[:, :-(-n // 8)] = np.packbits(rel[:, order], axis=1,
+                                         bitorder="little")
+    words = np.ascontiguousarray(packed.view("<u8").T)
+    # antisymmetric: s R t R s only for s = t; transitive: s R t puts
+    # masks[t] inside masks[s]
+    ss, ts = np.nonzero(rel)
+    step = max(1, _CHUNK_CELLS // len(words))
+    partial = not (rel[ts, ss] & (ss != ts)).any() and not any(
+        (words[:, ts[i:i + step]] & ~words[:, ss[i:i + step]]).any()
+        for i in range(0, len(ss), step))
+    one = np.uint64(1)
+    least = np.empty((n, n), dtype=_INDEX_DTYPE)
+    shared = np.empty((n, n), dtype=bool)
+    step = max(1, _CHUNK_CELLS // n)
+    for lo in range(0, n, step):
+        # common word w of (s, t) is rows[w, s - lo] & words[w, t]
+        rows = words[:, lo:lo + step, None]
+        word = np.zeros((len(rows[0]), n), dtype=np.intp)
+        bits = np.zeros((len(rows[0]), n), dtype=np.uint64)
+        for w in reversed(range(len(words))):
+            common = rows[w] & words[w]
+            np.copyto(word, w, where=common != 0)
+            np.copyto(bits, common, where=common != 0)
+        shared[lo:lo + step] = bits != 0
+        # the lowest set bit of the first nonzero word, isolated as a power
+        # of two, whose exponent frexp reads off exactly; pairs with nothing
+        # in common are masked out below
+        low = np.frexp((bits & (~bits + one)).astype(np.float64))[1] - 1
+        first = order[np.clip(64 * word + low, 0, n - 1)]
+        missing = bits == 0
+        for w in range(len(words)):
+            missing |= rows[w] & words[w] & ~words[w][first] != 0
+        least[lo:lo + step] = np.where(missing, -1, first)
+    if not partial:
+        least = np.array([[-1 if m is None else m
+                           for m in (_least(masks, s, t) for t in range(n))]
+                          for s in range(n)], dtype=_INDEX_DTYPE)
+    return least, shared
+
+
 def _check_size(n):
     if n > SIZE_BOUND:
         raise TooLarge(n, SIZE_BOUND)
@@ -226,25 +323,77 @@ def _assoc_pure(mult):
                     raise NotAssociative(i, j, k)
 
 
-def _assoc_numpy(mult):
+def _assoc_numpy(a):
+    """The full scan of the int matrix a: in one pass when its n**3 cells
+    fit in one chunk, else one row i at a time."""
     import numpy as np
-    a = np.asarray(mult, dtype=np.int64)
-    n = len(mult)
-    for i in range(n):
-        left = a[a[i]]          # (i*j)*k
-        right = a[i][a]         # i*(j*k)
-        if not np.array_equal(left, right):
-            j, k = map(int, np.argwhere(left != right)[0])
-            raise NotAssociative(i, j, k)
+    n = len(a)
+    step = n if n ** 3 <= _CHUNK_CELLS else 1
+    for lo in range(0, n, step):
+        rows = a[lo:lo + step]
+        bad = a[rows] != np.take(rows, a, axis=1)  # (ij)k against i(jk)
+        first = int(bad.argmax())
+        if bad.flat[first]:
+            i, j, k = map(int, np.unravel_index(first, bad.shape))
+            raise NotAssociative(lo + i, j, k)
+
+
+def _generators(a):
+    """A set of elements generating the magma with table a, or None once it
+    would exceed n // 8 elements.
+
+    Greedy, least-factorable first: the next generator is the element not
+    yet generated that occurs least often in the table, and the closure
+    grows by the products of the new elements with all elements so far.
+    """
+    import numpy as np
+    n = len(a)
+    inside = np.zeros(n, dtype=bool)
+    members = np.empty(0, dtype=a.dtype)
+    gens = []
+    for g in np.argsort(np.bincount(a.ravel(), minlength=n), kind="stable"):
+        if members.size == n:
+            break
+        if inside[g]:
+            continue
+        if len(gens) == n // 8:
+            return None
+        gens.append(g)
+        new = np.array([g])
+        inside[g] = True
+        while new.size:
+            members = np.concatenate((members, new))
+            prod = np.concatenate((a[np.ix_(members, new)].ravel(),
+                                   a[np.ix_(new, members)].ravel()))
+            new = np.unique(prod[~inside[prod]])
+            inside[new] = True
+    return gens
 
 
 def _check_assoc(mult):
     """Raise NotAssociative at the lexicographically first triple (i, j, k)
-    with (i*j)*k != i*(j*k)."""
-    if len(mult) > _NUMPY_THRESHOLD:
-        _assoc_numpy(mult)
-    else:
+    with (i*j)*k != i*(j*k).
+
+    Above _NUMPY_THRESHOLD elements the scan runs in numpy.  When it takes
+    more than one chunk, Light's test comes first (Clifford & Preston, The
+    Algebraic Theory of Semigroups I, 1.2): the elements g with
+    (x*g)*y = x*(g*y) for all x and y are closed under product, so checking
+    a generating set proves associativity.  The full scan, which finds the
+    first triple, then runs only when a generator fails or no small
+    generating set is found.
+    """
+    n = len(mult)
+    if n <= _NUMPY_THRESHOLD:
         _assoc_pure(mult)
+        return
+    import numpy as np
+    a = np.asarray(mult, dtype=_INDEX_DTYPE)
+    if n ** 3 > _CHUNK_CELLS:
+        gens = _generators(a)
+        if gens is not None and all(np.array_equal(a[a[:, g]], a[:, a[g]])
+                                    for g in gens):
+            return
+    _assoc_numpy(a)
 
 
 def make_algebra(names, mult, star, plus=None, zero=None):
@@ -467,10 +616,34 @@ def with_inferred_plus(S):
     return S if S.plus is not None else S._with_plus
 
 
+def _first_failure(checks):
+    """The first (name, witness) among checks, pairs of a name and a bool
+    array over elements or element pairs: the witness is the least failing
+    index in row-major order, and at one index the earlier check wins.  On
+    a symmetric pair array the first failing pair (s, t) has s <= t."""
+    import numpy as np
+    fails = reduce(or_, (bad for _, bad in checks))
+    k = int(fails.argmax())
+    if not fails.flat[k]:
+        return None
+    name = next(name for name, bad in checks if bad.flat[k])
+    return (name, tuple(map(int, np.unravel_index(k, fails.shape))))
+
+
 def _star_axiom_witness(S):
     """First failure among the support axioms, or None."""
     mult, star = S.mult, S.star
     n = S.n
+    if n > _NUMPY_THRESHOLD:
+        import numpy as np
+        a, x = S._mult_array, np.arange(n)
+        st = np.array(star, dtype=a.dtype)
+        p = a[np.ix_(st, st)]  # p[x, y] = x^* y^*
+        return _first_failure([("x*support(x)=x", a[x, st] != x)]) or (
+            _first_failure([
+                ("supports-commute-and-are-projections",
+                 (p != p.T) | (st[p] != p)),
+                ("support(xy)=support(support(x)y)", st[a] != st[a[st]])]))
     for x in range(n):
         if mult[x][star[x]] != x:
             return ("x*support(x)=x", (x,))
@@ -490,6 +663,20 @@ def _plus_axiom_witness(S):
     """First failure among the cosupport and linking axioms, or None."""
     mult, star, plus = S.mult, S.star, S.plus
     n = S.n
+    if n > _NUMPY_THRESHOLD:
+        import numpy as np
+        a = S._mult_array
+        st, pl = np.array(star, dtype=a.dtype), np.array(plus, dtype=a.dtype)
+        p = a[np.ix_(pl, pl)]  # p[x, y] = x^+ y^+
+        return _first_failure([
+            ("cosupport(x)*x=x", a[pl, np.arange(n)] != np.arange(n)),
+            ("support(cosupport(x))=cosupport(x)", st[pl] != pl),
+            ("cosupport(support(x))=support(x)", pl[st] != st)]) or (
+            _first_failure([
+                ("cosupports-commute-and-are-projections",
+                 (p != p.T) | (pl[p] != p)),
+                ("cosupport(xy)=cosupport(x cosupport(y))",
+                 pl[a] != pl[a[:, pl]])]))
     for x in range(n):
         if mult[plus[x]][x] != x:
             return ("cosupport(x)*x=x", (x,))
@@ -512,6 +699,13 @@ def _plus_axiom_witness(S):
 def _restriction_witness(S):
     mult, star = S.mult, S.star
     n = S.n
+    if n > _NUMPY_THRESHOLD:
+        import numpy as np
+        a = S._mult_array
+        st = np.array(star, dtype=a.dtype)
+        # support(x)y and y support(xy) at [x, y]
+        return _first_failure([("support(x)y=y support(xy)",
+                                a[st] != a[np.arange(n), st[a]])])
     for x in range(n):
         sx = star[x]
         for y in range(n):
@@ -523,6 +717,13 @@ def _restriction_witness(S):
 def _corestriction_witness(S):
     mult, plus = S.mult, S.plus
     n = S.n
+    if n > _NUMPY_THRESHOLD:
+        import numpy as np
+        a = S._mult_array
+        pl = np.array(plus, dtype=a.dtype)
+        # x cosupport(y) and cosupport(xy) x at [x, y]
+        return _first_failure([("x cosupport(y)=cosupport(xy)x",
+                                a[:, pl] != a[pl[a], np.arange(n)[:, None]])])
     for x in range(n):
         for y in range(n):
             if mult[x][plus[y]] != mult[plus[mult[x][y]]][x]:
@@ -610,7 +811,6 @@ def _classify(S):
             probe = with_inferred_plus(S) or S
         except MathFail:
             pass
-    up, down = S.up, S.down
     base_r, base_b = ("restriction", "_BR2"), ("birestriction", "_BR2")
     cls = AlgebraClassification.from_rules([
         ("ehresmann", (), lambda: star_wit),
@@ -626,15 +826,14 @@ def _classify(S):
         ("has_local_units", (), lambda: _local_units_witness(S)),
         # (BR2) P(S) is a GBA; (BR1), (BR1') and (BR3) are the join axioms
         ("_BR2", (), lambda: _br2_witness(S)),
-        ("_BR1", base_r, lambda: _br1_witness(
-            S, "BR1", lambda s, t: compatible(S, s, t, "right"))),
-        ("_BR1'", base_r, lambda: _br1_witness(S, "BR1'", lambda s, t: up[s] & up[t])),
+        ("_BR1", base_r, lambda: _br1_witness(S, "BR1")),
+        ("_BR1'", base_r, lambda: _br1_witness(S, "BR1'")),
         ("_BR3", base_r, lambda: _br3_witness(S)),
         ("preboolean_restriction", ("_BR1'", "_BR3"), None),
         ("boolean_restriction", ("_BR1", "_BR3"), None),
         ("preboolean_birestriction", (*base_b, "_BR1'", "_BR3"), None),
-        ("boolean_birestriction", base_b, lambda: _br1_witness(
-            S, "BBR1", lambda s, t: compatible(probe, s, t, "bi"))),
+        ("boolean_birestriction", base_b,
+         lambda: _br1_witness(S, "BBR1", probe)),
         ("boolean_range", ("range", "boolean_restriction"), None),
         ("etale_range", ("boolean_range",), lambda: _join_cover_witness(
             S, sum(1 << b for b in deterministic_sets(probe)[2]))),
@@ -642,11 +841,9 @@ def _classify(S):
         # boolean_range prerequisite (a projection semilattice qualifies)
         ("groupoidal_etale", (), lambda: _groupoidal_witness(S)),
         ("inverse", (), lambda: _inverse_witness(S)),
-        ("has_binary_meets", (), lambda: next(
-            (("no-meet", (s, t)) for s in range(S.n) for t in range(s, S.n)
-             if _least(down, s, t) is None), None)),
+        ("has_binary_meets", (), lambda: _meets_witness(S)),
     ], plus_inferred=probe is not S)
-    _assert_implications(cls)
+    _check_implications(cls)
     return cls
 
 
@@ -673,20 +870,60 @@ def _groupoidal_witness(S):
     return _join_cover_witness(S, piso)
 
 
-def _br1_witness(S, axiom, related):
+def _br1_witness(S, axiom, probe=None):
     """First pair (s, t) that is related but has no join, as a witness.
 
-    related and joins are symmetric, so the first failing pair in row-major
-    order has s <= t, and only those pairs are scanned; the same holds for
-    the meets scan of has_binary_meets."""
-    joins = S.joins
+    Related means right-compatible for BR1, bounded above for BR1', and
+    compatible on both sides, by the plus table of probe, for BBR1.  The
+    relation and joins are symmetric, so the first failing pair in
+    row-major order has s <= t, and the Python scan visits only those
+    pairs; the same holds for the meets scan."""
+    if S.n > _NUMPY_THRESHOLD:
+        joins, related = S._join_arrays
+        if axiom != "BR1'":
+            right = S._mult_array[:, S.star]  # right[s, t] = s t^*
+            related = right == right.T
+            if axiom == "BBR1":
+                left = S._mult_array[list(probe.plus)]  # left[t, s] = t^+ s
+                related &= left == left.T
+        return _first_failure([(axiom, related & (joins < 0))])
+    up, joins = S.up, S.joins
+    related = {"BR1": lambda s, t: compatible(S, s, t, "right"),
+               "BR1'": lambda s, t: up[s] & up[t],
+               "BBR1": lambda s, t: compatible(probe, s, t, "bi")}[axiom]
     return next(((axiom, (s, t)) for s in range(S.n) for t in range(s, S.n)
                  if related(s, t) and joins[s][t] is None), None)
 
 
+def _meets_witness(S):
+    """First pair (s, t), s <= t, with no meet, as a witness."""
+    if S.n > _NUMPY_THRESHOLD:
+        meets = _least_array(S._leq.T, S.down)[0]
+        return _first_failure([("no-meet", meets < 0)])
+    down = S.down
+    return next((("no-meet", (s, t)) for s in range(S.n)
+                 for t in range(s, S.n) if _least(down, s, t) is None), None)
+
+
 def _br3_witness(S):
     # (s, t) and (t, s) fail at the same u, so the first failure has s <= t
-    n, mult, joins = S.n, S.mult, S.joins
+    n, mult = S.n, S.mult
+    if n > _NUMPY_THRESHOLD:
+        import numpy as np
+        a, joins = S._mult_array, S._join_arrays[0]
+        # the pairs in row-major order, a chunk at a time; bad[p, u] says
+        # whether (s v t)u differs from su v tu for the p-th pair (s, t)
+        ss, ts = np.nonzero(np.triu(joins >= 0))
+        step = max(1, _CHUNK_CELLS // n)
+        for lo in range(0, len(ss), step):
+            s, t = ss[lo:lo + step], ts[lo:lo + step]
+            bad = joins[a[s], a[t]] != a[joins[s, t]]
+            k = int(bad.argmax())
+            if bad.flat[k]:
+                p, u = divmod(k, n)
+                return ("BR3", (int(s[p]), int(t[p]), u))
+        return None
+    joins = S.joins
     for s in range(n):
         ms = mult[s]
         for t in range(s, n):
@@ -723,11 +960,13 @@ def _inverse_witness(S):
     return None
 
 
-def _assert_implications(cls):
+def _check_implications(cls):
     # the other implications between flags are prerequisites in the rules
-    f = cls.flags
-    assert not f["boolean_restriction"] or f["preboolean_restriction"]
-    assert not f["boolean_birestriction"] or f["preboolean_birestriction"]
+    for strong, weak in (("boolean_restriction", "preboolean_restriction"),
+                         ("boolean_birestriction", "preboolean_birestriction")):
+        if cls.flags[strong] and not cls.flags[weak]:
+            raise InvariantViolation(f"{strong} holds but {weak} fails",
+                                     witness=(strong, weak))
 
 
 @dataclass(frozen=True)

@@ -20,8 +20,8 @@ from .category import (FinCat, Slice, _cofunctor_diff, _lifted_cofunctor,
                        cofunctor_to_morphism, compose_cofunctors,
                        identity_cofunctor, is_groupoid, iso_categories,
                        make_category, semigroup_slices, slice_semigroup)
-from .errors import (NoLocalUnits, NotAMorphism, NotBooleanBirestriction,
-                     NotPreBoolean, UnknownElement)
+from .errors import (InvariantViolation, NoLocalUnits, NotAMorphism,
+                     NotBooleanBirestriction, NotPreBoolean, UnknownElement)
 from .report import Report
 
 
@@ -102,8 +102,9 @@ def theta(S, s):
 def unit_eta(S):
     """The map s -> Theta(s) into the slice semigroup of the germ category.
 
-    Always a verified injective morphism; a bijection exactly on Boolean
-    restriction instances, asserted accordingly.
+    Always an injective morphism, and onto on Boolean restriction
+    instances; each is checked, and a failure raises InvariantViolation
+    with the property and its witness.
     """
     G = germ_category(S)
     T = slice_semigroup(G.category)
@@ -111,10 +112,18 @@ def unit_eta(S):
     m = tuple(index[theta(S, s).arrows] for s in range(S.n))
     f = SemigroupMorphism(S, T, m)
     verdict = check_morphism(f, 1)
-    assert verdict.ok, (verdict.failed, verdict.witness)
-    assert len(set(m)) == S.n, "unit must be injective"
-    if classify(S).flags["boolean_restriction"]:
-        assert len(set(m)) == T.n, "unit must be onto for Boolean instances"
+    if not verdict.ok:
+        raise InvariantViolation("unit is not a morphism", witness=(
+            "unit-morphism", (verdict.failed, verdict.witness)))
+    source = {}
+    for s, i in enumerate(m):
+        if source.setdefault(i, s) != s:
+            raise InvariantViolation("unit is not injective", witness=(
+                "unit-injective", (source[i], s)))
+    if classify(S).flags["boolean_restriction"] and len(source) < T.n:
+        missed = next(i for i in range(T.n) if i not in source)
+        raise InvariantViolation("unit is not onto a Boolean instance",
+                                 witness=("unit-onto", (missed,)))
     return f
 
 

@@ -1,5 +1,6 @@
 import pytest
 
+import stonedual.algebra
 import stonedual.category
 from stonedual.algebra import AlgebraClassification
 from stonedual.zoo import (corpus_categories, corpus_semigroups,
@@ -41,3 +42,13 @@ def fail_slice_flag(monkeypatch):
                                          {**cls.witnesses, flag: ("planted",)})
         monkeypatch.setattr(stonedual.category, "classify", classify)
     return plant
+
+
+@pytest.fixture(params=["chunked", "one-cell-chunks"])
+def numpy_kernel(request, monkeypatch):
+    """Send every table down the numpy path.  With one-cell chunks every
+    chunked scan takes one row or one pair at a time, and associativity
+    always starts with Light's test."""
+    monkeypatch.setattr(stonedual.algebra, "_NUMPY_THRESHOLD", 0)
+    if request.param == "one-cell-chunks":
+        monkeypatch.setattr(stonedual.algebra, "_CHUNK_CELLS", 1)

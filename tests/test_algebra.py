@@ -1,11 +1,14 @@
 import hashlib
+import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from oracles import (br1_witness_brute, br1prime_witness_brute,
                      br3_witness_brute, brute_join, inverse_map,
                      leq as oracle_leq, no_meet_witness_brute, parse_map)
+from stonedual import algebra
 from stonedual.algebra import (SIZE_BOUND, BiUnaryAlgebra, bd_subalgebra,
                                check_morphism, classify, compatible,
                                deterministic_sets, has_local_units,
@@ -13,9 +16,9 @@ from stonedual.algebra import (SIZE_BOUND, BiUnaryAlgebra, bd_subalgebra,
                                join, join_all, make_algebra, meet, nat_leq,
                                partial_isomorphisms, projection_gba,
                                projections, SemigroupMorphism)
-from stonedual.errors import (BadTableShape, MathFail, NoLeftUnit,
-                              NoPlusTable, NotAssociative, PlusStarMismatch,
-                              TooLarge)
+from stonedual.errors import (BadTableShape, InvariantViolation, MathFail,
+                              NoLeftUnit, NoPlusTable, NotAssociative,
+                              PlusStarMismatch, TooLarge)
 from stonedual.zoo import gen_i, gen_pt, gen_triangular
 
 
@@ -53,6 +56,28 @@ def test_numpy_associativity_path():
     with pytest.raises(NotAssociative) as exc:
         make_algebra([f"e{i}" for i in range(n)], mult, list(range(n)))
     assert exc.value.witness == (0, 0, 1)
+
+
+@pytest.mark.parametrize("gen,n", [(gen_pt, 3), (gen_triangular, 4)])
+def test_light_test_finds_the_first_triple_of_mutated_tables(gen, n):
+    # 64 and 120 elements: Light's test runs first; each table has one cell
+    # changed, and the expected triple comes from one whole-table comparison
+    S = gen(n)
+    rng = random.Random(n)
+    failures = 0
+    for _ in range(30):
+        mult = [list(row) for row in S.mult]
+        mult[rng.randrange(S.n)][rng.randrange(S.n)] = rng.randrange(S.n)
+        a = np.array(mult)
+        bad = np.argwhere(a[a] != a[:, a])
+        if len(bad) == 0:
+            make_algebra(S.names, mult, S.star)
+            continue
+        with pytest.raises(NotAssociative) as exc:
+            make_algebra(S.names, mult, S.star)
+        assert exc.value.witness == tuple(map(int, bad[0]))
+        failures += 1
+    assert failures > 20
 
 
 def test_make_algebra_size_guard_fires_before_the_laws():
@@ -130,29 +155,37 @@ def test_join_and_meet_match_brute_force(gen):
             assert meet(S, s, t) == (greatest[0] if greatest else None)
 
 
+def _subsemigroup(P, gens, limit=None):
+    """The sub-semigroup of P generated by gens and closed under star, or
+    None once it has more than limit elements."""
+    elems = set(gens)
+    while limit is None or len(elems) <= limit:
+        new = {P.mult[a][b] for a in elems for b in elems}
+        new |= {P.star[a] for a in elems}
+        if new <= elems:
+            break
+        elems |= new
+    else:
+        return None
+    keep = sorted(elems)
+    pos = {e: i for i, e in enumerate(keep)}
+    return make_algebra([P.names[e] for e in keep],
+                        [[pos[P.mult[a][b]] for b in keep] for a in keep],
+                        [pos[P.star[a]] for a in keep])
+
+
 def _small_subsemigroups(P, limit=12):
     """Sub-semigroups of P generated by one or two elements and closed
     under product and star, with at most limit elements."""
     seen = set()
     for gens in [(a,) for a in range(P.n)] + list(combinations(range(P.n), 2)):
-        elems = set(gens)
-        while len(elems) <= limit:
-            new = {P.mult[a][b] for a in elems for b in elems}
-            new |= {P.star[a] for a in elems}
-            if new <= elems:
-                break
-            elems |= new
-        keep = tuple(sorted(elems))
-        if len(keep) > limit or keep in seen:
-            continue
-        seen.add(keep)
-        pos = {e: i for i, e in enumerate(keep)}
-        yield make_algebra([P.names[e] for e in keep],
-                           [[pos[P.mult[a][b]] for b in keep] for a in keep],
-                           [pos[P.star[a]] for a in keep])
+        S = _subsemigroup(P, gens, limit)
+        if S is not None and S.names not in seen:
+            seen.add(S.names)
+            yield S
 
 
-def test_join_axiom_witnesses_match_brute_force():
+def _check_join_axiom_witnesses():
     failed = {"BR1": 0, "BR3": 0, "no-meet": 0}
     for S in _small_subsemigroups(gen_pt(3)):
         cls = classify(S)
@@ -178,12 +211,108 @@ def test_join_axiom_witnesses_match_brute_force():
     assert all(failed.values()), failed
 
 
-def test_classification_of_pt3_subsemigroups_is_pinned():
+def test_join_axiom_witnesses_match_brute_force():
+    _check_join_axiom_witnesses()
+
+
+def test_numpy_join_axiom_witnesses_match_brute_force(numpy_kernel):
+    _check_join_axiom_witnesses()
+
+
+def _pt3_classification_digest():
     # every flag, witness and rendered line over the family, as SHA-256
     text = "\n\n".join(classify(S).render(S.names)
                         for S in _small_subsemigroups(gen_pt(3)))
-    assert hashlib.sha256(text.encode()).hexdigest() == (
-        "2ed128b36e06eb4b4e472ff6a9f0bbd3c8997c5a543cba3c313e8ac8e8cc540e")
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+PT3_CLASSIFICATION_DIGEST = (
+    "2ed128b36e06eb4b4e472ff6a9f0bbd3c8997c5a543cba3c313e8ac8e8cc540e")
+
+
+def test_classification_of_pt3_subsemigroups_is_pinned():
+    assert _pt3_classification_digest() == PT3_CLASSIFICATION_DIGEST
+
+
+def test_numpy_classification_of_pt3_subsemigroups_is_pinned(numpy_kernel):
+    assert _pt3_classification_digest() == PT3_CLASSIFICATION_DIGEST
+
+
+def _is_partial_order(S):
+    n = range(S.n)
+    return not any(
+        (oracle_leq(S, a, b) and oracle_leq(S, b, a) and a != b)
+        or (oracle_leq(S, a, b) and oracle_leq(S, b, c)
+            and not oracle_leq(S, a, c))
+        for a in n for b in n for c in n)
+
+
+def test_numpy_classification_matches_python_on_mutated_tables(monkeypatch):
+    # star and product cells changed at random: most tables are no longer
+    # Ehresmann, and where the natural order is not a partial order the
+    # numpy join and meet tables fall back to the pairwise search
+    rng = random.Random(5)
+    not_partial = 0
+    for S in (gen_pt(2), gen_i(2), gen_triangular(3), gen_i(3)):
+        for _ in range(25):
+            mult, star = [list(row) for row in S.mult], list(S.star)
+            for _ in range(rng.choice((1, 2, 3))):
+                if rng.random() < 0.5:
+                    mult[rng.randrange(S.n)][rng.randrange(S.n)] = (
+                        rng.randrange(S.n))
+                else:
+                    star[rng.randrange(S.n)] = rng.randrange(S.n)
+            seen = []
+            for threshold in (SIZE_BOUND, 0):  # Python, numpy
+                monkeypatch.setattr(algebra, "_NUMPY_THRESHOLD", threshold)
+                T = BiUnaryAlgebra(S.names, mult, star, S.plus, S.zero)
+                seen.append((classify(T).render(), T.joins, T.up, T.down))
+            assert seen[0] == seen[1], (S.names, mult, star)
+            not_partial += not _is_partial_order(T)
+    assert not_partial > 10, not_partial
+
+
+# generators of sub-semigroups of pt_4, closed under product and star, that
+# fail BR1', with whether they fail BR3 too; each has more than
+# _NUMPY_THRESHOLD elements
+BR1_PRIME_FAILURES = ((("-4-4", "1141", "2444"), True),
+                      (("--3-", "3414", "4442"), True),
+                      (("-3--", "1321", "4424"), True),
+                      (("4---", "2344", "3134"), True),
+                      (("-4-4", "1343", "4222"), False))
+
+
+@pytest.fixture(scope="module")
+def pt4():
+    return gen_pt(4)
+
+
+@pytest.mark.parametrize("gens,fails_br3", BR1_PRIME_FAILURES)
+def test_br1_prime_failure_is_pinned(monkeypatch, pt4, gens, fails_br3):
+    S = _subsemigroup(pt4, [pt4.names.index(g) for g in gens])
+    assert S.n > algebra._NUMPY_THRESHOLD
+    br1p, br3 = br1prime_witness_brute(S), br3_witness_brute(S)
+    assert br1p[0] == "BR1'" and (br3 is not None) == fails_br3
+    for threshold in (algebra._NUMPY_THRESHOLD, SIZE_BOUND):  # numpy, Python
+        monkeypatch.setattr(algebra, "_NUMPY_THRESHOLD", threshold)
+        T = make_algebra(S.names, S.mult, S.star)
+        assert classify(T).witness("preboolean_restriction") == br1p
+        assert algebra._br3_witness(T) == br3
+
+
+@pytest.mark.parametrize("gen,strong,weak", [
+    (gen_pt, "boolean_restriction", "preboolean_restriction"),
+    (gen_i, "boolean_birestriction", "preboolean_birestriction")])
+def test_flag_implication_failure_raises_with_witness(monkeypatch, gen,
+                                                      strong, weak):
+    # a BR1' scan that fails wrongly breaks BR1 => BR1' on pt_2, and on
+    # i_2, which fails BR1, it breaks BBR1 => BR1'
+    real = algebra._br1_witness
+    monkeypatch.setattr(algebra, "_br1_witness", lambda S, axiom, probe=None: (
+        ("planted", ()) if axiom == "BR1'" else real(S, axiom, probe)))
+    with pytest.raises(InvariantViolation) as exc:
+        classify(gen(2))
+    assert exc.value.witness == (strong, weak)
 
 
 def test_join_all_folds_and_fails():

@@ -68,16 +68,10 @@ def test_associativity_checked():
     assert exc.value.axiom in ("A", "UL")
 
 
-def test_associativity_witness_is_the_first_failing_composable_triple(
-        corpus_cats):
-    # composites changed within their hom-set keep DP and RP; the cyclic
-    # group of order 13 takes the numpy path of the associativity check
-    n = 13
-    cyclic = make_category(["o"], [f"g{a}" for a in range(n)], [0] * n,
-                           [0] * n, [0], [[(a + b) % n for b in range(n)]
-                                          for a in range(n)])
+def _check_associativity_witnesses(categories):
+    # composites changed within their hom-set keep DP and RP
     failures = 0
-    for C in [C for _, C in corpus_cats] + [cyclic]:
+    for C in categories:
         arrows = range(C.n_arr)
         cells = [(x, y, z) for x in arrows for y in arrows for z in arrows
                  if C.d[x] == C.r[y] and z != C.comp[x][y]
@@ -93,6 +87,26 @@ def test_associativity_witness_is_the_first_failing_composable_triple(
             assert exc.value.witness == ("A", expected)
             failures += 1
     assert failures > 500
+
+
+def _cyclic_group(n):
+    return make_category(["o"], [f"g{a}" for a in range(n)], [0] * n,
+                         [0] * n, [0], [[(a + b) % n for b in range(n)]
+                                        for a in range(n)])
+
+
+def test_associativity_witness_is_the_first_failing_composable_triple(
+        corpus_cats):
+    # the cyclic group of order 15 takes the numpy path
+    _check_associativity_witnesses(
+        [C for _, C in corpus_cats] + [_cyclic_group(15)])
+
+
+def test_numpy_associativity_witness_is_the_first_failing_composable_triple(
+        corpus_cats, numpy_kernel):
+    _check_associativity_witnesses(
+        [C for _, C in corpus_cats]
+        + [gen_pair_groupoid(3), gen_pair_groupoid(4), _cyclic_group(41)])
 
 
 def test_unit_law_checked():

@@ -5,7 +5,9 @@ import weakref
 import pytest
 
 from oracles import germ_relation_mismatch, proj_atoms
-from stonedual.algebra import (SemigroupMorphism, bd_subalgebra, classify,
+from stonedual import duality
+from stonedual.algebra import (AlgebraClassification, MorphismVerdict,
+                               SemigroupMorphism, bd_subalgebra, classify,
                                iso_algebras, make_algebra)
 from stonedual.category import (check_cofunctor, cofunctor_to_covering,
                                 compose_cofunctors, covering_to_cofunctor,
@@ -18,7 +20,7 @@ from stonedual.duality import (category_signature, counit_epsilon,
                                verify_adjunction,
                                verify_birestriction_equivalence,
                                verify_groupoidal, with_inferred_plus)
-from stonedual.errors import (NoLocalUnits, NotAMorphism,
+from stonedual.errors import (InvariantViolation, NoLocalUnits, NotAMorphism,
                               NotBooleanBirestriction, NotPreBoolean,
                               UnknownElement)
 from stonedual.zoo import (gen_free_arrow, gen_i, gen_pair_groupoid, gen_pt,
@@ -123,6 +125,28 @@ def test_unit_eta_proper_embedding_otherwise():
     eta = unit_eta(S)
     assert len(set(eta.map)) == S.n
     assert eta.target.n == 9
+
+
+def test_unit_invariant_failures_raise_with_witness(monkeypatch):
+    # i_2 is not Boolean restriction, so its unit is not onto
+    missed = sorted(set(range(9)) - set(unit_eta(gen_i(2)).map))[0]
+    real_classify, real_theta = duality.classify, duality.theta
+    monkeypatch.setattr(duality, "classify", lambda S: AlgebraClassification(
+        {**real_classify(S).flags, "boolean_restriction": True}))
+    with pytest.raises(InvariantViolation) as exc:
+        unit_eta(gen_i(2))
+    assert exc.value.witness == ("unit-onto", (missed,))
+    monkeypatch.setattr(duality, "check_morphism",
+                        lambda f, mtype: MorphismVerdict(True, mtype))
+    monkeypatch.setattr(duality, "theta", lambda S, s: real_theta(S, 0))
+    with pytest.raises(InvariantViolation) as exc:
+        unit_eta(gen_pt(2))
+    assert exc.value.witness == ("unit-injective", (0, 1))
+    monkeypatch.setattr(duality, "check_morphism", lambda f, mtype: (
+        MorphismVerdict(False, mtype, "planted", ())))
+    with pytest.raises(InvariantViolation) as exc:
+        unit_eta(gen_pt(2))
+    assert exc.value.witness == ("unit-morphism", ("planted", ()))
 
 
 # -- counit and adjunction -----------------------------------------------------------

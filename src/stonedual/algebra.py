@@ -233,6 +233,16 @@ def _row_masks(rel):
                  for row in np.packbits(rel, axis=1, bitorder="little"))
 
 
+def _packed_words(rel):
+    """The rows of a bool matrix packed into 64-bit words, bit k of word w
+    being column 64w + k."""
+    import numpy as np
+    n = rel.shape[1]
+    packed = np.zeros((len(rel), -(-n // 64) * 8), dtype=np.uint8)
+    packed[:, :-(-n // 8)] = np.packbits(rel, axis=1, bitorder="little")
+    return packed.view("<u8")
+
+
 def _least_array(rel, masks):
     """(least, shared) for every pair s, t of rows of the bool matrix rel,
     whose rows as bitmasks are masks: least[s, t] = _least(masks, s, t), -1
@@ -249,10 +259,7 @@ def _least_array(rel, masks):
     n = len(rel)
     order = np.argsort(-rel.sum(axis=1), kind="stable")
     # words[w, s] = bits 64w..64w+63 of masks[s], columns in that order
-    packed = np.zeros((n, -(-n // 64) * 8), dtype=np.uint8)
-    packed[:, :-(-n // 8)] = np.packbits(rel[:, order], axis=1,
-                                         bitorder="little")
-    words = np.ascontiguousarray(packed.view("<u8").T)
+    words = np.ascontiguousarray(_packed_words(rel[:, order]).T)
     # antisymmetric: s R t R s only for s = t; transitive: s R t puts
     # masks[t] inside masks[s]
     ss, ts = np.nonzero(rel)
@@ -999,15 +1006,25 @@ def check_morphism(f, mtype, require_plus=False):
         raise InputError(f"unknown morphism type {mtype}")
     S, T, m = f.source, f.target, f.map
 
-    # locals: on CPython 3.11 a filled cached property slows attribute reads
-    multS, multT = S.mult, T.mult
-    for i in range(S.n):
-        for j in range(S.n):
-            if m[multS[i][j]] != multT[m[i]][m[j]]:
-                return MorphismVerdict(False, mtype, "mult", (i, j))
-    for i in range(S.n):
-        if m[S.star[i]] != T.star[m[i]]:
-            return MorphismVerdict(False, mtype, "star", (i,))
+    if S.n > _NUMPY_THRESHOLD:
+        import numpy as np
+        a = np.array(m, dtype=_INDEX_DTYPE)
+        first = _first_failure([("mult", a[S._mult_array]
+                                 != T._mult_array[np.ix_(a, a)])]) or (
+            _first_failure([("star", a[list(S.star)] != np.array(T.star)[a])]))
+        if first is not None:
+            return MorphismVerdict(False, mtype, *first)
+    else:
+        # locals: on CPython 3.11 a filled cached property slows attribute
+        # reads
+        multS, multT = S.mult, T.mult
+        for i in range(S.n):
+            for j in range(S.n):
+                if m[multS[i][j]] != multT[m[i]][m[j]]:
+                    return MorphismVerdict(False, mtype, "mult", (i, j))
+        for i in range(S.n):
+            if m[S.star[i]] != T.star[m[i]]:
+                return MorphismVerdict(False, mtype, "star", (i,))
     if require_plus:
         if S.plus is None or T.plus is None:
             raise NoPlusTable("plus preservation requested without plus tables")
@@ -1050,7 +1067,11 @@ def check_morphism(f, mtype, require_plus=False):
 
 
 def _weak_meet_witness(f):
+    """First (s, t, u), by u, then s, then t, where u <= f(s) and u <= f(t)
+    but no r below both s and t has u <= f(r); None if there is none."""
     S, T, m = f.source, f.target, f.map
+    if S.n > _NUMPY_THRESHOLD:
+        return _weak_meet_packed(S, T, m)
     downT = T.down
     downS = S.down
     pre = [0] * T.n  # pre[u] = bitmask of {s in S : u <= f(s)}
@@ -1063,6 +1084,29 @@ def _weak_meet_witness(f):
             for t in _iter_bits(cand):
                 if not downS[s] & downS[t] & cand:
                     return (s, t, u)
+    return None
+
+
+def _weak_meet_packed(S, T, m):
+    """_weak_meet_witness on rows packed into 64-bit words.  For each u,
+    the rows down_S[s] & pre[u] over s in pre[u] usually share a bit, an
+    element below all of them, and then no pair fails at u; only when they
+    do not are the pairs scanned."""
+    import numpy as np
+    pre = T._leq[:, list(m)]  # pre[u, s]: u <= f(s)
+    pre_words, down_words = _packed_words(pre), _packed_words(S._leq.T)
+    for u in range(T.n):
+        cand = np.flatnonzero(pre[u])
+        rows = down_words[cand] & pre_words[u]
+        if not len(cand) or np.bitwise_and.reduce(rows).any():
+            continue
+        step = max(1, _CHUNK_CELLS // rows.size)
+        for lo in range(0, len(cand), step):
+            meets = (rows[lo:lo + step, None] & rows).any(axis=2)
+            k = int(meets.argmin())
+            if not meets.flat[k]:
+                i, j = divmod(k, len(cand))
+                return (int(cand[lo + i]), int(cand[j]), u)
     return None
 
 

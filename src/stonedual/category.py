@@ -17,6 +17,7 @@ from __future__ import annotations
 from functools import cached_property
 from math import prod
 
+from . import algebra
 from .algebra import (AlgebraClassification, SemigroupMorphism, _check_assoc,
                       _check_size, _check_table, _find_iso, _refine,
                       check_morphism, classify, deterministic_sets,
@@ -274,7 +275,10 @@ def _slice_algebra(C, slices, names):
     """The algebra of the given slices of C, which must be closed under the
     operations: A*B composes each arrow b of B after the arrow of A at r(b),
     where A has one; support and cosupport are the units over the domains
-    and ranges.  The empty slice is the zero."""
+    and ranges.  The empty slice is the zero.  Above the numpy cutoff the
+    tables come from _slice_tables."""
+    if len(slices) > algebra._NUMPY_THRESHOLD:
+        return make_algebra(names, *_slice_tables(C, slices))
     comp, d, r, unit = C.comp, C.d, C.r, C.unit
     index = {s: i for i, s in enumerate(slices)}
     ends = [[(r[b], b) for b in B] for B in slices]
@@ -287,6 +291,73 @@ def _slice_algebra(C, slices, names):
     star = [index[frozenset(unit[d[a]] for a in A)] for A in slices]
     plus = [index[frozenset(unit[r[a]] for a in A)] for A in slices]
     return make_algebra(names, mult, star, plus, zero=index[frozenset()])
+
+
+def _slice_tables(C, slices):
+    """(mult, star, plus, zero) of _slice_algebra, from slices as choices.
+
+    A slice is one choice per object: no arrow, or one arrow of that
+    object's d-fibre.  Its code is the mixed-radix number whose digit at
+    an object is 0 or 1 + the arrow's place in the fibre, so a code is the
+    sum of the values of the slice's arrows.  (A*B) chooses at x the arrow
+    A(r(B(x))) after B(x): for every pair (A, B) that is one gather per
+    object.  Sorted codes map products back to the order of slices."""
+    import numpy as np
+    n, n_obj, n_arr = len(slices), C.n_obj, C.n_arr
+    fibres = [C.d_fiber(o) for o in range(n_obj)]
+    space = prod(1 + len(f) for f in fibres)
+    # every set of units is a bislice, so a family within SIZE_BOUND comes
+    # from at most 9 objects; with at most SIZE_BOUND arrows among them,
+    # its codes fit in 64 bits
+    code_dtype = np.int32 if space < 1 << 31 else np.int64
+    place = np.cumprod([1] + [1 + len(f) for f in fibres[:-1]],
+                       dtype=code_dtype)
+    # value[a]: arrow a's share of a code; value[-1] = 0 stands for no arrow
+    value = np.zeros(n_arr + 1, dtype=code_dtype)
+    for o, fibre in enumerate(fibres):
+        value[list(fibre)] = place[o] * np.arange(1, len(fibre) + 1)
+    # choice[i, o]: the arrow of slice i at object o, or -1; the last
+    # column, all -1, is where "no arrow" ranges to, through r[-1] = n_obj
+    choice = np.full((n, n_obj + 1), -1, dtype=algebra._INDEX_DTYPE)
+    for i, s in enumerate(slices):
+        for a in s:
+            choice[i, C.d[a]] = a
+    r = np.array(C.r + (n_obj,), dtype=algebra._INDEX_DTYPE)
+    comp = np.full((n_arr + 1, n_arr + 1), -1, dtype=algebra._INDEX_DTYPE)
+    comp[:-1, :-1] = C.comp
+    after = value[comp]  # after[a, b]: the value of a after b, 0 if none
+    codes = value[choice].sum(axis=1, dtype=code_dtype)
+    order = np.argsort(codes, kind="stable")
+    known = codes[order]
+
+    # the element of each code, as one shared int object per element: a
+    # table read from an int array holds a fresh int for every cell
+    ints = np.array(range(n), dtype=object)
+
+    def index(c):
+        if n < space:  # some slices are left out: look each code up
+            pos = np.minimum(np.searchsorted(known, c), n - 1)
+            if (known[pos] != c).any():
+                raise InvariantViolation("the slices are not closed under "
+                                         "the operations", witness=("closed",))
+            c = pos
+        return ints[order[c]].tolist()
+
+    mult = []
+    step = max(1, algebra._CHUNK_CELLS // n)
+    for lo in range(0, n, step):
+        rows = np.zeros((min(step, n - lo), n), dtype=code_dtype)
+        for x in range(n_obj):
+            b = choice[:, x]
+            rows += after[choice[lo:lo + step, r[b]], b]
+        mult += map(tuple, index(rows))
+    units = value[list(C.unit)]
+    star = (choice[:, :-1] >= 0) @ units
+    ranges = np.zeros((n, n_obj + 1), dtype=bool)
+    ranges[np.arange(n)[:, None], r[choice[:, :-1]]] = True
+    plus = ranges[:, :-1] @ units
+    (zero,) = index(np.zeros(1, dtype=code_dtype))
+    return mult, index(star), index(plus), zero
 
 
 def _slice_name(C, arrows):
@@ -483,9 +554,10 @@ def compose_cofunctors(G, F):
 def cofunctor_to_morphism(F):
     """The pushforward A -> F_*(A) between the slice semigroups.
 
-    Asserts the structure theorems relating cofunctor flags to morphism
+    Checks the structure theorems relating cofunctor flags to morphism
     types: injective on arrows gives weak meet preservation, surjective
     gives properness, injective action preserves bideterministic elements.
+    A failure raises InvariantViolation with the theorem and its witness.
     """
     S = slice_semigroup(F.source)
     T = slice_semigroup(F.target)
@@ -502,11 +574,20 @@ def cofunctor_to_morphism(F):
     flags = check_cofunctor(F).flags
     # type 4 is types 2 and 3 together
     mtype = 1 + flags["injective_on_arrows"] + 2 * flags["surjective_on_arrows"]
-    assert check_morphism(f, mtype).ok
+    verdict = check_morphism(f, mtype)
+    if not verdict.ok:
+        raise InvariantViolation(
+            f"pushforward is not a type-{mtype} morphism", witness=(
+                "pushforward-morphism", (mtype, verdict.failed, verdict.witness)))
     if flags["action_injective"]:
         _, _, bd_S = deterministic_sets(S)
         bd_T = set(deterministic_sets(T)[2])
-        assert all(m[i] in bd_T for i in bd_S)
+        bad = next((i for i in bd_S if m[i] not in bd_T), None)
+        if bad is not None:
+            raise InvariantViolation(
+                "pushforward sends a bideterministic slice outside the "
+                "bideterministic part", witness=("pushforward-bideterministic",
+                                                 (bad,)))
     return f
 
 

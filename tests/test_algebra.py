@@ -493,6 +493,86 @@ def test_plus_preservation_switch():
         check_morphism(g, 1, require_plus=True)
 
 
+def _cyclic_group_with_zero(n):
+    # g0..g{n-1} under addition mod n, then a zero; every g has support g0
+    z = n
+    return make_algebra([f"g{a}" for a in range(n)] + ["0"],
+                        [[(a + b) % n if a < n and b < n else z
+                          for b in range(n + 1)] for a in range(n + 1)],
+                        [0] * n + [z], zero=z)
+
+
+def test_weak_meet_failure_is_pinned(monkeypatch):
+    # Z_16 with a zero onto {0, 1}: below g0 and g1 lies only the zero,
+    # which maps under 1, so the map is proper but not weakly meet
+    # preserving
+    S = _cyclic_group_with_zero(16)
+    T = make_algebra(["0", "1"], [[0, 0], [0, 1]], [0, 1], zero=0)
+    f = SemigroupMorphism(S, T, (1,) * 16 + (0,))
+    assert S.n > algebra._NUMPY_THRESHOLD
+    for threshold in (algebra._NUMPY_THRESHOLD, SIZE_BOUND):  # numpy, Python
+        monkeypatch.setattr(algebra, "_NUMPY_THRESHOLD", threshold)
+        verdicts = [check_morphism(f, mtype) for mtype in (1, 2, 3, 4)]
+        assert [v.ok for v in verdicts] == [True, False, True, False]
+        for v in verdicts[1::2]:
+            assert (v.failed, v.witness) == ("weakly-meet-preserving",
+                                             (0, 1, 1))
+
+
+def test_packed_weak_meet_scan_matches_python(numpy_kernel, monkeypatch):
+    # the scan is defined for any map: seeded maps of i_3 into triangular_3
+    # fail at all sorts of (s, t, u), and a few pass
+    rng = random.Random(7)
+    S, T = gen_i(3), gen_triangular(3)
+    found = set()
+    for _ in range(60):
+        f = SemigroupMorphism(S, T, tuple(rng.choice(
+            (T.zero, T.n - 1, rng.randrange(T.n))) for _ in range(S.n)))
+        seen = []
+        for threshold in (0, SIZE_BOUND):  # numpy, Python
+            monkeypatch.setattr(algebra, "_NUMPY_THRESHOLD", threshold)
+            seen.append(algebra._weak_meet_witness(f))
+        assert seen[0] == seen[1], f.map
+        found.add(seen[0])
+    assert None in found and len(found) > 10, found
+
+
+def _corrupt(m, S, T, rng):
+    # as the relabel benchmark does: swap the images of a seeded pair of
+    # elements until the map stops preserving products
+    while True:
+        a, b = rng.sample(range(len(m)), 2)
+        bad = list(m)
+        bad[a], bad[b] = m[b], m[a]
+        if any(bad[S.mult[i][j]] != T.mult[bad[i]][bad[j]]
+               for i in range(S.n) for j in range(S.n)):
+            return tuple(bad)
+
+
+@pytest.mark.parametrize("gen", [gen_pt, gen_i, gen_triangular])
+def test_array_morphism_scans_match_python(monkeypatch, gen):
+    S = gen(4)
+    rng = random.Random(11)
+    p = list(range(S.n))
+    rng.shuffle(p)
+    T = shuffle_algebra(S, p)
+    # the relabelling passes, seeded swaps fail at mult, and the constant
+    # map to an idempotent that is not a projection fails at star (i_4 has
+    # none: its idempotents are its projections)
+    maps = [(None, tuple(p))]
+    maps += [("mult", _corrupt(p, S, T, rng)) for _ in range(4)]
+    maps += [("star", (p[e],) * S.n) for e in range(S.n)
+             if S.mult[e][e] == e and S.star[e] != e][:1]
+    for failed, m in maps:
+        f = SemigroupMorphism(S, T, m)
+        seen = []
+        for threshold in (algebra._NUMPY_THRESHOLD, SIZE_BOUND):
+            monkeypatch.setattr(algebra, "_NUMPY_THRESHOLD", threshold)
+            seen.append([check_morphism(f, mtype) for mtype in (1, 2, 3, 4)])
+        assert seen[0] == seen[1], m
+        assert {v.failed for v in seen[0]} == {failed}
+
+
 # -- isomorphism search ---------------------------------------------------------
 
 def shuffle_algebra(S, perm):

@@ -5,10 +5,13 @@ import time
 import pytest
 
 from oracles import count_slices_brute, first_assoc_failure, slice_sets_brute
-from stonedual.algebra import SIZE_BOUND, classify
+import stonedual.category
+from stonedual import algebra
+from stonedual.algebra import SIZE_BOUND, MorphismVerdict, classify
 from stonedual.category import (Cofunctor, CoveringFunctor, Slice,
-                                check_cofunctor, cofunctor_to_covering,
-                                cofunctor_to_morphism, compose_cofunctors,
+                                _slice_algebra, check_cofunctor,
+                                cofunctor_to_covering, cofunctor_to_morphism,
+                                compose_cofunctors,
                                 covering_to_cofunctor, enumerate_slices,
                                 identity_cofunctor, is_groupoid,
                                 make_category, predicted_slice_count,
@@ -178,6 +181,41 @@ def test_slice_products_match_direct_computation():
             assert S.mult[i][j] == index[direct]
             prod = slice_product(Slice(C, A), Slice(C, B))
             assert prod.arrows == direct
+
+
+def _check_slice_cells(C):
+    S = slice_semigroup(C)
+    sets = semigroup_slices(C, S)
+    slices = [Slice(C, A) for A in sets]
+    for i, A in enumerate(slices):
+        assert sets[S.star[i]] == slice_support(A).arrows
+        assert sets[S.plus[i]] == slice_cosupport(A).arrows
+        row = S.mult[i]
+        for j, B in enumerate(slices):
+            assert sets[row[j]] == slice_product(A, B).arrows, (i, j)
+    assert sets[S.zero] == frozenset()
+
+
+@pytest.mark.parametrize("make", [lambda: gen_pair_groupoid(4),
+                                  gen_free_arrow])
+def test_slice_tables_match_the_slice_operations(make):
+    # K_4 has 625 slices and takes the numpy builder, the free arrow 6
+    _check_slice_cells(make())
+
+
+@pytest.mark.parametrize("make", [lambda: gen_pair_groupoid(2),
+                                  gen_free_arrow])
+def test_numpy_slice_tables_match_the_slice_operations(numpy_kernel, make):
+    _check_slice_cells(make())
+
+
+def test_slice_tables_refuse_a_family_not_closed_under_product():
+    C = gen_pair_groupoid(3)
+    slices = enumerate_slices(C)[:-1]  # the last is a product of others
+    assert len(slices) > algebra._NUMPY_THRESHOLD
+    with pytest.raises(InvariantViolation) as exc:
+        _slice_algebra(C, slices, [repr(Slice(C, s)) for s in slices])
+    assert exc.value.witness == ("closed",)
 
 
 def test_slice_support_and_cosupport():
@@ -402,6 +440,46 @@ def test_cofunctor_to_morphism_endpoints():
     assert f.target.n == slice_semigroup(F.target).n
     # the empty slice must map to the empty slice
     assert f.map[f.source.zero] == f.target.zero
+
+
+def test_pushforward_morphism_failure_raises_with_witness(monkeypatch):
+    # the identity cofunctor is bijective on arrows: its pushforward must
+    # pass type 4
+    monkeypatch.setattr(stonedual.category, "check_morphism", lambda f, mtype: (
+        MorphismVerdict(False, mtype, "planted", (0,))))
+    with pytest.raises(InvariantViolation) as exc:
+        cofunctor_to_morphism(identity_cofunctor(gen_pair_groupoid(2)))
+    assert exc.value.witness == ("pushforward-morphism", (4, "planted", (0,)))
+
+
+def test_pushforward_bideterministic_failure_raises_with_witness(monkeypatch):
+    # the action of K_1 on K_2 is injective, so bideterministic slices must
+    # land in the bideterministic part; plant a target without one
+    F = trivial_cofunctor_k1_to_k2()
+    real = stonedual.category.deterministic_sets
+    monkeypatch.setattr(stonedual.category, "deterministic_sets", lambda S: (
+        real(S)[:2] + ((),) if S.slice_parent is F.target else real(S)))
+    with pytest.raises(InvariantViolation) as exc:
+        cofunctor_to_morphism(F)
+    assert exc.value.witness == ("pushforward-bideterministic", (0,))
+
+
+def test_pushforward_check_runs_under_python_O():
+    code = """
+import stonedual.category as cat
+from stonedual.algebra import MorphismVerdict
+from stonedual.errors import InvariantViolation
+from stonedual.zoo import gen_pair_groupoid
+cat.check_morphism = lambda f, mtype: MorphismVerdict(False, mtype, "planted")
+try:
+    cat.cofunctor_to_morphism(cat.identity_cofunctor(gen_pair_groupoid(2)))
+except InvariantViolation as exc:
+    print("raised", exc.witness)
+"""
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True)
+    assert proc.stdout.strip() == (
+        "raised ('pushforward-morphism', (4, 'planted', None))"), proc.stderr
 
 
 # -- covering functors ------------------------------------------------------------

@@ -2,14 +2,15 @@
 
 Each digest is the SHA-256 of repr((names, mult, star, plus, zero)), taken
 before the generators and slice_semigroup shared one table builder: any change
-to a table, to the element order or to a name fails here.
+to a table, to the element order or to a name fails here.  The test_numpy_
+variants check the same digests with every table sent down the numpy path.
 """
 
 import hashlib
 
 import pytest
 
-from stonedual.category import slice_semigroup
+from stonedual.category import FinCat, slice_semigroup
 from stonedual.zoo import (gen_free_arrow, gen_i, gen_pair_groupoid, gen_pt,
                            gen_triangular)
 
@@ -82,6 +83,11 @@ def test_generator_tables_pinned(name, n):
     assert digest(GENERATORS[name](n)) == GENERATOR_DIGESTS[name, n]
 
 
+@pytest.mark.parametrize("name,n", sorted(GENERATOR_DIGESTS))
+def test_numpy_generator_tables_pinned(numpy_kernel, name, n):
+    test_generator_tables_pinned(name, n)
+
+
 @pytest.mark.parametrize("cat,bislices", sorted(SLICE_DIGESTS))
 def test_slice_tables_pinned(cat, bislices):
     C = gen_free_arrow() if cat == "free_arrow" else \
@@ -90,11 +96,22 @@ def test_slice_tables_pinned(cat, bislices):
     assert digest(S) == SLICE_DIGESTS[cat, bislices]
 
 
+@pytest.mark.parametrize("cat,bislices", sorted(SLICE_DIGESTS))
+def test_numpy_slice_tables_pinned(numpy_kernel, cat, bislices):
+    test_slice_tables_pinned(cat, bislices)
+
+
 def test_corpus_slice_tables_pinned(corpus_cats):
     assert len(corpus_cats) == 398
     h = hashlib.sha256()
     for _, C in corpus_cats:
+        # a fresh copy: the session's categories keep their slice semigroups
+        C = FinCat(C.objects, C.arrows, C.d, C.r, C.unit, C.comp)
         for bislices in (False, True):
             S = slice_semigroup(C, bislices_only=bislices)
             h.update(digest(S).encode())
     assert h.hexdigest() == CORPUS_DIGEST
+
+
+def test_numpy_corpus_slice_tables_pinned(corpus_cats, numpy_kernel):
+    test_corpus_slice_tables_pinned(corpus_cats)

@@ -16,16 +16,14 @@ from .algebra import (AlgebraClassification, BiUnaryAlgebra, CosupportResult,
                       check_morphism, classify, compatible,
                       deterministic_sets, has_local_units, infer_cosupport,
                       iso_algebras, join, join_all, make_algebra, meet,
-                      nat_leq, partial_isomorphisms, projection_gba,
-                      projections)
+                      partial_isomorphisms, projection_gba, projections)
 from .category import (Cofunctor, CofunctorFlags, CoveringFunctor, FinCat,
-                       Slice, category_signature, check_cofunctor,
+                       category_signature, check_cofunctor,
                        cofunctor_to_covering, cofunctor_to_morphism,
                        compose_cofunctors, covering_to_cofunctor,
                        enumerate_slices, identity_cofunctor, is_groupoid,
                        iso_categories, make_category, predicted_slice_count,
-                       semigroup_slices, slice_cosupport, slice_of_index,
-                       slice_product, slice_semigroup, slice_support)
+                       semigroup_slices, slice_semigroup)
 from .duality import (GermCategory, counit_epsilon, germ_category,
                       morphism_to_cofunctor, theta, unit_eta,
                       verify_adjunction, verify_birestriction_equivalence,

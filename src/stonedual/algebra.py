@@ -435,14 +435,6 @@ def projections(S):
     return p
 
 
-def nat_leq(S, a, b, side="star"):
-    if side == "star":
-        return S.leq(a, b)
-    if side == "plus":
-        return S.leq_plus(a, b)
-    raise InputError(f"unknown order side {side!r}")
-
-
 def compatible(S, s, t, mode="right"):
     mult, star = S.mult, S.star
     if mode == "right":

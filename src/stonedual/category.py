@@ -5,8 +5,10 @@ A category is stored as dense index tables; comp[x][y] is the composite
 "y then x" and carries -1 where d(x) != r(y).  Composability is always
 decided from the d/r tables, never from the sentinel pattern.
 
-Slices (local sections) of a category C form a semigroup under setwise
-composition, with support = units over d(A) and cosupport = units over r(A).
+A slice (local section) of C is a partial section of d, stored as its
+choice: a tuple with one entry per object, an arrow of that object's
+d-fibre or -1 for none.  Slices form a semigroup under composition, with
+support = units over d(A) and cosupport = units over r(A).
 Cofunctors C ~> D act on target objects by source arrows and are validated
 eagerly; bijective-on-arrows cofunctors translate to covering functors
 D -> C and back, exactly.
@@ -24,8 +26,7 @@ from .algebra import (AlgebraClassification, SemigroupMorphism, _check_assoc,
                       make_algebra)
 from .errors import (AxiomFail, BadTableShape, CompDomainMismatch,
                      CompositionMismatch, InputError, InvariantViolation,
-                     MathFail, NotAssociative, NotBijectiveOnArrows,
-                     NotStarBijective, ParentMismatch)
+                     NotAssociative, NotBijectiveOnArrows, NotStarBijective)
 
 
 class FinCat:
@@ -170,72 +171,24 @@ def is_groupoid(C):
     return tuple(inv), None
 
 
-class Slice:
-    """A set of arrows on which d is injective (a local section)."""
-
-    __slots__ = ("parent", "arrows")
-
-    def __init__(self, parent, arrows):
-        arrows = frozenset(arrows)
-        seen = {}
-        for a in sorted(arrows):
-            o = parent.d[a]
-            if o in seen:
-                raise MathFail("d is not injective on the subset",
-                               witness=(seen[o], a))
-            seen[o] = a
-        self.parent = parent
-        self.arrows = arrows
-
-    def __eq__(self, other):
-        return (isinstance(other, Slice) and self.parent is other.parent
-                and self.arrows == other.arrows)
-
-    def __hash__(self):
-        return hash((id(self.parent), self.arrows))
-
-    def __repr__(self):
-        return _slice_name(self.parent, self.arrows)
-
-    def is_bislice(self):
-        return len({self.parent.r[a] for a in self.arrows}) == len(self.arrows)
-
-
-def slice_product(A, B):
-    if A.parent is not B.parent:
-        raise ParentMismatch("slices live in different categories")
-    C = A.parent
-    out = {C.comp[a][b] for a in A.arrows for b in B.arrows
-           if C.d[a] == C.r[b]}
-    return Slice(C, out)
-
-
-def slice_support(A):
-    C = A.parent
-    return Slice(C, {C.unit[C.d[a]] for a in A.arrows})
-
-
-def slice_cosupport(A):
-    C = A.parent
-    return Slice(C, {C.unit[C.r[a]] for a in A.arrows})
-
-
 def predicted_slice_count(C):
     return prod(1 + len(C.d_fiber(o)) for o in range(C.n_obj))
 
 
 def enumerate_slices(C, bislices_only=False):
-    """All local (bi)sections as frozensets, ordered by size then contents,
-    grown one object at a time.  Every partial bislice extends to a bislice,
-    so more than SIZE_BOUND partial bislices raise TooLarge at once."""
+    """All local (bi)sections as choices, ordered by size then sorted
+    arrows, grown one object at a time.  Every partial bislice extends to a
+    bislice, so more than SIZE_BOUND partial bislices raise TooLarge at
+    once."""
     r = C.r
-    out = [frozenset()]
+    out = [()]
     for o in range(C.n_obj):
-        out += [s | {a} for s in out for a in C.d_fiber(o)
-                if not bislices_only or all(r[b] != r[a] for b in s)]
+        out = [s + (-1,) for s in out] + [
+            s + (a,) for s in out for a in C.d_fiber(o)
+            if not bislices_only or all(b < 0 or r[b] != r[a] for b in s)]
         if bislices_only:
             _check_size(len(out))
-    out.sort(key=lambda s: (len(s), sorted(s)))
+    out.sort(key=lambda s: (-s.count(-1), sorted(s)))
     return out
 
 
@@ -272,33 +225,41 @@ def slice_semigroup(C, bislices_only=False):
 
 
 def _slice_algebra(C, slices, names):
-    """The algebra of the given slices of C, which must be closed under the
-    operations: A*B composes each arrow b of B after the arrow of A at r(b),
-    where A has one; support and cosupport are the units over the domains
+    """The algebra of the given slices (choices) of C, which must be closed
+    under the operations: (A*B)[x] is B[x], then the arrow of A at r(B[x]),
+    where both exist; support and cosupport are the units over the domains
     and ranges.  The empty slice is the zero.  Above the numpy cutoff the
     tables come from _slice_tables."""
     if len(slices) > algebra._NUMPY_THRESHOLD:
         return make_algebra(names, *_slice_tables(C, slices))
-    comp, d, r, unit = C.comp, C.d, C.r, C.unit
+    objects, unit = range(C.n_obj), C.unit
+    # -1 ranges to the extra object n_obj, where every choice has no arrow,
+    # and composes through the extra all -1 row and column to -1
+    none = (-1,) * (C.n_arr + 1)
+    comp = [row + (-1,) for row in C.comp] + [none]
+    r_of = C.r + (C.n_obj,)
     index = {s: i for i, s in enumerate(slices)}
-    ends = [[(r[b], b) for b in B] for B in slices]
+    ends = [[(r_of[b], b) for b in B] for B in slices]
     mult = []
     for A in slices:
         # after[o][b]: b, then the arrow of A at o
-        after = {d[a]: comp[a] for a in A}
-        mult.append([index[frozenset(after[o][b] for o, b in B if o in after)]
-                     for B in ends])
-    star = [index[frozenset(unit[d[a]] for a in A)] for A in slices]
-    plus = [index[frozenset(unit[r[a]] for a in A)] for A in slices]
-    return make_algebra(names, mult, star, plus, zero=index[frozenset()])
+        after = [comp[a] for a in A] + [none]
+        mult.append([index[tuple(after[o][b] for o, b in B)] for B in ends])
+    star = [index[tuple(-1 if a < 0 else unit[x] for x, a in enumerate(A))]
+            for A in slices]
+    plus = []
+    for A in slices:
+        ranges = {r_of[a] for a in A}
+        plus.append(index[tuple(unit[y] if y in ranges else -1
+                                for y in objects)])
+    return make_algebra(names, mult, star, plus, zero=index[(-1,) * C.n_obj])
 
 
 def _slice_tables(C, slices):
-    """(mult, star, plus, zero) of _slice_algebra, from slices as choices.
+    """(mult, star, plus, zero) of _slice_algebra.
 
-    A slice is one choice per object: no arrow, or one arrow of that
-    object's d-fibre.  Its code is the mixed-radix number whose digit at
-    an object is 0 or 1 + the arrow's place in the fibre, so a code is the
+    A slice's code is the mixed-radix number whose digit at an object is
+    0 for no arrow or 1 + the arrow's place in the fibre, so a code is the
     sum of the values of the slice's arrows.  (A*B) chooses at x the arrow
     A(r(B(x))) after B(x): for every pair (A, B) that is one gather per
     object.  Sorted codes map products back to the order of slices."""
@@ -319,9 +280,7 @@ def _slice_tables(C, slices):
     # choice[i, o]: the arrow of slice i at object o, or -1; the last
     # column, all -1, is where "no arrow" ranges to, through r[-1] = n_obj
     choice = np.full((n, n_obj + 1), -1, dtype=algebra._INDEX_DTYPE)
-    for i, s in enumerate(slices):
-        for a in s:
-            choice[i, C.d[a]] = a
+    choice[:, :-1] = slices
     r = np.array(C.r + (n_obj,), dtype=algebra._INDEX_DTYPE)
     comp = np.full((n_arr + 1, n_arr + 1), -1, dtype=algebra._INDEX_DTYPE)
     comp[:-1, :-1] = C.comp
@@ -360,31 +319,26 @@ def _slice_tables(C, slices):
     return mult, index(star), index(plus), zero
 
 
-def _slice_name(C, arrows):
-    return "{" + ",".join(C.arrows[a] for a in sorted(arrows)) + "}"
+def _slice_name(C, choice):
+    return "{" + ",".join(C.arrows[a] for a in sorted(choice) if a >= 0) + "}"
 
 
 def semigroup_slices(C, S):
-    """The arrow sets behind the elements of a slice semigroup of C.
+    """The choices behind the elements of a slice semigroup of C.
 
     When S was built elsewhere (say, loaded from a file), each element name
     must be the name slice_semigroup gives to exactly one slice of C."""
     if S.slice_parent is C:
         return S.slice_sets
     by_name = {}
-    for arrows in enumerate_slices(C):
-        name = _slice_name(C, arrows)
-        by_name[name] = None if name in by_name else arrows
-    sets = tuple(by_name.get(name) for name in S.names)
-    if None in sets:
-        raise InputError(f"element {S.names[sets.index(None)]} does not name "
-                         "exactly one slice of the category")
-    return sets
-
-
-def slice_of_index(C, S, i):
-    """Recover the arrow set behind element i of a slice semigroup of C."""
-    return Slice(C, semigroup_slices(C, S)[i])
+    for choice in enumerate_slices(C):
+        name = _slice_name(C, choice)
+        by_name[name] = None if name in by_name else choice
+    slices = tuple(by_name.get(name) for name in S.names)
+    if None in slices:
+        raise InputError(f"element {S.names[slices.index(None)]} does not "
+                         "name exactly one slice of the category")
+    return slices
 
 
 class Cofunctor:
@@ -457,12 +411,13 @@ class Cofunctor:
                 if self.defined(s, x):
                     yield s, x
 
-    def pushforward(self, arrow_set):
-        """F_*(A): all lifts of arrows of A at every anchored object."""
-        rho1, f = self.rho1, self.anchor
-        d = self.source.d
-        return frozenset(rho1[s][x] for s in arrow_set
-                         for x in range(self.target.n_obj) if d[s] == f[x])
+    def pushforward(self, A):
+        """F_*(A): at each object x, the lift at x of A's arrow at the
+        anchor of x, or -1 where A has none.  By rho-d the lift starts at
+        x, so the result is a slice."""
+        rho1 = self.rho1
+        return tuple(-1 if A[o] < 0 else rho1[A[o]][x]
+                     for x, o in enumerate(self.anchor))
 
     def equal_tables(self, other):
         return _cofunctor_diff(self, other) is None
@@ -561,15 +516,9 @@ def cofunctor_to_morphism(F):
     """
     S = slice_semigroup(F.source)
     T = slice_semigroup(F.target)
-    sets_S = semigroup_slices(F.source, S)
-    index_T = {fs: i for i, fs in enumerate(semigroup_slices(F.target, T))}
-    m = []
-    for i in range(S.n):
-        image = F.pushforward(sets_S[i])
-        if image not in index_T:
-            raise MathFail("pushforward of a slice is not a slice",
-                           witness=(i,))
-        m.append(index_T[image])
+    # T holds every slice of the target, and every pushforward is one
+    index_T = {A: i for i, A in enumerate(semigroup_slices(F.target, T))}
+    m = [index_T[F.pushforward(A)] for A in semigroup_slices(F.source, S)]
     f = SemigroupMorphism(S, T, tuple(m))
     flags = check_cofunctor(F).flags
     # type 4 is types 2 and 3 together

@@ -3,19 +3,19 @@
 A germ of (s, atom a <= s^*) is represented canonically by the element s*a,
 whose support is the atom a itself.  So the germ category's arrows are just
 the elements with atomic support, objects are the atom projections, and
-composition is plain multiplication (re-normalized and asserted).  This
-removes all equivalence-class bookkeeping; the brute-force germ relation is
-kept in the test oracles as an independent cross-check.
+composition is plain multiplication.  This removes all equivalence-class
+bookkeeping; the brute-force germ relation is kept in the test oracles as
+an independent cross-check.
 """
 
 from __future__ import annotations
 
-from .algebra import (BiUnaryAlgebra, SemigroupMorphism, _iter_bits,
-                      bd_subalgebra, check_morphism, classify,
-                      deterministic_sets, partial_isomorphisms,
-                      projection_gba, with_inferred_plus)
+from .algebra import (BiUnaryAlgebra, SemigroupMorphism, bd_subalgebra,
+                      check_morphism, classify, deterministic_sets,
+                      partial_isomorphisms, projection_gba,
+                      with_inferred_plus)
 # category_signature and iso_categories keep their stonedual.duality names
-from .category import (FinCat, Slice, _cofunctor_diff, _lifted_cofunctor,
+from .category import (FinCat, _cofunctor_diff, _lifted_cofunctor,
                        category_signature, check_cofunctor,
                        cofunctor_to_morphism, compose_cofunctors,
                        identity_cofunctor, is_groupoid, iso_categories,
@@ -42,7 +42,9 @@ def germ_category(S):
 
     Objects are the atom projections, arrows the elements with atomic
     support, r(x) the unique atom acting as a left unit on x (checked
-    against x^+ on range instances), and comp(x,y) = (xy)*y^*.
+    against x^+ on range instances), and comp(x,y) = xy, which is its own
+    canonical germ (xy)y^* since yy^* = y.  A germ without a single such
+    atom raises InvariantViolation with witness ("germ-range", (x, units)).
     """
     if S.germ is not None:
         return S.germ
@@ -69,10 +71,10 @@ def germ_category(S):
     d = [oidx[star[x]] for x in germs]
     r = []
     for x in germs:
-        units = [b for b in atoms if mult[b][x] == x]
-        assert len(units) == 1, (x, units)
-        if plus_ref is not None:
-            assert plus_ref[x] == units[0]
+        units = tuple(b for b in atoms if mult[b][x] == x)
+        if len(units) != 1 or plus_ref is not None and plus_ref[x] != units[0]:
+            raise InvariantViolation("a germ has no single range atom",
+                                     witness=("germ-range", (x, units)))
         r.append(oidx[units[0]])
     unit = [gidx[a] for a in atoms]
     comp = [[-1] * len(germs) for _ in germs]
@@ -80,9 +82,7 @@ def germ_category(S):
         for i, x in enumerate(germs):
             if d[i] != r[j]:
                 continue
-            p = mult[mult[x][y]][star[y]]
-            assert p == mult[x][y]
-            comp[i][j] = gidx[p]
+            comp[i][j] = gidx[mult[x][y]]
     cat = make_category([S.names[a] for a in atoms],
                         [S.names[x] for x in germs], d, r, unit, comp)
     S.germ = GermCategory(S, cat, atoms, germs)
@@ -90,13 +90,15 @@ def germ_category(S):
 
 
 def theta(S, s):
-    """The slice of germ arrows {s*a : a atom <= s^*}."""
+    """The slice {s*a : a atom <= s^*} of the germ category, as the choice
+    of s*a at each atom a <= s^* and -1 elsewhere."""
     if not 0 <= s < S.n:
         raise UnknownElement(f"element index {s} out of range")
     G = germ_category(S)
     _, to_mask, _ = projection_gba(S)
-    return Slice(G.category, {G.germ_index[S.mult[s][G.atoms[i]]]
-                              for i in _iter_bits(to_mask[S.star[s]])})
+    mask, germ, row = to_mask[S.star[s]], G.germ_index, S.mult[s]
+    return tuple(germ[row[a]] if mask >> i & 1 else -1
+                 for i, a in enumerate(G.atoms))
 
 
 def unit_eta(S):
@@ -108,8 +110,8 @@ def unit_eta(S):
     """
     G = germ_category(S)
     T = slice_semigroup(G.category)
-    index = {fs: i for i, fs in enumerate(semigroup_slices(G.category, T))}
-    m = tuple(index[theta(S, s).arrows] for s in range(S.n))
+    index = {A: i for i, A in enumerate(semigroup_slices(G.category, T))}
+    m = tuple(index[theta(S, s)] for s in range(S.n))
     f = SemigroupMorphism(S, T, m)
     verdict = check_morphism(f, 1)
     if not verdict.ok:
@@ -133,23 +135,31 @@ def counit_epsilon(C):
     Germ arrows of the slice semigroup are singleton slices {t}; the anchor
     sends an object x to the atom {1_x}, the action sends ({t}, x) with
     d(t) = x to r(t), and the lift returns t itself.  Verified to be an
-    isomorphism: anchor and arrow lift are bijections.
+    isomorphism: the anchor is injective, as distinct units give distinct
+    atoms, and must reach every object ("counit-anchor", with the first
+    object missed), and the lift must be bijective on arrows
+    ("counit-bijective", with check_cofunctor's witness); a failure raises
+    InvariantViolation.
     """
     S_C = slice_semigroup(C)
-    sets = semigroup_slices(C, S_C)
-    elem_of = {fs: i for i, fs in enumerate(sets)}
+    slices = semigroup_slices(C, S_C)
+    elem_of = {A: i for i, A in enumerate(slices)}
     G = germ_category(S_C)
-    anchor = [G.obj_index[elem_of[frozenset({C.unit[x]})]]
-              for x in range(C.n_obj)]
-
-    def lift(j, x):
-        (t,) = sets[G.germ_elems[j]]
-        assert C.d[t] == x
-        return t
-
-    F = _lifted_cofunctor(G.category, C, anchor, lift)
-    assert len(set(anchor)) == C.n_obj == G.category.n_obj
-    assert check_cofunctor(F).flags["bijective_on_arrows"]
+    objects = range(C.n_obj)
+    anchor = [G.obj_index[elem_of[tuple(C.unit[x] if y == x else -1
+                                        for y in objects)]] for x in objects]
+    missed = next((o for o in range(G.category.n_obj) if o not in anchor),
+                  None)
+    if missed is not None:
+        raise InvariantViolation("counit anchor misses a germ object",
+                                 witness=("counit-anchor", (missed,)))
+    # the germ at anchor[x] is a singleton {t} with d(t) = x
+    F = _lifted_cofunctor(G.category, C, anchor,
+                          lambda j, x: slices[G.germ_elems[j]][x])
+    flags = check_cofunctor(F)
+    if not flags.flags["bijective_on_arrows"]:
+        raise InvariantViolation("counit is not bijective on arrows", witness=(
+            "counit-bijective", flags.witnesses.get("bijective_on_arrows")))
     return F
 
 
@@ -157,6 +167,10 @@ def morphism_to_cofunctor(f):
     """Turn a type-1 semigroup morphism S -> T into a cofunctor between germ
     categories: the anchor pulls each atom b of P(T) back to the unique
     atom a of P(S) with b <= f(a), and the lift sends a germ u to f(u)*b.
+    Between etale range semigroups, a map that keeps bideterministic
+    elements bideterministic gives an injective action.  A failure raises
+    InvariantViolation with ("cofunctor-anchor", (b, atoms a)) or
+    ("cofunctor-action-injective", witness).
     """
     S, T = f.source, f.target
     verdict = check_morphism(f, 1)
@@ -166,8 +180,10 @@ def morphism_to_cofunctor(f):
     GS, GT = germ_category(S), germ_category(T)
     anchor = []
     for b in GT.atoms:
-        hits = [i for i, a in enumerate(GS.atoms) if T.leq(b, f.map[a])]
-        assert len(hits) == 1, (b, hits)
+        hits = tuple(i for i, a in enumerate(GS.atoms) if T.leq(b, f.map[a]))
+        if len(hits) != 1:
+            raise InvariantViolation("an atom has no single preimage atom",
+                                     witness=("cofunctor-anchor", (b, hits)))
         anchor.append(hits[0])
     F = _lifted_cofunctor(
         GS.category, GT.category, anchor, lambda j, x: GT.germ_index[
@@ -177,7 +193,12 @@ def morphism_to_cofunctor(f):
         Sp, Tp = with_inferred_plus(S), with_inferred_plus(T)
         bd_T = set(deterministic_sets(Tp)[2])
         if all(f.map[i] in bd_T for i in deterministic_sets(Sp)[2]):
-            assert check_cofunctor(F).flags["action_injective"]
+            flags = check_cofunctor(F)
+            if not flags.flags["action_injective"]:
+                raise InvariantViolation(
+                    "cofunctor action is not injective", witness=(
+                        "cofunctor-action-injective",
+                        flags.witnesses.get("action_injective")))
     return F
 
 
@@ -257,10 +278,12 @@ def verify_groupoidal(instance):
         rep = Report("groupoid criterion at a category")
         inv, _ = is_groupoid(C)
         S_C = slice_semigroup(C)
-        sets = semigroup_slices(C, S_C)
         bd = set(deterministic_sets(S_C)[2])
         piso = set(partial_isomorphisms(S_C))
-        bis = {i for i, fs in enumerate(sets) if Slice(C, fs).is_bislice()}
+        # a bislice: its arrows have distinct ranges
+        ranges = [[C.r[a] for a in A if a >= 0]
+                  for A in semigroup_slices(C, S_C)]
+        bis = {i for i, rs in enumerate(ranges) if len(set(rs)) == len(rs)}
         rep.check("bideterministic-equals-bislices", bd == bis,
                   tuple(sorted(bd ^ bis)) or None)
         agrees = (inv is not None) == (piso == bd)

@@ -27,15 +27,15 @@ def _map_algebra(n, keep):
     """The partial self-maps of {1..n} passing keep, as slices of K_n.
 
     A map m is the tuple of its images, with 0 where it is undefined, and
-    the slice of arrows x -> m(x), so s*t is s after t.  Maps are ordered
-    by domain bitmask, then by images."""
+    the slice choosing the arrow x -> m(x) at each x in its domain, so s*t
+    is s after t.  Maps are ordered by domain bitmask, then by images."""
     if not 1 <= n:
         raise InputError("point count must be at least 1")
     _check_size(n + 1)  # a lower bound first: the power may not print
     _check_size((n + 1) ** n)  # the slices of K_n
     maps = sorted(filter(keep, iproduct(range(n + 1), repeat=n)),
                   key=lambda m: (sum(1 << x for x, v in enumerate(m) if v), m))
-    slices = [frozenset(x * n + v - 1 for x, v in enumerate(m) if v)
+    slices = [tuple(x * n + v - 1 if v else -1 for x, v in enumerate(m))
               for m in maps]
     names = ["".join(str(v) if v else "-" for v in m) for m in maps]
     return _slice_algebra(gen_pair_groupoid(n), slices, names)

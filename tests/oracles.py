@@ -7,6 +7,9 @@ agreement between the two is meaningful evidence rather than a tautology.
 
 import itertools
 
+from stonedual.category import semigroup_slices
+from stonedual.errors import InputError, MathFail, ParentMismatch
+
 
 # ---------------------------------------------------------------------------
 # partial self-maps as dicts {point: image}, points are 1-based
@@ -164,6 +167,14 @@ def no_meet_witness_brute(S):
     return None
 
 
+def nat_leq(S, a, b, side="star"):
+    if side == "star":
+        return S.leq(a, b)
+    if side == "plus":
+        return S.leq_plus(a, b)
+    raise InputError(f"unknown order side {side!r}")
+
+
 # ---------------------------------------------------------------------------
 # category associativity by the composable-triple loop
 
@@ -209,6 +220,85 @@ def slice_sets_brute(C):
         if len(set(doms)) == len(doms):
             out.append(arrows)
     return out
+
+
+# ---------------------------------------------------------------------------
+# slices as arrow sets, with the set rule for their operations: the
+# package stores a slice as its choice of arrow per object instead
+
+
+def choice_arrows(choice):
+    """The arrow set of a package slice (a choice, -1 for no arrow)."""
+    return frozenset(a for a in choice if a >= 0)
+
+
+class Slice:
+    """A set of arrows on which d is injective (a local section)."""
+
+    __slots__ = ("parent", "arrows")
+
+    def __init__(self, parent, arrows):
+        arrows = frozenset(arrows)
+        seen = {}
+        for a in sorted(arrows):
+            o = parent.d[a]
+            if o in seen:
+                raise MathFail("d is not injective on the subset",
+                               witness=(seen[o], a))
+            seen[o] = a
+        self.parent = parent
+        self.arrows = arrows
+
+    def __eq__(self, other):
+        return (isinstance(other, Slice) and self.parent is other.parent
+                and self.arrows == other.arrows)
+
+    def __hash__(self):
+        return hash((id(self.parent), self.arrows))
+
+    def __repr__(self):
+        names = self.parent.arrows
+        return "{" + ",".join(names[a] for a in sorted(self.arrows)) + "}"
+
+    def is_bislice(self):
+        return len({self.parent.r[a] for a in self.arrows}) == len(self.arrows)
+
+
+def slice_product(A, B):
+    if A.parent is not B.parent:
+        raise ParentMismatch("slices live in different categories")
+    C = A.parent
+    out = {C.comp[a][b] for a in A.arrows for b in B.arrows
+           if C.d[a] == C.r[b]}
+    return Slice(C, out)
+
+
+def slice_support(A):
+    C = A.parent
+    return Slice(C, {C.unit[C.d[a]] for a in A.arrows})
+
+
+def slice_cosupport(A):
+    C = A.parent
+    return Slice(C, {C.unit[C.r[a]] for a in A.arrows})
+
+
+def slice_of_index(C, S, i):
+    """The arrow set behind element i of a slice semigroup of C."""
+    return Slice(C, choice_arrows(semigroup_slices(C, S)[i]))
+
+
+def theta_set(S, G, s):
+    """{s a : a an atom of G with a <= s^*}, as germ arrow indices."""
+    return frozenset(G.germ_index[S.mult[s][a]] for a in G.atoms
+                     if leq(S, a, S.star[s]))
+
+
+def pushforward_set(F, arrows):
+    """{rho1[s][x] : s in arrows, d(s) = anchor[x]}."""
+    return frozenset(F.rho1[s][x] for s in arrows
+                     for x in range(F.target.n_obj)
+                     if F.source.d[s] == F.anchor[x])
 
 
 # ---------------------------------------------------------------------------

@@ -7,13 +7,14 @@ import pytest
 
 from oracles import (br1_witness_brute, br1prime_witness_brute,
                      br3_witness_brute, brute_join, inverse_map,
-                     leq as oracle_leq, no_meet_witness_brute, parse_map)
+                     leq as oracle_leq, nat_leq, no_meet_witness_brute,
+                     parse_map)
 from stonedual import algebra
 from stonedual.algebra import (SIZE_BOUND, BiUnaryAlgebra, bd_subalgebra,
                                check_morphism, classify, compatible,
                                deterministic_sets, has_local_units,
                                infer_cosupport, iso_algebras,
-                               join, join_all, make_algebra, meet, nat_leq,
+                               join, join_all, make_algebra, meet,
                                partial_isomorphisms, projection_gba,
                                projections, SemigroupMorphism)
 from stonedual.errors import (BadTableShape, InvariantViolation, MathFail,

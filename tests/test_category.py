@@ -4,20 +4,21 @@ import time
 
 import pytest
 
-from oracles import count_slices_brute, first_assoc_failure, slice_sets_brute
+from oracles import (Slice, choice_arrows, count_slices_brute,
+                     first_assoc_failure, pushforward_set, slice_cosupport,
+                     slice_of_index, slice_product, slice_sets_brute,
+                     slice_support)
 import stonedual.category
 from stonedual import algebra
 from stonedual.algebra import SIZE_BOUND, MorphismVerdict, classify
-from stonedual.category import (Cofunctor, CoveringFunctor, Slice,
-                                _slice_algebra, check_cofunctor,
+from stonedual.category import (Cofunctor, CoveringFunctor, _slice_algebra,
+                                _slice_name, check_cofunctor,
                                 cofunctor_to_covering, cofunctor_to_morphism,
                                 compose_cofunctors,
                                 covering_to_cofunctor, enumerate_slices,
                                 identity_cofunctor, is_groupoid,
                                 make_category, predicted_slice_count,
-                                semigroup_slices, slice_cosupport,
-                                slice_of_index, slice_product,
-                                slice_semigroup, slice_support)
+                                semigroup_slices, slice_semigroup)
 from stonedual.duality import counit_epsilon
 from stonedual.errors import (AxiomFail, BadTableShape, CompDomainMismatch,
                               CompositionMismatch, InputError,
@@ -147,6 +148,11 @@ def test_slice_rejects_repeated_domain():
         Slice(K2, set(fiber))
 
 
+def _is_choice(C, A):
+    return len(A) == C.n_obj and all(a == -1 or C.d[a] == x
+                                     for x, a in enumerate(A))
+
+
 @pytest.mark.parametrize("make", [lambda: gen_pair_groupoid(1),
                                   lambda: gen_pair_groupoid(2),
                                   lambda: gen_pair_groupoid(3),
@@ -158,7 +164,9 @@ def test_slice_counts_match_subset_enumeration(make):
     assert predicted_slice_count(C) == total
     assert len(enumerate_slices(C)) == total
     assert len(enumerate_slices(C, bislices_only=True)) == bis
-    assert set(enumerate_slices(C)) == set(slice_sets_brute(C))
+    assert all(_is_choice(C, A) for A in enumerate_slices(C))
+    assert set(map(choice_arrows, enumerate_slices(C))) == \
+        set(slice_sets_brute(C))
 
 
 def test_slice_semigroup_sizes_frozen():
@@ -172,7 +180,7 @@ def test_slice_semigroup_sizes_frozen():
 def test_slice_products_match_direct_computation():
     C = gen_pair_groupoid(2)
     S = slice_semigroup(C)
-    sets = semigroup_slices(C, S)
+    sets = [choice_arrows(A) for A in semigroup_slices(C, S)]
     index = {fs: i for i, fs in enumerate(sets)}
     for i, A in enumerate(sets):
         for j, B in enumerate(sets):
@@ -185,7 +193,7 @@ def test_slice_products_match_direct_computation():
 
 def _check_slice_cells(C):
     S = slice_semigroup(C)
-    sets = semigroup_slices(C, S)
+    sets = [choice_arrows(A) for A in semigroup_slices(C, S)]
     slices = [Slice(C, A) for A in sets]
     for i, A in enumerate(slices):
         assert sets[S.star[i]] == slice_support(A).arrows
@@ -209,19 +217,24 @@ def test_numpy_slice_tables_match_the_slice_operations(numpy_kernel, make):
     _check_slice_cells(make())
 
 
+def test_numpy_k4_slice_tables_match_the_slice_operations(numpy_kernel):
+    # K_4 is above the cutoff anyway; one-cell chunks take one row at a time
+    _check_slice_cells(gen_pair_groupoid(4))
+
+
 def test_slice_tables_refuse_a_family_not_closed_under_product():
     C = gen_pair_groupoid(3)
     slices = enumerate_slices(C)[:-1]  # the last is a product of others
     assert len(slices) > algebra._NUMPY_THRESHOLD
     with pytest.raises(InvariantViolation) as exc:
-        _slice_algebra(C, slices, [repr(Slice(C, s)) for s in slices])
+        _slice_algebra(C, slices, [_slice_name(C, s) for s in slices])
     assert exc.value.witness == ("closed",)
 
 
 def test_slice_support_and_cosupport():
     C = gen_free_arrow()
     S = slice_semigroup(C)
-    sets = semigroup_slices(C, S)
+    sets = [choice_arrows(A) for A in semigroup_slices(C, S)]
     for i, A in enumerate(sets):
         sl = Slice(C, A)
         assert slice_support(sl).arrows == sets[S.star[i]]
@@ -243,6 +256,16 @@ def test_slice_semigroup_size_guard_fires_before_work():
         slice_semigroup(K5)
     assert time.perf_counter() - start < 0.1
     assert (exc.value.predicted, exc.value.bound) == (7776, SIZE_BOUND)
+
+
+def test_bislice_guard_fires_object_by_object():
+    # K_12 has 13^12 slices; the partial bislices pass SIZE_BOUND after a
+    # few objects, so enumeration must stop there
+    K12 = gen_pair_groupoid(12)
+    start = time.perf_counter()
+    with pytest.raises(TooLarge):
+        slice_semigroup(K12, bislices_only=True)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_bislice_semigroup_is_bounded_by_its_own_count():
@@ -315,7 +338,8 @@ except InvariantViolation as exc:
 def test_slice_repr_is_the_element_name():
     C = gen_free_arrow()
     S = slice_semigroup(C)
-    assert [repr(Slice(C, s)) for s in S.slice_sets] == list(S.names)
+    assert [repr(Slice(C, choice_arrows(s))) for s in S.slice_sets] == \
+        list(S.names)
 
 
 def test_semigroup_slices_parses_names_without_cache():
@@ -331,8 +355,7 @@ def test_semigroup_slices_of_loaded_semigroup_matches_whole_names(tmp_path):
     path = tmp_path / "s.json"
     save_instance(slice_semigroup(C), path)
     loaded = load_instance(str(path))
-    assert semigroup_slices(C, loaded) == (frozenset(), frozenset({0}),
-                                           frozenset({1}))
+    assert semigroup_slices(C, loaded) == ((-1,), (0,), (1,))
     with pytest.raises(InputError):
         semigroup_slices(C, gen_pt(2))
 
@@ -430,7 +453,8 @@ def test_pushforward_of_slices_is_a_slice():
     F = trivial_cofunctor_k1_to_k2()
     for A in enumerate_slices(F.source):
         image = F.pushforward(A)
-        Slice(F.target, image)  # d-injectivity would raise
+        assert _is_choice(F.target, image)
+        assert choice_arrows(image) == pushforward_set(F, choice_arrows(A))
 
 
 def test_cofunctor_to_morphism_endpoints():

@@ -1,20 +1,27 @@
 import gc
 import hashlib
+import subprocess
+import sys
 import weakref
+from types import SimpleNamespace
 
 import pytest
 
-from oracles import germ_relation_mismatch, proj_atoms
+from oracles import (choice_arrows, germ_relation_mismatch, proj_atoms,
+                     pushforward_set, theta_set)
 from stonedual import duality
-from stonedual.algebra import (AlgebraClassification, MorphismVerdict,
-                               SemigroupMorphism, bd_subalgebra, classify,
-                               iso_algebras, make_algebra)
-from stonedual.category import (check_cofunctor, cofunctor_to_covering,
-                                compose_cofunctors, covering_to_cofunctor,
+from stonedual.algebra import (AlgebraClassification, BiUnaryAlgebra,
+                               MorphismVerdict, SemigroupMorphism,
+                               bd_subalgebra, classify, iso_algebras,
+                               make_algebra)
+from stonedual.category import (CofunctorFlags, check_cofunctor,
+                                cofunctor_to_covering, compose_cofunctors,
+                                covering_to_cofunctor, enumerate_slices,
                                 identity_cofunctor, is_groupoid, make_category,
                                 predicted_slice_count, semigroup_slices,
                                 slice_semigroup)
-from stonedual.duality import (category_signature, counit_epsilon,
+from stonedual.duality import (GermCategory, category_signature,
+                               counit_epsilon,
                                germ_category, iso_categories,
                                morphism_to_cofunctor, theta, unit_eta,
                                verify_adjunction,
@@ -101,6 +108,28 @@ def test_germ_requires_local_units():
         germ_category(S)
 
 
+def test_germ_range_failures_raise_with_witness(monkeypatch):
+    # in pt_2 the germ 2- (1 -> 2) has the one left unit atom -2; plant
+    # the atom 1- as a second one, with classify still passing
+    P = gen_pt(2)
+    mult = [list(row) for row in P.mult]
+    mult[1][2] = 2
+    S = BiUnaryAlgebra(P.names, mult, P.star, P.plus, P.zero)
+    flags = {**classify(P).flags, "range": False}
+    monkeypatch.setattr(duality, "classify",
+                        lambda T: AlgebraClassification(flags))
+    with pytest.raises(InvariantViolation) as exc:
+        germ_category(S)
+    assert exc.value.witness == ("germ-range", (2, (1, 4)))
+    # on a range instance the atom must also be x^+: plant star for plus
+    monkeypatch.undo()
+    monkeypatch.setattr(duality, "with_inferred_plus",
+                        lambda T: SimpleNamespace(plus=T.star))
+    with pytest.raises(InvariantViolation) as exc:
+        germ_category(gen_pt(2))
+    assert exc.value.witness == ("germ-range", (2, (4,)))
+
+
 # -- theta and the unit ------------------------------------------------------------
 
 def test_theta_sizes_and_errors():
@@ -108,10 +137,34 @@ def test_theta_sizes_and_errors():
     G = germ_category(S)
     for s in range(S.n):
         dom_size = sum(c != "-" for c in S.names[s])
-        assert len(theta(S, s).arrows) == dom_size
-    assert theta(S, S.zero).arrows == frozenset()
+        assert len(theta(S, s)) == G.category.n_obj
+        assert sum(a >= 0 for a in theta(S, s)) == dom_size
+    assert theta(S, S.zero) == (-1,) * G.category.n_obj
     with pytest.raises(UnknownElement):
         theta(S, S.n)
+
+
+def test_theta_matches_the_set_definition(zoo_sgs, corpus_cats):
+    for S in [*zoo_sgs.values(), *(slice_semigroup(C) for _, C in corpus_cats)]:
+        cls = classify(S)
+        if not (cls.flags["preboolean_restriction"]
+                and cls.flags["has_local_units"]):
+            continue
+        G = germ_category(S)
+        for s in range(S.n):
+            A = theta(S, s)
+            assert len(A) == G.category.n_obj
+            assert choice_arrows(A) == theta_set(S, G, s), (S.names, s)
+
+
+def test_pushforward_matches_the_set_definition(corpus_cats):
+    for _, C in corpus_cats:
+        for F in (counit_epsilon(C), identity_cofunctor(C)):
+            for A in enumerate_slices(F.source):
+                image = F.pushforward(A)
+                assert len(image) == F.target.n_obj
+                assert choice_arrows(image) == \
+                    pushforward_set(F, choice_arrows(A)), (C, A)
 
 
 def test_unit_eta_bijective_for_boolean_restriction():
@@ -178,6 +231,27 @@ def test_triangle_identity_category_side(make):
     assert rep.passed, rep.render()
 
 
+def _planted_flags(flag):
+    return lambda F: CofunctorFlags({**check_cofunctor(F).flags, flag: False},
+                                    {flag: ("planted",)})
+
+
+def test_counit_invariant_failures_raise_with_witness(monkeypatch):
+    real = duality.germ_category
+    # a germ category with an object that no unit of K_2 reaches
+    monkeypatch.setattr(duality, "germ_category", lambda S: GermCategory(
+        S, gen_pair_groupoid(3), real(S).atoms, real(S).germ_elems))
+    with pytest.raises(InvariantViolation) as exc:
+        counit_epsilon(gen_pair_groupoid(2))
+    assert exc.value.witness == ("counit-anchor", (2,))
+    monkeypatch.undo()
+    monkeypatch.setattr(duality, "check_cofunctor",
+                        _planted_flags("bijective_on_arrows"))
+    with pytest.raises(InvariantViolation) as exc:
+        counit_epsilon(gen_pair_groupoid(2))
+    assert exc.value.witness == ("counit-bijective", ("planted",))
+
+
 def test_verify_adjunction_rejects_other_inputs():
     with pytest.raises(UnknownElement):
         verify_adjunction("not an instance")
@@ -228,6 +302,43 @@ def test_morphism_to_cofunctor_validates():
     bad = SemigroupMorphism(P, P, (P.zero,) * P.n)
     with pytest.raises(NotAMorphism):
         morphism_to_cofunctor(bad)
+
+
+def test_cofunctor_invariant_failures_raise_with_witness(monkeypatch):
+    P = gen_pt(2)
+    # the zero map passed off as a morphism: no atom lies below an image
+    monkeypatch.setattr(duality, "check_morphism",
+                        lambda f, mtype: MorphismVerdict(True, mtype))
+    with pytest.raises(InvariantViolation) as exc:
+        morphism_to_cofunctor(SemigroupMorphism(P, P, (P.zero,) * P.n))
+    assert exc.value.witness == ("cofunctor-anchor", (1, ()))
+    monkeypatch.undo()
+    # the identity of pt_2 keeps bideterministic elements: its action
+    # must be injective
+    monkeypatch.setattr(duality, "check_cofunctor",
+                        _planted_flags("action_injective"))
+    with pytest.raises(InvariantViolation) as exc:
+        morphism_to_cofunctor(SemigroupMorphism(P, P, tuple(range(P.n))))
+    assert exc.value.witness == ("cofunctor-action-injective", ("planted",))
+
+
+def test_duality_invariant_is_checked_under_python_O():
+    code = """
+import stonedual.duality as du
+from stonedual.algebra import MorphismVerdict, SemigroupMorphism
+from stonedual.errors import InvariantViolation
+from stonedual.zoo import gen_pt
+du.check_morphism = lambda f, mtype: MorphismVerdict(True, mtype)
+P = gen_pt(2)
+try:
+    du.morphism_to_cofunctor(SemigroupMorphism(P, P, (P.zero,) * P.n))
+except InvariantViolation as exc:
+    print("raised", exc.witness)
+"""
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True)
+    assert proc.stdout.strip() == "raised ('cofunctor-anchor', (1, ()))", \
+        proc.stderr
 
 
 def test_pushforward_naturality_square():

@@ -10,13 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import germ_relation_mismatch
+from oracles import (Slice, choice_arrows, germ_relation_mismatch,
+                     slice_product, slice_support)
 from stonedual.algebra import (SemigroupMorphism, bd_subalgebra, classify,
                                compatible, deterministic_sets, infer_cosupport,
                                iso_algebras, join, meet, partial_isomorphisms)
-from stonedual.category import (Slice, enumerate_slices, identity_cofunctor,
-                                is_groupoid, make_category, slice_cosupport,
-                                slice_product, slice_semigroup, slice_support)
+from stonedual.category import (enumerate_slices, identity_cofunctor,
+                                is_groupoid, make_category, slice_semigroup)
 from stonedual.duality import (germ_category, iso_categories,
                                morphism_to_cofunctor, theta, unit_eta,
                                counit_epsilon)
@@ -209,7 +209,10 @@ def test_pushforward_of_slice_is_slice(zoo_cats):
     for F in cofs:
         for A in enumerate_slices(F.source):
             pushed = F.pushforward(A)
-            Slice(F.target, pushed)
+            # one entry per object, each an arrow out of it or -1
+            assert len(pushed) == F.target.n_obj
+            assert all(a == -1 or F.target.d[a] == x
+                       for x, a in enumerate(pushed))
 
 
 # -- germs and theta -------------------------------------------------------------
@@ -229,7 +232,8 @@ def test_theta_is_a_homomorphism(pool):
     for name, S, cls in pool:
         if not _pb(cls):
             continue
-        th = [theta(S, s) for s in range(S.n)]
+        C = germ_category(S).category
+        th = [Slice(C, choice_arrows(theta(S, s))) for s in range(S.n)]
         for s in range(S.n):
             assert slice_support(th[s]) == th[S.star[s]], (name, s)
             for t in range(S.n):
@@ -248,7 +252,7 @@ def test_theta_cosupport_tracks_plus(pool):
         G = germ_category(S)
         C = G.category
         for s in range(S.n):
-            cosup = {C.unit[C.r[a]] for a in theta(S, s).arrows}
+            cosup = {C.unit[C.r[a]] for a in choice_arrows(theta(S, s))}
             expect = {C.unit[G.obj_index[a]] for a in G.atoms
                       if S.leq(a, S.plus[s])}
             assert cosup == expect, (name, s)
@@ -261,11 +265,12 @@ def test_bideterministic_theta_is_bislice(pool):
         if not _pb(cls) or S.plus is None:
             continue
         _, _, bidet = deterministic_sets(S)
+        G = germ_category(S)
         for s in bidet:
-            assert theta(S, s).is_bislice(), (name, s)
+            assert Slice(G.category, choice_arrows(theta(S, s))).is_bislice(), \
+                (name, s)
         if cls.flags["etale_range"]:
-            G = germ_category(S)
-            images = {theta(S, s).arrows for s in bidet}
+            images = {theta(S, s) for s in bidet}
             assert images == set(enumerate_slices(G.category,
                                                   bislices_only=True)), name
 

@@ -309,13 +309,17 @@ def _check_table(what, table, shape, bound, low=0):
         raise BadTableShape(f"{what} has {len(table)} entries, "
                             f"expected {shape[0]}")
     width = shape[-1]
+    # one C-level subset test per row; the loop only names the first bad
+    # entry (its set is no larger than the names the caller already holds)
+    valid = frozenset(range(low, bound))
     for row in table if len(shape) == 2 else (table,):
         if len(row) != width:
             raise BadTableShape(f"{what} row has {len(row)} entries, "
                                 f"expected {width}")
-        for v in row:
-            if not low <= v < bound:
-                raise BadTableShape(f"{what} entry {v} out of range")
+        if not valid.issuperset(row):
+            for v in row:
+                if not low <= v < bound:
+                    raise BadTableShape(f"{what} entry {v} out of range")
 
 
 def _assoc_pure(mult):

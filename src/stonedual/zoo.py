@@ -14,12 +14,12 @@ Categories beyond the named ones come from a bounded exhaustive enumeration
 
 from __future__ import annotations
 
-from itertools import combinations, combinations_with_replacement
+from itertools import (combinations, combinations_with_replacement,
+                       permutations)
 from itertools import product as iproduct
 
 from .algebra import _check_size, classify, make_algebra
-from .category import (_slice_algebra, category_signature, iso_categories,
-                       make_category)
+from .category import _slice_algebra, make_category
 from .errors import InputError
 
 
@@ -103,12 +103,16 @@ def zoo_categories():
             "k_3": gen_pair_groupoid(3), "free_arrow": gen_free_arrow()}
 
 
-def _complete_comp(n_arr, d, r, unit):
-    """Yield all associative completions of the composition table.
+def _complete_comp(n_arr, d, r, unit, relabellings):
+    """Yield the associative completions of the composition table that are
+    lex-leaders under relabellings, in lexicographic order of the free cells.
 
     Unit rows and columns are forced; each remaining cell assignment
     triggers exactly the associativity comparisons it completes, so every
     composable triple is checked at the moment its last table entry lands.
+    Each relabelling phi is an arrow permutation that keeps d, r and unit;
+    a branch is pruned as soon as phi applied to the decided cells reads
+    lexicographically smaller than the table itself.
     """
     comp = [[-1] * n_arr for _ in range(n_arr)]
     cells = []
@@ -125,6 +129,16 @@ def _complete_comp(n_arr, d, r, unit):
                 occ[y].add((x, y))
             else:
                 cells.append((x, y))
+    vals = [-1] * len(cells)  # vals[k] = comp at cells[k]
+    pos = {cell: k for k, cell in enumerate(cells)}
+    # phi(T) at cells[k] is phi of T at cells[src[k]]; j is the length of
+    # the prefix on which phi(T) is known to equal T
+    undecided = []
+    for phi in relabellings:
+        inv = [0] * n_arr
+        for a, b in enumerate(phi):
+            inv[b] = a
+        undecided.append((phi, [pos[inv[x], inv[y]] for x, y in cells], 0))
 
     def consistent(x, y, z):
         # triples with (x, y) as the left inner pair: (x*y)*c vs x*(y*c)
@@ -167,7 +181,23 @@ def _complete_comp(n_arr, d, r, unit):
                     return False
         return True
 
-    def fill(k):
+    def leading(live, k):
+        """The relabellings still able to undercut the table once cells
+        0..k are decided, or None if one already does."""
+        out = []
+        for phi, src, j in live:
+            while j <= k and src[j] <= k:
+                v = phi[vals[src[j]]]
+                if v != vals[j]:
+                    if v < vals[j]:
+                        return None
+                    break  # phi(T) > T on every completion
+                j += 1
+            else:
+                out.append((phi, src, j))
+        return out
+
+    def fill(k, live):
         if k == len(cells):
             yield [row[:] for row in comp]
             return
@@ -175,44 +205,74 @@ def _complete_comp(n_arr, d, r, unit):
         for z in range(n_arr):
             if d[z] != d[y] or r[z] != r[x]:
                 continue
-            comp[x][y] = z
+            comp[x][y] = vals[k] = z
             occ[z].add((x, y))
             if consistent(x, y, z):
-                yield from fill(k + 1)
+                still = leading(live, k)
+                if still is not None:
+                    yield from fill(k + 1, still)
             occ[z].discard((x, y))
             comp[x][y] = -1
 
-    yield from fill(0)
+    yield from fill(0, undecided)
+
+
+def _relabellings(n_obj, drs):
+    """The arrow relabellings of the (d, r) multiset drs, or None unless
+    drs is the least multiset of its orbit under object permutations.
+
+    Arrows 0..n_obj-1 are the units and arrow n_obj + i has (d, r) =
+    drs[i].  The relabellings are those induced by the object permutations
+    keeping drs, each combined with every bijection between the blocks of
+    arrows with equal (d, r); the identity is left out."""
+    least = list(drs)
+    block = {}
+    for i, pair in enumerate(drs, n_obj):
+        block.setdefault(pair, []).append(i)
+    pairs = list(block)
+    out = []
+    for p in permutations(range(n_obj)):
+        image = sorted((p[x], p[y]) for x, y in drs)
+        if image < least:
+            return None
+        if image != least:
+            continue
+        for targets in iproduct(*(permutations(block[p[x], p[y]])
+                                  for x, y in pairs)):
+            phi = list(p) + [0] * len(drs)
+            for pair, target in zip(pairs, targets):
+                for a, b in zip(block[pair], target):
+                    phi[a] = b
+            out.append(phi)
+    return out[1:]  # the first is the identity
 
 
 def enumerate_categories(max_objects=3, max_arrows=5):
     """All categories with at most the given objects and total arrows,
-    one representative per isomorphism class."""
+    one representative per isomorphism class.
+
+    Non-unit arrows get nondecreasing (d, r) pairs.  Only the least (d, r)
+    multiset of each orbit under object permutations is completed, and
+    only its lex-leader tables, so each class is built once: as the first
+    completion of the first multiset in which it occurs."""
     found = []
-    buckets = {}
-    for n_obj in range(1, max_objects + 1):
-        if n_obj > max_arrows:
-            break
+    for n_obj in range(1, min(max_objects, max_arrows) + 1):
         unit = list(range(n_obj))
+        objects = [f"o{i + 1}" for i in range(n_obj)]
+        pair_choices = [(x, y) for x in range(n_obj) for y in range(n_obj)]
         for extra in range(max_arrows - n_obj + 1):
             n_arr = n_obj + extra
-            # non-unit arrows get nondecreasing (d, r) pairs; isomorphic
-            # relabelings are removed afterwards
-            pair_choices = [(x, y) for x in range(n_obj) for y in range(n_obj)]
+            arrows = [f"u{i + 1}" for i in range(n_obj)] + \
+                     [f"g{i + 1}" for i in range(extra)]
             for drs in combinations_with_replacement(pair_choices, extra):
-                d = unit[:] + [x for x, _ in drs]
-                r = unit[:] + [y for _, y in drs]
-                for comp in _complete_comp(n_arr, d, r, unit):
-                    objects = [f"o{i + 1}" for i in range(n_obj)]
-                    arrows = [f"u{i + 1}" for i in range(n_obj)] + \
-                             [f"g{i + 1}" for i in range(extra)]
-                    C = make_category(objects, arrows, d, r, unit, comp)
-                    key = (n_obj, n_arr,
-                           tuple(sorted(category_signature(C))))
-                    bucket = buckets.setdefault(key, [])
-                    if not any(iso_categories(C, D) for D in bucket):
-                        bucket.append(C)
-                        found.append(C)
+                relabellings = _relabellings(n_obj, drs)
+                if relabellings is None:
+                    continue
+                d = unit + [x for x, _ in drs]
+                r = unit + [y for _, y in drs]
+                for comp in _complete_comp(n_arr, d, r, unit, relabellings):
+                    found.append(make_category(objects, arrows, d, r, unit,
+                                               comp))
     return found
 
 

@@ -7,7 +7,8 @@ agreement between the two is meaningful evidence rather than a tautology.
 
 import itertools
 
-from stonedual.category import semigroup_slices
+from stonedual.category import (category_signature, iso_categories,
+                                make_category, semigroup_slices)
 from stonedual.errors import InputError, MathFail, ParentMismatch
 
 
@@ -337,9 +338,132 @@ def count_monoids_brute(n):
     return count
 
 
-# classical counts of monoids of order 1..5; orders <= 3 are re-derived by
-# count_monoids_brute in the tests, the larger two are frozen constants
-MONOID_COUNTS = (1, 2, 7, 35, 228)
+# classical counts of monoids of order 1..6 (OEIS A058129); orders <= 3 are
+# re-derived by count_monoids_brute in the tests, the larger three are frozen
+# constants
+MONOID_COUNTS = (1, 2, 7, 35, 228, 2237)
+
+
+# ---------------------------------------------------------------------------
+# category enumeration with pairwise isomorphism dedup afterwards: the plain
+# completion search, without symmetry breaking, as the reference for the
+# lex-leader search of stonedual.zoo
+
+
+def complete_comp_reference(n_arr, d, r, unit):
+    """Yield all associative completions of the composition table, in
+    lexicographic order of the free cells.
+
+    Unit rows and columns are forced; each remaining cell assignment
+    triggers exactly the associativity comparisons it completes, so every
+    composable triple is checked at the moment its last table entry lands.
+    """
+    comp = [[-1] * n_arr for _ in range(n_arr)]
+    cells = []
+    occ = [set() for _ in range(n_arr)]  # occ[z] = filled cells with value z
+    for x in range(n_arr):
+        for y in range(n_arr):
+            if d[x] != r[y]:
+                continue
+            if y == unit[d[x]]:
+                comp[x][y] = x
+                occ[x].add((x, y))
+            elif x == unit[r[y]]:
+                comp[x][y] = y
+                occ[y].add((x, y))
+            else:
+                cells.append((x, y))
+
+    def consistent(x, y, z):
+        # triples with (x, y) as the left inner pair: (x*y)*c vs x*(y*c)
+        for c in range(n_arr):
+            if d[y] != r[c]:
+                continue
+            bc = comp[y][c]
+            if bc < 0:
+                continue
+            left, right = comp[z][c], comp[x][bc]
+            if left >= 0 and right >= 0 and left != right:
+                return False
+        # triples with (x, y) as the right inner pair: (a*x)*y vs a*(x*y)
+        for a in range(n_arr):
+            if d[a] != r[x]:
+                continue
+            ab = comp[a][x]
+            if ab < 0:
+                continue
+            left, right = comp[ab][y], comp[a][z]
+            if left >= 0 and right >= 0 and left != right:
+                return False
+        # cell (x, y) as a left-outer value: x = a*b, y = c
+        for a, b in occ[x]:
+            if d[b] != r[y]:
+                continue
+            bc = comp[b][y]
+            if bc >= 0:
+                right = comp[a][bc]
+                if right >= 0 and right != z:
+                    return False
+        # cell (x, y) as a right-outer value: x = a, y = b*c
+        for b, c in occ[y]:
+            if d[x] != r[b]:
+                continue
+            ab = comp[x][b]
+            if ab >= 0:
+                left = comp[ab][c]
+                if left >= 0 and left != z:
+                    return False
+        return True
+
+    def fill(k):
+        if k == len(cells):
+            yield [row[:] for row in comp]
+            return
+        x, y = cells[k]
+        for z in range(n_arr):
+            if d[z] != d[y] or r[z] != r[x]:
+                continue
+            comp[x][y] = z
+            occ[z].add((x, y))
+            if consistent(x, y, z):
+                yield from fill(k + 1)
+            occ[z].discard((x, y))
+            comp[x][y] = -1
+
+    yield from fill(0)
+
+
+def enumerate_categories_reference(max_objects=3, max_arrows=5):
+    """The enumeration without symmetry breaking: every completion of every
+    nondecreasing (d, r) multiset, kept unless it is isomorphic to an
+    earlier one with equal sorted codes."""
+    found = []
+    buckets = {}
+    for n_obj in range(1, max_objects + 1):
+        if n_obj > max_arrows:
+            break
+        unit = list(range(n_obj))
+        for extra in range(max_arrows - n_obj + 1):
+            n_arr = n_obj + extra
+            # non-unit arrows get nondecreasing (d, r) pairs; isomorphic
+            # relabelings are removed afterwards
+            pair_choices = [(x, y) for x in range(n_obj) for y in range(n_obj)]
+            for drs in itertools.combinations_with_replacement(pair_choices,
+                                                                extra):
+                d = unit[:] + [x for x, _ in drs]
+                r = unit[:] + [y for _, y in drs]
+                for comp in complete_comp_reference(n_arr, d, r, unit):
+                    objects = [f"o{i + 1}" for i in range(n_obj)]
+                    arrows = [f"u{i + 1}" for i in range(n_obj)] + \
+                             [f"g{i + 1}" for i in range(extra)]
+                    C = make_category(objects, arrows, d, r, unit, comp)
+                    key = (n_obj, n_arr,
+                           tuple(sorted(category_signature(C))))
+                    bucket = buckets.setdefault(key, [])
+                    if not any(iso_categories(C, D) for D in bucket):
+                        bucket.append(C)
+                        found.append(C)
+    return found
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,15 @@ def test_bad_row_length_rejected():
         make_algebra(["a", "b"], [[0, 0], [0, 2]], [0, 1])
 
 
+def test_out_of_range_message_names_the_first_bad_entry():
+    # row 1 holds two bad entries in its middle; the first is named
+    with pytest.raises(BadTableShape) as exc:
+        make_algebra(["a", "b", "c", "e"],
+                     [[0, 1, 2, 3], [1, 7, -1, 3], [2, 9, 2, 3], [3] * 4],
+                     [0, 1, 2, 3])
+    assert str(exc.value) == "mult entry 7 out of range"
+
+
 def test_non_associative_witness_is_first():
     # x*y = x except 0*1 = 2 breaks (0*0)*1 = 2 vs 0*(0*1) = 0*2 = 0
     n = 3

@@ -2,9 +2,12 @@ import time
 
 import pytest
 
+import stonedual.algebra
 import stonedual.category
+import stonedual.duality
 import stonedual.zoo
-from oracles import (MONOID_COUNTS, count_monoids_brute, expected_map_tables,
+from oracles import (MONOID_COUNTS, count_monoids_brute,
+                     enumerate_categories_reference, expected_map_tables,
                      is_increasing, is_injective, parse_map)
 from stonedual.algebra import SIZE_BOUND, classify
 from stonedual.category import is_groupoid
@@ -161,10 +164,11 @@ def test_enumeration_shape_and_validity():
             assert iso_categories(C, D) is None
 
 
-def test_enumeration_refines_each_completion_once(monkeypatch):
-    # the bucket key refines a completion once; the pairwise iso checks
-    # reuse the codes memoised on both categories
-    calls = {"refine": 0, "make_category": 0}
+def test_enumeration_builds_each_class_once(monkeypatch):
+    # symmetry breaking during the search: one make_category per class and
+    # no isomorphism test at all
+    calls = {"make_category": 0, "_refine": 0, "_find_iso": 0,
+             "iso_categories": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -172,13 +176,45 @@ def test_enumeration_refines_each_completion_once(monkeypatch):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(stonedual.category, "_refine",
-                        counted("refine", stonedual.category._refine))
+    for module in (stonedual.algebra, stonedual.category, stonedual.duality):
+        for name in ("_refine", "_find_iso", "iso_categories"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name,
+                                    counted(name, getattr(module, name)))
     monkeypatch.setattr(stonedual.zoo, "make_category",
                         counted("make_category", stonedual.zoo.make_category))
-    enumerate_categories(max_objects=3, max_arrows=4)
-    assert calls["make_category"] > 0
-    assert calls["refine"] == calls["make_category"]
+    cats = enumerate_categories(max_objects=3, max_arrows=4)
+    assert calls == {"make_category": len(cats), "_refine": 0,
+                     "_find_iso": 0, "iso_categories": 0}
+
+
+@pytest.mark.parametrize("bounds", [(1, 4), (2, 4), (3, 4), (4, 4)])
+def test_enumeration_matches_pairwise_dedup_reference(bounds):
+    # the same first-found representatives, with the same tables, in the
+    # same order
+    got = enumerate_categories(*bounds)
+    want = enumerate_categories_reference(*bounds)
+    assert len(got) == len(want)
+    for C, D in zip(got, want):
+        assert C.same_tables(D)
+
+
+def test_corpus_enumeration_has_no_isomorphic_pair(corpus_cats):
+    enum = [C for name, C in corpus_cats if name.startswith("enum_")]
+    assert len(enum) == 394
+    buckets = {}
+    for C in enum:
+        key = (C.n_obj, C.n_arr, tuple(sorted(C.iso_codes)))
+        buckets.setdefault(key, []).append(C)
+    for bucket in buckets.values():
+        for i, C in enumerate(bucket):
+            for D in bucket[i + 1:]:
+                assert iso_categories(C, D) is None
+
+
+def test_order_six_monoids():
+    cats = enumerate_categories(max_objects=1, max_arrows=6)
+    assert sum(1 for C in cats if C.n_arr == 6) == MONOID_COUNTS[5]
 
 
 def test_corpus_contents():

@@ -17,7 +17,7 @@ from .algebra import (AlgebraClassification, BiUnaryAlgebra, CosupportResult,
                       deterministic_sets, has_local_units, infer_cosupport,
                       iso_algebras, join, join_all, make_algebra, meet,
                       partial_isomorphisms, projection_gba, projections)
-from .category import (Cofunctor, CofunctorFlags, CoveringFunctor, FinCat,
+from .category import (Cofunctor, CoveringFunctor, FinCat,
                        category_signature, check_cofunctor,
                        cofunctor_to_covering, cofunctor_to_morphism,
                        compose_cofunctors, covering_to_cofunctor,

@@ -9,7 +9,7 @@ failed universal statements report the lexicographically first counterexample.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import combinations
 from operator import add, or_
@@ -734,56 +734,61 @@ def _corestriction_witness(S):
     return None
 
 
-@dataclass
 class AlgebraClassification:
     """Named flags in report order, with a witness for each failed one.
 
-    classify returns it for algebras; check_cofunctor returns it, under the
-    name CofunctorFlags, for cofunctors.  Both build it with from_rules, the
-    one evaluator of flags from a prerequisite table.
+    classify returns it for algebras and check_cofunctor for cofunctors,
+    both from (flag, prerequisites, check) rules.  A flag is evaluated when
+    first read, as an attribute (cls.range) or through witness: it holds
+    when every prerequisite holds and its check, if any, returns no
+    witness; the check runs only when the prerequisites hold.  A flag
+    failing on a prerequisite carries the first failed prerequisite's
+    witness.  Flags named _... are shared steps, kept out of the result.
+    flags, witnesses and render evaluate every rule, in order.
     """
-    flags: dict = field(default_factory=dict)
-    witnesses: dict = field(default_factory=dict)
-    plus_inferred: bool = False
 
-    @classmethod
-    def from_rules(cls, rules, plus_inferred=False):
-        """Evaluate (flag, prerequisites, check) rules in order.
+    def __init__(self, rules, plus_inferred=False):
+        self._rules = {flag: (prereqs, check) for flag, prereqs, check in rules}
+        self._wit = {}  # flag -> its witness, None when it holds
+        self.plus_inferred = plus_inferred
 
-        A flag holds when every prerequisite holds and its check, if any,
-        returns no witness; the check runs only when the prerequisites hold.
-        A flag failing on a prerequisite carries the first witness among its
-        failed prerequisites.  Flags named _... are shared steps, kept out of
-        the result.
-        """
-        flags, wit = {}, {}
-        for flag, prereqs, check in rules:
-            failed = [p for p in prereqs if not flags[p]]
-            if failed:
-                w = next((wit[p] for p in failed if p in wit), None)
-            else:
-                w = None if check is None else check()
-            flags[flag] = not failed and w is None
-            if w is not None:
-                wit[flag] = w
-        return cls({f: ok for f, ok in flags.items() if f[0] != "_"},
-                   {f: w for f, w in wit.items() if f[0] != "_"}, plus_inferred)
+    def _eval(self, flag):
+        if flag not in self._wit:
+            prereqs, check = self._rules[flag]
+            w = next((w for w in map(self._eval, prereqs) if w is not None),
+                     None)
+            self._wit[flag] = check() if w is None and check else w
+        return self._wit[flag]
 
-    def __getattr__(self, item):
-        flags = object.__getattribute__(self, "flags")
-        if item in flags:
-            return flags[item]
-        raise AttributeError(item)
+    def __getattr__(self, flag):
+        if flag[0] == "_" or flag not in self._rules:
+            raise AttributeError(flag)
+        return self._eval(flag) is None
+
+    @property
+    def flags(self):
+        return {f: self._eval(f) is None for f in self._rules if f[0] != "_"}
+
+    @property
+    def witnesses(self):
+        return {f: w for f in self.flags if (w := self.witness(f)) is not None}
 
     def witness(self, flag):
-        return self.witnesses.get(flag)
+        return self._eval(flag)
+
+    def require(self, flag, error, message, *tag):
+        """Raise error(message) unless flag holds, with the flag's witness
+        after the tag, if one is given."""
+        if not getattr(self, flag):
+            w = self.witness(flag)
+            raise error(message, witness=(*tag, w) if tag else w)
 
     def render(self, names=None):
         out = []
         for flag, ok in self.flags.items():
             line = f"{flag}={str(ok).lower()}"
-            w = self.witnesses.get(flag)
-            if w is not None and not ok:
+            w = self.witness(flag)
+            if w is not None:
                 if names is not None:
                     axiom, tup = w
                     tup = tuple(names[i] if isinstance(i, int) and 0 <= i < len(names)
@@ -797,7 +802,8 @@ class AlgebraClassification:
 
 
 def classify(S):
-    """Compute every structural flag by exhaustive axiom evaluation.
+    """The structural flags of S, each decided by exhaustive axiom
+    evaluation when first read.
 
     Plus-dependent flags are evaluated against the stored plus table; when
     none is stored but a compatible cosupport is forced by the star reduct,
@@ -815,7 +821,7 @@ def _classify(S):
         except MathFail:
             pass
     base_r, base_b = ("restriction", "_BR2"), ("birestriction", "_BR2")
-    cls = AlgebraClassification.from_rules([
+    cls = AlgebraClassification([
         ("ehresmann", (), lambda: star_wit),
         ("coehresmann", (), lambda: ("no-plus-table", ()) if probe.plus is None
          else _plus_axiom_witness(probe)),
@@ -833,10 +839,12 @@ def _classify(S):
         ("_BR1'", base_r, lambda: _br1_witness(S, "BR1'")),
         ("_BR3", base_r, lambda: _br3_witness(S)),
         ("preboolean_restriction", ("_BR1'", "_BR3"), None),
-        ("boolean_restriction", ("_BR1", "_BR3"), None),
+        ("boolean_restriction", ("_BR1", "_BR3"),
+         lambda: _check_preboolean(cls, "boolean_restriction")),
         ("preboolean_birestriction", (*base_b, "_BR1'", "_BR3"), None),
         ("boolean_birestriction", base_b,
-         lambda: _br1_witness(S, "BBR1", probe)),
+         lambda: _br1_witness(S, "BBR1", probe)
+         or _check_preboolean(cls, "boolean_birestriction")),
         ("boolean_range", ("range", "boolean_restriction"), None),
         ("etale_range", ("boolean_range",), lambda: _join_cover_witness(
             S, sum(1 << b for b in deterministic_sets(probe)[2]))),
@@ -846,7 +854,6 @@ def _classify(S):
         ("inverse", (), lambda: _inverse_witness(S)),
         ("has_binary_meets", (), lambda: _meets_witness(S)),
     ], plus_inferred=probe is not S)
-    _check_implications(cls)
     return cls
 
 
@@ -963,13 +970,14 @@ def _inverse_witness(S):
     return None
 
 
-def _check_implications(cls):
-    # the other implications between flags are prerequisites in the rules
-    for strong, weak in (("boolean_restriction", "preboolean_restriction"),
-                         ("boolean_birestriction", "preboolean_birestriction")):
-        if cls.flags[strong] and not cls.flags[weak]:
-            raise InvariantViolation(f"{strong} holds but {weak} fails",
-                                     witness=(strong, weak))
+def _check_preboolean(cls, flag):
+    """Raise InvariantViolation if the Boolean flag, whose other checks
+    hold, lacks its preBoolean form; the other implications between flags
+    are prerequisites in the rules."""
+    weak = "pre" + flag
+    if not getattr(cls, weak):
+        raise InvariantViolation(f"{flag} holds but {weak} fails",
+                                 witness=(flag, weak))
 
 
 @dataclass(frozen=True)

@@ -214,9 +214,8 @@ def slice_semigroup(C, bislices_only=False):
     cls = classify(S)
     for flag in (("boolean_birestriction",) if bislices_only
                  else ("boolean_range", "etale_range")):
-        if not cls.flags[flag]:
-            raise InvariantViolation(f"slice semigroup is not {flag}",
-                                     witness=(flag, cls.witnesses.get(flag)))
+        cls.require(flag, InvariantViolation, f"slice semigroup is not {flag}",
+                    flag)
     if bislices_only:
         C.bislice_sg = S
     else:
@@ -453,12 +452,9 @@ def identity_cofunctor(C):
     return _lifted_cofunctor(C, C, range(C.n_obj), lambda s, x: s)
 
 
-CofunctorFlags = AlgebraClassification
-
-
 def check_cofunctor(F):
     """Injectivity/surjectivity flags of the arrow lift and the action."""
-    return CofunctorFlags.from_rules([
+    return AlgebraClassification([
         ("injective_on_arrows", (), lambda: _lift_collision(F)),
         ("surjective_on_arrows", (), lambda: _unlifted_arrow(F)),
         ("bijective_on_arrows", ("injective_on_arrows", "surjective_on_arrows"),
@@ -520,15 +516,15 @@ def cofunctor_to_morphism(F):
     index_T = {A: i for i, A in enumerate(semigroup_slices(F.target, T))}
     m = [index_T[F.pushforward(A)] for A in semigroup_slices(F.source, S)]
     f = SemigroupMorphism(S, T, tuple(m))
-    flags = check_cofunctor(F).flags
+    cls = check_cofunctor(F)
     # type 4 is types 2 and 3 together
-    mtype = 1 + flags["injective_on_arrows"] + 2 * flags["surjective_on_arrows"]
+    mtype = 1 + cls.injective_on_arrows + 2 * cls.surjective_on_arrows
     verdict = check_morphism(f, mtype)
     if not verdict.ok:
         raise InvariantViolation(
             f"pushforward is not a type-{mtype} morphism", witness=(
                 "pushforward-morphism", (mtype, verdict.failed, verdict.witness)))
-    if flags["action_injective"]:
+    if cls.action_injective:
         _, _, bd_S = deterministic_sets(S)
         bd_T = set(deterministic_sets(T)[2])
         bad = next((i for i in bd_S if m[i] not in bd_T), None)
@@ -593,11 +589,8 @@ class CoveringFunctor:
 
 def cofunctor_to_covering(F):
     """Repackage a bijective-on-arrows cofunctor as a functor D -> C."""
-    flags = check_cofunctor(F)
-    if not flags.flags["bijective_on_arrows"]:
-        raise NotBijectiveOnArrows(
-            "cofunctor is not bijective on arrows",
-            witness=flags.witnesses.get("bijective_on_arrows"))
+    check_cofunctor(F).require("bijective_on_arrows", NotBijectiveOnArrows,
+                               "cofunctor is not bijective on arrows")
     D = F.target
     f1 = [-1] * D.n_arr
     for s, x in F.pairs():

@@ -111,10 +111,10 @@ def _cmd_roundtrip(args):
         rep.check("unit-injective", len(set(eta.map)) == S.n)
         iso = len(set(eta.map)) == eta.target.n
         rep.check("unit-iso-iff-boolean-restriction",
-                  iso == cls.flags["boolean_restriction"], (iso,))
+                  iso == cls.boolean_restriction, (iso,))
         rep.info("unit-iso", iso)
         rep.merge(verify_adjunction(S), prefix="triangle/")
-        if cls.flags["boolean_birestriction"]:
+        if cls.boolean_birestriction:
             rep.merge(verify_birestriction_equivalence(S), prefix="bd/")
         return _emit(rep)
     if isinstance(obj, FinCat):
@@ -122,7 +122,7 @@ def _cmd_roundtrip(args):
         rep = Report("roundtrip at a category")
         eps = counit_epsilon(C)
         rep.check("counit-bijective-on-arrows",
-                  check_cofunctor(eps).flags["bijective_on_arrows"])
+                  check_cofunctor(eps).bijective_on_arrows)
         rep.merge(verify_adjunction(C), prefix="triangle/")
         S_C = slice_semigroup(C)
         res = iso_categories(germ_category(S_C).category, C)

@@ -49,12 +49,10 @@ def germ_category(S):
     if S.germ is not None:
         return S.germ
     cls = classify(S)
-    if not cls.flags["preboolean_restriction"]:
-        raise NotPreBoolean("projection-ordered joins are missing",
-                            witness=cls.witnesses.get("preboolean_restriction"))
-    if not cls.flags["has_local_units"]:
-        raise NoLocalUnits("some element has no left local unit",
-                           witness=cls.witnesses.get("has_local_units"))
+    cls.require("preboolean_restriction", NotPreBoolean,
+                "projection-ordered joins are missing")
+    cls.require("has_local_units", NoLocalUnits,
+                "some element has no left local unit")
     _, to_mask, from_mask = projection_gba(S)
     atoms = [from_mask[1 << i]
              for i in range(max(to_mask.values()).bit_length())]
@@ -62,7 +60,7 @@ def germ_category(S):
     mult, star = S.mult, S.star
 
     plus_ref = None
-    if cls.flags["range"]:
+    if cls.range:
         plus_ref = with_inferred_plus(S).plus
 
     germs = [x for x in range(S.n) if star[x] in atom_set]
@@ -122,7 +120,7 @@ def unit_eta(S):
         if source.setdefault(i, s) != s:
             raise InvariantViolation("unit is not injective", witness=(
                 "unit-injective", (source[i], s)))
-    if classify(S).flags["boolean_restriction"] and len(source) < T.n:
+    if classify(S).boolean_restriction and len(source) < T.n:
         missed = next(i for i in range(T.n) if i not in source)
         raise InvariantViolation("unit is not onto a Boolean instance",
                                  witness=("unit-onto", (missed,)))
@@ -156,10 +154,9 @@ def counit_epsilon(C):
     # the germ at anchor[x] is a singleton {t} with d(t) = x
     F = _lifted_cofunctor(G.category, C, anchor,
                           lambda j, x: slices[G.germ_elems[j]][x])
-    flags = check_cofunctor(F)
-    if not flags.flags["bijective_on_arrows"]:
-        raise InvariantViolation("counit is not bijective on arrows", witness=(
-            "counit-bijective", flags.witnesses.get("bijective_on_arrows")))
+    check_cofunctor(F).require("bijective_on_arrows", InvariantViolation,
+                               "counit is not bijective on arrows",
+                               "counit-bijective")
     return F
 
 
@@ -188,17 +185,14 @@ def morphism_to_cofunctor(f):
     F = _lifted_cofunctor(
         GS.category, GT.category, anchor, lambda j, x: GT.germ_index[
             T.mult[f.map[GS.germ_elems[j]]][GT.atoms[x]]])
-    clsS, clsT = classify(S), classify(T)
-    if clsS.flags["etale_range"] and clsT.flags["etale_range"]:
+    if classify(S).etale_range and classify(T).etale_range:
         Sp, Tp = with_inferred_plus(S), with_inferred_plus(T)
         bd_T = set(deterministic_sets(Tp)[2])
         if all(f.map[i] in bd_T for i in deterministic_sets(Sp)[2]):
-            flags = check_cofunctor(F)
-            if not flags.flags["action_injective"]:
-                raise InvariantViolation(
-                    "cofunctor action is not injective", witness=(
-                        "cofunctor-action-injective",
-                        flags.witnesses.get("action_injective")))
+            check_cofunctor(F).require(
+                "action_injective", InvariantViolation,
+                "cofunctor action is not injective",
+                "cofunctor-action-injective")
     return F
 
 
@@ -238,11 +232,8 @@ def verify_adjunction(instance):
 def verify_birestriction_equivalence(S):
     """For Boolean birestriction S: the unit corestricts to a (2,1,1)-
     isomorphism onto the bideterministic part of the dual slice semigroup."""
-    cls = classify(S)
-    if not cls.flags["boolean_birestriction"]:
-        raise NotBooleanBirestriction(
-            "input is not a Boolean birestriction semigroup",
-            witness=cls.witnesses.get("boolean_birestriction"))
+    classify(S).require("boolean_birestriction", NotBooleanBirestriction,
+                        "input is not a Boolean birestriction semigroup")
     rep = Report("birestriction equivalence")
     eta = unit_eta(S)
     sub, keep = bd_subalgebra(eta.target)
@@ -295,7 +286,7 @@ def verify_groupoidal(instance):
     if isinstance(instance, BiUnaryAlgebra):
         S = instance
         rep = Report("groupoid criterion at a semigroup")
-        flag = classify(S).flags["groupoidal_etale"]
+        flag = classify(S).groupoidal_etale
         inv, wit = is_groupoid(germ_category(S).category)
         rep.check("groupoidal-flag-iff-germ-category-is-groupoid",
                   flag == (inv is not None), (flag, wit))

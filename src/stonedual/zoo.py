@@ -335,7 +335,7 @@ def search_no_cosupport(max_order=8):
             seen.add(elems)
             S = as_algebra(elems)
             cls = classify(S)
-            if not (cls.flags["restriction"] and cls.flags["has_local_units"]):
+            if not (cls.restriction and cls.has_local_units):
                 continue
             checked += 1
             # classify infers the plus table whenever S is Ehresmann

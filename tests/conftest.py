@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 import stonedual.algebra
@@ -29,6 +31,29 @@ def corpus_cats():
     return corpus_categories()
 
 
+def planted(cls, flag, witness):
+    """A classification from rules that read cls, except that flag fails
+    with witness (holds, if witness is None)."""
+    return AlgebraClassification([
+        (f, (), lambda f=f: witness if f == flag else cls.witness(f))
+        for f in cls.flags])
+
+
+def check_read_order(new, seed):
+    """Read the flags of a fresh classification new() one at a time, each
+    with its witness, in a seeded shuffled order: they must be the flags
+    and witnesses another one forces in table order."""
+    forced = new()
+    cls, names = new(), list(forced.flags)
+    random.Random(seed).shuffle(names)
+    flags, witnesses = {}, {}
+    for f in names:
+        flags[f] = getattr(cls, f)
+        if (w := cls.witness(f)) is not None:
+            witnesses[f] = w
+    assert (flags, witnesses) == (forced.flags, forced.witnesses)
+
+
 @pytest.fixture
 def fail_slice_flag(monkeypatch):
     """Call with a flag name: classify, as slice_semigroup sees it, then
@@ -36,11 +61,8 @@ def fail_slice_flag(monkeypatch):
     def plant(flag):
         real = stonedual.category.classify
 
-        def classify(S):
-            cls = real(S)
-            return AlgebraClassification({**cls.flags, flag: False},
-                                         {**cls.witnesses, flag: ("planted",)})
-        monkeypatch.setattr(stonedual.category, "classify", classify)
+        monkeypatch.setattr(stonedual.category, "classify",
+                            lambda S: planted(real(S), flag, ("planted",)))
     return plant
 
 

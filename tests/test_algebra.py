@@ -5,6 +5,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from conftest import check_read_order
 from oracles import (br1_witness_brute, br1prime_witness_brute,
                      br3_witness_brute, brute_join, inverse_map,
                      leq as oracle_leq, nat_leq, no_meet_witness_brute,
@@ -221,6 +222,12 @@ def _check_join_axiom_witnesses():
     assert all(failed.values()), failed
 
 
+def test_flags_read_in_any_order_match_the_forced_ones(zoo_sgs):
+    family = [*_small_subsemigroups(gen_pt(3)), *zoo_sgs.values()]
+    for seed, S in enumerate(family):
+        check_read_order(lambda: algebra._classify(S), seed)
+
+
 def test_join_axiom_witnesses_match_brute_force():
     _check_join_axiom_witnesses()
 
@@ -321,7 +328,7 @@ def test_flag_implication_failure_raises_with_witness(monkeypatch, gen,
     monkeypatch.setattr(algebra, "_br1_witness", lambda S, axiom, probe=None: (
         ("planted", ()) if axiom == "BR1'" else real(S, axiom, probe)))
     with pytest.raises(InvariantViolation) as exc:
-        classify(gen(2))
+        classify(gen(2)).flags
     assert exc.value.witness == (strong, weak)
 
 

@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from conftest import check_read_order
 from oracles import (Slice, choice_arrows, count_slices_brute,
                      first_assoc_failure, pushforward_set, slice_cosupport,
                      slice_of_index, slice_product, slice_sets_brute,
@@ -322,9 +323,13 @@ import stonedual.category as cat
 from stonedual.algebra import AlgebraClassification
 from stonedual.errors import InvariantViolation
 from stonedual.zoo import gen_pair_groupoid
+class NoWitness(AlgebraClassification):
+    def witness(self, flag):
+        return None
 real = cat.classify
-cat.classify = lambda S: AlgebraClassification(
-    {**real(S).flags, "boolean_range": False}, {})
+cat.classify = lambda S: NoWitness([
+    (f, (), lambda f=f: ("planted",) if f == "boolean_range"
+     else real(S).witness(f)) for f in real(S).flags])
 try:
     cat.slice_semigroup(gen_pair_groupoid(2))
 except InvariantViolation as exc:
@@ -433,6 +438,15 @@ def test_cofunctor_flag_witnesses(make, witnesses):
     assert flags.flags == {f: f not in witnesses for f in (
         "injective_on_arrows", "surjective_on_arrows", "bijective_on_arrows",
         "action_injective")}
+
+
+@pytest.mark.parametrize("make", [trivial_cofunctor_k1_to_k2,
+                                  lift_collapsing_cofunctor,
+                                  constant_action_cofunctor])
+def test_cofunctor_flags_read_in_any_order(make):
+    F = make()
+    for seed in range(8):
+        check_read_order(lambda: check_cofunctor(F), seed)
 
 
 def test_compose_with_identity():

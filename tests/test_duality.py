@@ -3,21 +3,22 @@ import hashlib
 import subprocess
 import sys
 import weakref
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
 
+from conftest import planted
 from oracles import (choice_arrows, germ_relation_mismatch, proj_atoms,
                      pushforward_set, theta_set)
-from stonedual import duality
-from stonedual.algebra import (AlgebraClassification, BiUnaryAlgebra,
-                               MorphismVerdict, SemigroupMorphism,
-                               bd_subalgebra, classify, iso_algebras,
-                               make_algebra)
-from stonedual.category import (CofunctorFlags, check_cofunctor,
-                                cofunctor_to_covering, compose_cofunctors,
-                                covering_to_cofunctor, enumerate_slices,
-                                identity_cofunctor, is_groupoid, make_category,
+from stonedual import algebra, duality
+from stonedual.algebra import (BiUnaryAlgebra, MorphismVerdict,
+                               SemigroupMorphism, bd_subalgebra, classify,
+                               iso_algebras, make_algebra)
+from stonedual.category import (check_cofunctor, cofunctor_to_covering,
+                                compose_cofunctors, covering_to_cofunctor,
+                                enumerate_slices, identity_cofunctor,
+                                is_groupoid, make_category,
                                 predicted_slice_count, semigroup_slices,
                                 slice_semigroup)
 from stonedual.duality import (GermCategory, category_signature,
@@ -115,9 +116,8 @@ def test_germ_range_failures_raise_with_witness(monkeypatch):
     mult = [list(row) for row in P.mult]
     mult[1][2] = 2
     S = BiUnaryAlgebra(P.names, mult, P.star, P.plus, P.zero)
-    flags = {**classify(P).flags, "range": False}
-    monkeypatch.setattr(duality, "classify",
-                        lambda T: AlgebraClassification(flags))
+    cls = planted(classify(P), "range", ("planted",))
+    monkeypatch.setattr(duality, "classify", lambda T: cls)
     with pytest.raises(InvariantViolation) as exc:
         germ_category(S)
     assert exc.value.witness == ("germ-range", (2, (1, 4)))
@@ -184,8 +184,8 @@ def test_unit_invariant_failures_raise_with_witness(monkeypatch):
     # i_2 is not Boolean restriction, so its unit is not onto
     missed = sorted(set(range(9)) - set(unit_eta(gen_i(2)).map))[0]
     real_classify, real_theta = duality.classify, duality.theta
-    monkeypatch.setattr(duality, "classify", lambda S: AlgebraClassification(
-        {**real_classify(S).flags, "boolean_restriction": True}))
+    monkeypatch.setattr(duality, "classify", lambda S: planted(
+        real_classify(S), "boolean_restriction", None))
     with pytest.raises(InvariantViolation) as exc:
         unit_eta(gen_i(2))
     assert exc.value.witness == ("unit-onto", (missed,))
@@ -231,9 +231,32 @@ def test_triangle_identity_category_side(make):
     assert rep.passed, rep.render()
 
 
+def test_adjunction_evaluates_only_the_flags_it_reads(monkeypatch):
+    # no step of the triangle identity reads the meets, groupoidal, inverse
+    # or Boolean birestriction flags: their scans run only when .flags
+    # forces every rule
+    calls, classified = Counter(), []
+    for name in ("partial_isomorphisms", "_meets_witness", "_inverse_witness",
+                 "_br1_witness"):
+        def counted(*args, name=name, real=getattr(algebra, name)):
+            calls[args[1] if name == "_br1_witness" else name] += 1
+            return real(*args)
+        monkeypatch.setattr(algebra, name, counted)
+    real_classify = algebra._classify
+    monkeypatch.setattr(algebra, "_classify", lambda S: (
+        classified.append(S) or real_classify(S)))
+    for X in (gen_pt(2), gen_i(2), gen_pair_groupoid(3), gen_free_arrow()):
+        assert verify_adjunction(X).passed
+    unread = ("partial_isomorphisms", "_meets_witness", "_inverse_witness",
+              "BBR1")
+    assert [calls[name] for name in unread] == [0] * 4
+    for S in classified:
+        classify(S).flags
+    assert all(calls[name] for name in unread), calls
+
+
 def _planted_flags(flag):
-    return lambda F: CofunctorFlags({**check_cofunctor(F).flags, flag: False},
-                                    {flag: ("planted",)})
+    return lambda F: planted(check_cofunctor(F), flag, ("planted",))
 
 
 def test_counit_invariant_failures_raise_with_witness(monkeypatch):

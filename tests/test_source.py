@@ -15,3 +15,16 @@ def test_library_has_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_library_reads_flags_one_at_a_time():
+    # .flags evaluates every rule of a classification; library code reads
+    # the flags it needs as attributes (cls.range) or through witness, so
+    # that the checks of the other flags never run
+    paths = sorted(Path(stonedual.__file__).parent.glob("*.py"))
+    found = [f"{path.name}:{node.lineno}" for path in paths
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Subscript)
+             and isinstance(node.value, ast.Attribute)
+             and node.value.attr == "flags"]
+    assert found == []

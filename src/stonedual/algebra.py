@@ -191,13 +191,18 @@ class BiUnaryAlgebra:
         star standing in for a missing plus."""
         return [self.star, self.plus or self.star], self.mult
 
+    @property
+    def _iso_binary(self):
+        """The binary table of iso_structure as a numpy array."""
+        return self._mult_array
+
     @cached_property
     def iso_codes(self):
         """Refinement codes of the elements (see _refine), computed once."""
         (star, plus), mult = self.iso_structure
         up, down, z = self.up, self.down, self.detected_zero()
         n_star, n_plus = Counter(star), Counter(plus)
-        return _refine(self.iso_structure,
+        return _refine(self,
                        [(star[i] == i, plus[i] == i, mult[i][i] == i, i == z,
                          n_star[i], n_plus[i], up[i].bit_count(), down[i].bit_count())
                         for i in range(self.n)])
@@ -545,15 +550,30 @@ def partial_isomorphisms(S):
     semigroup sitting inside S).
     """
     mult, star = S.mult, S.star
-    partner = {}
-    for s in range(S.n):
-        mates = [t for t in range(S.n)
-                 if mult[s][t] == star[t] and mult[t][s] == star[s]]
-        if len(mates) > 1:
+    if S.n > _NUMPY_THRESHOLD:
+        import numpy as np
+        a = S._mult_array
+        st = np.array(star, dtype=a.dtype)
+        # every pair (s, t) of mates, in row-major order; the first s with
+        # two mates is the first to repeat
+        ss, ts = np.nonzero((a == st) & (a.T == st[:, None]))
+        twice = np.flatnonzero(ss[1:] == ss[:-1])
+        if twice.size:
+            k = int(twice[0])
+            s = int(ss[k])
             raise MathFail(f"element {S.name(s)} has two partial inverses",
-                           witness=(s, mates[0], mates[1]))
-        if mates:
-            partner[s] = mates[0]
+                           witness=(s, int(ts[k]), int(ts[k + 1])))
+        partner = dict(zip(ss.tolist(), ts.tolist()))
+    else:
+        partner = {}
+        for s in range(S.n):
+            mates = [t for t in range(S.n)
+                     if mult[s][t] == star[t] and mult[t][s] == star[s]]
+            if len(mates) > 1:
+                raise MathFail(f"element {S.name(s)} has two partial inverses",
+                               witness=(s, mates[0], mates[1]))
+            if mates:
+                partner[s] = mates[0]
     members = set(partner)
     for s in members:
         if star[s] not in members:
@@ -1114,16 +1134,21 @@ def _weak_meet_packed(S, T, m):
     return None
 
 
-def _refine(struct, init):
-    """Colour refinement of one structure until its class count stops growing.
+def _refine(X, init):
+    """Colour refinement of the structure of the algebra or category X
+    until its class count stops growing.
 
-    A structure is a pair (unary tables, binary table), the binary table
-    holding -1 where it is undefined; init gives one tuple of ints per
-    element as its first colour.  Codes rank signatures within the one
+    X.iso_structure is a pair (unary tables, binary table), the binary
+    table holding -1 where it is undefined; init gives one tuple of ints
+    per element as its first colour.  Codes rank signatures within the one
     structure and no step reads how elements are numbered, so any
     isomorphism preserves codes, however separately they were computed.
+    Above _NUMPY_THRESHOLD elements the rounds run in numpy on
+    X._iso_binary, with the same codes.
     """
-    unary, binary = struct
+    if len(init) > _NUMPY_THRESHOLD:
+        return _refine_array(X, init)
+    unary, binary = X.iso_structure
     col = list(zip(*binary))
     sig, classes = init, 0
     while True:
@@ -1144,6 +1169,50 @@ def _refine(struct, init):
                 tuple(sorted(map(add, high, map(add, map(mid.__getitem__, binary[i]),
                                                 map(low.__getitem__, col[i]))))))
                for i in range(len(c))]
+
+
+def _refine_array(X, init):
+    """_refine's rounds in numpy.  Row i of one int32 matrix holds the
+    signature of element i: c[i], its colours under the unary tables, then
+    its packed triples sorted.  The rows, ranked lexicographically, give
+    the codes that the Python tuples give.  A packed triple is below
+    base**3, and base is at most SIZE_BOUND + 1, so below 2**31."""
+    import numpy as np
+    unary, _ = X.iso_structure
+    b = X._iso_binary
+    n, k = len(b), len(unary)
+    u = np.array(unary, dtype=np.intp)
+    c, classes = _rank_rows(np.array(init, dtype=np.int32))
+    sig = np.empty((n, 1 + k + n), dtype=np.int32)
+    packed = sig[:, 1 + k:]
+    lifted = np.zeros(n + 1, dtype=np.int32)  # c + 1, and 0 at index -1
+    while True:
+        base = classes + 1
+        lifted[:n] = c + 1
+        sig[:, 0] = c
+        sig[:, 1:1 + k] = c[u].T
+        # packed[i, j] = (c[j]+1) base^2 + (c[i*j]+1) base + (c[j*i]+1)
+        np.take(lifted * base, b, out=packed, mode="wrap")
+        packed += np.take(lifted, b.T, mode="wrap")
+        packed += lifted[:n] * base * base
+        packed.sort(axis=1)
+        c, count = _rank_rows(sig)
+        if count == classes:
+            return tuple(c.tolist())
+        classes = count
+
+
+def _rank_rows(sig):
+    """(ranks, count): each row's rank among the distinct rows of the int
+    matrix sig in lexicographic order, and how many distinct rows it has."""
+    import numpy as np
+    order = np.lexsort(sig.T[::-1])
+    rows = sig[order]
+    step = np.zeros(len(sig), dtype=np.int32)
+    step[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    ranks = np.empty_like(step)
+    ranks[order] = np.cumsum(step, out=step)
+    return ranks, int(step[-1]) + 1
 
 
 def _find_iso(X, Y):
@@ -1183,7 +1252,15 @@ def _find_iso(X, Y):
         return all(agrees(u[s], v[t]) for u, v in zip(unaryA, unaryB))
 
     def complete():
-        # every table a of A and its partner b of B satisfy m(a[j]) = b[m(j)]
+        # every table a of A and its partner b of B satisfy m(a[j]) = b[m(j)],
+        # above the cutoff one gather per table
+        if n > _NUMPY_THRESHOLD:
+            import numpy as np
+            m = np.array(fwd + [-1], dtype=_INDEX_DTYPE)  # m[-1] = -1
+            f = m[:n]
+            return all(np.array_equal(m[list(a)], np.array(b)[f])
+                       for a, b in zip(unaryA, unaryB)) and np.array_equal(
+                m[X._iso_binary], Y._iso_binary[np.ix_(f, f)])
         get = (fwd + [-1]).__getitem__
         tables = [*zip(unaryA, unaryB), *((binA[s], binB[fwd[s]]) for s in range(n))]
         return all(list(map(get, a)) == list(map(b.__getitem__, fwd)) for a, b in tables)

@@ -70,6 +70,12 @@ class FinCat:
                  [self.unit[o] for o in self.r]], self.comp)
 
     @cached_property
+    def _iso_binary(self):
+        """The binary table of iso_structure as a numpy array."""
+        import numpy as np
+        return np.array(self.comp, dtype=algebra._INDEX_DTYPE)
+
+    @cached_property
     def iso_codes(self):
         """Refinement codes of the arrows (see algebra._refine), computed
         once."""
@@ -77,7 +83,7 @@ class FinCat:
         prof = [(len(self.d_fiber(o)), r.count(o),
                  sum(1 for a in range(self.n_arr) if d[a] == o and r[a] == o))
                 for o in range(self.n_obj)]
-        return _refine(self.iso_structure, [
+        return _refine(self, [
             (*prof[d[a]], *prof[r[a]], unit[d[a]] == a,
              comp[a][a] == a if d[a] == r[a] else -1)
             for a in range(self.n_arr)])

@@ -1,10 +1,11 @@
 import random
+from itertools import combinations
 
 import pytest
 
 import stonedual.algebra
 import stonedual.category
-from stonedual.algebra import AlgebraClassification
+from stonedual.algebra import AlgebraClassification, make_algebra
 from stonedual.zoo import (corpus_categories, corpus_semigroups,
                            zoo_categories, zoo_semigroups)
 
@@ -52,6 +53,36 @@ def check_read_order(new, seed):
         if (w := cls.witness(f)) is not None:
             witnesses[f] = w
     assert (flags, witnesses) == (forced.flags, forced.witnesses)
+
+
+def subsemigroup(P, gens, limit=None):
+    """The sub-semigroup of P generated by gens and closed under star, or
+    None once it has more than limit elements."""
+    elems = set(gens)
+    while limit is None or len(elems) <= limit:
+        new = {P.mult[a][b] for a in elems for b in elems}
+        new |= {P.star[a] for a in elems}
+        if new <= elems:
+            break
+        elems |= new
+    else:
+        return None
+    keep = sorted(elems)
+    pos = {e: i for i, e in enumerate(keep)}
+    return make_algebra([P.names[e] for e in keep],
+                        [[pos[P.mult[a][b]] for b in keep] for a in keep],
+                        [pos[P.star[a]] for a in keep])
+
+
+def small_subsemigroups(P, limit=12):
+    """Sub-semigroups of P generated by one or two elements and closed
+    under product and star, with at most limit elements."""
+    seen = set()
+    for gens in [(a,) for a in range(P.n)] + list(combinations(range(P.n), 2)):
+        S = subsemigroup(P, gens, limit)
+        if S is not None and S.names not in seen:
+            seen.add(S.names)
+            yield S
 
 
 @pytest.fixture

@@ -563,3 +563,59 @@ def filters_coincide(E):
     principal = {frozenset(e for e in E.elements if a & e == a)
                  for a in E.lattice_atoms()}
     return prime == ultra == principal
+
+
+# ---------------------------------------------------------------------------
+# isomorphisms by trying every bijection of elements or arrows
+
+ISO_REFERENCE_LIMIT = 7
+
+
+def is_isomorphism(X, Y, found):
+    """Whether found is an isomorphism X -> Y: for algebras a bijection of
+    elements preserving mult, star and plus; for categories a pair (object
+    map, arrow map) of bijections preserving d, r, unit and the composites
+    of composable pairs."""
+    if hasattr(X, "comp"):
+        omap, f = found
+        return (sorted(omap) == list(range(X.n_obj))
+                and sorted(f) == list(range(X.n_arr))
+                and all(Y.unit[omap[o]] == f[X.unit[o]]
+                        for o in range(X.n_obj))
+                and all(Y.d[f[a]] == omap[X.d[a]] and Y.r[f[a]] == omap[X.r[a]]
+                        for a in range(X.n_arr))
+                and all(f[X.comp[x][y]] == Y.comp[f[x]][f[y]]
+                        for x in range(X.n_arr) for y in range(X.n_arr)
+                        if X.d[x] == X.r[y]))
+    n = X.n
+    tables = [(X.star, Y.star)]
+    if X.plus is not None:
+        tables.append((X.plus, Y.plus))
+    return (sorted(found) == list(range(n))
+            and all(found[u[i]] == v[found[i]] for u, v in tables
+                    for i in range(n))
+            and all(found[X.mult[i][j]] == Y.mult[found[i]][found[j]]
+                    for i in range(n) for j in range(n)))
+
+
+def iso_reference(X, Y):
+    """The first isomorphism X -> Y in the lexicographic order of the
+    element or arrow bijections, or None.  A category's object map is
+    read off the units: it sends o to the domain of the image of 1_o.
+    Only for structures of at most ISO_REFERENCE_LIMIT elements or arrows."""
+    category = hasattr(X, "comp")
+    if category:
+        n = X.n_arr
+        if (X.n_obj, n) != (Y.n_obj, Y.n_arr):
+            return None
+    else:
+        n = X.n
+        if n != Y.n or (X.plus is None) != (Y.plus is None):
+            return None
+    if n > ISO_REFERENCE_LIMIT:
+        raise InputError(f"{n} elements is too many to try every bijection")
+    for f in itertools.permutations(range(n)):
+        found = (tuple(Y.d[f[u]] for u in X.unit), f) if category else f
+        if is_isomorphism(X, Y, found):
+            return found
+    return None

@@ -1,11 +1,10 @@
 import hashlib
 import random
-from itertools import combinations
 
 import numpy as np
 import pytest
 
-from conftest import check_read_order
+from conftest import check_read_order, small_subsemigroups, subsemigroup
 from oracles import (br1_witness_brute, br1prime_witness_brute,
                      br3_witness_brute, brute_join, inverse_map,
                      leq as oracle_leq, nat_leq, no_meet_witness_brute,
@@ -166,39 +165,9 @@ def test_join_and_meet_match_brute_force(gen):
             assert meet(S, s, t) == (greatest[0] if greatest else None)
 
 
-def _subsemigroup(P, gens, limit=None):
-    """The sub-semigroup of P generated by gens and closed under star, or
-    None once it has more than limit elements."""
-    elems = set(gens)
-    while limit is None or len(elems) <= limit:
-        new = {P.mult[a][b] for a in elems for b in elems}
-        new |= {P.star[a] for a in elems}
-        if new <= elems:
-            break
-        elems |= new
-    else:
-        return None
-    keep = sorted(elems)
-    pos = {e: i for i, e in enumerate(keep)}
-    return make_algebra([P.names[e] for e in keep],
-                        [[pos[P.mult[a][b]] for b in keep] for a in keep],
-                        [pos[P.star[a]] for a in keep])
-
-
-def _small_subsemigroups(P, limit=12):
-    """Sub-semigroups of P generated by one or two elements and closed
-    under product and star, with at most limit elements."""
-    seen = set()
-    for gens in [(a,) for a in range(P.n)] + list(combinations(range(P.n), 2)):
-        S = _subsemigroup(P, gens, limit)
-        if S is not None and S.names not in seen:
-            seen.add(S.names)
-            yield S
-
-
 def _check_join_axiom_witnesses():
     failed = {"BR1": 0, "BR3": 0, "no-meet": 0}
-    for S in _small_subsemigroups(gen_pt(3)):
+    for S in small_subsemigroups(gen_pt(3)):
         cls = classify(S)
         no_meet = no_meet_witness_brute(S)
         assert cls.has_binary_meets == (no_meet is None)
@@ -223,7 +192,7 @@ def _check_join_axiom_witnesses():
 
 
 def test_flags_read_in_any_order_match_the_forced_ones(zoo_sgs):
-    family = [*_small_subsemigroups(gen_pt(3)), *zoo_sgs.values()]
+    family = [*small_subsemigroups(gen_pt(3)), *zoo_sgs.values()]
     for seed, S in enumerate(family):
         check_read_order(lambda: algebra._classify(S), seed)
 
@@ -239,7 +208,7 @@ def test_numpy_join_axiom_witnesses_match_brute_force(numpy_kernel):
 def _pt3_classification_digest():
     # every flag, witness and rendered line over the family, as SHA-256
     text = "\n\n".join(classify(S).render(S.names)
-                        for S in _small_subsemigroups(gen_pt(3)))
+                        for S in small_subsemigroups(gen_pt(3)))
     return hashlib.sha256(text.encode()).hexdigest()
 
 
@@ -306,7 +275,7 @@ def pt4():
 
 @pytest.mark.parametrize("gens,fails_br3", BR1_PRIME_FAILURES)
 def test_br1_prime_failure_is_pinned(monkeypatch, pt4, gens, fails_br3):
-    S = _subsemigroup(pt4, [pt4.names.index(g) for g in gens])
+    S = subsemigroup(pt4, [pt4.names.index(g) for g in gens])
     assert S.n > algebra._NUMPY_THRESHOLD
     br1p, br3 = br1prime_witness_brute(S), br3_witness_brute(S)
     assert br1p[0] == "BR1'" and (br3 is not None) == fails_br3
@@ -402,6 +371,63 @@ def test_partial_isomorphisms_of_triangular_are_projections():
     assert set(piso) == set(projections(S))
     assert len(piso) == 8
     assert all(s == t for s, t in piso.items())
+
+
+# one hand-built semigroup for each failure partial_isomorphisms reports:
+# (mult, star, the failure, its witness); each passes make_algebra, which
+# checks associativity but none of the support axioms
+PARTIAL_ISOMORPHISM_FAILURES = [
+    # null semigroup, star constant 0: both elements are partners of 0
+    ([[0, 0], [0, 0]], [0, 0], "two partial inverses", (0, 0, 1)),
+    # null semigroup, star swapping the two: 1 is its own partner, 0 none
+    ([[0, 0], [0, 0]], [1, 0], "not closed under star", (1,)),
+    # {0 zero, 1 with 1*1 = 0, 2 identity}, star 1, 1, 0: 1 is its own
+    # partner and 1*1 = 0 has none
+    ([[0, 0, 0], [0, 0, 0], [0, 1, 2]], [1, 1, 0],
+     "not closed under product", (1, 1)),
+    # the group of order 2, star constant 1: 0 and 1 are partners, but
+    # (0*1)*0 = 1
+    ([[0, 1], [1, 0]], [1, 1], "fails regularity", (0, 1)),
+    # left-zero band, star the identity: two idempotents, 0*1 != 1*0
+    ([[0, 0], [1, 1]], [0, 1], "do not commute", (0, 1)),
+]
+
+
+@pytest.mark.parametrize("mult, star, failure, witness",
+                         PARTIAL_ISOMORPHISM_FAILURES)
+def test_partial_isomorphism_failures_are_pinned(monkeypatch, mult, star,
+                                                 failure, witness):
+    for threshold in (SIZE_BOUND, 0):  # Python, numpy
+        monkeypatch.setattr(algebra, "_NUMPY_THRESHOLD", threshold)
+        S = make_algebra([f"x{i}" for i in range(len(star))], mult, star)
+        with pytest.raises(MathFail, match=failure) as exc:
+            partial_isomorphisms(S)
+        assert exc.value.witness == witness
+        assert classify(S).witness("groupoidal_etale") == (
+            "partial-isomorphisms", witness)
+
+
+def _partners_or_witness(S):
+    try:
+        return list(partial_isomorphisms(S).items())
+    except MathFail as exc:
+        return exc.witness
+
+
+def test_numpy_partial_isomorphisms_match_python(numpy_kernel, monkeypatch,
+                                                 zoo_sgs):
+    # the family, and a copy of each member with one star entry changed,
+    # which gives some element two partners in about one copy in eight
+    rng = random.Random(7)
+    family = [*zoo_sgs.values(), *small_subsemigroups(gen_pt(3))]
+    for S in family[:]:
+        star = list(S.star)
+        star[rng.randrange(S.n)] = rng.randrange(S.n)
+        family.append(BiUnaryAlgebra(S.names, S.mult, star))
+    numpy = [_partners_or_witness(S) for S in family]
+    monkeypatch.setattr(algebra, "_NUMPY_THRESHOLD", SIZE_BOUND)
+    assert numpy == [_partners_or_witness(S) for S in family]
+    assert sum(isinstance(p, tuple) and len(p) == 3 for p in numpy) > 100
 
 
 # -- cosupport inference -------------------------------------------------------

@@ -1,0 +1,160 @@
+"""Isomorphism queries: the numpy refinement rounds against the Python
+ones, and iso_algebras / iso_categories against a search over every
+bijection."""
+
+import random
+
+import pytest
+
+from conftest import small_subsemigroups
+from oracles import is_isomorphism, iso_reference
+from stonedual import algebra
+from stonedual.algebra import SIZE_BOUND, BiUnaryAlgebra, iso_algebras
+from stonedual.category import FinCat
+from stonedual.duality import iso_categories
+from stonedual.zoo import (gen_free_arrow, gen_i, gen_pair_groupoid, gen_pt,
+                           zoo_semigroups)
+
+
+def copy(X):
+    """X built afresh from its tables, with nothing memoised."""
+    if isinstance(X, FinCat):
+        return FinCat(X.objects, X.arrows, X.d, X.r, X.unit, X.comp)
+    return BiUnaryAlgebra(X.names, X.mult, X.star, X.plus, X.zero)
+
+
+def inverse(perm):
+    return sorted(range(len(perm)), key=perm.__getitem__)
+
+
+def relabel(X, rng):
+    """X with its elements, or its objects and arrows, renumbered by
+    seeded permutations; built without validation."""
+    if isinstance(X, FinCat):
+        operm = rng.sample(range(X.n_obj), X.n_obj)
+        aperm = rng.sample(range(X.n_arr), X.n_arr)
+        oinv, ainv = inverse(operm), inverse(aperm)
+        get = (aperm + [-1]).__getitem__
+        return FinCat([X.objects[o] for o in oinv],
+                      [X.arrows[a] for a in ainv],
+                      [operm[X.d[a]] for a in ainv],
+                      [operm[X.r[a]] for a in ainv],
+                      [aperm[X.unit[o]] for o in oinv],
+                      [[get(X.comp[x][y]) for y in ainv] for x in ainv])
+    perm = rng.sample(range(X.n), X.n)
+    inv = inverse(perm)
+    return BiUnaryAlgebra(
+        [X.names[i] for i in inv],
+        [[perm[X.mult[i][j]] for j in inv] for i in inv],
+        [perm[X.star[i]] for i in inv],
+        None if X.plus is None else [perm[X.plus[i]] for i in inv],
+        None if X.zero is None else perm[X.zero])
+
+
+def mutate(X, rng):
+    """X with one product (one composite of a composable pair) changed."""
+    if isinstance(X, FinCat):
+        x, y = rng.choice([(x, y) for x in range(X.n_arr)
+                           for y in range(X.n_arr) if X.d[x] == X.r[y]])
+        comp = [list(row) for row in X.comp]
+        comp[x][y] = rng.choice([a for a in range(X.n_arr) if a != comp[x][y]])
+        return FinCat(X.objects, X.arrows, X.d, X.r, X.unit, comp)
+    i, j = rng.randrange(X.n), rng.randrange(X.n)
+    mult = [list(row) for row in X.mult]
+    mult[i][j] = rng.choice([a for a in range(X.n) if a != mult[i][j]])
+    return BiUnaryAlgebra(X.names, mult, X.star, X.plus, X.zero)
+
+
+# -- the refinement kernel ----------------------------------------------------
+
+def assert_refinement_forms_agree(family, monkeypatch):
+    """Every structure's codes, computed afresh with the cutoff forced to
+    send it through the Python rounds and then the numpy ones, are equal."""
+    for X in family:
+        codes = []
+        for threshold in (SIZE_BOUND, 0):  # Python, numpy
+            monkeypatch.setattr(algebra, "_NUMPY_THRESHOLD", threshold)
+            codes.append(copy(X).iso_codes)
+        assert codes[0] == codes[1], X
+
+
+def test_numpy_refinement_matches_python_on_algebras(monkeypatch):
+    rng = random.Random(17)
+    family = [*zoo_semigroups().values(), gen_pt(3), gen_i(3), gen_i(4),
+              gen_pt(4)]
+    assert_refinement_forms_agree(
+        family + [relabel(S, rng) for S in family], monkeypatch)
+
+
+def test_numpy_refinement_matches_python_on_categories(monkeypatch,
+                                                       corpus_cats):
+    rng = random.Random(18)
+    family = [*map(gen_pair_groupoid, range(2, 7)), gen_free_arrow(),
+              *(C for _, C in corpus_cats)]
+    assert len(family) == 6 + 398
+    assert_refinement_forms_agree(
+        family + [relabel(C, rng) for C in family[:6]], monkeypatch)
+
+
+def test_numpy_refinement_matches_python_on_the_long_chain(monkeypatch):
+    # every element its own class at SIZE_BOUND elements: the packed
+    # triples reach (SIZE_BOUND + 1)**3 - 1, the most that int32 must hold
+    n = SIZE_BOUND
+    chain = BiUnaryAlgebra([f"c{i}" for i in range(n)],
+                           [[min(i, j) for j in range(n)] for i in range(n)],
+                           range(n))
+    assert (n + 1) ** 3 <= 2 ** 31
+    assert_refinement_forms_agree([chain], monkeypatch)
+    assert sorted(chain.iso_codes) == list(range(n))
+
+
+def test_numpy_refinement_matches_python_on_a_long_path(monkeypatch):
+    # i*j = i + 1, and n - 1 at the end: a table, not a semigroup.  Each
+    # round splits one class off the end, so late rounds break ties among
+    # about n classes on packed triples near n**3, well past 16 bits
+    n = 100
+    path = BiUnaryAlgebra([f"p{i}" for i in range(n)],
+                          [[min(i + 1, n - 1)] * n for i in range(n)],
+                          range(n))
+    assert_refinement_forms_agree([path], monkeypatch)
+    assert sorted(path.iso_codes) == list(range(n))
+
+
+# -- iso verdicts against the reference ---------------------------------------
+
+@pytest.fixture(scope="module")
+def reference_pairs(corpus_cats):
+    """(X, Y, whether iso_reference finds an isomorphism) for a relabelled
+    copy of X and, when X has two elements or arrows, a one-cell mutation
+    of that copy, for every corpus category with at most 5 arrows and
+    every small algebra in the family below."""
+    rng = random.Random(19)
+    algebras = [S for S in zoo_semigroups().values() if S.n <= 7]
+    algebras += small_subsemigroups(gen_pt(2), limit=7)
+    algebras += small_subsemigroups(gen_i(3), limit=6)
+    relabelled, mutated = [], []
+    for X in algebras + [C for _, C in corpus_cats if C.n_arr <= 5]:
+        Y = relabel(X, rng)
+        relabelled.append((X, Y, iso_reference(X, Y) is not None))
+        if len(Y.star if isinstance(Y, BiUnaryAlgebra) else Y.d) > 1:
+            Z = mutate(Y, rng)
+            mutated.append((X, Z, iso_reference(X, Z) is not None))
+    assert all(expected for _, _, expected in relabelled)
+    assert sum(not expected for _, _, expected in mutated) > len(mutated) / 2
+    return relabelled + mutated
+
+
+def check_iso_verdicts(pairs):
+    for X, Y, expected in pairs:
+        X, Y = copy(X), copy(Y)
+        got = (iso_categories if isinstance(X, FinCat) else iso_algebras)(X, Y)
+        assert (got is not None) == expected, (X, Y)
+        assert got is None or is_isomorphism(X, Y, got)
+
+
+def test_iso_verdicts_match_reference(reference_pairs):
+    check_iso_verdicts(reference_pairs)
+
+
+def test_numpy_iso_verdicts_match_reference(reference_pairs, numpy_kernel):
+    check_iso_verdicts(reference_pairs)

@@ -1,6 +1,9 @@
 """Checks on the library's source text."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import stonedual
@@ -28,3 +31,15 @@ def test_library_reads_flags_one_at_a_time():
              and isinstance(node.value, ast.Attribute)
              and node.value.attr == "flags"]
     assert found == []
+
+
+def test_importing_the_package_leaves_numpy_unloaded():
+    # small tables never touch numpy, so every numpy import sits inside the
+    # branch that needs it; a fresh interpreter shows whether one leaked
+    # to module level
+    code = "import sys, stonedual; print('numpy' in sys.modules)"
+    src = str(Path(stonedual.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

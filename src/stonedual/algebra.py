@@ -111,9 +111,6 @@ class BiUnaryAlgebra:
     def joins(self):
         """joins[s][t] = join(self, s, t), for every pair at once."""
         up, n = self.up, self.n
-        if n > _NUMPY_THRESHOLD:
-            return tuple(tuple(None if j < 0 else j for j in row)
-                         for row in self._join_arrays[0].tolist())
         table = [[None] * n for _ in range(n)]
         for s in range(n):
             for t in range(s, n):
@@ -136,9 +133,9 @@ class BiUnaryAlgebra:
     @cached_property
     def _join_arrays(self):
         """(joins, bounded): the join of every pair as an int matrix, -1
-        where there is none, and whether it has an upper bound."""
-        return _least_array(self._leq, self.up)
-
+        where there is none, and whether it has an upper bound; read only
+        on Ehresmann tables (see _least_array)."""
+        return _least_array(self._leq)
 
     @cached_property
     def classification(self):
@@ -248,30 +245,27 @@ def _packed_words(rel):
     return packed.view("<u8")
 
 
-def _least_array(rel, masks):
-    """(least, shared) for every pair s, t of rows of the bool matrix rel,
-    whose rows as bitmasks are masks: least[s, t] = _least(masks, s, t), -1
-    for None, and shared[s, t] says whether masks[s] & masks[t] is nonzero.
+def _least_array(rel):
+    """(least, shared) for every pair s, t of rows of the partial order
+    rel, a bool matrix: least[s, t] = _least on the rows as bitmasks, -1
+    for None, and shared[s, t] says whether rows s and t share a bit.
 
-    When rel is antisymmetric and transitive, the bound that _least seeks
-    is the one element of masks[s] & masks[t] whose mask equals that
-    intersection, and every other element of it has a smaller mask.  So
-    with the columns sorted by descending mask size it is the first common
+    The bound _least seeks is the one element of the two rows' intersection
+    whose own row equals it; every other element has a smaller row.  So
+    with the columns sorted by descending row size it is the first common
     bit, confirmed by one containment test on rows packed into 64-bit
-    words.  Other relations fall back to _least.
+    words.  The natural order of an Ehresmann semigroup is a partial order
+    (Lawson, "Semigroups and ordered categories I", J. Algebra 141, 1991):
+    projections e = z* have e* = e = e², as z* = (zz*)* = (z*z*)* = z*z*;
+    a <= b, that is a = ba*, gives a* = (b*a*)* = b*a*; so a <= b <= a
+    gives a* = b*a* = a*b* = b* and a = ba* = bb* = b; and a = ba*,
+    b = cb* give a = cb*a* = ca*.
     """
     import numpy as np
     n = len(rel)
     order = np.argsort(-rel.sum(axis=1), kind="stable")
-    # words[w, s] = bits 64w..64w+63 of masks[s], columns in that order
+    # words[w, s] = bits 64w..64w+63 of row s, columns in that order
     words = np.ascontiguousarray(_packed_words(rel[:, order]).T)
-    # antisymmetric: s R t R s only for s = t; transitive: s R t puts
-    # masks[t] inside masks[s]
-    ss, ts = np.nonzero(rel)
-    step = max(1, _CHUNK_CELLS // len(words))
-    partial = not (rel[ts, ss] & (ss != ts)).any() and not any(
-        (words[:, ts[i:i + step]] & ~words[:, ss[i:i + step]]).any()
-        for i in range(0, len(ss), step))
     one = np.uint64(1)
     least = np.empty((n, n), dtype=_INDEX_DTYPE)
     shared = np.empty((n, n), dtype=bool)
@@ -295,10 +289,6 @@ def _least_array(rel, masks):
         for w in range(len(words)):
             missing |= rows[w] & words[w] & ~words[w][first] != 0
         least[lo:lo + step] = np.where(missing, -1, first)
-    if not partial:
-        least = np.array([[-1 if m is None else m
-                           for m in (_least(masks, s, t) for t in range(n))]
-                          for s in range(n)], dtype=_INDEX_DTYPE)
     return least, shared
 
 
@@ -550,30 +540,15 @@ def partial_isomorphisms(S):
     semigroup sitting inside S).
     """
     mult, star = S.mult, S.star
-    if S.n > _NUMPY_THRESHOLD:
-        import numpy as np
-        a = S._mult_array
-        st = np.array(star, dtype=a.dtype)
-        # every pair (s, t) of mates, in row-major order; the first s with
-        # two mates is the first to repeat
-        ss, ts = np.nonzero((a == st) & (a.T == st[:, None]))
-        twice = np.flatnonzero(ss[1:] == ss[:-1])
-        if twice.size:
-            k = int(twice[0])
-            s = int(ss[k])
+    partner = {}
+    for s in range(S.n):
+        mates = [t for t in range(S.n)
+                 if mult[s][t] == star[t] and mult[t][s] == star[s]]
+        if len(mates) > 1:
             raise MathFail(f"element {S.name(s)} has two partial inverses",
-                           witness=(s, int(ts[k]), int(ts[k + 1])))
-        partner = dict(zip(ss.tolist(), ts.tolist()))
-    else:
-        partner = {}
-        for s in range(S.n):
-            mates = [t for t in range(S.n)
-                     if mult[s][t] == star[t] and mult[t][s] == star[s]]
-            if len(mates) > 1:
-                raise MathFail(f"element {S.name(s)} has two partial inverses",
-                               witness=(s, mates[0], mates[1]))
-            if mates:
-                partner[s] = mates[0]
+                           witness=(s, mates[0], mates[1]))
+        if mates:
+            partner[s] = mates[0]
     members = set(partner)
     for s in members:
         if star[s] not in members:
@@ -738,15 +713,9 @@ def _restriction_witness(S):
 
 
 def _corestriction_witness(S):
+    # no numpy form: stopping at the first failure is faster on failing tables
     mult, plus = S.mult, S.plus
     n = S.n
-    if n > _NUMPY_THRESHOLD:
-        import numpy as np
-        a = S._mult_array
-        pl = np.array(plus, dtype=a.dtype)
-        # x cosupport(y) and cosupport(xy) x at [x, y]
-        return _first_failure([("x cosupport(y)=cosupport(xy)x",
-                                a[:, pl] != a[pl[a], np.arange(n)[:, None]])])
     for x in range(n):
         for y in range(n):
             if mult[x][plus[y]] != mult[plus[mult[x][y]]][x]:
@@ -926,9 +895,10 @@ def _br1_witness(S, axiom, probe=None):
 
 
 def _meets_witness(S):
-    """First pair (s, t), s <= t, with no meet, as a witness."""
-    if S.n > _NUMPY_THRESHOLD:
-        meets = _least_array(S._leq.T, S.down)[0]
+    """First pair (s, t), s <= t, with no meet, as a witness.  The numpy
+    form needs a partial order, so it serves Ehresmann tables only."""
+    if S.n > _NUMPY_THRESHOLD and S.classification.ehresmann:
+        meets = _least_array(S._leq.T)[0]
         return _first_failure([("no-meet", meets < 0)])
     down = S.down
     return next((("no-meet", (s, t)) for s in range(S.n)

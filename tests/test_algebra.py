@@ -233,12 +233,10 @@ def _is_partial_order(S):
         for a in n for b in n for c in n)
 
 
-def test_numpy_classification_matches_python_on_mutated_tables(monkeypatch):
-    # star and product cells changed at random: most tables are no longer
-    # Ehresmann, and where the natural order is not a partial order the
-    # numpy join and meet tables fall back to the pairwise search
+def _mutated_tables():
+    """(S, mult, star): tables of pt_2, i_2, triangular_3 and i_3 with one
+    to three star or product cells changed at random."""
     rng = random.Random(5)
-    not_partial = 0
     for S in (gen_pt(2), gen_i(2), gen_triangular(3), gen_i(3)):
         for _ in range(25):
             mult, star = [list(row) for row in S.mult], list(S.star)
@@ -248,13 +246,21 @@ def test_numpy_classification_matches_python_on_mutated_tables(monkeypatch):
                         rng.randrange(S.n))
                 else:
                     star[rng.randrange(S.n)] = rng.randrange(S.n)
-            seen = []
-            for threshold in (SIZE_BOUND, 0):  # Python, numpy
-                monkeypatch.setattr(algebra, "_NUMPY_THRESHOLD", threshold)
-                T = BiUnaryAlgebra(S.names, mult, star, S.plus, S.zero)
-                seen.append((classify(T).render(), T.joins, T.up, T.down))
-            assert seen[0] == seen[1], (S.names, mult, star)
-            not_partial += not _is_partial_order(T)
+            yield S, mult, star
+
+
+def test_numpy_classification_matches_python_on_mutated_tables(monkeypatch):
+    # most mutated tables are no longer Ehresmann; on those the natural
+    # order need not be a partial order, and the meets scan stays in Python
+    not_partial = 0
+    for S, mult, star in _mutated_tables():
+        seen = []
+        for threshold in (SIZE_BOUND, 0):  # Python, numpy
+            monkeypatch.setattr(algebra, "_NUMPY_THRESHOLD", threshold)
+            T = BiUnaryAlgebra(S.names, mult, star, S.plus, S.zero)
+            seen.append((classify(T).render(), T.joins, T.up, T.down))
+        assert seen[0] == seen[1], (S.names, mult, star)
+        not_partial += not _is_partial_order(T)
     assert not_partial > 10, not_partial
 
 
@@ -273,6 +279,19 @@ def pt4():
     return gen_pt(4)
 
 
+def test_ehresmann_order_is_partial(pt4, zoo_sgs):
+    # the numpy join and meet kernel needs a partial order, and reads the
+    # ehresmann flag for it
+    family = [*small_subsemigroups(gen_pt(3)), *zoo_sgs.values()]
+    family += [subsemigroup(pt4, [pt4.names.index(g) for g in gens])
+               for gens, _ in BR1_PRIME_FAILURES]
+    family += [BiUnaryAlgebra(S.names, mult, star, S.plus, S.zero)
+               for S, mult, star in _mutated_tables()]
+    ehresmann = [S for S in family if classify(S).ehresmann]
+    assert all(_is_partial_order(S) for S in ehresmann)
+    assert len(ehresmann) > 1000 and len(ehresmann) < len(family)
+
+
 @pytest.mark.parametrize("gens,fails_br3", BR1_PRIME_FAILURES)
 def test_br1_prime_failure_is_pinned(monkeypatch, pt4, gens, fails_br3):
     S = subsemigroup(pt4, [pt4.names.index(g) for g in gens])
@@ -284,6 +303,40 @@ def test_br1_prime_failure_is_pinned(monkeypatch, pt4, gens, fails_br3):
         T = make_algebra(S.names, S.mult, S.star)
         assert classify(T).witness("preboolean_restriction") == br1p
         assert algebra._br3_witness(T) == br3
+
+
+# a sub-semigroup of the bislice semigroup of the corpus category enum_386
+# (3 objects; g1 an involution at o1, g2 an idempotent at o2), generated by
+# {u3,g1,g2}, {u2} and {u3} and closed under product, star and plus: it is
+# birestriction with a GBA of projections and fails both BR1' and BR3, so
+# its preboolean_birestriction witness shows that BR1' is checked first
+BR1_PRIME_BEFORE_BR3 = (
+    ["{}", "{u2}", "{u3}", "{g2}", "{u1,u2,u3}", "{u1,u3,g2}", "{u3,g1,g2}"],
+    [[0, 0, 0, 0, 0, 0, 0], [0, 1, 0, 3, 1, 3, 3], [0, 0, 2, 0, 2, 2, 2],
+     [0, 3, 0, 3, 3, 3, 3], [0, 1, 2, 3, 4, 5, 6], [0, 3, 2, 3, 5, 5, 6],
+     [0, 3, 2, 3, 6, 6, 5]],
+    [0, 1, 2, 1, 4, 4, 4])
+
+
+def _check_br1_prime_before_br3():
+    names, mult, star = BR1_PRIME_BEFORE_BR3
+    for plus in (star, None):  # stored, inferred
+        S = make_algebra(names, mult, star, plus, zero=0)
+        cls = classify(S)
+        assert cls.birestriction and cls.witness("_BR2") is None
+        assert cls.plus_inferred == (plus is None)
+        br1p, br3 = br1prime_witness_brute(S), br3_witness_brute(S)
+        assert br1p == ("BR1'", (2, 3)) and br3 == ("BR3", (1, 2, 5))
+        assert cls.witness("preboolean_birestriction") == br1p
+        assert algebra._br3_witness(S) == br3
+
+
+def test_br1_prime_before_br3_is_pinned():
+    _check_br1_prime_before_br3()
+
+
+def test_numpy_br1_prime_before_br3_is_pinned(numpy_kernel):
+    _check_br1_prime_before_br3()
 
 
 @pytest.mark.parametrize("gen,strong,weak", [
@@ -395,39 +448,14 @@ PARTIAL_ISOMORPHISM_FAILURES = [
 
 @pytest.mark.parametrize("mult, star, failure, witness",
                          PARTIAL_ISOMORPHISM_FAILURES)
-def test_partial_isomorphism_failures_are_pinned(monkeypatch, mult, star,
-                                                 failure, witness):
-    for threshold in (SIZE_BOUND, 0):  # Python, numpy
-        monkeypatch.setattr(algebra, "_NUMPY_THRESHOLD", threshold)
-        S = make_algebra([f"x{i}" for i in range(len(star))], mult, star)
-        with pytest.raises(MathFail, match=failure) as exc:
-            partial_isomorphisms(S)
-        assert exc.value.witness == witness
-        assert classify(S).witness("groupoidal_etale") == (
-            "partial-isomorphisms", witness)
-
-
-def _partners_or_witness(S):
-    try:
-        return list(partial_isomorphisms(S).items())
-    except MathFail as exc:
-        return exc.witness
-
-
-def test_numpy_partial_isomorphisms_match_python(numpy_kernel, monkeypatch,
-                                                 zoo_sgs):
-    # the family, and a copy of each member with one star entry changed,
-    # which gives some element two partners in about one copy in eight
-    rng = random.Random(7)
-    family = [*zoo_sgs.values(), *small_subsemigroups(gen_pt(3))]
-    for S in family[:]:
-        star = list(S.star)
-        star[rng.randrange(S.n)] = rng.randrange(S.n)
-        family.append(BiUnaryAlgebra(S.names, S.mult, star))
-    numpy = [_partners_or_witness(S) for S in family]
-    monkeypatch.setattr(algebra, "_NUMPY_THRESHOLD", SIZE_BOUND)
-    assert numpy == [_partners_or_witness(S) for S in family]
-    assert sum(isinstance(p, tuple) and len(p) == 3 for p in numpy) > 100
+def test_partial_isomorphism_failures_are_pinned(mult, star, failure,
+                                                 witness):
+    S = make_algebra([f"x{i}" for i in range(len(star))], mult, star)
+    with pytest.raises(MathFail, match=failure) as exc:
+        partial_isomorphisms(S)
+    assert exc.value.witness == witness
+    assert classify(S).witness("groupoidal_etale") == (
+        "partial-isomorphisms", witness)
 
 
 # -- cosupport inference -------------------------------------------------------

@@ -223,6 +223,58 @@ def test_mutated_files_exit_cleanly(fuzz_payloads, kind, data):
     assert code == 2 if malformed else code in (0, 1, 2)
 
 
+_NEST = "[" * 5000 + "]" * 5000
+# JSON texts a key's value may be retyped to
+_RETYPED = ["null", '"x"', "1.5", "1e999", "true", "[]", "{}", '[["a"]]',
+            _NEST]
+_COMMANDS = ["check", "classify", "roundtrip", "adjunction", "translate",
+             "germs", "slices"]
+
+
+@st.composite
+def _damaged(draw, payload):
+    """The bytes of payload, damaged in one way."""
+    raw = json.dumps(payload).encode()
+    how = draw(st.sampled_from(["truncate", "flip", "insert", "key", "kind",
+                                "not-object"]))
+    if how in ("truncate", "flip", "insert"):
+        i = draw(st.integers(0, len(raw) - 1))
+        if how == "truncate":
+            return raw[:i]
+        if how == "flip":
+            return raw[:i] + bytes([raw[i] ^ (1 << draw(st.integers(0, 7)))]) \
+                + raw[i + 1:]
+        return raw[:i] + draw(st.sampled_from(
+            [b"[", b"]", b"{", b"}", b"1e999", b"\xff"])) + raw[i:]
+    if how == "key":
+        key = draw(st.sampled_from(sorted(payload)))
+        value = draw(st.sampled_from([None, *_RETYPED]))
+        if value is None:  # delete the key
+            return json.dumps({k: v for k, v in payload.items()
+                               if k != key}).encode()
+        return json.dumps({**payload, key: "@"}).replace('"@"', value).encode()
+    if how == "kind":
+        kind = draw(st.sampled_from(["semigroup", "category", "morphism",
+                                     "cofunctor", "nope", ""]))
+        return json.dumps({**payload, "kind": kind}).encode()
+    return draw(st.sampled_from(["[]", "3", '"semigroup"', "null", _NEST,
+                                 "[" + json.dumps(payload) + "]"])).encode()
+
+
+@settings(deadline=None, max_examples=60, database=None)
+@given(st.sampled_from(["semigroup", "category", "morphism", "cofunctor"]),
+       st.sampled_from(_COMMANDS), st.data())
+def test_damaged_files_exit_cleanly(fuzz_payloads, kind, command, data):
+    # byte-level damage, where the cell mutations above keep the JSON
+    # shape: any exception other than the two error kinds escapes run()
+    base, kinds = fuzz_payloads
+    target = base / f"damaged_{kind}.json"
+    target.write_bytes(data.draw(_damaged(kinds[kind][0])))
+    out = ["-o", str(base / "out.json")] if command in ("germs", "slices") \
+        else []
+    assert run([command, str(target), *out]) in (0, 1, 2)
+
+
 # -- commands --------------------------------------------------------------------
 
 def test_check_and_classify(files, capsys):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import small_subsemigroups
 from oracles import (Slice, choice_arrows, germ_relation_mismatch,
                      slice_product, slice_support)
 from stonedual.algebra import (SemigroupMorphism, bd_subalgebra, classify,
@@ -19,7 +20,9 @@ from stonedual.category import (enumerate_slices, identity_cofunctor,
                                 is_groupoid, make_category, slice_semigroup)
 from stonedual.duality import (germ_category, iso_categories,
                                morphism_to_cofunctor, theta, unit_eta,
-                               counit_epsilon)
+                               counit_epsilon, verify_adjunction,
+                               verify_birestriction_equivalence,
+                               verify_groupoidal)
 from stonedual.zoo import gen_i, gen_pair_groupoid, gen_pt
 
 
@@ -291,6 +294,27 @@ def test_unit_is_injective(pool):
             continue
         eta = unit_eta(S)
         assert len(set(eta.map)) == S.n, name
+
+
+def test_duality_on_small_semigroups():
+    # the pool's semigroups are slice semigroups, Boolean range by
+    # construction, or zoo members; these sub-semigroups of pt_3 and i_3,
+    # closed under product and star, are mostly neither, and every member
+    # that has a germ category is checked
+    family = [*small_subsemigroups(gen_pt(3)), *small_subsemigroups(gen_i(3))]
+    dual = [S for S in family if _pb(classify(S))]
+    assert (len(family), len(dual)) == (1519, 143)
+    assert sum(not classify(S).boolean_restriction for S in dual) == 36
+    for S in dual:
+        cls = classify(S)
+        assert verify_adjunction(S).passed, S.names
+        assert verify_groupoidal(S).passed, S.names
+        eta = unit_eta(S)
+        assert (len(set(eta.map)) == eta.target.n) == cls.boolean_restriction
+        if cls.boolean_birestriction:
+            assert verify_birestriction_equivalence(S).passed, S.names
+        if cls.boolean_restriction:
+            assert S.plus is not None or cls.plus_inferred, S.names
 
 
 # -- sampled variants -------------------------------------------------------------

@@ -43,3 +43,37 @@ def test_importing_the_package_leaves_numpy_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+# every function with a Python and a numpy form, as README "Design" lists
+# them; a new twin is declared here and justified by a workload that runs
+# both of its sides
+TWIN_SITES = {
+    "algebra.BiUnaryAlgebra._order_masks", "algebra._check_assoc",
+    "algebra._star_axiom_witness", "algebra._plus_axiom_witness",
+    "algebra._restriction_witness", "algebra._br1_witness",
+    "algebra._meets_witness", "algebra._br3_witness",
+    "algebra.check_morphism", "algebra._weak_meet_witness",
+    "algebra._refine", "algebra._find_iso", "category._slice_algebra"}
+
+
+def test_twin_sites_are_the_declared_ones():
+    # a function is a twin site when it, or a function nested in it, reads
+    # the size cutoff
+    found = set()
+    for path in Path(stonedual.__file__).parent.glob("*.py"):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if isinstance(node, ast.ClassDef):
+                defs = [(f"{node.name}.{f.name}", f) for f in node.body
+                        if isinstance(f, ast.FunctionDef)]
+            else:
+                defs = [(node.name, node)] if isinstance(
+                    node, ast.FunctionDef) else []
+            found |= {f"{path.stem}.{name}" for name, f in defs
+                      if any(getattr(x, "id", getattr(x, "attr", None))
+                             == "_NUMPY_THRESHOLD" for x in ast.walk(f))}
+    assert found == TWIN_SITES
+    design = (Path(__file__).parents[1] / "README.md").read_text()
+    design = design[design.index("## Design"):]
+    assert all(f"`{site.split('.', 1)[1]}`" in design
+               or f"`{site}`" in design for site in TWIN_SITES)

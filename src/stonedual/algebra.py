@@ -134,7 +134,7 @@ class BiUnaryAlgebra:
     def _join_arrays(self):
         """(joins, bounded): the join of every pair as an int matrix, -1
         where there is none, and whether it has an upper bound; read only
-        on Ehresmann tables (see _least_array)."""
+        on associative Ehresmann tables (see _least_array)."""
         return _least_array(self._leq)
 
     @cached_property
@@ -254,12 +254,14 @@ def _least_array(rel):
     whose own row equals it; every other element has a smaller row.  So
     with the columns sorted by descending row size it is the first common
     bit, confirmed by one containment test on rows packed into 64-bit
-    words.  The natural order of an Ehresmann semigroup is a partial order
-    (Lawson, "Semigroups and ordered categories I", J. Algebra 141, 1991):
-    projections e = z* have e* = e = e², as z* = (zz*)* = (z*z*)* = z*z*;
+    words.  rel must be a partial order, which the natural order of an
+    associative Ehresmann table is (Lawson, "Semigroups and ordered
+    categories I", J. Algebra 141, 1991); make_algebra checks
+    associativity, and the classification flags the support axioms.
+    Projections e = z* have e* = e = e², as z* = (zz*)* = (z*z*)* = z*z*;
     a <= b, that is a = ba*, gives a* = (b*a*)* = b*a*; so a <= b <= a
     gives a* = b*a* = a*b* = b* and a = ba* = bb* = b; and a = ba*,
-    b = cb* give a = cb*a* = ca*.
+    b = cb* give, by associativity, a = (cb*)a* = c(b*a*) = ca*.
     """
     import numpy as np
     n = len(rel)
@@ -895,11 +897,7 @@ def _br1_witness(S, axiom, probe=None):
 
 
 def _meets_witness(S):
-    """First pair (s, t), s <= t, with no meet, as a witness.  The numpy
-    form needs a partial order, so it serves Ehresmann tables only."""
-    if S.n > _NUMPY_THRESHOLD and S.classification.ehresmann:
-        meets = _least_array(S._leq.T)[0]
-        return _first_failure([("no-meet", meets < 0)])
+    """First pair (s, t), s <= t, with no meet, as a witness."""
     down = S.down
     return next((("no-meet", (s, t)) for s in range(S.n)
                  for t in range(s, S.n) if _least(down, s, t) is None), None)

@@ -250,8 +250,9 @@ def _mutated_tables():
 
 
 def test_numpy_classification_matches_python_on_mutated_tables(monkeypatch):
-    # most mutated tables are no longer Ehresmann; on those the natural
-    # order need not be a partial order, and the meets scan stays in Python
+    # most mutated tables are no longer Ehresmann, so their natural order
+    # need not be a partial order; the numpy join kernel is read only under
+    # the restriction flag, and the meets scan is Python only
     not_partial = 0
     for S, mult, star in _mutated_tables():
         seen = []
@@ -280,8 +281,10 @@ def pt4():
 
 
 def test_ehresmann_order_is_partial(pt4, zoo_sgs):
-    # the numpy join and meet kernel needs a partial order, and reads the
-    # ehresmann flag for it
+    # the numpy join kernel needs a partial order, and is read only under
+    # the restriction flag, which implies ehresmann; the support axioms give
+    # a partial order on associative tables, and the mutated tables, which
+    # need not be associative, are checked too
     family = [*small_subsemigroups(gen_pt(3)), *zoo_sgs.values()]
     family += [subsemigroup(pt4, [pt4.names.index(g) for g in gens])
                for gens, _ in BR1_PRIME_FAILURES]

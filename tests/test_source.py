@@ -52,7 +52,7 @@ TWIN_SITES = {
     "algebra.BiUnaryAlgebra._order_masks", "algebra._check_assoc",
     "algebra._star_axiom_witness", "algebra._plus_axiom_witness",
     "algebra._restriction_witness", "algebra._br1_witness",
-    "algebra._meets_witness", "algebra._br3_witness",
+    "algebra._br3_witness",
     "algebra.check_morphism", "algebra._weak_meet_witness",
     "algebra._refine", "algebra._find_iso", "category._slice_algebra"}
 

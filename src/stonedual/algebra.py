@@ -48,6 +48,8 @@ class BiUnaryAlgebra:
         self._projections = tuple(sorted(set(self.star)))
         # set by category.slice_semigroup and duality.germ_category
         self.slice_parent = self.slice_sets = self.germ = None
+        # set by make_algebra: generators proved associative (see _br3_witness)
+        self._generating_set = None
 
     def __len__(self):
         return self.n
@@ -380,7 +382,9 @@ def _generators(a):
 
 def _check_assoc(mult):
     """Raise NotAssociative at the lexicographically first triple (i, j, k)
-    with (i*j)*k != i*(j*k).
+    with (i*j)*k != i*(j*k); else return the table as an array (None up to
+    _NUMPY_THRESHOLD elements) and the generators that passed Light's test
+    (None if it did not run or a generator failed).
 
     Above _NUMPY_THRESHOLD elements the scan runs in numpy.  When it takes
     more than one chunk, Light's test comes first (Clifford & Preston, The
@@ -393,15 +397,16 @@ def _check_assoc(mult):
     n = len(mult)
     if n <= _NUMPY_THRESHOLD:
         _assoc_pure(mult)
-        return
+        return None, None
     import numpy as np
-    a = np.asarray(mult, dtype=_INDEX_DTYPE)
+    a = np.array(mult, dtype=_INDEX_DTYPE)
     if n ** 3 > _CHUNK_CELLS:
         gens = _generators(a)
         if gens is not None and all(np.array_equal(a[a[:, g]], a[:, a[g]])
                                     for g in gens):
-            return
+            return a, gens
     _assoc_numpy(a)
+    return a, None
 
 
 def make_algebra(names, mult, star, plus=None, zero=None):
@@ -417,7 +422,7 @@ def make_algebra(names, mult, star, plus=None, zero=None):
         _check_table("plus", plus, (n,), n)
     if zero is not None and not 0 <= zero < n:
         raise BadTableShape(f"zero index {zero} out of range")
-    _check_assoc(mult)
+    a, gens = _check_assoc(mult)
     if zero is not None:
         for s in range(n):
             if mult[zero][s] != zero or mult[s][zero] != zero:
@@ -425,7 +430,10 @@ def make_algebra(names, mult, star, plus=None, zero=None):
                                witness=(zero, s))
         if star[zero] != zero:
             raise MathFail("declared zero is not a projection", witness=(zero,))
-    return BiUnaryAlgebra(names, mult, star, plus, zero)
+    S = BiUnaryAlgebra(names, mult, star, plus, zero)
+    if a is not None:
+        S._mult_array, S._generating_set = a, gens
+    return S
 
 
 def projections(S):
@@ -904,23 +912,23 @@ def _meets_witness(S):
 
 
 def _br3_witness(S):
-    # (s, t) and (t, s) fail at the same u, so the first failure has s <= t
+    """First (s, t, u) with s v t defined and (s v t)u != su v tu, as a
+    witness; (s, t) and (t, s) fail at the same u, so it has s <= t.
+
+    Above _NUMPY_THRESHOLD elements the scan runs in numpy.  On a table
+    whose associativity make_algebra proved by Light's test, the columns u
+    of that test's generating set are checked first.  The columns u that
+    pass for every pair are closed under product, by associativity: if u
+    and w pass, then (s v t)uw = (su v tu)w = suw v tuw, since su v tu
+    exists once u passes.  So passing generators prove BR3, and the full
+    scan, which finds the first witness, runs only when one fails.
+    """
     n, mult = S.n, S.mult
     if n > _NUMPY_THRESHOLD:
-        import numpy as np
-        a, joins = S._mult_array, S._join_arrays[0]
-        # the pairs in row-major order, a chunk at a time; bad[p, u] says
-        # whether (s v t)u differs from su v tu for the p-th pair (s, t)
-        ss, ts = np.nonzero(np.triu(joins >= 0))
-        step = max(1, _CHUNK_CELLS // n)
-        for lo in range(0, len(ss), step):
-            s, t = ss[lo:lo + step], ts[lo:lo + step]
-            bad = joins[a[s], a[t]] != a[joins[s, t]]
-            k = int(bad.argmax())
-            if bad.flat[k]:
-                p, u = divmod(k, n)
-                return ("BR3", (int(s[p]), int(t[p]), u))
-        return None
+        gens = S._generating_set
+        if gens is not None and _br3_scan(S, gens) is None:
+            return None
+        return _br3_scan(S, range(n))
     joins = S.joins
     for s in range(n):
         ms = mult[s]
@@ -932,6 +940,25 @@ def _br3_witness(S):
             if row != list(mult[j]):
                 u = next(u for u in range(n) if row[u] != mult[j][u])
                 return ("BR3", (s, t, u))
+    return None
+
+
+def _br3_scan(S, columns):
+    """The first BR3 failure over the joinable pairs (s, t), s <= t, in
+    row-major order, then the given columns u, or None."""
+    import numpy as np
+    a, joins = S._mult_array[:, columns], S._join_arrays[0]
+    ss, ts = np.nonzero(np.triu(joins >= 0))
+    # a chunk of pairs at a time; bad[p, k] says whether (s v t)u differs
+    # from su v tu for the p-th pair (s, t) and the k-th column u
+    step = max(1, _CHUNK_CELLS // len(columns))
+    for lo in range(0, len(ss), step):
+        s, t = ss[lo:lo + step], ts[lo:lo + step]
+        bad = joins[a[s], a[t]] != a[joins[s, t]]
+        k = int(bad.argmax())
+        if bad.flat[k]:
+            p, u = divmod(k, len(columns))
+            return ("BR3", (int(s[p]), int(t[p]), int(columns[u])))
     return None
 
 

@@ -6,7 +6,7 @@ import pytest
 import stonedual.algebra
 import stonedual.category
 from stonedual.algebra import AlgebraClassification, make_algebra
-from stonedual.zoo import (corpus_categories, corpus_semigroups,
+from stonedual.zoo import (corpus_categories, corpus_semigroups, gen_pt,
                            zoo_categories, zoo_semigroups)
 
 
@@ -83,6 +83,23 @@ def small_subsemigroups(P, limit=12):
         if S is not None and S.names not in seen:
             seen.add(S.names)
             yield S
+
+
+@pytest.fixture(scope="session")
+def pt4():
+    return gen_pt(4)
+
+
+@pytest.fixture(scope="session")
+def pt4_subsemigroups(pt4):
+    """The distinct sub-semigroups of pt_4 with at most 60 elements that
+    2,000 seeded random pairs generate, closed under product and star."""
+    rng, family = random.Random(4), {}
+    for _ in range(2000):
+        S = subsemigroup(pt4, rng.sample(range(pt4.n), 2), limit=60)
+        if S is not None:
+            family.setdefault(S.names, S)
+    return list(family.values())
 
 
 @pytest.fixture

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -20,7 +21,8 @@ from stonedual.algebra import (SIZE_BOUND, BiUnaryAlgebra, bd_subalgebra,
 from stonedual.errors import (BadTableShape, InvariantViolation, MathFail,
                               NoLeftUnit, NoPlusTable, NotAssociative,
                               PlusStarMismatch, TooLarge)
-from stonedual.zoo import gen_i, gen_pt, gen_triangular
+from stonedual.category import slice_semigroup
+from stonedual.zoo import gen_i, gen_pair_groupoid, gen_pt, gen_triangular
 
 
 # -- construction ------------------------------------------------------------
@@ -181,6 +183,7 @@ def _check_join_axiom_witnesses():
             continue
         br1, br1p, br3 = (br1_witness_brute(S), br1prime_witness_brute(S),
                           br3_witness_brute(S))
+        assert algebra._br3_witness(S) == _br3_full_scan(S) == br3, S.names
         failed["BR1"] += br1 is not None
         failed["BR3"] += br3 is not None
         for flag, first in (("boolean_restriction", br1 or br3),
@@ -275,11 +278,6 @@ BR1_PRIME_FAILURES = ((("-4-4", "1141", "2444"), True),
                       (("-4-4", "1343", "4222"), False))
 
 
-@pytest.fixture(scope="module")
-def pt4():
-    return gen_pt(4)
-
-
 def test_ehresmann_order_is_partial(pt4, zoo_sgs):
     # the numpy join kernel needs a partial order, and is read only under
     # the restriction flag, which implies ehresmann; the support axioms give
@@ -340,6 +338,110 @@ def test_br1_prime_before_br3_is_pinned():
 
 def test_numpy_br1_prime_before_br3_is_pinned(numpy_kernel):
     _check_br1_prime_before_br3()
+
+
+# generators of a 46-element sub-semigroup of pt_4, closed under product
+# and star, and its first BR3 witness: a restriction semigroup with a GBA
+# of projections, where a Light generator fails BR3 and the full scan
+# follows; no 2-generated such semigroup turned up in a seeded search
+BR3_ON_GENERATORS = (("23--", "1--1", "4132"), ("BR3", (1, 38, 3)))
+
+
+def _br3_scans(monkeypatch):
+    """A list that records each BR3 scan as (algebra, whether it scanned
+    the generators make_algebra found rather than every column, whether
+    it found a witness)."""
+    scans, real = [], algebra._br3_scan
+
+    def counted(S, columns):
+        w = real(S, columns)
+        scans.append((S, columns is S._generating_set, w is not None))
+        return w
+    monkeypatch.setattr(algebra, "_br3_scan", counted)
+    return scans
+
+
+def _br3_full_scan(S):
+    # built directly, the algebra has no generators: every column is scanned
+    return algebra._br3_witness(
+        BiUnaryAlgebra(S.names, S.mult, S.star, S.plus, S.zero))
+
+
+def test_br3_on_generators_matches_brute_force(numpy_kernel, monkeypatch,
+                                               pt4, pt4_subsemigroups):
+    # tables above 40 elements go through Light's test, and the small pt_3
+    # family, checked in _check_join_axiom_witnesses, needs too many
+    # generators for it even under one-cell chunks.  The brute-force oracle
+    # takes n**4 steps, so the 141 members of the pt_4 family above 40
+    # elements are checked against the full scan only
+    family = [subsemigroup(pt4, [pt4.names.index(g) for g in gens])
+              for gens in (*(g for g, _ in BR1_PRIME_FAILURES),
+                           BR3_ON_GENERATORS[0])]
+    large = [S for S in pt4_subsemigroups if S.n > 40]
+    scans, paths = _br3_scans(monkeypatch), Counter()
+    for S in family + large:
+        assert classify(S).restriction, S.names
+        scans.clear()
+        found = algebra._br3_witness(S)
+        paths[tuple((gens, failed) for _, gens, failed in scans)] += 1
+        assert found == _br3_full_scan(S), S.names
+        if S in family:
+            assert found == br3_witness_brute(S), S.names
+    # the generators prove BR3, or one fails and the full scan follows
+    assert paths[((True, False),)] and paths[((True, True), (False, True))]
+    assert paths[((False, True),)] and paths[((False, False),)], paths
+
+
+def test_br3_on_generators_proves_the_large_tables(monkeypatch, pt4):
+    scans = _br3_scans(monkeypatch)
+    for S in (pt4, gen_i(4), gen_triangular(4),
+              slice_semigroup(gen_pair_groupoid(4))):
+        scans.clear()
+        assert algebra._br3_witness(S) is None
+        assert [(gens, failed) for _, gens, failed in scans] == [(True, False)]
+        assert _br3_full_scan(S) is None
+
+
+def test_br3_witness_found_on_the_generator_path_is_pinned(monkeypatch,
+                                                            pt4):
+    gens, witness = BR3_ON_GENERATORS
+    S = subsemigroup(pt4, [pt4.names.index(g) for g in gens])
+    assert S.n > 40 and S._generating_set is not None
+    scans = _br3_scans(monkeypatch)
+    cls = classify(S)
+    assert cls.restriction and cls.witness("_BR2") is None
+    assert cls.witness("_BR3") == br3_witness_brute(S) == witness
+    assert [(gens, failed) for _, gens, failed in scans] == [(True, True),
+                                                             (False, True)]
+
+
+def test_directly_built_tables_skip_the_generator_test(monkeypatch):
+    # the generator test is sound only on associative tables, which
+    # make_algebra proves: a non-associative Ehresmann mutant built
+    # directly is scanned in full
+    monkeypatch.setattr(algebra, "_NUMPY_THRESHOLD", 0)
+    mutants = [(BiUnaryAlgebra(S.names, mult, star, S.plus, S.zero),
+                np.array(mult)) for S, mult, star in _mutated_tables()]
+    T = next(T for T, a in mutants
+             if (a[a] != a[:, a]).any() and classify(T).ehresmann)
+    scans = _br3_scans(monkeypatch)
+    assert algebra._br3_witness(T) == br3_witness_brute(T)
+    assert [gens for _, gens, _ in scans] == [False]
+
+
+def test_classify_reuses_the_array_and_generators_of_make_algebra(
+        monkeypatch, pt4):
+    built, real = [], algebra._check_assoc
+    monkeypatch.setattr(algebra, "_check_assoc",
+                        lambda mult: built.append(real(mult)) or built[-1])
+    S = make_algebra(pt4.names, pt4.mult, pt4.star, pt4.plus, pt4.zero)
+    (a, gens), = built
+    assert gens is not None
+    searched = []
+    monkeypatch.setattr(algebra, "_generators", searched.append)
+    classify(S).flags
+    assert searched == []
+    assert S._mult_array is a and S._generating_set is gens
 
 
 @pytest.mark.parametrize("gen,strong,weak", [

@@ -245,11 +245,17 @@ def test_adjunction_evaluates_only_the_flags_it_reads(monkeypatch):
     real_classify = algebra._classify
     monkeypatch.setattr(algebra, "_classify", lambda S: (
         classified.append(S) or real_classify(S)))
+    # BR3 on the 64-element slice semigroups of K_3 reads the generators
+    # that make_algebra's Light test found, and needs no other column
+    scans, real_scan = [], algebra._br3_scan
+    monkeypatch.setattr(algebra, "_br3_scan", lambda S, columns: (
+        scans.append(columns is S._generating_set) or real_scan(S, columns)))
     for X in (gen_pt(2), gen_i(2), gen_pair_groupoid(3), gen_free_arrow()):
         assert verify_adjunction(X).passed
     unread = ("partial_isomorphisms", "_meets_witness", "_inverse_witness",
               "BBR1")
     assert [calls[name] for name in unread] == [0] * 4
+    assert scans and all(scans), scans
     for S in classified:
         classify(S).flags
     assert all(calls[name] for name in unread), calls

@@ -296,15 +296,13 @@ def test_unit_is_injective(pool):
         assert len(set(eta.map)) == S.n, name
 
 
-def test_duality_on_small_semigroups():
-    # the pool's semigroups are slice semigroups, Boolean range by
-    # construction, or zoo members; these sub-semigroups of pt_3 and i_3,
-    # closed under product and star, are mostly neither, and every member
-    # that has a germ category is checked
-    family = [*small_subsemigroups(gen_pt(3)), *small_subsemigroups(gen_i(3))]
+def _check_duality(family):
+    """The paper's statements on every member of family that has a germ
+    category: the triangle identities, the unit onto exactly on Boolean
+    restriction members, the birestriction equivalence, and a cosupport
+    for every Boolean restriction member (they all have local units).
+    Returns those members."""
     dual = [S for S in family if _pb(classify(S))]
-    assert (len(family), len(dual)) == (1519, 143)
-    assert sum(not classify(S).boolean_restriction for S in dual) == 36
     for S in dual:
         cls = classify(S)
         assert verify_adjunction(S).passed, S.names
@@ -315,6 +313,32 @@ def test_duality_on_small_semigroups():
             assert verify_birestriction_equivalence(S).passed, S.names
         if cls.boolean_restriction:
             assert S.plus is not None or cls.plus_inferred, S.names
+    return dual
+
+
+def test_duality_on_small_semigroups():
+    # the pool's semigroups are slice semigroups, Boolean range by
+    # construction, or zoo members; these sub-semigroups of pt_3 and i_3,
+    # closed under product and star, are mostly neither, and every member
+    # that has a germ category is checked
+    family = [*small_subsemigroups(gen_pt(3)), *small_subsemigroups(gen_i(3))]
+    dual = _check_duality(family)
+    assert (len(family), len(dual)) == (1519, 143)
+    assert sum(not classify(S).boolean_restriction for S in dual) == 36
+
+
+def test_duality_on_pt4_subsemigroups(pt4_subsemigroups):
+    # the seeded sample of sub-semigroups of pt_4 (see conftest), none with
+    # a plus table: every Boolean restriction member infers one
+    dual = _check_duality(pt4_subsemigroups)
+    assert (len(pt4_subsemigroups), len(dual)) == (1819, 43)
+    assert sum(not classify(S).boolean_restriction for S in dual) == 39
+    assert sum(classify(S).boolean_birestriction for S in dual) == 9
+    # members above 40 elements go through Light's test; one of them has
+    # a generating set small enough, and BR3 checks it on that set
+    large = [S for S in dual if S.n > 40]
+    assert (len(large), sum(S._generating_set is not None for S in large)) \
+        == (5, 1)
 
 
 # -- sampled variants -------------------------------------------------------------

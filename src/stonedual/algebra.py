@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import combinations
-from operator import add, or_
+from operator import add, and_, or_
 
 from . import gba as gba_mod
 from .errors import (BadTableShape, InputError, InvariantViolation, MathFail,
@@ -207,10 +207,28 @@ class BiUnaryAlgebra:
                         for i in range(self.n)])
 
     @cached_property
-    def _with_plus(self):
-        res = infer_cosupport(self)
-        return (BiUnaryAlgebra(self.names, self.mult, self.star, res.table, self.zero)
-                if res else None)
+    def _cosupport(self):
+        """(probe, witness): self's tables with the forced plus table (see
+        infer_cosupport), sharing self's int16 table if it holds one, and
+        the probe's first failed cosupport or linking axiom, or None."""
+        mult, star = self.mult, self.star
+        proj = self.projections()
+        cand = []
+        for s in range(self.n):
+            units = [f for f in proj if mult[f][s] == s]
+            if not units:
+                raise NoLeftUnit(s)
+            m = units[0]
+            for f in units[1:]:
+                m = mult[m][f]
+            if mult[m][s] != s:
+                raise MathFail("left local units are not meet-closed",
+                               witness=(s,))
+            cand.append(m)
+        probe = BiUnaryAlgebra(self.names, mult, star, cand, self.zero)
+        if "_mult_array" in self.__dict__:
+            probe._mult_array = self._mult_array
+        return probe, _plus_axiom_witness(probe)
 
 
 def _iter_bits(mask):
@@ -237,16 +255,6 @@ def _row_masks(rel):
                  for row in np.packbits(rel, axis=1, bitorder="little"))
 
 
-def _packed_words(rel):
-    """The rows of a bool matrix packed into 64-bit words, bit k of word w
-    being column 64w + k."""
-    import numpy as np
-    n = rel.shape[1]
-    packed = np.zeros((len(rel), -(-n // 64) * 8), dtype=np.uint8)
-    packed[:, :-(-n // 8)] = np.packbits(rel, axis=1, bitorder="little")
-    return packed.view("<u8")
-
-
 def _least_array(rel):
     """(least, shared) for every pair s, t of rows of the partial order
     rel, a bool matrix: least[s, t] = _least on the rows as bitmasks, -1
@@ -268,8 +276,11 @@ def _least_array(rel):
     import numpy as np
     n = len(rel)
     order = np.argsort(-rel.sum(axis=1), kind="stable")
+    packed = np.zeros((n, -(-n // 64) * 8), dtype=np.uint8)
+    packed[:, :-(-n // 8)] = np.packbits(rel[:, order], axis=1,
+                                         bitorder="little")
     # words[w, s] = bits 64w..64w+63 of row s, columns in that order
-    words = np.ascontiguousarray(_packed_words(rel[:, order]).T)
+    words = np.ascontiguousarray(packed.view("<u8").T)
     one = np.uint64(1)
     least = np.empty((n, n), dtype=_INDEX_DTYPE)
     shared = np.empty((n, n), dtype=bool)
@@ -597,31 +608,18 @@ def infer_cosupport(S):
     and check the candidate satisfies the coEhresmann and linking axioms.
     Raises NoLeftUnit when some element has no left local unit at all.
     """
-    mult, star = S.mult, S.star
-    proj = S.projections()
-    cand = []
-    for s in range(S.n):
-        units = [f for f in proj if mult[f][s] == s]
-        if not units:
-            raise NoLeftUnit(s)
-        m = units[0]
-        for f in units[1:]:
-            m = mult[m][f]
-        if mult[m][s] != s:
-            raise MathFail("left local units are not meet-closed", witness=(s,))
-        cand.append(m)
-    cand = tuple(cand)
-    probe = BiUnaryAlgebra(S.names, S.mult, S.star, cand, S.zero)
-    wit = _plus_axiom_witness(probe)
-    if wit is not None:
-        return CosupportResult(None, wit[0], wit[1])
-    return CosupportResult(cand)
+    probe, wit = S._cosupport
+    return CosupportResult(probe.plus) if wit is None else CosupportResult(
+        None, *wit)
 
 
 def with_inferred_plus(S):
     """S itself if it has a plus table, else S extended by the forced one, or
     None if that fails the cosupport axioms; raises what infer_cosupport does."""
-    return S if S.plus is not None else S._with_plus
+    if S.plus is not None:
+        return S
+    probe, wit = S._cosupport
+    return probe if wit is None else None
 
 
 def _first_failure(checks):
@@ -822,8 +820,9 @@ def _classify(S):
     base_r, base_b = ("restriction", "_BR2"), ("birestriction", "_BR2")
     cls = AlgebraClassification([
         ("ehresmann", (), lambda: star_wit),
+        # an inferred plus table passed the scan when it was forced
         ("coehresmann", (), lambda: ("no-plus-table", ()) if probe.plus is None
-         else _plus_axiom_witness(probe)),
+         else _plus_axiom_witness(S) if probe is S else None),
         ("biehresmann", ("ehresmann", "coehresmann"), None),
         ("restriction", ("ehresmann",), lambda: _restriction_witness(S)),
         ("corestriction", ("coehresmann",), lambda: _corestriction_witness(probe)),
@@ -1087,45 +1086,28 @@ def check_morphism(f, mtype, require_plus=False):
 
 def _weak_meet_witness(f):
     """First (s, t, u), by u, then s, then t, where u <= f(s) and u <= f(t)
-    but no r below both s and t has u <= f(r); None if there is none."""
+    but no r below both s and t has u <= f(r); None if there is none.
+
+    For each u the down-sets of the elements of pre[u], cut to pre[u], are
+    ANDed together first: a common bit is an r in pre[u] below all of them,
+    which settles every pair at u, and only otherwise are the pairs
+    scanned.  When the order of S is transitive, a u where no pair fails
+    always has such an r (fold the pairwise lower bounds one element at a
+    time), so the pairs are scanned only at the first failing u.
+    """
     S, T, m = f.source, f.target, f.map
-    if S.n > _NUMPY_THRESHOLD:
-        return _weak_meet_packed(S, T, m)
-    downT = T.down
-    downS = S.down
+    downT, downS = T.down, S.down
     pre = [0] * T.n  # pre[u] = bitmask of {s in S : u <= f(s)}
     for s in range(S.n):
         for u in _iter_bits(downT[m[s]]):
             pre[u] |= 1 << s
-    for u in range(T.n):
-        cand = pre[u]
+    for u, cand in enumerate(pre):
+        if reduce(and_, map(downS.__getitem__, _iter_bits(cand)), cand):
+            continue
         for s in _iter_bits(cand):
             for t in _iter_bits(cand):
                 if not downS[s] & downS[t] & cand:
                     return (s, t, u)
-    return None
-
-
-def _weak_meet_packed(S, T, m):
-    """_weak_meet_witness on rows packed into 64-bit words.  For each u,
-    the rows down_S[s] & pre[u] over s in pre[u] usually share a bit, an
-    element below all of them, and then no pair fails at u; only when they
-    do not are the pairs scanned."""
-    import numpy as np
-    pre = T._leq[:, list(m)]  # pre[u, s]: u <= f(s)
-    pre_words, down_words = _packed_words(pre), _packed_words(S._leq.T)
-    for u in range(T.n):
-        cand = np.flatnonzero(pre[u])
-        rows = down_words[cand] & pre_words[u]
-        if not len(cand) or np.bitwise_and.reduce(rows).any():
-            continue
-        step = max(1, _CHUNK_CELLS // rows.size)
-        for lo in range(0, len(cand), step):
-            meets = (rows[lo:lo + step, None] & rows).any(axis=2)
-            k = int(meets.argmin())
-            if not meets.flat[k]:
-                i, j = divmod(k, len(cand))
-                return (int(cand[lo + i]), int(cand[j]), u)
     return None
 
 

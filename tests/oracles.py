@@ -168,6 +168,20 @@ def no_meet_witness_brute(S):
     return None
 
 
+def weak_meet_witness_brute(f):
+    """Weak meet preservation of the map f: S -> T: the first (s, t, u), by
+    u, then s, then t, with u <= f(s) and u <= f(t) but no r below both s
+    and t with u <= f(r); None if there is none."""
+    S, T, m = f.source, f.target, f.map
+    for u in range(T.n):
+        above = [s for s in range(S.n) if leq(T, u, m[s])]
+        for s in above:
+            for t in above:
+                if not any(leq(S, r, s) and leq(S, r, t) for r in above):
+                    return (s, t, u)
+    return None
+
+
 def nat_leq(S, a, b, side="star"):
     if side == "star":
         return S.leq(a, b)

@@ -1,6 +1,7 @@
 import hashlib
 import random
 from collections import Counter
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from conftest import check_read_order, small_subsemigroups, subsemigroup
 from oracles import (br1_witness_brute, br1prime_witness_brute,
                      br3_witness_brute, brute_join, inverse_map,
                      leq as oracle_leq, nat_leq, no_meet_witness_brute,
-                     parse_map)
+                     parse_map, weak_meet_witness_brute)
 from stonedual import algebra
 from stonedual.algebra import (SIZE_BOUND, BiUnaryAlgebra, bd_subalgebra,
                                check_morphism, classify, compatible,
@@ -17,7 +18,8 @@ from stonedual.algebra import (SIZE_BOUND, BiUnaryAlgebra, bd_subalgebra,
                                infer_cosupport, iso_algebras,
                                join, join_all, make_algebra, meet,
                                partial_isomorphisms, projection_gba,
-                               projections, SemigroupMorphism)
+                               projections, SemigroupMorphism,
+                               with_inferred_plus)
 from stonedual.errors import (BadTableShape, InvariantViolation, MathFail,
                               NoLeftUnit, NoPlusTable, NotAssociative,
                               PlusStarMismatch, TooLarge)
@@ -583,6 +585,37 @@ def test_infer_cosupport_no_left_unit():
     assert exc.value.witness == (1,)
 
 
+def test_classify_forces_the_plus_table_once(monkeypatch, pt4):
+    # the forced table, its probe algebra and the probe's cosupport scan
+    # are one value on S; the probe shares S's int16 table
+    scans, conversions = [], []
+    scan = algebra._plus_axiom_witness
+    monkeypatch.setattr(algebra, "_plus_axiom_witness",
+                        lambda P: scans.append(P) or scan(P))
+    convert = BiUnaryAlgebra._mult_array.func
+    counted = cached_property(lambda P: conversions.append(P) or convert(P))
+    counted.__set_name__(BiUnaryAlgebra, "_mult_array")
+    monkeypatch.setattr(BiUnaryAlgebra, "_mult_array", counted)
+    stripped = make_algebra(pt4.names, pt4.mult, pt4.star, zero=pt4.zero)
+    cls = classify(stripped)
+    assert cls.flags["coehresmann"] and cls.plus_inferred
+    assert (len(scans), conversions) == (1, [])
+    assert with_inferred_plus(stripped) is scans[0]
+    assert infer_cosupport(stripped).table == pt4.plus
+    assert len(scans) == 1
+
+
+@pytest.mark.parametrize("gen,n", [(gen_i, 2), (gen_pt, 3)])
+def test_classify_scans_a_stored_plus_table(gen, n):
+    # the forced table would pass the cosupport axioms; the stored one, a
+    # copy of the star table, fails them
+    S = gen(n)
+    T = make_algebra(S.names, S.mult, S.star, S.star, S.zero)
+    cls = classify(T)
+    assert not cls.plus_inferred
+    assert cls.witness("coehresmann") == ("cosupport(x)*x=x", (2,))
+
+
 def test_classify_infers_plus_quietly():
     S = gen_i(2)
     stripped = make_algebra(S.names, S.mult, S.star, zero=S.zero)
@@ -678,7 +711,7 @@ def _cyclic_group_with_zero(n):
                         [0] * n + [z], zero=z)
 
 
-def test_weak_meet_failure_is_pinned(monkeypatch):
+def test_weak_meet_failure_is_pinned():
     # Z_16 with a zero onto {0, 1}: below g0 and g1 lies only the zero,
     # which maps under 1, so the map is proper but not weakly meet
     # preserving
@@ -686,30 +719,30 @@ def test_weak_meet_failure_is_pinned(monkeypatch):
     T = make_algebra(["0", "1"], [[0, 0], [0, 1]], [0, 1], zero=0)
     f = SemigroupMorphism(S, T, (1,) * 16 + (0,))
     assert S.n > algebra._NUMPY_THRESHOLD
-    for threshold in (algebra._NUMPY_THRESHOLD, SIZE_BOUND):  # numpy, Python
-        monkeypatch.setattr(algebra, "_NUMPY_THRESHOLD", threshold)
-        verdicts = [check_morphism(f, mtype) for mtype in (1, 2, 3, 4)]
-        assert [v.ok for v in verdicts] == [True, False, True, False]
-        for v in verdicts[1::2]:
-            assert (v.failed, v.witness) == ("weakly-meet-preserving",
-                                             (0, 1, 1))
+    verdicts = [check_morphism(f, mtype) for mtype in (1, 2, 3, 4)]
+    assert [v.ok for v in verdicts] == [True, False, True, False]
+    for v in verdicts[1::2]:
+        assert (v.failed, v.witness) == ("weakly-meet-preserving", (0, 1, 1))
 
 
-def test_packed_weak_meet_scan_matches_python(numpy_kernel, monkeypatch):
+def test_weak_meet_scan_matches_the_definition():
     # the scan is defined for any map: seeded maps of i_3 into triangular_3
-    # fail at all sorts of (s, t, u), and a few pass
+    # fail at all sorts of (s, t, u), and a few pass; the identity maps to
+    # and from the mutated tables, most of which are not Ehresmann, run it
+    # on orders that need not be transitive
     rng = random.Random(7)
     S, T = gen_i(3), gen_triangular(3)
-    found = set()
-    for _ in range(60):
-        f = SemigroupMorphism(S, T, tuple(rng.choice(
-            (T.zero, T.n - 1, rng.randrange(T.n))) for _ in range(S.n)))
-        seen = []
-        for threshold in (0, SIZE_BOUND):  # numpy, Python
-            monkeypatch.setattr(algebra, "_NUMPY_THRESHOLD", threshold)
-            seen.append(algebra._weak_meet_witness(f))
-        assert seen[0] == seen[1], f.map
-        found.add(seen[0])
+    seeded = [SemigroupMorphism(S, T, tuple(rng.choice(
+        (T.zero, T.n - 1, rng.randrange(T.n))) for _ in range(S.n)))
+        for _ in range(60)]
+    mutated = []
+    for P, mult, star in _mutated_tables():
+        Q = BiUnaryAlgebra(P.names, mult, star, P.plus, P.zero)
+        ident = tuple(range(P.n))
+        mutated += [SemigroupMorphism(P, Q, ident), SemigroupMorphism(Q, P, ident)]
+    witnesses = [algebra._weak_meet_witness(f) for f in seeded + mutated]
+    assert witnesses == [weak_meet_witness_brute(f) for f in seeded + mutated]
+    found = set(witnesses[:len(seeded)])
     assert None in found and len(found) > 10, found
 
 

@@ -6,10 +6,12 @@ import stonedual.algebra
 import stonedual.category
 import stonedual.duality
 import stonedual.zoo
+from conftest import subsemigroup
 from oracles import (MONOID_COUNTS, count_monoids_brute,
                      enumerate_categories_reference, expected_map_tables,
                      is_increasing, is_injective, parse_map)
-from stonedual.algebra import SIZE_BOUND, classify
+from stonedual.algebra import (SIZE_BOUND, CosupportResult, classify,
+                               infer_cosupport, with_inferred_plus)
 from stonedual.category import is_groupoid
 from stonedual.duality import iso_categories
 from stonedual.errors import InputError, TooLarge
@@ -232,6 +234,27 @@ def test_search_no_cosupport_finds_small_witness():
     found, checked, witness = search_no_cosupport(max_order=6)
     assert found and checked > 0
     assert witness is not None and len(witness) <= 6
+
+
+def test_search_no_cosupport_witnesses_are_not_boolean():
+    # the finite case of the cosupport criterion: every finite Boolean
+    # restriction semigroup with local units admits a cosupport, so no
+    # witness of the search is Boolean
+    PT = gen_pt(3)
+    for k in range(4, 9):
+        found, _, witness = search_no_cosupport(max_order=k)
+        assert found, k
+        assert not classify(subsemigroup(PT, witness)).boolean_restriction, k
+
+
+def test_cosupport_failure_is_pinned():
+    S = subsemigroup(gen_pt(3), search_no_cosupport(max_order=4)[2])
+    assert S.names == ("---", "1--", "2--", "12-")
+    assert infer_cosupport(S) == CosupportResult(
+        None, "cosupport(xy)=cosupport(x cosupport(y))", (1, 2))
+    assert with_inferred_plus(S) is None
+    assert classify(S).witness("boolean_restriction") == (
+        "BR2", ("RepNotInjective", 1, 3))
 
 
 def test_search_no_cosupport_answers_by_order():

@@ -725,11 +725,11 @@ def test_weak_meet_failure_is_pinned():
         assert (v.failed, v.witness) == ("weakly-meet-preserving", (0, 1, 1))
 
 
-def test_weak_meet_scan_matches_the_definition():
-    # the scan is defined for any map: seeded maps of i_3 into triangular_3
-    # fail at all sorts of (s, t, u), and a few pass; the identity maps to
-    # and from the mutated tables, most of which are not Ehresmann, run it
-    # on orders that need not be transitive
+def _weak_meet_maps():
+    # seeded maps of i_3 into triangular_3 fail at all sorts of (s, t, u),
+    # and a few pass; the identity maps to and from the mutated tables, most
+    # of which are not Ehresmann, run the scan on orders that need not be
+    # transitive
     rng = random.Random(7)
     S, T = gen_i(3), gen_triangular(3)
     seeded = [SemigroupMorphism(S, T, tuple(rng.choice(
@@ -740,10 +740,25 @@ def test_weak_meet_scan_matches_the_definition():
         Q = BiUnaryAlgebra(P.names, mult, star, P.plus, P.zero)
         ident = tuple(range(P.n))
         mutated += [SemigroupMorphism(P, Q, ident), SemigroupMorphism(Q, P, ident)]
+    return seeded, mutated
+
+
+def test_weak_meet_scan_matches_the_definition():
+    # the scan is defined for any map
+    seeded, mutated = _weak_meet_maps()
     witnesses = [algebra._weak_meet_witness(f) for f in seeded + mutated]
     assert witnesses == [weak_meet_witness_brute(f) for f in seeded + mutated]
     found = set(witnesses[:len(seeded)])
     assert None in found and len(found) > 10, found
+
+
+def test_packed_weak_meet_scan_matches_python(numpy_kernel):
+    # the same scan on down masks packed from the numpy order kernel, in
+    # whole and in one-cell chunks, against the definition in Python
+    seeded, mutated = _weak_meet_maps()
+    for f in seeded + mutated:
+        assert f.source.n > algebra._NUMPY_THRESHOLD
+        assert algebra._weak_meet_witness(f) == weak_meet_witness_brute(f), f.map
 
 
 def _corrupt(m, S, T, rng):

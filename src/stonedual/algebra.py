@@ -21,8 +21,8 @@ from .errors import (BadTableShape, InputError, InvariantViolation, MathFail,
 from .report import format_witness
 
 # the most elements, arrows or predicted slices a table may index; on a
-# 2-core machine make_algebra takes about 3s and classify 2s on the
-# 1,000-element chain
+# 2-core machine make_algebra takes about 3s, and forcing every flag 2-4s,
+# on the 1,000-element min and max chains
 SIZE_BOUND = 1000
 # above this many elements associativity and the whole-table axiom scans
 # run in numpy; at or below it the pure Python scans are faster
@@ -98,7 +98,9 @@ class BiUnaryAlgebra:
     def _order_masks(self):
         n, mult, star = self.n, self.mult, self.star
         if n > _NUMPY_THRESHOLD:
-            return _row_masks(self._leq), _row_masks(self._leq.T)
+            import numpy as np
+            leq = self._mult_array[:, star].T == np.arange(n)[:, None]
+            return _row_masks(leq), _row_masks(leq.T)
         up = [0] * n
         down = [0] * n
         for i in range(n):
@@ -109,14 +111,23 @@ class BiUnaryAlgebra:
                     down[j] |= 1 << i
         return tuple(up), tuple(down)
 
+    # up and down ranked for _least and _least_array (see _rank)
+    @cached_property
+    def _up_rank(self):
+        return _rank(self.up)
+
+    @cached_property
+    def _down_rank(self):
+        return _rank(self.down)
+
     @cached_property
     def joins(self):
         """joins[s][t] = join(self, s, t), for every pair at once."""
-        up, n = self.up, self.n
+        rank, n = self._up_rank, self.n
         table = [[None] * n for _ in range(n)]
         for s in range(n):
             for t in range(s, n):
-                table[s][t] = table[t][s] = _least(up, s, t)
+                table[s][t] = table[t][s] = _least(rank, s, t)
         return tuple(map(tuple, table))
 
     # numpy forms, used above _NUMPY_THRESHOLD elements
@@ -127,17 +138,11 @@ class BiUnaryAlgebra:
         return np.array(self.mult, dtype=_INDEX_DTYPE)
 
     @cached_property
-    def _leq(self):
-        """_leq[i, j] = self.leq(i, j), as a bool matrix."""
-        import numpy as np
-        return self._mult_array[:, self.star].T == np.arange(self.n)[:, None]
-
-    @cached_property
     def _join_arrays(self):
         """(joins, bounded): the join of every pair as an int matrix, -1
         where there is none, and whether it has an upper bound; read only
         on associative Ehresmann tables (see _least_array)."""
-        return _least_array(self._leq)
+        return _least_array(self._up_rank)
 
     @cached_property
     def classification(self):
@@ -238,14 +243,36 @@ def _iter_bits(mask):
         mask ^= low
 
 
-def _least(masks, s, t):
-    """The element of masks[s] & masks[t] whose own mask covers that
-    intersection, or None: the join on up masks, the meet on down masks."""
+def _rank(masks):
+    """(order, ranked): the elements by descending mask size, ties by index,
+    and each mask with the bit of element order[r] moved to bit r."""
+    order = sorted(range(len(masks)), key=lambda m: -masks[m].bit_count())
+    place = {m: 1 << r for r, m in enumerate(order)}
+    return order, tuple(sum(map(place.__getitem__, _iter_bits(mask)))
+                        for mask in masks)
+
+
+def _least(rank, s, t):
+    """The lowest-index element of masks[s] & masks[t] whose own mask
+    covers that set, or None, on rank = _rank(masks): the join on up masks,
+    the meet on down masks.  Any relation will do.  The set is scanned in
+    rank order: a cover is no smaller than the set, so the scan stops at
+    the first smaller mask, or at a cover of the set's own size, as later
+    covers have higher indices.  On a partial order the first candidate is
+    the bound if there is one, so it decides."""
+    order, masks = rank
     common = masks[s] & masks[t]
-    for m in _iter_bits(common):
+    size, best = common.bit_count(), None
+    for r in _iter_bits(common):
+        m = order[r]
+        k = masks[m].bit_count()
+        if k < size:
+            break
         if common & ~masks[m] == 0:
-            return m
-    return None
+            best = m if best is None else min(best, m)
+            if k == size:
+                break
+    return best
 
 
 def _row_masks(rel):
@@ -255,16 +282,16 @@ def _row_masks(rel):
                  for row in np.packbits(rel, axis=1, bitorder="little"))
 
 
-def _least_array(rel):
-    """(least, shared) for every pair s, t of rows of the partial order
-    rel, a bool matrix: least[s, t] = _least on the rows as bitmasks, -1
-    for None, and shared[s, t] says whether rows s and t share a bit.
+def _least_array(rank):
+    """(least, shared) for every pair s, t of the ranked masks of a partial
+    order (see _rank): least[s, t] = _least(rank, s, t), -1 for None, and
+    shared[s, t] says whether masks s and t share a bit.
 
-    The bound _least seeks is the one element of the two rows' intersection
-    whose own row equals it; every other element has a smaller row.  So
-    with the columns sorted by descending row size it is the first common
-    bit, confirmed by one containment test on rows packed into 64-bit
-    words.  rel must be a partial order, which the natural order of an
+    On a partial order the bound _least seeks is the one element of the two
+    masks' intersection whose own mask equals it; every other element of it
+    has a smaller mask.  So it is the first common bit in rank order,
+    confirmed by one containment test on the masks packed into 64-bit
+    words.  The order must be partial, which the natural order of an
     associative Ehresmann table is (Lawson, "Semigroups and ordered
     categories I", J. Algebra 141, 1991); make_algebra checks
     associativity, and the classification flags the support axioms.
@@ -274,13 +301,11 @@ def _least_array(rel):
     b = cb* give, by associativity, a = (cb*)a* = c(b*a*) = ca*.
     """
     import numpy as np
-    n = len(rel)
-    order = np.argsort(-rel.sum(axis=1), kind="stable")
-    packed = np.zeros((n, -(-n // 64) * 8), dtype=np.uint8)
-    packed[:, :-(-n // 8)] = np.packbits(rel[:, order], axis=1,
-                                         bitorder="little")
-    # words[w, s] = bits 64w..64w+63 of row s, columns in that order
-    words = np.ascontiguousarray(packed.view("<u8").T)
+    n, order = len(rank[1]), np.array(rank[0])
+    # words[w, s] = bits 64w..64w+63 of mask s
+    words = np.ascontiguousarray(np.frombuffer(b"".join(
+        m.to_bytes(-(-n // 64) * 8, "little") for m in rank[1]),
+        dtype="<u8").reshape(n, -1).T)
     one = np.uint64(1)
     least = np.empty((n, n), dtype=_INDEX_DTYPE)
     shared = np.empty((n, n), dtype=bool)
@@ -472,12 +497,12 @@ def compatible(S, s, t, mode="right"):
 
 def join(S, s, t):
     """Least upper bound of s and t under <=, or None."""
-    return _least(S.up, s, t)
+    return _least(S._up_rank, s, t)
 
 
 def meet(S, s, t):
     """Greatest lower bound of s and t under <=, or None."""
-    return _least(S.down, s, t)
+    return _least(S._down_rank, s, t)
 
 
 def join_all(S, elems):
@@ -526,7 +551,7 @@ def deterministic_sets(S):
                 if all(mult[e][a] == mult[a][star[mult[e][a]]] for e in proj))
     codet = tuple(a for a in range(S.n)
                   if all(mult[a][e] == mult[plus[mult[a][e]]][a] for e in proj))
-    bidet = tuple(a for a in det if a in set(codet))
+    bidet = tuple(sorted(set(det) & set(codet)))
     return det, codet, bidet
 
 
@@ -905,9 +930,9 @@ def _br1_witness(S, axiom, probe=None):
 
 def _meets_witness(S):
     """First pair (s, t), s <= t, with no meet, as a witness."""
-    down = S.down
+    rank = S._down_rank
     return next((("no-meet", (s, t)) for s in range(S.n)
-                 for t in range(s, S.n) if _least(down, s, t) is None), None)
+                 for t in range(s, S.n) if _least(rank, s, t) is None), None)
 
 
 def _br3_witness(S):

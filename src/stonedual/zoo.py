@@ -289,6 +289,25 @@ def corpus_categories(max_objects=3, max_arrows=5):
     return members
 
 
+def subsemigroup(P, gens, limit=None):
+    """The sub-semigroup of P generated by gens and closed under star, or
+    None once it has more than limit elements."""
+    elems = set(gens)
+    while limit is None or len(elems) <= limit:
+        new = {P.mult[a][b] for a in elems for b in elems}
+        new |= {P.star[a] for a in elems}
+        if new <= elems:
+            break
+        elems |= new
+    else:
+        return None
+    keep = sorted(elems)
+    pos = {e: i for i, e in enumerate(keep)}
+    return make_algebra([P.names[e] for e in keep],
+                        [[pos[P.mult[a][b]] for b in keep] for a in keep],
+                        [pos[P.star[a]] for a in keep])
+
+
 def search_no_cosupport(max_order=8):
     """Exploratory: hunt for a restriction semigroup with local units that
     admits no compatible cosupport, among small subalgebras of PT_3.
@@ -297,48 +316,19 @@ def search_no_cosupport(max_order=8):
     product and star.  Returns (found, checked, witness).
     """
     PT = gen_pt(3)
-    n = PT.n
     checked = 0
     seen = set()
-
-    def closure(gens):
-        elems = set(gens)
-        frontier = list(elems)
-        while frontier:
-            x = frontier.pop()
-            sx = PT.star[x]
-            if sx not in elems:
-                elems.add(sx)
-                frontier.append(sx)
-            for y in list(elems):
-                for p in (PT.mult[x][y], PT.mult[y][x]):
-                    if p not in elems:
-                        elems.add(p)
-                        frontier.append(p)
-                        if len(elems) > max_order:
-                            return None
-        # star insertions above bypass the in-loop cap
-        return frozenset(elems) if len(elems) <= max_order else None
-
-    def as_algebra(elems):
-        keep = sorted(elems)
-        pos = {e: i for i, e in enumerate(keep)}
-        return make_algebra([PT.names[e] for e in keep],
-                            [[pos[PT.mult[a][b]] for b in keep] for a in keep],
-                            [pos[PT.star[a]] for a in keep])
-
     for size in (1, 2, 3):
-        for gens in combinations(range(n), size):
-            elems = closure(gens)
-            if elems is None or elems in seen:
+        for gens in combinations(range(PT.n), size):
+            S = subsemigroup(PT, gens, max_order)
+            if S is None or S.names in seen:
                 continue
-            seen.add(elems)
-            S = as_algebra(elems)
+            seen.add(S.names)
             cls = classify(S)
             if not (cls.restriction and cls.has_local_units):
                 continue
             checked += 1
             # classify infers the plus table whenever S is Ehresmann
             if not cls.plus_inferred:
-                return True, checked, tuple(sorted(elems))
+                return True, checked, tuple(map(PT.names.index, S.names))
     return False, checked, None

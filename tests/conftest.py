@@ -5,9 +5,9 @@ import pytest
 
 import stonedual.algebra
 import stonedual.category
-from stonedual.algebra import AlgebraClassification, make_algebra
+from stonedual.algebra import AlgebraClassification
 from stonedual.zoo import (corpus_categories, corpus_semigroups, gen_pt,
-                           zoo_categories, zoo_semigroups)
+                           subsemigroup, zoo_categories, zoo_semigroups)
 
 
 @pytest.fixture(scope="session")
@@ -53,25 +53,6 @@ def check_read_order(new, seed):
         if (w := cls.witness(f)) is not None:
             witnesses[f] = w
     assert (flags, witnesses) == (forced.flags, forced.witnesses)
-
-
-def subsemigroup(P, gens, limit=None):
-    """The sub-semigroup of P generated by gens and closed under star, or
-    None once it has more than limit elements."""
-    elems = set(gens)
-    while limit is None or len(elems) <= limit:
-        new = {P.mult[a][b] for a in elems for b in elems}
-        new |= {P.star[a] for a in elems}
-        if new <= elems:
-            break
-        elems |= new
-    else:
-        return None
-    keep = sorted(elems)
-    pos = {e: i for i, e in enumerate(keep)}
-    return make_algebra([P.names[e] for e in keep],
-                        [[pos[P.mult[a][b]] for b in keep] for a in keep],
-                        [pos[P.star[a]] for a in keep])
 
 
 def small_subsemigroups(P, limit=12):

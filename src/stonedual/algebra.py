@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import combinations
+from itertools import chain, combinations
 from operator import add, and_, or_
 
 from . import gba as gba_mod
@@ -595,19 +595,20 @@ def partial_isomorphisms(S):
                            witness=(s, mates[0], mates[1]))
         if mates:
             partner[s] = mates[0]
-    members = set(partner)
-    for s in members:
-        if star[s] not in members:
+    # partner holds its keys in ascending order, so each scan below
+    # reports its first witness
+    for s in partner:
+        if star[s] not in partner:
             raise MathFail("partial isomorphisms not closed under star",
                            witness=(s,))
-        for t in members:
-            if mult[s][t] not in members:
+        for t in partner:
+            if mult[s][t] not in partner:
                 raise MathFail("partial isomorphisms not closed under product",
                                witness=(s, t))
     for s, t in partner.items():
         if mult[mult[s][t]][s] != s or mult[mult[t][s]][t] != t:
             raise MathFail("partial inverse fails regularity", witness=(s, t))
-    idem = [s for s in members if mult[s][s] == s]
+    idem = [s for s in partner if mult[s][s] == s]
     for e in idem:
         for f in idem:
             if mult[e][f] != mult[f][e]:
@@ -1037,6 +1038,35 @@ class MorphismVerdict:
     witness: tuple | None = None
 
 
+def _unpreserved(X, Y, m, unary):
+    """The first entry that the map m does not carry from X to Y, as
+    (name, index), or None: the binary table of iso_structure, named
+    "mult", row-major, then each (name, table of X, table of Y) in unary.
+    An undefined entry (-1) must map to -1.  Above _NUMPY_THRESHOLD
+    elements one gather per table; at or below it whole rows are compared,
+    and the column is sought only in a failing row."""
+    n = len(m)
+    if n > _NUMPY_THRESHOLD:
+        import numpy as np
+        ext = np.array([*m, -1], dtype=_INDEX_DTYPE)  # ext[-1] = -1
+        f = ext[:n]
+        first = _first_failure([("mult", ext[X._iso_binary]
+                                 != Y._iso_binary[np.ix_(f, f)])])
+        for name, a, b in unary:
+            first = first or _first_failure([(name, ext[list(a)] != np.array(b)[f])])
+        return first
+    # row i of the binary table is checked as a table of its own, whose
+    # failing column j gives the witness (i, j)
+    get, binY = [*m, -1].__getitem__, Y.iso_structure[1]
+    rows = (("mult", (i,), row, binY[m[i]])
+            for i, row in enumerate(X.iso_structure[1]))
+    for name, at, a, b in chain(rows, ((name, (), a, b) for name, a, b in unary)):
+        image, target = list(map(get, a)), list(map(b.__getitem__, m))
+        if image != target:
+            return name, (*at, next(j for j in range(n) if image[j] != target[j]))
+    return None
+
+
 def check_morphism(f, mtype, require_plus=False):
     """Decide whether f is a morphism of the requested type (1..4).
 
@@ -1048,32 +1078,14 @@ def check_morphism(f, mtype, require_plus=False):
     if mtype not in (1, 2, 3, 4):
         raise InputError(f"unknown morphism type {mtype}")
     S, T, m = f.source, f.target, f.map
-
-    if S.n > _NUMPY_THRESHOLD:
-        import numpy as np
-        a = np.array(m, dtype=_INDEX_DTYPE)
-        first = _first_failure([("mult", a[S._mult_array]
-                                 != T._mult_array[np.ix_(a, a)])]) or (
-            _first_failure([("star", a[list(S.star)] != np.array(T.star)[a])]))
-        if first is not None:
-            return MorphismVerdict(False, mtype, *first)
-    else:
-        # locals: on CPython 3.11 a filled cached property slows attribute
-        # reads
-        multS, multT = S.mult, T.mult
-        for i in range(S.n):
-            for j in range(S.n):
-                if m[multS[i][j]] != multT[m[i]][m[j]]:
-                    return MorphismVerdict(False, mtype, "mult", (i, j))
-        for i in range(S.n):
-            if m[S.star[i]] != T.star[m[i]]:
-                return MorphismVerdict(False, mtype, "star", (i,))
+    unary = [("star", S.star, T.star)]
     if require_plus:
         if S.plus is None or T.plus is None:
             raise NoPlusTable("plus preservation requested without plus tables")
-        for i in range(S.n):
-            if m[S.plus[i]] != T.plus[m[i]]:
-                return MorphismVerdict(False, mtype, "plus", (i,))
+        unary.append(("plus", S.plus, T.plus))
+    first = _unpreserved(S, T, m, unary)
+    if first is not None:
+        return MorphismVerdict(False, mtype, *first)
 
     try:
         _, to_S, from_S = projection_gba(S)
@@ -1224,8 +1236,8 @@ def _find_iso(X, Y):
     Each element maps only into its own colour class, and the elements with
     the fewest candidates are placed first.  A placement is checked against
     the elements already placed; those checks skip entries whose image is
-    still open, so a complete assignment gets one exhaustive check.
-    """
+    still open, so a complete assignment gets check_morphism's exhaustive
+    check, _unpreserved."""
     sigA, sigB = X.iso_codes, Y.iso_codes
     if sorted(sigA) != sorted(sigB):
         return None
@@ -1253,23 +1265,10 @@ def _find_iso(X, Y):
                 return False
         return all(agrees(u[s], v[t]) for u, v in zip(unaryA, unaryB))
 
-    def complete():
-        # every table a of A and its partner b of B satisfy m(a[j]) = b[m(j)],
-        # above the cutoff one gather per table
-        if n > _NUMPY_THRESHOLD:
-            import numpy as np
-            m = np.array(fwd + [-1], dtype=_INDEX_DTYPE)  # m[-1] = -1
-            f = m[:n]
-            return all(np.array_equal(m[list(a)], np.array(b)[f])
-                       for a, b in zip(unaryA, unaryB)) and np.array_equal(
-                m[X._iso_binary], Y._iso_binary[np.ix_(f, f)])
-        get = (fwd + [-1]).__getitem__
-        tables = [*zip(unaryA, unaryB), *((binA[s], binB[fwd[s]]) for s in range(n))]
-        return all(list(map(get, a)) == list(map(b.__getitem__, fwd)) for a, b in tables)
-
+    unary = [("unary", a, b) for a, b in zip(unaryA, unaryB)]
     if len(by_colour) == n:  # every class a singleton: the map is forced
         fwd[:] = [by_colour[c][0] for c in sigA]
-        return tuple(fwd) if complete() else None
+        return tuple(fwd) if _unpreserved(X, Y, fwd, unary) is None else None
 
     # depth-first over the placements of order[0], order[1], ... without
     # recursion, so the depth is not bounded by the interpreter's stack;
@@ -1278,7 +1277,7 @@ def _find_iso(X, Y):
     k = 0
     while k >= 0:
         if k == n:
-            if complete():
+            if _unpreserved(X, Y, fwd, unary) is None:
                 return tuple(fwd)
             k -= 1
         s = order[k]

@@ -12,9 +12,9 @@ from oracles import (br1_witness_brute, br1prime_witness_brute,
                      leq as oracle_leq, nat_leq, no_meet_witness_brute,
                      parse_map, weak_meet_witness_brute)
 from stonedual import algebra
-from stonedual.algebra import (SIZE_BOUND, BiUnaryAlgebra, bd_subalgebra,
-                               check_morphism, classify, compatible,
-                               deterministic_sets, has_local_units,
+from stonedual.algebra import (SIZE_BOUND, BiUnaryAlgebra, MorphismVerdict,
+                               bd_subalgebra, check_morphism, classify,
+                               compatible, deterministic_sets, has_local_units,
                                infer_cosupport, iso_algebras,
                                join, join_all, make_algebra, meet,
                                partial_isomorphisms, projection_gba,
@@ -178,8 +178,25 @@ JOIN_MEET_FAMILIES = {
 }
 
 
+def _least_by_definition(masks, s, t):
+    """The lowest-index element m of masks[s] & masks[t] whose own mask
+    covers that set, or None."""
+    common = masks[s] & masks[t]
+    return next((m for m in range(len(masks)) if common >> m & 1
+                 and common & ~masks[m] == 0), None)
+
+
+def _wide_relation(n):
+    """As _relations builds them: 0 and 1 below each of 2..n-1, which are
+    mutually unrelated, so the common up set of 0 and 1 is an antichain of
+    n - 2 elements, none of which covers it."""
+    return BiUnaryAlgebra(range(n), [[a if a == b or a < 2 <= b else (a + 1) % n
+                                      for a in range(n)] for b in range(n)],
+                          range(n))
+
+
 @pytest.mark.parametrize("family", JOIN_MEET_FAMILIES)
-def test_join_and_meet_match_brute_force(family):
+def test_join_and_meet_match_brute_force(monkeypatch, family):
     # the mutated tables and the relations are not all partial orders (see
     # test_numpy_classification_matches_python_on_mutated_tables); on every
     # relation the bound is the lowest-index element m of the common set
@@ -191,10 +208,24 @@ def test_join_and_meet_match_brute_force(family):
                 assert meet(S, s, t) == brute_meet(S, s, t)
                 for masks, rank in ((S.up, S._up_rank),
                                     (S.down, S._down_rank)):
-                    common = masks[s] & masks[t]
-                    assert algebra._least(rank, s, t) == next(
-                        (m for m in range(S.n) if common >> m & 1
-                         and common & ~masks[m] == 0), None)
+                    assert algebra._least(rank, s, t) == _least_by_definition(
+                        masks, s, t)
+    if family != "relations":
+        return
+    # a cover is no smaller than the common set, so the scan stops at the
+    # first smaller mask: on the wide relation one candidate settles (0, 1)
+    # where a scan without that stop tries all 298
+    S, tried = _wide_relation(300), []
+    families = ((S.up, S._up_rank), (S.down, S._down_rank))
+    real_bits = algebra._iter_bits
+    monkeypatch.setattr(algebra, "_iter_bits", lambda mask: (
+        tried.append(b) or b for b in real_bits(mask)))
+    for masks, rank in families:
+        for s, t in ((0, 1), (1, 0), (0, 2), (2, 3)):
+            tried.clear()
+            assert algebra._least(rank, s, t) == _least_by_definition(
+                masks, s, t)
+            assert len(tried) <= 2, (s, t, len(tried))
 
 
 def _op_table(op, perm):
@@ -628,6 +659,13 @@ PARTIAL_ISOMORPHISM_FAILURES = [
     ([[0, 1], [1, 0]], [1, 1], "fails regularity", (0, 1)),
     # left-zero band, star the identity: two idempotents, 0*1 != 1*0
     ([[0, 0], [1, 1]], [0, 1], "do not commute", (0, 1)),
+    # 36-element left-zero band, star the identity on 0, 7, 14, 35 and 0
+    # elsewhere: those four are the partial isomorphisms, and a set of them
+    # iterates 0, 35, 14, 7, so the first pair is (0, 7) only when the scan
+    # is in index order
+    ([[i] * 36 for i in range(36)],
+     [i if i in (0, 7, 14, 35) else 0 for i in range(36)],
+     "do not commute", (0, 7)),
 ]
 
 
@@ -778,6 +816,13 @@ def test_plus_preservation_switch():
     g = SemigroupMorphism(stripped, P, inclusion_map(I, P))
     with pytest.raises(NoPlusTable):
         check_morphism(g, 1, require_plus=True)
+    # the plus tables are looked for before any scan, so a map that fails
+    # mult raises too
+    x = next(x for x in range(P.n) if P.mult[x][x] != x)
+    h = SemigroupMorphism(stripped, P, (x,) * I.n)
+    assert check_morphism(h, 1).failed == "mult"
+    with pytest.raises(NoPlusTable):
+        check_morphism(h, 1, require_plus=True)
 
 
 def _cyclic_group_with_zero(n):
@@ -868,11 +913,20 @@ def test_array_morphism_scans_match_python(monkeypatch, gen):
     for failed, m in maps:
         f = SemigroupMorphism(S, T, m)
         seen = []
-        for threshold in (algebra._NUMPY_THRESHOLD, SIZE_BOUND):
+        for threshold in (0, SIZE_BOUND):  # numpy, Python
             monkeypatch.setattr(algebra, "_NUMPY_THRESHOLD", threshold)
             seen.append([check_morphism(f, mtype) for mtype in (1, 2, 3, 4)])
         assert seen[0] == seen[1], m
         assert {v.failed for v in seen[0]} == {failed}
+    # the relabelling into T with its plus table bent to its star keeps
+    # mult and star but not plus, first at the first i with i+ != i*
+    bent = BiUnaryAlgebra(T.names, T.mult, T.star, T.star, T.zero)
+    f = SemigroupMorphism(S, bent, tuple(p))
+    i = next(i for i in range(S.n) if S.plus[i] != S.star[i])
+    for threshold in (0, SIZE_BOUND):
+        monkeypatch.setattr(algebra, "_NUMPY_THRESHOLD", threshold)
+        assert check_morphism(f, 1, require_plus=True) == MorphismVerdict(
+            False, 1, "plus", (i,))
 
 
 # -- isomorphism search ---------------------------------------------------------

@@ -8,13 +8,14 @@ from types import SimpleNamespace
 
 import pytest
 
-from conftest import planted
+from conftest import planted, small_subsemigroups
 from oracles import (choice_arrows, germ_relation_mismatch, proj_atoms,
                      pushforward_set, theta_set)
 from stonedual import algebra, duality
 from stonedual.algebra import (BiUnaryAlgebra, MorphismVerdict,
-                               SemigroupMorphism, bd_subalgebra, classify,
-                               iso_algebras, make_algebra)
+                               SemigroupMorphism, bd_subalgebra,
+                               check_morphism, classify, iso_algebras,
+                               make_algebra)
 from stonedual.category import (check_cofunctor, cofunctor_to_covering,
                                 compose_cofunctors, covering_to_cofunctor,
                                 enumerate_slices, identity_cofunctor,
@@ -379,6 +380,48 @@ def test_pushforward_naturality_square():
     eta_I, eta_P = unit_eta(I), unit_eta(P)
     for s in range(I.n):
         assert F_star.map[eta_I.map[s]] == eta_P.map[f.map[s]]
+
+
+def _germ_families():
+    """The small sub-semigroups of pt_2, i_2, pt_3 and i_3, and each whole
+    semigroup, that have a germ category: one list per semigroup."""
+    for P in (gen_pt(2), gen_i(2), gen_pt(3), gen_i(3)):
+        family = []
+        for S in [*small_subsemigroups(P), P]:
+            try:
+                germ_category(S)
+            except (NotPreBoolean, NoLocalUnits):
+                continue
+            family.append(S)
+        yield family
+
+
+def _inclusion(S, T):
+    return SemigroupMorphism(S, T, tuple(map(T.names.index, S.names)))
+
+
+def test_morphism_to_cofunctor_keeps_identities_and_composites():
+    # identity maps give identity cofunctors, and the cofunctors of type-1
+    # inclusions S < T < U compose to that of S < U, within each family
+    identities, composites = 0, 0
+    for family in _germ_families():
+        for S in family:
+            F = morphism_to_cofunctor(_inclusion(S, S))
+            assert F.equal_tables(identity_cofunctor(F.source)), S.names
+            identities += 1
+        cofunctor = {(a, b): morphism_to_cofunctor(_inclusion(S, T))
+                     for a, S in enumerate(family)
+                     for b, T in enumerate(family)
+                     if set(S.names) < set(T.names)
+                     and check_morphism(_inclusion(S, T), 1).ok}
+        for (a, b), F in cofunctor.items():
+            for c, U in enumerate(family):
+                if (b, c) in cofunctor:
+                    outer = morphism_to_cofunctor(_inclusion(family[a], U))
+                    assert compose_cofunctors(cofunctor[b, c], F).equal_tables(
+                        outer), (family[a].names, family[b].names, U.names)
+                    composites += 1
+    assert (identities, composites) == (171, 265)
 
 
 # -- theorem reports -----------------------------------------------------------------

@@ -53,7 +53,7 @@ TWIN_SITES = {
     "algebra._star_axiom_witness", "algebra._plus_axiom_witness",
     "algebra._restriction_witness", "algebra._br1_witness",
     "algebra._br3_witness",
-    "algebra.check_morphism", "algebra._refine", "algebra._find_iso", "category._slice_algebra"}
+    "algebra._unpreserved", "algebra._refine", "category._slice_algebra"}
 
 
 def test_twin_sites_are_the_declared_ones():

@@ -176,8 +176,49 @@ def instance_to_dict(obj):
     raise InputError(f"cannot serialize {type(obj).__name__}")
 
 
+# json drops its C encoder whenever an indent is set, so the layout is
+# written here and only scalars and key strings go through the C encoder
+_encode = json.JSONEncoder().encode
+
+
+def _key(k):
+    """A dict key as json writes it: a non-str key is stringified first."""
+    if not isinstance(k, (str, int, float)) and k is not None:
+        raise TypeError(f"keys must be str, int, float, bool or None, "
+                        f"not {type(k).__name__}")
+    return _encode(k if isinstance(k, str) else _encode(k))
+
+
+class _IntStrs(dict):
+    """str(i) for each int i, made once per value."""
+
+    def __missing__(self, i):
+        s = self[i] = str(i)
+        return s
+
+
+def _layout(o, pad, strs):
+    """o laid out as json lays it out with sorted keys and an indent of
+    two, its closing bracket at indent pad; strs caches the ints' strings."""
+    inner = pad + "  "
+    if isinstance(o, dict):
+        ends = "{}"
+        body = [f"{_key(k)}: {_layout(v, inner, strs)}"
+                for k, v in sorted(o.items())]
+    elif isinstance(o, (list, tuple)):
+        ends = "[]"
+        body = (map(strs.__getitem__, o) if {int}.issuperset(map(type, o))
+                else [_layout(v, inner, strs) for v in o])
+    else:
+        return _encode(o)
+    if not o:
+        return ends
+    sep = ",\n" + inner
+    return f"{ends[0]}\n{inner}{sep.join(body)}\n{pad}{ends[1]}"
+
+
 def dumps_canonical(payload):
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return _layout(payload, "", _IntStrs()) + "\n"
 
 
 def save_instance(obj, path):

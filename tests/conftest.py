@@ -10,6 +10,20 @@ from stonedual.zoo import (corpus_categories, corpus_semigroups, gen_pt,
                            subsemigroup, zoo_categories, zoo_semigroups)
 
 
+def pytest_addoption(parser):
+    parser.addoption("--run-slow", action="store_true",
+                     help="also run the tests marked slow")
+
+
+def pytest_collection_modifyitems(config, items):
+    if config.getoption("--run-slow"):
+        return
+    skip = pytest.mark.skip(reason="slow: needs --run-slow")
+    for item in items:
+        if "slow" in item.keywords:
+            item.add_marker(skip)
+
+
 @pytest.fixture(scope="session")
 def zoo_sgs():
     return zoo_semigroups()

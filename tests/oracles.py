@@ -6,10 +6,20 @@ agreement between the two is meaningful evidence rather than a tautology.
 """
 
 import itertools
+import json
 
 from stonedual.category import (category_signature, iso_categories,
                                 make_category, semigroup_slices)
 from stonedual.errors import InputError, MathFail, ParentMismatch
+
+
+# ---------------------------------------------------------------------------
+# the canonical file layout, written by the standard library's pure-Python
+# encoder
+
+
+def dumps_canonical_reference(payload):
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -352,10 +362,10 @@ def count_monoids_brute(n):
     return count
 
 
-# classical counts of monoids of order 1..6 (OEIS A058129); orders <= 3 are
-# re-derived by count_monoids_brute in the tests, the larger three are frozen
+# classical counts of monoids of order 1..7 (OEIS A058129); orders <= 3 are
+# re-derived by count_monoids_brute in the tests, the larger four are frozen
 # constants
-MONOID_COUNTS = (1, 2, 7, 35, 228, 2237)
+MONOID_COUNTS = (1, 2, 7, 35, 228, 2237, 31559)
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,10 @@ import sys
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import dumps_canonical_reference
 from stonedual.algebra import SemigroupMorphism
 from stonedual.category import identity_cofunctor
 from stonedual.cli import run
@@ -44,10 +45,50 @@ def files(tmp_path):
 # -- io ------------------------------------------------------------------------
 
 def test_serialization_is_byte_exact(files):
-    for key in ("pt2", "i2", "k2", "cof", "morph"):
+    for key in ("pt2", "i2", "k2", "k3", "cof", "morph"):
         path = files[key]
         text = open(path).read()
-        assert dumps_canonical(instance_to_dict(load_instance(path))) == text
+        payload = instance_to_dict(load_instance(path))
+        assert dumps_canonical(payload) == text
+        assert dumps_canonical_reference(payload) == text
+
+
+_SCALARS = (st.none() | st.booleans() | st.integers()
+            | st.integers(min_value=-2 ** 70, max_value=2 ** 70)
+            | st.floats() | st.text())
+_JSON_LIKE = st.recursive(
+    _SCALARS | st.lists(st.integers()) | st.lists(st.integers() | st.booleans()),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(st.text(), inner, max_size=4)
+                   | st.dictionaries(st.integers() | st.floats()
+                                     | st.booleans(), inner, max_size=4)
+                   | st.dictionaries(st.none(), inner, max_size=1)),
+    max_leaves=30)
+
+
+@settings(deadline=None, max_examples=300, database=None)
+@given(_JSON_LIKE)
+@example({})
+@example([])
+@example([[]])
+@example([True, 1])
+@example([1, 1.0])
+@example([-0.0, 1e300, float("nan"), float("-inf")])
+@example({"\u00e9\u2603\U0001f600": ['"\\', "\x00\x1f\n", None]})
+@example({2: 0, 10: 1})
+@example({"kind": "semigroup", "mult": [[0, 1], [1, 1]], "t": ((), ([],))})
+def test_canonical_layout_matches_stdlib(payload):
+    assert dumps_canonical(payload) == dumps_canonical_reference(payload)
+
+
+@pytest.mark.parametrize("payload", [{(1, 2): 0}, {"a": {1}}, [object()],
+                                     {1: 0, "1": 0}])
+def test_canonical_layout_rejects_what_stdlib_rejects(payload):
+    with pytest.raises(TypeError):
+        dumps_canonical_reference(payload)
+    with pytest.raises(TypeError):
+        dumps_canonical(payload)
 
 
 def test_morphism_file_resolves_relative_paths(files):

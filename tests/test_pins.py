@@ -4,6 +4,8 @@ Each digest is the SHA-256 of repr((names, mult, star, plus, zero)), taken
 before the generators and slice_semigroup shared one table builder: any change
 to a table, to the element order or to a name fails here.  The test_numpy_
 variants check the same digests with every table sent down the numpy path.
+FILE_DIGESTS pin whole instance files byte for byte, as written before
+dumps_canonical stopped calling the standard library's indenting encoder.
 """
 
 import hashlib
@@ -11,6 +13,7 @@ import hashlib
 import pytest
 
 from stonedual.category import FinCat, slice_semigroup
+from stonedual.io import dumps_canonical, instance_to_dict
 from stonedual.zoo import (gen_free_arrow, gen_i, gen_pair_groupoid, gen_pt,
                            gen_triangular)
 
@@ -73,6 +76,20 @@ CORPUS_DIGEST = \
     "49922720789f0128b68d5b8cf1fb6fc3269d71dc2fa0bae4a6aa1918bc6cc387"
 
 
+# SHA-256 of each instance file, as dumps_canonical wrote it with the
+# standard library's pure-Python encoder
+FILE_DIGESTS = {
+    "pt_4": "3cd3f4939a7bb38546dc735657891161b89830b2752c4503241fd4a518111181",
+    "i_4": "f8826f065dbbee604ff44a9ba9950f2c185a2e57c76eadb76d61b265899700ab",
+    "k_4": "13e08b001653fec94d2f39245a6e61c0f79daec71d12dd161c610a99e6ac5c2f",
+    "free_arrow":
+        "693c441bbc8babb0f043246457296f69f6b638590a5c5624317b8f9d938f9bcf",
+}
+FILE_INSTANCES = {"pt_4": lambda: gen_pt(4), "i_4": lambda: gen_i(4),
+                  "k_4": lambda: gen_pair_groupoid(4),
+                  "free_arrow": gen_free_arrow}
+
+
 def digest(S):
     return hashlib.sha256(
         repr((S.names, S.mult, S.star, S.plus, S.zero)).encode()).hexdigest()
@@ -115,3 +132,9 @@ def test_corpus_slice_tables_pinned(corpus_cats):
 
 def test_numpy_corpus_slice_tables_pinned(corpus_cats, numpy_kernel):
     test_corpus_slice_tables_pinned(corpus_cats)
+
+
+@pytest.mark.parametrize("name", sorted(FILE_DIGESTS))
+def test_instance_files_pinned(name):
+    text = dumps_canonical(instance_to_dict(FILE_INSTANCES[name]()))
+    assert hashlib.sha256(text.encode()).hexdigest() == FILE_DIGESTS[name]

@@ -219,6 +219,12 @@ def test_order_six_monoids():
     assert sum(1 for C in cats if C.n_arr == 6) == MONOID_COUNTS[5]
 
 
+@pytest.mark.slow
+def test_order_seven_monoids():
+    cats = enumerate_categories(max_objects=1, max_arrows=7)
+    assert sum(1 for C in cats if C.n_arr == 7) == MONOID_COUNTS[6]
+
+
 def test_corpus_contents():
     sgs = corpus_semigroups()
     assert [name for name, _ in sgs] == list(ZOO_SEMIGROUP_NAMES)

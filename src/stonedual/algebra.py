@@ -46,8 +46,9 @@ class BiUnaryAlgebra:
         self.plus = tuple(plus) if plus is not None else None
         self.zero = zero
         self._projections = tuple(sorted(set(self.star)))
-        # set by category.slice_semigroup and duality.germ_category
-        self.slice_parent = self.slice_sets = self.germ = None
+        # set by category.slice_semigroup, duality.germ_category and
+        # duality.unit_eta
+        self.slice_parent = self.slice_sets = self.germ = self.eta = None
         # set by make_algebra: generators proved associative (see _br3_witness)
         self._generating_set = None
 
@@ -143,6 +144,19 @@ class BiUnaryAlgebra:
         where there is none, and whether it has an upper bound; read only
         on associative Ehresmann tables (see _least_array)."""
         return _least_array(self._up_rank)
+
+    @cached_property
+    def _deterministic_sets(self):
+        """deterministic_sets(self), computed once."""
+        mult, star, plus = self.mult, self.star, self.plus
+        proj = self.projections()
+        det = tuple(a for a in range(self.n)
+                    if all(mult[e][a] == mult[a][star[mult[e][a]]]
+                           for e in proj))
+        codet = tuple(a for a in range(self.n)
+                      if all(mult[a][e] == mult[plus[mult[a][e]]][a]
+                             for e in proj))
+        return det, codet, tuple(sorted(set(det) & set(codet)))
 
     @cached_property
     def classification(self):
@@ -245,8 +259,20 @@ def _iter_bits(mask):
 
 def _rank(masks):
     """(order, ranked): the elements by descending mask size, ties by index,
-    and each mask with the bit of element order[r] moved to bit r."""
-    order = sorted(range(len(masks)), key=lambda m: -masks[m].bit_count())
+    and each mask with the bit of element order[r] moved to bit r.
+
+    Above _NUMPY_THRESHOLD elements the masks are unpacked into a 0/1
+    matrix, whose columns are put in rank order and packed again: one
+    Python step per mask, where the loop below takes one per set bit."""
+    n = len(masks)
+    order = sorted(range(n), key=lambda m: -masks[m].bit_count())
+    if n > _NUMPY_THRESHOLD:
+        import numpy as np
+        k = -(-n // 8)
+        rel = np.unpackbits(np.frombuffer(b"".join(
+            m.to_bytes(k, "little") for m in masks), dtype=np.uint8).reshape(
+            n, k), axis=1, count=n, bitorder="little")
+        return order, _row_masks(rel[:, order])
     place = {m: 1 << r for r, m in enumerate(order)}
     return order, tuple(sum(map(place.__getitem__, _iter_bits(mask)))
                         for mask in masks)
@@ -276,7 +302,7 @@ def _least(rank, s, t):
 
 
 def _row_masks(rel):
-    """The rows of a bool matrix as bitmasks."""
+    """The rows of a bool or 0/1 matrix as bitmasks."""
     import numpy as np
     return tuple(int.from_bytes(row.tobytes(), "little")
                  for row in np.packbits(rel, axis=1, bitorder="little"))
@@ -289,19 +315,23 @@ def _least_array(rank):
 
     On a partial order the bound _least seeks is the one element of the two
     masks' intersection whose own mask equals it; every other element of it
-    has a smaller mask.  So it is the first common bit in rank order,
-    confirmed by one containment test on the masks packed into 64-bit
-    words.  The order must be partial, which the natural order of an
-    associative Ehresmann table is (Lawson, "Semigroups and ordered
-    categories I", J. Algebra 141, 1991); make_algebra checks
-    associativity, and the classification flags the support axioms.
-    Projections e = z* have e* = e = e², as z* = (zz*)* = (z*z*)* = z*z*;
-    a <= b, that is a = ba*, gives a* = (b*a*)* = b*a*; so a <= b <= a
-    gives a* = b*a* = a*b* = b* and a = ba* = bb* = b; and a = ba*,
-    b = cb* give, by associativity, a = (cb*)a* = c(b*a*) = ca*.
+    has a smaller mask.  So it can only be the first common bit m in rank
+    order.  As m lies in both masks, transitivity puts m's own mask inside
+    their intersection, so m is the bound just when the two have the same
+    number of bits: one popcount comparison.  The order must be partial,
+    which the natural order of an associative Ehresmann table is (Lawson,
+    "Semigroups and ordered categories I", J. Algebra 141, 1991);
+    make_algebra checks associativity, and the classification flags the
+    support axioms.  Projections e = z* have e* = e = e², as
+    z* = (zz*)* = (z*z*)* = z*z*; a <= b, that is a = ba*, gives
+    a* = (b*a*)* = b*a*; so a <= b <= a gives a* = b*a* = a*b* = b* and
+    a = ba* = bb* = b; and a = ba*, b = cb* give, by associativity,
+    a = (cb*)a* = c(b*a*) = ca*.  Both matrices are symmetric, so a block
+    of rows s is computed for the columns t >= s only, and mirrored.
     """
     import numpy as np
     n, order = len(rank[1]), np.array(rank[0])
+    sizes = np.array([m.bit_count() for m in rank[1]], dtype=_INDEX_DTYPE)
     # words[w, s] = bits 64w..64w+63 of mask s
     words = np.ascontiguousarray(np.frombuffer(b"".join(
         m.to_bytes(-(-n // 64) * 8, "little") for m in rank[1]),
@@ -311,24 +341,27 @@ def _least_array(rank):
     shared = np.empty((n, n), dtype=bool)
     step = max(1, _CHUNK_CELLS // n)
     for lo in range(0, n, step):
-        # common word w of (s, t) is rows[w, s - lo] & words[w, t]
-        rows = words[:, lo:lo + step, None]
-        word = np.zeros((len(rows[0]), n), dtype=np.intp)
-        bits = np.zeros((len(rows[0]), n), dtype=np.uint64)
+        hi = min(lo + step, n)
+        # common word w of (s, t) is rows[w, s - lo] & cols[w, t - lo]
+        rows, cols = words[:, lo:hi, None], words[:, lo:]
+        word = np.zeros((hi - lo, n - lo), dtype=np.intp)
+        bits = np.zeros((hi - lo, n - lo), dtype=np.uint64)
+        count = np.zeros((hi - lo, n - lo), dtype=_INDEX_DTYPE)
         for w in reversed(range(len(words))):
-            common = rows[w] & words[w]
+            common = rows[w] & cols[w]
             np.copyto(word, w, where=common != 0)
             np.copyto(bits, common, where=common != 0)
-        shared[lo:lo + step] = bits != 0
+            count += np.bitwise_count(common)
         # the lowest set bit of the first nonzero word, isolated as a power
         # of two, whose exponent frexp reads off exactly; pairs with nothing
         # in common are masked out below
         low = np.frexp((bits & (~bits + one)).astype(np.float64))[1] - 1
         first = order[np.clip(64 * word + low, 0, n - 1)]
-        missing = bits == 0
-        for w in range(len(words)):
-            missing |= rows[w] & words[w] & ~words[w][first] != 0
-        least[lo:lo + step] = np.where(missing, -1, first)
+        # every mask holds its own element, so no pair without a common
+        # bit passes
+        block = np.where(count == sizes[first], first, -1)
+        least[lo:hi, lo:], least[lo:, lo:hi] = block, block.T
+        shared[lo:hi, lo:], shared[lo:, lo:hi] = count > 0, (count > 0).T
     return least, shared
 
 
@@ -339,7 +372,14 @@ def _check_size(n):
 
 def _check_table(what, table, shape, bound, low=0):
     """Raise BadTableShape unless table has shape[0] entries (rows of
-    shape[1] entries, given a second length), each in low..bound-1."""
+    shape[1] entries, given a second length), each in low..bound-1.  A
+    numpy array is checked in one vectorised pass."""
+    if hasattr(table, "dtype"):
+        if table.shape != shape or table.size and not (
+                low <= table.min() and table.max() < bound):
+            raise BadTableShape(f"{what} is not a {shape} table of entries "
+                                f"in {low}..{bound - 1}")
+        return
     if len(table) != shape[0]:
         raise BadTableShape(f"{what} has {len(table)} entries, "
                             f"expected {shape[0]}")
@@ -435,7 +475,7 @@ def _check_assoc(mult):
         _assoc_pure(mult)
         return None, None
     import numpy as np
-    a = np.array(mult, dtype=_INDEX_DTYPE)
+    a = np.asarray(mult, dtype=_INDEX_DTYPE)
     if n ** 3 > _CHUNK_CELLS:
         gens = _generators(a)
         if gens is not None and all(np.array_equal(a[a[:, g]], a[:, a[g]])
@@ -447,7 +487,8 @@ def _check_assoc(mult):
 
 def make_algebra(names, mult, star, plus=None, zero=None):
     """Validate tables (shape, associativity, zero laws) and build the algebra;
-    the size bound, then every shape and range check, run before any law."""
+    the size bound, then every shape and range check, run before any law.
+    mult may be an int16 numpy array, which the algebra then keeps."""
     n = len(names)
     _check_size(n)
     if len(set(names)) != n:
@@ -459,6 +500,13 @@ def make_algebra(names, mult, star, plus=None, zero=None):
     if zero is not None and not 0 <= zero < n:
         raise BadTableShape(f"zero index {zero} out of range")
     a, gens = _check_assoc(mult)
+    if hasattr(mult, "dtype"):
+        # one shared int object per element: read cell by cell, the array
+        # would give a fresh int for every cell; a row at a time, so no
+        # second whole table is held
+        import numpy as np
+        ints = np.array(range(n), dtype=object)
+        mult = [ints[row].tolist() for row in mult]
     if zero is not None:
         for s in range(n):
             if mult[zero][s] != zero or mult[s][zero] != zero:
@@ -545,14 +593,7 @@ def deterministic_sets(S):
     """(D, CD, BD): deterministic, codeterministic, bideterministic elements."""
     if S.plus is None:
         raise NoPlusTable("codeterminism needs a plus table")
-    mult, star, plus = S.mult, S.star, S.plus
-    proj = S.projections()
-    det = tuple(a for a in range(S.n)
-                if all(mult[e][a] == mult[a][star[mult[e][a]]] for e in proj))
-    codet = tuple(a for a in range(S.n)
-                  if all(mult[a][e] == mult[plus[mult[a][e]]][a] for e in proj))
-    bidet = tuple(sorted(set(det) & set(codet)))
-    return det, codet, bidet
+    return S._deterministic_sets
 
 
 def bd_subalgebra(S):
@@ -871,7 +912,8 @@ def _classify(S):
          or _check_preboolean(cls, "boolean_birestriction")),
         ("boolean_range", ("range", "boolean_restriction"), None),
         ("etale_range", ("boolean_range",), lambda: _join_cover_witness(
-            S, sum(1 << b for b in deterministic_sets(probe)[2]))),
+            S, sum(1 << b for b in deterministic_sets(probe)[2]),
+            partial=True)),
         # join cover by partial isomorphisms; unlike etale this needs no
         # boolean_range prerequisite (a projection semilattice qualifies)
         ("groupoidal_etale", (), lambda: _groupoidal_witness(S)),
@@ -987,11 +1029,36 @@ def _br3_scan(S, columns):
     return None
 
 
-def _join_cover_witness(S, lower):
+def _join_cover_witness(S, lower, partial=False):
     """First s that is not the join of the elements of the bitmask lower
-    that lie below it."""
+    that lie below it, as join_all folds them in index order.
+
+    partial says that the order is known to be partial, as the etale_range
+    rule's prerequisites make it.  Above _NUMPY_THRESHOLD elements the fold
+    then runs on the join matrix (see _least_array) for every s at once:
+    acc[s] = joins[acc[s], e] over the elements e of lower in index order,
+    at the s above e, with -1 kept once reached."""
+    n = S.n
+    if partial and n > _NUMPY_THRESHOLD:
+        import numpy as np
+        joins, star = S._join_arrays[0], S.star
+        elems = list(_iter_bits(lower))
+        cols = S._mult_array[:, [star[e] for e in elems]]
+        # the pairs e <= s, that is s e^* = e, with e in lower, by s then e
+        ss, ks = np.nonzero(cols == elems)
+        es = cols[ss, ks]
+        # depth[p]: the place of es[p] among the elements below ss[p]; the
+        # fold takes the k-th element of every s in one step
+        depth = np.arange(len(ss)) - np.searchsorted(ss, ss)
+        acc = np.full(n, -2, dtype=_INDEX_DTYPE)  # -2: nothing below
+        for k in range(depth.max(initial=-1) + 1):
+            at = depth == k
+            s, e = ss[at], es[at]
+            a = acc[s]
+            acc[s] = e if k == 0 else np.where(a < 0, -1, joins[a, e])
+        return _first_failure([("join-cover", acc != np.arange(n))])
     down = S.down
-    for s in range(S.n):
+    for s in range(n):
         if join_all(S, _iter_bits(down[s] & lower)) != s:
             return ("join-cover", (s,))
     return None

@@ -261,7 +261,7 @@ def _slice_algebra(C, slices, names):
 
 
 def _slice_tables(C, slices):
-    """(mult, star, plus, zero) of _slice_algebra.
+    """(mult, star, plus, zero) of _slice_algebra, mult as an int16 array.
 
     A slice's code is the mixed-radix number whose digit at an object is
     0 for no arrow or 1 + the arrow's place in the fibre, so a code is the
@@ -291,12 +291,8 @@ def _slice_tables(C, slices):
     comp[:-1, :-1] = C.comp
     after = value[comp]  # after[a, b]: the value of a after b, 0 if none
     codes = value[choice].sum(axis=1, dtype=code_dtype)
-    order = np.argsort(codes, kind="stable")
+    order = np.argsort(codes, kind="stable").astype(algebra._INDEX_DTYPE)
     known = codes[order]
-
-    # the element of each code, as one shared int object per element: a
-    # table read from an int array holds a fresh int for every cell
-    ints = np.array(range(n), dtype=object)
 
     def index(c):
         if n < space:  # some slices are left out: look each code up
@@ -305,23 +301,23 @@ def _slice_tables(C, slices):
                 raise InvariantViolation("the slices are not closed under "
                                          "the operations", witness=("closed",))
             c = pos
-        return ints[order[c]].tolist()
+        return order[c]
 
-    mult = []
+    mult = np.empty((n, n), dtype=algebra._INDEX_DTYPE)
     step = max(1, algebra._CHUNK_CELLS // n)
     for lo in range(0, n, step):
         rows = np.zeros((min(step, n - lo), n), dtype=code_dtype)
         for x in range(n_obj):
             b = choice[:, x]
             rows += after[choice[lo:lo + step, r[b]], b]
-        mult += map(tuple, index(rows))
+        mult[lo:lo + step] = index(rows)
     units = value[list(C.unit)]
     star = (choice[:, :-1] >= 0) @ units
     ranges = np.zeros((n, n_obj + 1), dtype=bool)
     ranges[np.arange(n)[:, None], r[choice[:, :-1]]] = True
     plus = ranges[:, :-1] @ units
-    (zero,) = index(np.zeros(1, dtype=code_dtype))
-    return mult, index(star), index(plus), zero
+    (zero,) = index(np.zeros(1, dtype=code_dtype)).tolist()
+    return mult, index(star).tolist(), index(plus).tolist(), zero
 
 
 def _slice_name(C, choice):

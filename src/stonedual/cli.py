@@ -12,6 +12,7 @@ it exits 2 if any file gave an ERROR, else 1 if any gave a FAIL, else 0.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -215,6 +216,8 @@ def _cmd_search(args):
     return 0
 
 
+# built once per process: a parse does not change the parser
+@functools.cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="sdl",

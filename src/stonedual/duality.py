@@ -104,8 +104,10 @@ def unit_eta(S):
 
     Always an injective morphism, and onto on Boolean restriction
     instances; each is checked, and a failure raises InvariantViolation
-    with the property and its witness.
+    with the property and its witness.  Computed once per algebra.
     """
+    if S.eta is not None:
+        return S.eta
     G = germ_category(S)
     T = slice_semigroup(G.category)
     index = {A: i for i, A in enumerate(semigroup_slices(G.category, T))}
@@ -124,6 +126,7 @@ def unit_eta(S):
         missed = next(i for i in range(T.n) if i not in source)
         raise InvariantViolation("unit is not onto a Boolean instance",
                                  witness=("unit-onto", (missed,)))
+    S.eta = f
     return f
 
 

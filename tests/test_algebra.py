@@ -278,6 +278,72 @@ def test_least_bounds_try_at_most_two_candidates(monkeypatch, op, flags):
         assert len(tried) >= n * (n + 1) // 2 and max(tried) <= 2
 
 
+def _cover_masks(S, rng):
+    """Lower masks for the join-cover fold: all elements but three drawn
+    at random, and when S has or infers a plus table, its bideterministic
+    mask whole and with two elements dropped."""
+    drop = lambda mask, k: mask & ~sum(1 << b for b in rng.sample(range(S.n), k))
+    masks = [drop((1 << S.n) - 1, 3)]
+    try:
+        probe = with_inferred_plus(S)
+    except MathFail:
+        probe = None
+    if probe is not None:
+        bidet = sum(1 << b for b in deterministic_sets(probe)[2])
+        masks += [bidet, drop(bidet, 2)]
+    return masks
+
+
+def test_array_least_bounds_rank_and_cover_match_python(
+        monkeypatch, pt4, pt4_subsemigroups):
+    # above the cutoff the join matrix, the etale rule's join-cover fold
+    # and the rank order run on arrays; each is compared with its Python
+    # form on every table above the cutoff of the seeded pt_4 family and
+    # on pt_4, i_4, triangular_4 and Slice(K_4), all of them partial orders
+    tables = [S for S in pt4_subsemigroups if S.n > algebra._NUMPY_THRESHOLD]
+    assert len(tables) == 953
+    tables += [pt4, gen_i(4), gen_triangular(4),
+               slice_semigroup(gen_pair_groupoid(4))]
+    rng, ranks, witnesses = random.Random(24), [], Counter()
+    for S in tables:
+        n, up, rank = S.n, S.up, algebra._rank(S.up)
+        least, shared = algebra._least_array(rank)
+        # _least reads only the common set, so it is symmetric, and the
+        # pairs s <= t with the symmetry of the arrays cover every pair
+        assert (least == least.T).all() and (shared == shared.T).all()
+        assert [least[s, s:].tolist() for s in range(n)] == [
+            [-1 if (j := algebra._least(rank, s, t)) is None else j
+             for t in range(s, n)] for s in range(n)]
+        assert [shared[s, s:].tolist() for s in range(n)] == [
+            [up[s] & up[t] != 0 for t in range(s, n)] for s in range(n)]
+        for lower in _cover_masks(S, rng):
+            w = algebra._join_cover_witness(S, lower, partial=True)
+            assert w == algebra._join_cover_witness(S, lower), (S.names, lower)
+            witnesses[w] += 1
+        ranks.append((rank, algebra._rank(S.down)))
+    # of the 1,413 folds 257 pass, and the rest fail at 41 distinct elements
+    assert (sum(witnesses.values()), witnesses[None], len(witnesses)) == (
+        1413, 257, 42)
+    monkeypatch.setattr(algebra, "_NUMPY_THRESHOLD", SIZE_BOUND)
+    assert [(algebra._rank(S.up), algebra._rank(S.down))
+            for S in tables] == ranks
+
+
+def test_join_cover_fold_keeps_a_missing_join(numpy_kernel):
+    # a poset, as _relations realises one: above[a] lists the b > a.  Below
+    # 6 the fold meets 1 and 3, whose least common upper bounds 0 and 6 are
+    # incomparable, so there is no join; joined on with 5 through the last
+    # row of the join matrix, the missing join would come out as 6
+    above = [{4}, {0, 4, 6}, {0, 4}, {0, 2, 4, 5, 6}, set(), {0, 4, 6}, {4}]
+    n = len(above)
+    S = BiUnaryAlgebra(range(n), [[a if a == b or b in above[a] else b
+                                   for a in range(n)] for b in range(n)],
+                       range(n))
+    lower = 0b0111110
+    assert algebra._join_cover_witness(S, lower, partial=True) == \
+        algebra._join_cover_witness(S, lower) == ("join-cover", (6,))
+
+
 def _check_join_axiom_witnesses():
     failed = {"BR1": 0, "BR3": 0, "no-meet": 0}
     for S in small_subsemigroups(gen_pt(3)):
@@ -553,6 +619,27 @@ def test_classify_reuses_the_array_and_generators_of_make_algebra(
     classify(S).flags
     assert searched == []
     assert S._mult_array is a and S._generating_set is gens
+
+
+def test_make_algebra_keeps_an_int16_product_table(monkeypatch):
+    # the slice table builder hands make_algebra its product table as an
+    # int16 array: one vectorised range check, kept as the algebra's array,
+    # and read into rows holding one int object per element
+    S = gen_pt(3)
+    a = np.array(S.mult, dtype=np.int16)
+    T = make_algebra(S.names, a, S.star, S.plus, S.zero)
+    assert T._mult_array is a and T.mult == S.mult
+    cells = [v for row in T.mult for v in row]
+    assert {type(v) for v in cells} == {int}
+    assert len({id(v) for v in cells}) == S.n
+    for bad in (a[:-1], np.where(a == 5, S.n, a), np.where(a == 5, -1, a)):
+        with pytest.raises(BadTableShape):
+            make_algebra(S.names, bad.astype(np.int16), S.star)
+    handed, real = [], algebra._check_assoc
+    monkeypatch.setattr(algebra, "_check_assoc",
+                        lambda mult: handed.append(mult) or real(mult))
+    T = slice_semigroup(gen_pair_groupoid(3))
+    assert handed == [T._mult_array] and handed[0] is T._mult_array
 
 
 @pytest.mark.parametrize("gen,strong,weak", [

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import dumps_canonical_reference
+from stonedual import cli
 from stonedual.algebra import SemigroupMorphism
 from stonedual.category import identity_cofunctor
 from stonedual.cli import run
@@ -352,6 +353,19 @@ def test_slices_command(files, tmp_path, capsys):
     assert load_instance(str(out)).n == 9
     assert run(["slices", files["k2"], "--bislices", "-o", str(out)]) == 0
     assert load_instance(str(out)).n == 7
+
+
+def test_parser_is_built_once_and_left_as_it_was(files, tmp_path, capsys):
+    # one argparse tree serves every run of a process: neither a parse
+    # with an option nor a usage error carries over to the next command
+    assert cli._build_parser() is cli._build_parser()
+    out = str(tmp_path / "s.json")
+    assert run(["slices", files["k2"], "--bislices", "-o", out]) == 0
+    with pytest.raises(SystemExit):
+        run(["slices", files["k2"]])
+    assert run(["slices", files["k2"], "-o", out]) == 0
+    assert load_instance(out).n == 9
+    assert "PASS slice-semigroup" in capsys.readouterr().out
 
 
 def test_slices_size_guard(files, tmp_path, capsys):

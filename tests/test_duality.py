@@ -468,7 +468,8 @@ def test_memos_die_with_their_object():
     T = slice_semigroup(C)
     memos = [classify(S), germ_category(S), classify(stripped),
              with_inferred_plus(stripped), germ_category(T),
-             slice_semigroup(C, bislices_only=True)]
+             slice_semigroup(C, bislices_only=True), unit_eta(S), unit_eta(T)]
+    assert unit_eta(S) is memos[-2] and unit_eta(T) is memos[-1]
     # the iso searches memoise refinement codes on every object they touch
     assert iso_algebras(S, S) is not None and iso_algebras(T, T) is not None
     assert iso_categories(germ_category(S).category, C) is not None

@@ -259,20 +259,8 @@ def _iter_bits(mask):
 
 def _rank(masks):
     """(order, ranked): the elements by descending mask size, ties by index,
-    and each mask with the bit of element order[r] moved to bit r.
-
-    Above _NUMPY_THRESHOLD elements the masks are unpacked into a 0/1
-    matrix, whose columns are put in rank order and packed again: one
-    Python step per mask, where the loop below takes one per set bit."""
-    n = len(masks)
-    order = sorted(range(n), key=lambda m: -masks[m].bit_count())
-    if n > _NUMPY_THRESHOLD:
-        import numpy as np
-        k = -(-n // 8)
-        rel = np.unpackbits(np.frombuffer(b"".join(
-            m.to_bytes(k, "little") for m in masks), dtype=np.uint8).reshape(
-            n, k), axis=1, count=n, bitorder="little")
-        return order, _row_masks(rel[:, order])
+    and each mask with the bit of element order[r] moved to bit r."""
+    order = sorted(range(len(masks)), key=lambda m: -masks[m].bit_count())
     place = {m: 1 << r for r, m in enumerate(order)}
     return order, tuple(sum(map(place.__getitem__, _iter_bits(mask)))
                         for mask in masks)
@@ -302,7 +290,7 @@ def _least(rank, s, t):
 
 
 def _row_masks(rel):
-    """The rows of a bool or 0/1 matrix as bitmasks."""
+    """The rows of a bool matrix as bitmasks."""
     import numpy as np
     return tuple(int.from_bytes(row.tobytes(), "little")
                  for row in np.packbits(rel, axis=1, bitorder="little"))
@@ -349,13 +337,14 @@ def _least_array(rank):
         count = np.zeros((hi - lo, n - lo), dtype=_INDEX_DTYPE)
         for w in reversed(range(len(words))):
             common = rows[w] & cols[w]
-            np.copyto(word, w, where=common != 0)
-            np.copyto(bits, common, where=common != 0)
+            nonzero = common != 0
+            np.copyto(word, w, where=nonzero)
+            np.copyto(bits, common, where=nonzero)
             count += np.bitwise_count(common)
-        # the lowest set bit of the first nonzero word, isolated as a power
-        # of two, whose exponent frexp reads off exactly; pairs with nothing
-        # in common are masked out below
-        low = np.frexp((bits & (~bits + one)).astype(np.float64))[1] - 1
+        # the place of the lowest set bit of the first nonzero word: the
+        # bits below it, counted; pairs with nothing in common are masked
+        # out below
+        low = np.bitwise_count((bits & (~bits + one)) - one)
         first = order[np.clip(64 * word + low, 0, n - 1)]
         # every mask holds its own element, so no pair without a common
         # bit passes
@@ -502,11 +491,11 @@ def make_algebra(names, mult, star, plus=None, zero=None):
     a, gens = _check_assoc(mult)
     if hasattr(mult, "dtype"):
         # one shared int object per element: read cell by cell, the array
-        # would give a fresh int for every cell; a row at a time, so no
-        # second whole table is held
+        # would give a fresh int for every cell; a row at a time, into the
+        # tuples the algebra keeps, so no second whole table is held
         import numpy as np
         ints = np.array(range(n), dtype=object)
-        mult = [ints[row].tolist() for row in mult]
+        mult = [tuple(ints[row].tolist()) for row in mult]
     if zero is not None:
         for s in range(n):
             if mult[zero][s] != zero or mult[s][zero] != zero:
@@ -911,9 +900,8 @@ def _classify(S):
          lambda: _br1_witness(S, "BBR1", probe)
          or _check_preboolean(cls, "boolean_birestriction")),
         ("boolean_range", ("range", "boolean_restriction"), None),
-        ("etale_range", ("boolean_range",), lambda: _join_cover_witness(
-            S, sum(1 << b for b in deterministic_sets(probe)[2]),
-            partial=True)),
+        ("etale_range", ("boolean_range",), lambda: _etale_cover_witness(
+            S, sum(1 << b for b in deterministic_sets(probe)[2]))),
         # join cover by partial isomorphisms; unlike etale this needs no
         # boolean_range prerequisite (a projection semilattice qualifies)
         ("groupoidal_etale", (), lambda: _groupoidal_witness(S)),
@@ -1029,39 +1017,46 @@ def _br3_scan(S, columns):
     return None
 
 
-def _join_cover_witness(S, lower, partial=False):
+def _join_cover_witness(S, lower):
     """First s that is not the join of the elements of the bitmask lower
-    that lie below it, as join_all folds them in index order.
-
-    partial says that the order is known to be partial, as the etale_range
-    rule's prerequisites make it.  Above _NUMPY_THRESHOLD elements the fold
-    then runs on the join matrix (see _least_array) for every s at once:
-    acc[s] = joins[acc[s], e] over the elements e of lower in index order,
-    at the s above e, with -1 kept once reached."""
-    n = S.n
-    if partial and n > _NUMPY_THRESHOLD:
-        import numpy as np
-        joins, star = S._join_arrays[0], S.star
-        elems = list(_iter_bits(lower))
-        cols = S._mult_array[:, [star[e] for e in elems]]
-        # the pairs e <= s, that is s e^* = e, with e in lower, by s then e
-        ss, ks = np.nonzero(cols == elems)
-        es = cols[ss, ks]
-        # depth[p]: the place of es[p] among the elements below ss[p]; the
-        # fold takes the k-th element of every s in one step
-        depth = np.arange(len(ss)) - np.searchsorted(ss, ss)
-        acc = np.full(n, -2, dtype=_INDEX_DTYPE)  # -2: nothing below
-        for k in range(depth.max(initial=-1) + 1):
-            at = depth == k
-            s, e = ss[at], es[at]
-            a = acc[s]
-            acc[s] = e if k == 0 else np.where(a < 0, -1, joins[a, e])
-        return _first_failure([("join-cover", acc != np.arange(n))])
+    that lie below it."""
     down = S.down
-    for s in range(n):
+    for s in range(S.n):
         if join_all(S, _iter_bits(down[s] & lower)) != s:
             return ("join-cover", (s,))
     return None
+
+
+def _etale_cover_witness(S, lower):
+    """_join_cover_witness(S, lower) for the etale_range rule, whose
+    prerequisites make the order partial.
+
+    Above _NUMPY_THRESHOLD elements the join_all fold runs on the join
+    matrix (see _least_array) for every s at once, one step per depth:
+    step k joins each accumulated value with the k-th element of lower
+    below its s, in index order."""
+    n = S.n
+    if n <= _NUMPY_THRESHOLD:
+        return _join_cover_witness(S, lower)
+    import numpy as np
+    star, elems = S.star, list(_iter_bits(lower))
+    cols = S._mult_array[:, [star[e] for e in elems]]
+    # the pairs e <= s, that is s e^* = e, with e in lower, by s then e
+    ss, ks = np.nonzero(cols == elems)
+    depth = np.arange(len(ss)) - np.searchsorted(ss, ss)
+    # below[s, k]: the k-th element of lower below s; past the last one,
+    # the first, which every accumulated join lies above, so joining it
+    # changes nothing; -1 where nothing is below s
+    below = np.full((n, depth.max(initial=0) + 1), -1, dtype=_INDEX_DTYPE)
+    below[ss, depth] = cols[ss, ks]
+    below = np.where(below < 0, below[:, :1], below)
+    # a last row of -1, read at index -1, keeps a missing join missing
+    joins = np.full((n + 1, n), -1, dtype=_INDEX_DTYPE)
+    joins[:n] = S._join_arrays[0]
+    acc = below[:, 0]
+    for k in range(1, below.shape[1]):
+        acc = joins[acc, below[:, k]]
+    return _first_failure([("join-cover", acc != np.arange(n))])
 
 
 def _inverse_witness(S):

@@ -294,19 +294,18 @@ def _cover_masks(S, rng):
     return masks
 
 
-def test_array_least_bounds_rank_and_cover_match_python(
-        monkeypatch, pt4, pt4_subsemigroups):
-    # above the cutoff the join matrix, the etale rule's join-cover fold
-    # and the rank order run on arrays; each is compared with its Python
-    # form on every table above the cutoff of the seeded pt_4 family and
-    # on pt_4, i_4, triangular_4 and Slice(K_4), all of them partial orders
+def test_array_least_bounds_and_cover_match_python(pt4, pt4_subsemigroups):
+    # above the cutoff the join matrix and the etale rule's join-cover fold
+    # run on arrays; each is compared with its Python form on every table
+    # above the cutoff of the seeded pt_4 family and on pt_4, i_4,
+    # triangular_4 and Slice(K_4), all of them partial orders
     tables = [S for S in pt4_subsemigroups if S.n > algebra._NUMPY_THRESHOLD]
     assert len(tables) == 953
     tables += [pt4, gen_i(4), gen_triangular(4),
                slice_semigroup(gen_pair_groupoid(4))]
-    rng, ranks, witnesses = random.Random(24), [], Counter()
+    rng, witnesses = random.Random(24), Counter()
     for S in tables:
-        n, up, rank = S.n, S.up, algebra._rank(S.up)
+        n, up, rank = S.n, S.up, S._up_rank
         least, shared = algebra._least_array(rank)
         # _least reads only the common set, so it is symmetric, and the
         # pairs s <= t with the symmetry of the arrays cover every pair
@@ -317,16 +316,12 @@ def test_array_least_bounds_rank_and_cover_match_python(
         assert [shared[s, s:].tolist() for s in range(n)] == [
             [up[s] & up[t] != 0 for t in range(s, n)] for s in range(n)]
         for lower in _cover_masks(S, rng):
-            w = algebra._join_cover_witness(S, lower, partial=True)
+            w = algebra._etale_cover_witness(S, lower)
             assert w == algebra._join_cover_witness(S, lower), (S.names, lower)
             witnesses[w] += 1
-        ranks.append((rank, algebra._rank(S.down)))
     # of the 1,413 folds 257 pass, and the rest fail at 41 distinct elements
     assert (sum(witnesses.values()), witnesses[None], len(witnesses)) == (
         1413, 257, 42)
-    monkeypatch.setattr(algebra, "_NUMPY_THRESHOLD", SIZE_BOUND)
-    assert [(algebra._rank(S.up), algebra._rank(S.down))
-            for S in tables] == ranks
 
 
 def test_join_cover_fold_keeps_a_missing_join(numpy_kernel):
@@ -339,9 +334,10 @@ def test_join_cover_fold_keeps_a_missing_join(numpy_kernel):
     S = BiUnaryAlgebra(range(n), [[a if a == b or b in above[a] else b
                                    for a in range(n)] for b in range(n)],
                        range(n))
-    lower = 0b0111110
-    assert algebra._join_cover_witness(S, lower, partial=True) == \
-        algebra._join_cover_witness(S, lower) == ("join-cover", (6,))
+    for lower in (0b0111110, 0b0000000, 0b0000010):
+        assert algebra._etale_cover_witness(S, lower) == \
+            algebra._join_cover_witness(S, lower)
+    assert algebra._etale_cover_witness(S, 0b0111110) == ("join-cover", (6,))
 
 
 def _check_join_axiom_witnesses():

@@ -52,7 +52,7 @@ TWIN_SITES = {
     "algebra.BiUnaryAlgebra._order_masks", "algebra._check_assoc",
     "algebra._star_axiom_witness", "algebra._plus_axiom_witness",
     "algebra._restriction_witness", "algebra._br1_witness",
-    "algebra._br3_witness", "algebra._rank", "algebra._join_cover_witness",
+    "algebra._br3_witness", "algebra._etale_cover_witness",
     "algebra._unpreserved", "algebra._refine", "category._slice_algebra"}
 
 

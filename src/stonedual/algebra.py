@@ -438,8 +438,8 @@ def _generators(a):
         inside[g] = True
         while new.size:
             members = np.concatenate((members, new))
-            prod = np.concatenate((a[np.ix_(members, new)].ravel(),
-                                   a[np.ix_(new, members)].ravel()))
+            prod = np.concatenate((a[members][:, new].ravel(),
+                                   a[new][:, members].ravel()))
             new = np.unique(prod[~inside[prod]])
             inside[new] = True
     return gens
@@ -700,7 +700,7 @@ def _star_axiom_witness(S):
         import numpy as np
         a, x = S._mult_array, np.arange(n)
         st = np.array(star, dtype=a.dtype)
-        p = a[np.ix_(st, st)]  # p[x, y] = x^* y^*
+        p = a[st][:, st]  # p[x, y] = x^* y^*
         return _first_failure([("x*support(x)=x", a[x, st] != x)]) or (
             _first_failure([
                 ("supports-commute-and-are-projections",
@@ -729,7 +729,7 @@ def _plus_axiom_witness(S):
         import numpy as np
         a = S._mult_array
         st, pl = np.array(star, dtype=a.dtype), np.array(plus, dtype=a.dtype)
-        p = a[np.ix_(pl, pl)]  # p[x, y] = x^+ y^+
+        p = a[pl][:, pl]  # p[x, y] = x^+ y^+
         return _first_failure([
             ("cosupport(x)*x=x", a[pl, np.arange(n)] != np.arange(n)),
             ("support(cosupport(x))=cosupport(x)", st[pl] != pl),
@@ -765,9 +765,10 @@ def _restriction_witness(S):
         import numpy as np
         a = S._mult_array
         st = np.array(star, dtype=a.dtype)
-        # support(x)y and y support(xy) at [x, y]
-        return _first_failure([("support(x)y=y support(xy)",
-                                a[st] != a[np.arange(n), st[a]])])
+        # support(x)y and y support(xy) at [x, y], the latter read from
+        # the flat table at y n + support(xy)
+        y_sxy = a.ravel().take(st[a] + np.arange(0, n * n, n))
+        return _first_failure([("support(x)y=y support(xy)", a[st] != y_sxy)])
     for x in range(n):
         sx = star[x]
         for y in range(n):
@@ -1105,15 +1106,16 @@ def _unpreserved(X, Y, m, unary):
     (name, index), or None: the binary table of iso_structure, named
     "mult", row-major, then each (name, table of X, table of Y) in unary.
     An undefined entry (-1) must map to -1.  Above _NUMPY_THRESHOLD
-    elements one gather per table; at or below it whole rows are compared,
-    and the column is sought only in a failing row."""
+    elements one gather per table, Y's binary table by rows and then by
+    columns; at or below it whole rows are compared, and the column is
+    sought only in a failing row."""
     n = len(m)
     if n > _NUMPY_THRESHOLD:
         import numpy as np
         ext = np.array([*m, -1], dtype=_INDEX_DTYPE)  # ext[-1] = -1
         f = ext[:n]
-        first = _first_failure([("mult", ext[X._iso_binary]
-                                 != Y._iso_binary[np.ix_(f, f)])])
+        first = _first_failure([("mult", ext.take(X._iso_binary)
+                                 != Y._iso_binary[f][:, f])])
         for name, a, b in unary:
             first = first or _first_failure([(name, ext[list(a)] != np.array(b)[f])])
         return first
@@ -1295,11 +1297,18 @@ def _find_iso(X, Y):
     """An isomorphism between two algebras or two categories: a bijection
     preserving every table of their iso_structure, or None.
 
-    Each element maps only into its own colour class, and the elements with
-    the fewest candidates are placed first.  A placement is checked against
-    the elements already placed; those checks skip entries whose image is
-    still open, so a complete assignment gets check_morphism's exhaustive
-    check, _unpreserved."""
+    Each element maps only into its own colour class.  The search takes the
+    elements with the fewest candidates first, singleton classes before
+    all others, and tries each candidate in ascending order.  A choice
+    s -> t is closed at once: s times every element already assigned, and
+    then each element newly assigned times every choice, on both sides,
+    and under each unary table, forces the image of the product.  The
+    choice fails when a forced pair is undefined on one side only, changes
+    colour or breaks the bijection.  An element forced before the search
+    reaches it is skipped.  Only partial maps that no isomorphism extends
+    are cut and candidates run in order, so the map returned is the first
+    isomorphism in that order.  A complete map gets check_morphism's
+    exhaustive check, _unpreserved."""
     sigA, sigB = X.iso_codes, Y.iso_codes
     if sorted(sigA) != sorted(sigB):
         return None
@@ -1308,58 +1317,77 @@ def _find_iso(X, Y):
     by_colour = {}
     for t, c in enumerate(sigB):
         by_colour.setdefault(c, []).append(t)
-    order = sorted(range(n), key=lambda s: len(by_colour[sigA[s]]))
-    fwd = [-1] * n
-    back = [-1] * n
-    placed = []
-
-    def agrees(x, y):
-        # entries x of A and y of B must be undefined together, share a
-        # colour, and be each other's images once either of them is placed
-        if x < 0 or y < 0:
-            return x == y
-        return sigA[x] == sigB[y] and (fwd[x] == y or fwd[x] == back[y] == -1)
-
-    def fits(s, t):
-        rowA, rowB = binA[s], binB[t]
-        for s2, t2 in placed:
-            if not (agrees(rowA[s2], rowB[t2]) and agrees(binA[s2][s], binB[t2][t])):
-                return False
-        return all(agrees(u[s], v[t]) for u, v in zip(unaryA, unaryB))
-
     unary = [("unary", a, b) for a, b in zip(unaryA, unaryB)]
     if len(by_colour) == n:  # every class a singleton: the map is forced
-        fwd[:] = [by_colour[c][0] for c in sigA]
+        fwd = [by_colour[c][0] for c in sigA]
         return tuple(fwd) if _unpreserved(X, Y, fwd, unary) is None else None
+    order = sorted(range(n), key=lambda s: len(by_colour[sigA[s]]))
+    fwd, back = [-1] * n, [-1] * n
+    trail, chosen = [], []  # the elements assigned, in order; the choices
 
-    # depth-first over the placements of order[0], order[1], ... without
-    # recursion, so the depth is not bounded by the interpreter's stack;
-    # its[k] holds the candidates of order[k] not yet tried
-    its = [None] * n
+    def assign(x, y):
+        # x -> y, for entries x of X and y of Y
+        if x < 0 or y < 0:
+            return x == y
+        if fwd[x] >= 0 or back[y] >= 0:
+            return fwd[x] == y
+        if sigA[x] != sigB[y]:
+            return False
+        fwd[x], back[y] = y, x
+        trail.append(x)
+        return True
+
+    def choose(s, t, mark):
+        # s -> t, closed as the docstring says; trail[:mark] was assigned
+        assign(s, t)
+        chosen.append((s, t))
+        rowA, rowB = binA[s], binB[t]
+        for x in trail[:mark]:
+            y = fwd[x]
+            if not (assign(binA[x][s], binB[y][t]) and assign(rowA[x], rowB[y])):
+                return False
+        i = mark
+        while i < len(trail):  # runs on over what the loop appends
+            x = trail[i]
+            y = fwd[x]
+            i += 1
+            rowA, rowB = binA[x], binB[y]
+            for g, h in chosen:
+                if not (assign(rowA[g], rowB[h]) and assign(binA[g][x], binB[h][y])):
+                    return False
+            for _, u, v in unary:
+                if not assign(u[x], v[y]):
+                    return False
+        return True
+
+    # depth-first without recursion, so the depth is not bounded by the
+    # interpreter's stack; a frame holds the position in order of a choice,
+    # its candidates not yet tried and the number of elements assigned
+    # before it
+    frames = []
     k = 0
-    while k >= 0:
-        if k == n:
-            if _unpreserved(X, Y, fwd, unary) is None:
-                return tuple(fwd)
-            k -= 1
-        s = order[k]
-        if fwd[s] >= 0:  # undo the placement tried last at this depth
-            placed.pop()
-            back[fwd[s]] = fwd[s] = -1
-        its[k] = its[k] or iter(by_colour[sigA[s]])
-        for t in its[k]:
-            if back[t] < 0:
-                fwd[s], back[t] = t, s
-                placed.append((s, t))
-                if fits(s, t):
-                    k += 1
+    while True:
+        while k < n and fwd[order[k]] >= 0:
+            k += 1
+        if k < n:
+            frames.append((k, iter(by_colour[sigA[order[k]]]), len(trail)))
+        elif _unpreserved(X, Y, fwd, unary) is None:
+            return tuple(fwd)
+        while frames:
+            k, its, mark = frames[-1]
+            for t in its:
+                if len(trail) > mark:  # undo the choice tried last
+                    for x in trail[mark:]:
+                        back[fwd[x]] = fwd[x] = -1
+                    del trail[mark:], chosen[len(frames) - 1:]
+                if back[t] < 0 and choose(order[k], t, mark):
                     break
-                placed.pop()
-                fwd[s] = back[t] = -1
+            else:
+                frames.pop()
+                continue
+            break
         else:
-            its[k] = None
-            k -= 1
-    return None
+            return None
 
 
 def iso_algebras(S, T):

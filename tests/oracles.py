@@ -10,6 +10,7 @@ import json
 
 from stonedual.category import (category_signature, iso_categories,
                                 make_category, semigroup_slices)
+from stonedual.algebra import _unpreserved
 from stonedual.errors import InputError, MathFail, ParentMismatch
 
 
@@ -642,4 +643,81 @@ def iso_reference(X, Y):
         found = (tuple(Y.d[f[u]] for u in X.unit), f) if category else f
         if is_isomorphism(X, Y, found):
             return found
+    return None
+
+
+# ---------------------------------------------------------------------------
+# isomorphisms by placing one element at a time, each placement checked
+# against every element placed before it: the library's search before it
+# closed each choice under products.  It returns the first isomorphism in
+# the same element and candidate order.
+
+def find_iso_by_placement(X, Y):
+    """An isomorphism between two algebras or two categories: a bijection
+    preserving every table of their iso_structure, or None.
+
+    Each element maps only into its own colour class, and the elements with
+    the fewest candidates are placed first.  A placement is checked against
+    the elements already placed; those checks skip entries whose image is
+    still open, so a complete assignment gets check_morphism's exhaustive
+    check, _unpreserved."""
+    sigA, sigB = X.iso_codes, Y.iso_codes
+    if sorted(sigA) != sorted(sigB):
+        return None
+    (unaryA, binA), (unaryB, binB) = X.iso_structure, Y.iso_structure
+    n = len(sigA)
+    by_colour = {}
+    for t, c in enumerate(sigB):
+        by_colour.setdefault(c, []).append(t)
+    order = sorted(range(n), key=lambda s: len(by_colour[sigA[s]]))
+    fwd = [-1] * n
+    back = [-1] * n
+    placed = []
+
+    def agrees(x, y):
+        # entries x of A and y of B must be undefined together, share a
+        # colour, and be each other's images once either of them is placed
+        if x < 0 or y < 0:
+            return x == y
+        return sigA[x] == sigB[y] and (fwd[x] == y or fwd[x] == back[y] == -1)
+
+    def fits(s, t):
+        rowA, rowB = binA[s], binB[t]
+        for s2, t2 in placed:
+            if not (agrees(rowA[s2], rowB[t2]) and agrees(binA[s2][s], binB[t2][t])):
+                return False
+        return all(agrees(u[s], v[t]) for u, v in zip(unaryA, unaryB))
+
+    unary = [("unary", a, b) for a, b in zip(unaryA, unaryB)]
+    if len(by_colour) == n:  # every class a singleton: the map is forced
+        fwd[:] = [by_colour[c][0] for c in sigA]
+        return tuple(fwd) if _unpreserved(X, Y, fwd, unary) is None else None
+
+    # depth-first over the placements of order[0], order[1], ... without
+    # recursion, so the depth is not bounded by the interpreter's stack;
+    # its[k] holds the candidates of order[k] not yet tried
+    its = [None] * n
+    k = 0
+    while k >= 0:
+        if k == n:
+            if _unpreserved(X, Y, fwd, unary) is None:
+                return tuple(fwd)
+            k -= 1
+        s = order[k]
+        if fwd[s] >= 0:  # undo the placement tried last at this depth
+            placed.pop()
+            back[fwd[s]] = fwd[s] = -1
+        its[k] = its[k] or iter(by_colour[sigA[s]])
+        for t in its[k]:
+            if back[t] < 0:
+                fwd[s], back[t] = t, s
+                placed.append((s, t))
+                if fits(s, t):
+                    k += 1
+                    break
+                placed.pop()
+                fwd[s] = back[t] = -1
+        else:
+            its[k] = None
+            k -= 1
     return None

@@ -1,19 +1,20 @@
 """Isomorphism queries: the numpy refinement rounds against the Python
-ones, and iso_algebras / iso_categories against a search over every
-bijection."""
+ones, iso_algebras / iso_categories against a search over every bijection,
+and the library's search against the placement search it replaced."""
 
 import random
+from collections import defaultdict
 
 import pytest
 
 from conftest import small_subsemigroups
-from oracles import is_isomorphism, iso_reference
-from stonedual import algebra
+from oracles import find_iso_by_placement, is_isomorphism, iso_reference
+from stonedual import algebra, category
 from stonedual.algebra import SIZE_BOUND, BiUnaryAlgebra, iso_algebras
 from stonedual.category import FinCat
 from stonedual.duality import iso_categories
 from stonedual.zoo import (gen_free_arrow, gen_i, gen_pair_groupoid, gen_pt,
-                           zoo_semigroups)
+                           gen_triangular, zoo_semigroups)
 
 
 def copy(X):
@@ -158,3 +159,77 @@ def test_iso_verdicts_match_reference(reference_pairs):
 
 def test_numpy_iso_verdicts_match_reference(reference_pairs, numpy_kernel):
     check_iso_verdicts(reference_pairs)
+
+
+# -- the forced-image search against the placement search ---------------------
+
+def iso(X, Y):
+    return (iso_categories if isinstance(X, FinCat) else iso_algebras)(X, Y)
+
+
+def assert_same_maps(pairs, monkeypatch):
+    """The maps iso_algebras / iso_categories give on each pair, which
+    must be the same, or None, with the placement search of oracles.py
+    in place of the library's."""
+    found = [iso(X, Y) for X, Y in pairs]
+    with monkeypatch.context() as m:
+        m.setattr(algebra, "_find_iso", find_iso_by_placement)
+        m.setattr(category, "_find_iso", find_iso_by_placement)
+        for (X, Y), got in zip(pairs, found):
+            assert iso(X, Y) == got, (X, Y)
+    return found
+
+
+def test_forced_images_give_the_placement_maps_on_relabellings(monkeypatch):
+    rng = random.Random(25)
+    bases = [gen_pt(3), gen_i(3), gen_triangular(3), gen_i(4),
+             gen_triangular(4)]
+    pairs = [(X, relabel(X, rng)) for X in bases for _ in range(3)]
+    pairs.append((gen_pt(4), relabel(gen_pt(4), rng)))
+    assert None not in assert_same_maps(pairs, monkeypatch)
+
+
+def test_forced_images_give_the_placement_maps_on_categories(monkeypatch,
+                                                             corpus_cats):
+    rng = random.Random(26)
+    family = [*map(gen_pair_groupoid, range(2, 7)),
+              *(C for _, C in corpus_cats)]
+    assert len(family) == 5 + 398
+    pairs = [(C, relabel(C, rng)) for C in family]
+    assert None not in assert_same_maps(pairs, monkeypatch)
+
+
+def test_forced_images_give_the_placement_maps_on_subsemigroups(monkeypatch):
+    rng = random.Random(27)
+    pairs = [(S, relabel(S, rng)) for S in small_subsemigroups(gen_pt(3))]
+    assert len(pairs) == 1195
+    assert None not in assert_same_maps(pairs, monkeypatch)
+
+
+def test_forced_images_reject_classes_with_equal_codes(monkeypatch,
+                                                        corpus_cats):
+    # the enumerated classes are pairwise non-isomorphic, and equal sorted
+    # codes send a pair past the first test into the search
+    groups = defaultdict(list)
+    for name, C in corpus_cats:
+        if name.startswith("enum_"):
+            groups[C.n_obj, tuple(sorted(C.iso_codes))].append(C)
+    pairs = [(X, Y) for g in groups.values() for X in g for Y in g
+             if X is not Y]
+    assert len(pairs) == 10114
+    assert set(assert_same_maps(pairs, monkeypatch)) == {None}
+
+
+def test_forced_images_on_edge_cases(monkeypatch):
+    rng = random.Random(28)
+    empty = BiUnaryAlgebra([], [], [])
+    one = BiUnaryAlgebra(["e"], [[0]], [0])
+    T = gen_triangular(3)  # every colour class a singleton
+    assert len(set(T.iso_codes)) == T.n
+    U = relabel(T, rng)
+    V = mutate(U, rng)  # not isomorphic, but with the same sorted codes
+    assert sorted(V.iso_codes) == sorted(T.iso_codes)
+    pairs = [(empty, empty), (one, one), (T, U), (T, V)]
+    found = assert_same_maps(pairs, monkeypatch)
+    assert found[:2] == [(), (0,)]
+    assert found[2] is not None and found[3] is None

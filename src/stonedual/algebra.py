@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import chain, combinations
+from itertools import chain, combinations, product
 from operator import add, and_, or_
 
 from . import gba as gba_mod
@@ -791,14 +791,15 @@ def _corestriction_witness(S):
 class AlgebraClassification:
     """Named flags in report order, with a witness for each failed one.
 
-    classify returns it for algebras and check_cofunctor for cofunctors,
-    both from (flag, prerequisites, check) rules.  A flag is evaluated when
-    first read, as an attribute (cls.range) or through witness: it holds
-    when every prerequisite holds and its check, if any, returns no
-    witness; the check runs only when the prerequisites hold.  A flag
-    failing on a prerequisite carries the first failed prerequisite's
-    witness.  Flags named _... are shared steps, kept out of the result.
-    flags, witnesses and render evaluate every rule, in order.
+    classify returns it for algebras, check_cofunctor for cofunctors and
+    SemigroupMorphism.classification for maps, each from (flag,
+    prerequisites, check) rules.  A flag is evaluated when first read, as
+    an attribute (cls.range) or through witness: it holds when every
+    prerequisite holds and its check, if any, returns no witness; the
+    check runs only when the prerequisites hold.  A flag failing on a
+    prerequisite carries the first failed prerequisite's witness.  Flags
+    named _... are shared steps, kept out of the result.  flags, witnesses
+    and render evaluate every rule, in order.
     """
 
     def __init__(self, rules, plus_inferred=False):
@@ -1092,6 +1093,25 @@ class SemigroupMorphism:
     def __post_init__(self):
         _check_table("morphism map", self.map, (self.source.n,), self.target.n)
 
+    @cached_property
+    def classification(self):
+        """check_morphism's flags of self, each decided when first read."""
+        S, T, m = self.source, self.target, self.map
+        image = lambda: reduce(or_, map(T.down.__getitem__, set(m)))  # down-set
+        return AlgebraClassification([
+            ("homomorphism", (),
+             lambda: _unpreserved(S, T, m, [("star", S.star, T.star)])),
+            # read only when both have plus tables; rescans mult
+            ("_plus", ("homomorphism",),
+             lambda: _unpreserved(S, T, m, [("plus", S.plus, T.plus)])),
+            ("projection_morphism", ("homomorphism",),
+             lambda: _projection_map_witness(self)),
+            ("weakly_meet_preserving", ("projection_morphism",), lambda: (
+                w := _weak_meet_witness(self)) and ("weakly-meet-preserving", w)),
+            ("proper", ("projection_morphism",), lambda: (
+                w := _join_cover_witness(T, image())) and ("proper", w[1])),
+        ])
+
 
 @dataclass
 class MorphismVerdict:
@@ -1137,52 +1157,40 @@ def check_morphism(f, mtype, require_plus=False):
     Type 1 is the base: a (2,1)-homomorphism whose projection restriction is
     a proper GBA morphism.  Type 2 adds weak meet preservation, type 3 adds
     properness (decided by a normalized join criterion), type 4 adds both.
-    With require_plus the map must preserve the cosupport as well.
+    With require_plus the map must preserve the cosupport as well.  The
+    verdict is the first witness among the flags of f.classification, read
+    after a check for plus tables: _plus (require_plus), then
+    projection_morphism (1), weakly_meet_preserving (2), proper (3) or both (4).
     """
     if mtype not in (1, 2, 3, 4):
         raise InputError(f"unknown morphism type {mtype}")
-    S, T, m = f.source, f.target, f.map
-    unary = [("star", S.star, T.star)]
-    if require_plus:
-        if S.plus is None or T.plus is None:
-            raise NoPlusTable("plus preservation requested without plus tables")
-        unary.append(("plus", S.plus, T.plus))
-    first = _unpreserved(S, T, m, unary)
-    if first is not None:
-        return MorphismVerdict(False, mtype, *first)
+    if require_plus and (f.source.plus is None or f.target.plus is None):
+        raise NoPlusTable("plus preservation requested without plus tables")
+    flags = ("_plus",) if require_plus else ()
+    flags += (("projection_morphism",), ("weakly_meet_preserving",), ("proper",),
+              ("weakly_meet_preserving", "proper"))[mtype - 1]
+    w = next(filter(None, map(f.classification.witness, flags)), None)
+    return MorphismVerdict(w is None, mtype, *w or ())
 
+
+def _projection_map_witness(f):
+    """The first failure of f on projections as a proper GBA map; raises
+    InputError unless both projection lattices are GBAs."""
+    S, T, m = f.source, f.target, f.map
     try:
         _, to_S, from_S = projection_gba(S)
         _, to_T, from_T = projection_gba(T)
     except MathFail as exc:
         raise InputError(f"projection lattices must be GBAs: {exc}") from exc
-    zs = detected_zero_projection(S)
-    zt = detected_zero_projection(T)
-    if m[zs] != zt:
-        return MorphismVerdict(False, mtype, "proj-zero", (zs,))
-    projS = S.projections()
-    for e in projS:
-        for g in projS:
-            je = from_S[to_S[e] | to_S[g]]
-            if m[je] != from_T[to_T[m[e]] | to_T[m[g]]]:
-                return MorphismVerdict(False, mtype, "proj-join", (e, g))
-            de = from_S[to_S[e] & ~to_S[g]]
-            if m[de] != from_T[to_T[m[e]] & ~to_T[m[g]]]:
-                return MorphismVerdict(False, mtype, "proj-diff", (e, g))
-    for t in T.projections():
-        if not any(T.leq(t, m[e]) for e in projS):
-            return MorphismVerdict(False, mtype, "proj-proper", (t,))
-
-    if mtype in (2, 4):
-        w = _weak_meet_witness(f)
-        if w is not None:
-            return MorphismVerdict(False, mtype, "weakly-meet-preserving", w)
-    if mtype in (3, 4):
-        image = reduce(or_, map(T.down.__getitem__, set(m)))
-        w = _join_cover_witness(T, image)
-        if w is not None:
-            return MorphismVerdict(False, mtype, "proper", w[1])
-    return MorphismVerdict(True, mtype)
+    if m[from_S[0]] != from_T[0]:  # the zero projections
+        return ("proj-zero", (from_S[0],))
+    projS, diff = S.projections(), lambda a, b: a & ~b
+    for e, g in product(projS, projS):
+        for name, op in (("proj-join", or_), ("proj-diff", diff)):
+            if m[from_S[op(to_S[e], to_S[g])]] != from_T[op(to_T[m[e]], to_T[m[g]])]:
+                return (name, (e, g))
+    return next((("proj-proper", (t,)) for t in T.projections()
+                 if not any(T.leq(t, m[e]) for e in projS)), None)
 
 
 def _weak_meet_witness(f):

@@ -5,7 +5,7 @@ import pytest
 
 import stonedual.algebra
 import stonedual.category
-from stonedual.algebra import AlgebraClassification
+from stonedual.algebra import AlgebraClassification, make_algebra
 from stonedual.zoo import (corpus_categories, corpus_semigroups, gen_pt,
                            subsemigroup, zoo_categories, zoo_semigroups)
 
@@ -67,6 +67,20 @@ def check_read_order(new, seed):
         if (w := cls.witness(f)) is not None:
             witnesses[f] = w
     assert (flags, witnesses) == (forced.flags, forced.witnesses)
+
+
+def shuffle_algebra(S, perm):
+    """S with element i renumbered perm[i], built by make_algebra."""
+    inv = [0] * S.n
+    for old, new in enumerate(perm):
+        inv[new] = old
+    names = [S.names[inv[i]] for i in range(S.n)]
+    mult = [[perm[S.mult[inv[i]][inv[j]]] for j in range(S.n)]
+            for i in range(S.n)]
+    star = [perm[S.star[inv[i]]] for i in range(S.n)]
+    plus = [perm[S.plus[inv[i]]] for i in range(S.n)]
+    return make_algebra(names, mult, star, plus,
+                        perm[S.zero] if S.zero is not None else None)
 
 
 def small_subsemigroups(P, limit=12):

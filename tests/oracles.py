@@ -5,13 +5,18 @@ Everything here works on different data structures than the package
 agreement between the two is meaningful evidence rather than a tautology.
 """
 
+import functools
 import itertools
 import json
+import operator
 
 from stonedual.category import (category_signature, iso_categories,
                                 make_category, semigroup_slices)
-from stonedual.algebra import _unpreserved
-from stonedual.errors import InputError, MathFail, ParentMismatch
+from stonedual.algebra import (MorphismVerdict, _join_cover_witness,
+                               _unpreserved, _weak_meet_witness,
+                               detected_zero_projection, projection_gba)
+from stonedual.errors import (InputError, MathFail, NoPlusTable,
+                              ParentMismatch)
 
 
 # ---------------------------------------------------------------------------
@@ -721,3 +726,57 @@ def find_iso_by_placement(X, Y):
             its[k] = None
             k -= 1
     return None
+
+
+# ---------------------------------------------------------------------------
+# morphism types by a chain of early returns, run afresh for each type: the
+# library's check before the types became flags of one rule table per map
+
+
+def check_morphism_by_chain(f, mtype, require_plus=False):
+    """The MorphismVerdict of check_morphism(f, mtype, require_plus), by
+    the checks in order, returning at the first failure."""
+    if mtype not in (1, 2, 3, 4):
+        raise InputError(f"unknown morphism type {mtype}")
+    S, T, m = f.source, f.target, f.map
+    unary = [("star", S.star, T.star)]
+    if require_plus:
+        if S.plus is None or T.plus is None:
+            raise NoPlusTable("plus preservation requested without plus tables")
+        unary.append(("plus", S.plus, T.plus))
+    first = _unpreserved(S, T, m, unary)
+    if first is not None:
+        return MorphismVerdict(False, mtype, *first)
+
+    try:
+        _, to_S, from_S = projection_gba(S)
+        _, to_T, from_T = projection_gba(T)
+    except MathFail as exc:
+        raise InputError(f"projection lattices must be GBAs: {exc}") from exc
+    zs = detected_zero_projection(S)
+    zt = detected_zero_projection(T)
+    if m[zs] != zt:
+        return MorphismVerdict(False, mtype, "proj-zero", (zs,))
+    projS = S.projections()
+    for e in projS:
+        for g in projS:
+            je = from_S[to_S[e] | to_S[g]]
+            if m[je] != from_T[to_T[m[e]] | to_T[m[g]]]:
+                return MorphismVerdict(False, mtype, "proj-join", (e, g))
+            de = from_S[to_S[e] & ~to_S[g]]
+            if m[de] != from_T[to_T[m[e]] & ~to_T[m[g]]]:
+                return MorphismVerdict(False, mtype, "proj-diff", (e, g))
+    for t in T.projections():
+        if not any(T.leq(t, m[e]) for e in projS):
+            return MorphismVerdict(False, mtype, "proj-proper", (t,))
+
+    if mtype in (2, 4):
+        w = _weak_meet_witness(f)
+        if w is not None:
+            return MorphismVerdict(False, mtype, "weakly-meet-preserving", w)
+    if mtype in (3, 4):
+        image = functools.reduce(operator.or_, map(T.down.__getitem__, set(m)))
+        w = _join_cover_witness(T, image)
+        if w is not None:
+            return MorphismVerdict(False, mtype, "proper", w[1])
+    return MorphismVerdict(True, mtype)

@@ -6,11 +6,13 @@ from functools import cached_property
 import numpy as np
 import pytest
 
-from conftest import check_read_order, small_subsemigroups, subsemigroup
+from conftest import (check_read_order, shuffle_algebra, small_subsemigroups,
+                      subsemigroup)
 from oracles import (br1_witness_brute, br1prime_witness_brute,
-                     br3_witness_brute, brute_join, brute_meet, inverse_map,
-                     leq as oracle_leq, nat_leq, no_meet_witness_brute,
-                     parse_map, weak_meet_witness_brute)
+                     br3_witness_brute, brute_join, brute_meet,
+                     check_morphism_by_chain, inverse_map, leq as oracle_leq,
+                     nat_leq, no_meet_witness_brute, parse_map,
+                     weak_meet_witness_brute)
 from stonedual import algebra
 from stonedual.algebra import (SIZE_BOUND, BiUnaryAlgebra, MorphismVerdict,
                                bd_subalgebra, check_morphism, classify,
@@ -22,7 +24,7 @@ from stonedual.algebra import (SIZE_BOUND, BiUnaryAlgebra, MorphismVerdict,
                                with_inferred_plus)
 from stonedual.errors import (BadTableShape, InvariantViolation, MathFail,
                               NoLeftUnit, NoPlusTable, NotAssociative,
-                              PlusStarMismatch, TooLarge)
+                              PlusStarMismatch, SdlError, TooLarge)
 from stonedual.category import slice_semigroup
 from stonedual.zoo import gen_i, gen_pair_groupoid, gen_pt, gen_triangular
 
@@ -891,6 +893,19 @@ def test_embedding_passing_12_failing_34():
     assert not check_morphism(f, 4).ok
 
 
+def test_morphism_types_share_their_flags(monkeypatch):
+    # type 4 reads the proper flag that type 3 computed: one join-cover
+    # fold for the two
+    folds = []
+    real = algebra._join_cover_witness
+    monkeypatch.setattr(algebra, "_join_cover_witness",
+                        lambda S, lower: folds.append(S) or real(S, lower))
+    I, P = gen_i(2), gen_pt(2)
+    f = SemigroupMorphism(I, P, inclusion_map(I, P))
+    assert check_morphism(f, 3).ok and check_morphism(f, 4).ok
+    assert folds == [P]
+
+
 def test_plus_preservation_switch():
     I, P = gen_i(2), gen_pt(2)
     f = SemigroupMorphism(I, P, inclusion_map(I, P))
@@ -979,8 +994,11 @@ def _corrupt(m, S, T, rng):
             return tuple(bad)
 
 
-@pytest.mark.parametrize("gen", [gen_pt, gen_i, gen_triangular])
-def test_array_morphism_scans_match_python(monkeypatch, gen):
+def _relabelled_maps(gen):
+    """(S, T, maps, bent): S = gen(4) and a seeded relabelled copy T; the
+    relabelling, seeded corruptions of it and a constant map, each with
+    the name of the check it fails (None if it passes); and the
+    relabelling into T with its plus table bent to its star, as a map."""
     S = gen(4)
     rng = random.Random(11)
     p = list(range(S.n))
@@ -993,39 +1011,89 @@ def test_array_morphism_scans_match_python(monkeypatch, gen):
     maps += [("mult", _corrupt(p, S, T, rng)) for _ in range(4)]
     maps += [("star", (p[e],) * S.n) for e in range(S.n)
              if S.mult[e][e] == e and S.star[e] != e][:1]
-    for failed, m in maps:
-        f = SemigroupMorphism(S, T, m)
-        seen = []
-        for threshold in (0, SIZE_BOUND):  # numpy, Python
-            monkeypatch.setattr(algebra, "_NUMPY_THRESHOLD", threshold)
-            seen.append([check_morphism(f, mtype) for mtype in (1, 2, 3, 4)])
-        assert seen[0] == seen[1], m
-        assert {v.failed for v in seen[0]} == {failed}
     # the relabelling into T with its plus table bent to its star keeps
     # mult and star but not plus, first at the first i with i+ != i*
     bent = BiUnaryAlgebra(T.names, T.mult, T.star, T.star, T.zero)
-    f = SemigroupMorphism(S, bent, tuple(p))
+    return S, T, maps, SemigroupMorphism(S, bent, tuple(p))
+
+
+@pytest.mark.parametrize("gen", [gen_pt, gen_i, gen_triangular])
+def test_array_morphism_scans_match_python(monkeypatch, gen):
+    # a fresh map at each cutoff, so that neither pass reads the flags the
+    # other one computed
+    S, T, maps, bent = _relabelled_maps(gen)
+    for failed, m in maps:
+        seen = []
+        for threshold in (0, SIZE_BOUND):  # numpy, Python
+            monkeypatch.setattr(algebra, "_NUMPY_THRESHOLD", threshold)
+            f = SemigroupMorphism(S, T, m)
+            seen.append([check_morphism(f, mtype) for mtype in (1, 2, 3, 4)])
+        assert seen[0] == seen[1], m
+        assert {v.failed for v in seen[0]} == {failed}
     i = next(i for i in range(S.n) if S.plus[i] != S.star[i])
     for threshold in (0, SIZE_BOUND):
         monkeypatch.setattr(algebra, "_NUMPY_THRESHOLD", threshold)
+        f = SemigroupMorphism(S, bent.target, bent.map)
         assert check_morphism(f, 1, require_plus=True) == MorphismVerdict(
             False, 1, "plus", (i,))
 
 
+def _verdict_or_error(check, f, mtype, require_plus):
+    try:
+        return check(f, mtype, require_plus)
+    except SdlError as exc:
+        return type(exc)
+
+
+def _subset_meet_algebra(masks):
+    """The subsets of a finite set, given as the bitmasks masks in that
+    order, under intersection, with star and plus the identity."""
+    index = {m: i for i, m in enumerate(masks)}
+    ident = range(len(masks))
+    return make_algebra(list(map(str, masks)),
+                        [[index[a & b] for b in masks] for a in masks],
+                        ident, ident, index[0])
+
+
+def test_morphism_flags_match_the_chain(monkeypatch, pt4, pt4_subsemigroups):
+    # every type with and without plus, at both cutoffs, each on a fresh
+    # map whose flags are read in a different order with plus than without,
+    # against the chain's verdict or error; the chain runs once, at cutoff
+    # 0, since its steps that depend on the cutoff, _unpreserved and the
+    # order masks, have numpy-against-Python tests of their own
+    index = {name: i for i, name in enumerate(pt4.names)}
+    maps = [SemigroupMorphism(S, pt4, tuple(map(index.get, S.names)))
+            for S in pt4_subsemigroups]
+    maps += [f for part in _weak_meet_maps() for f in part]
+    for gen in (gen_pt, gen_i, gen_triangular):
+        S, T, pairs, bent = _relabelled_maps(gen)
+        maps += [SemigroupMorphism(S, T, m) for _, m in pairs] + [bent]
+    # a meet map of subsets of {1, 2} into those of {1, 2, 3} that keeps
+    # the join of {1, 2} and {1}, but sends {1, 2} \ {1} = {2} to {2},
+    # not to {1, 2, 3} \ {1} = {2, 3}
+    maps.append(SemigroupMorphism(_subset_meet_algebra([0, 3, 1, 2]),
+                                  _subset_meet_algebra(range(8)),
+                                  (0, 7, 1, 2)))
+    calls = [(False, mtype) for mtype in (1, 2, 3, 4)]
+    calls += [(True, mtype) for mtype in (4, 3, 2, 1)]
+    monkeypatch.setattr(algebra, "_NUMPY_THRESHOLD", 0)
+    expected = [[_verdict_or_error(check_morphism_by_chain, f, mtype,
+                                   require_plus)
+                 for require_plus, mtype in calls] for f in maps]
+    for threshold in (0, SIZE_BOUND):
+        monkeypatch.setattr(algebra, "_NUMPY_THRESHOLD", threshold)
+        for g, want in zip(maps, expected):
+            f = SemigroupMorphism(g.source, g.target, g.map)
+            got = [_verdict_or_error(check_morphism, f, mtype, require_plus)
+                   for require_plus, mtype in calls]
+            assert got == want, (threshold, g.map)
+    failed = {getattr(v, "failed", None) for want in expected for v in want}
+    assert failed >= {
+        "mult", "star", "plus", "proj-zero", "proj-join", "proj-diff",
+        "proj-proper", "weakly-meet-preserving", "proper"}, failed
+
+
 # -- isomorphism search ---------------------------------------------------------
-
-def shuffle_algebra(S, perm):
-    inv = [0] * S.n
-    for old, new in enumerate(perm):
-        inv[new] = old
-    names = [S.names[inv[i]] for i in range(S.n)]
-    mult = [[perm[S.mult[inv[i]][inv[j]]] for j in range(S.n)]
-            for i in range(S.n)]
-    star = [perm[S.star[inv[i]]] for i in range(S.n)]
-    plus = [perm[S.plus[inv[i]]] for i in range(S.n)]
-    return make_algebra(names, mult, star, plus,
-                        perm[S.zero] if S.zero is not None else None)
-
 
 def test_iso_algebras_finds_relabeling():
     S = gen_pt(2)

@@ -205,6 +205,18 @@ def test_unit_invariant_failures_raise_with_witness(monkeypatch):
 
 # -- counit and adjunction -----------------------------------------------------------
 
+def test_adjunction_checks_its_unit_once(monkeypatch):
+    # morphism_to_cofunctor reads the flags of the unit that unit_eta
+    # checked, so the projection maps are compared once
+    checked = []
+    real = algebra._projection_map_witness
+    monkeypatch.setattr(algebra, "_projection_map_witness",
+                        lambda f: checked.append(f) or real(f))
+    S = gen_pt(2)
+    assert verify_adjunction(S).passed
+    assert len(checked) == 1 and checked[0] is unit_eta(S)
+
+
 @pytest.mark.parametrize("make", [lambda: gen_pair_groupoid(1),
                                   lambda: gen_pair_groupoid(2),
                                   gen_free_arrow])
@@ -468,8 +480,11 @@ def test_memos_die_with_their_object():
     T = slice_semigroup(C)
     memos = [classify(S), germ_category(S), classify(stripped),
              with_inferred_plus(stripped), germ_category(T),
-             slice_semigroup(C, bislices_only=True), unit_eta(S), unit_eta(T)]
-    assert unit_eta(S) is memos[-2] and unit_eta(T) is memos[-1]
+             slice_semigroup(C, bislices_only=True), unit_eta(S), unit_eta(T),
+             unit_eta(S).classification]
+    assert unit_eta(S) is memos[-3] and unit_eta(T) is memos[-2]
+    # a morphism's flags, read after unit_eta checked it
+    assert memos[-1].projection_morphism
     # the iso searches memoise refinement codes on every object they touch
     assert iso_algebras(S, S) is not None and iso_algebras(T, T) is not None
     assert iso_categories(germ_category(S).category, C) is not None

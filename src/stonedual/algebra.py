@@ -34,6 +34,31 @@ _CHUNK_CELLS = 1 << 16
 _INDEX_DTYPE = "int16"
 
 
+def _kept(derive):
+    """A cached property keeping derive's outcome, its value or the MathFail
+    it raised, without the traceback: a failure is derived once too."""
+    def outcome(self):
+        try:
+            return derive(self)
+        except MathFail as exc:
+            return exc.with_traceback(None)
+    return cached_property(outcome)
+
+
+def _value(outcome):
+    """A _kept outcome's value; a kept failure is raised as a copy of it."""
+    if isinstance(outcome, MathFail):
+        raise _copy(outcome)
+    return outcome
+
+
+def _copy(exc):
+    """exc's class, message and witness in a new exception, sans traceback."""
+    new = type(exc).__new__(type(exc), *exc.args)
+    new.__dict__.update(exc.__dict__)
+    return new
+
+
 class BiUnaryAlgebra:
     """Immutable (2,1)- or (2,1,1)-algebra given by explicit tables; what
     is derived from them is kept in cached properties."""
@@ -163,8 +188,9 @@ class BiUnaryAlgebra:
         """classify(self), computed once."""
         return _classify(self)
 
-    @cached_property
+    @_kept
     def _projection_gba(self):
+        """projection_gba(self), or why P(S) is not a GBA."""
         proj = self.projections()
         z = detected_zero_projection(self)
         if z is None:
@@ -225,7 +251,7 @@ class BiUnaryAlgebra:
                          n_star[i], n_plus[i], up[i].bit_count(), down[i].bit_count())
                         for i in range(self.n)])
 
-    @cached_property
+    @_kept
     def _cosupport(self):
         """(probe, witness): self's tables with the forced plus table (see
         infer_cosupport), sharing self's int16 table if it holds one, and
@@ -575,7 +601,7 @@ def projection_gba(S):
     a GBA: no zero projection, atom map not injective, or image not closed
     under union / difference.  Diagnoses, never repairs.
     """
-    return S._projection_gba
+    return _value(S._projection_gba)
 
 
 def deterministic_sets(S):
@@ -664,7 +690,7 @@ def infer_cosupport(S):
     and check the candidate satisfies the coEhresmann and linking axioms.
     Raises NoLeftUnit when some element has no left local unit at all.
     """
-    probe, wit = S._cosupport
+    probe, wit = _value(S._cosupport)
     return CosupportResult(probe.plus) if wit is None else CosupportResult(
         None, *wit)
 
@@ -674,7 +700,7 @@ def with_inferred_plus(S):
     None if that fails the cosupport axioms; raises what infer_cosupport does."""
     if S.plus is not None:
         return S
-    probe, wit = S._cosupport
+    probe, wit = _value(S._cosupport)
     return probe if wit is None else None
 
 
@@ -869,12 +895,10 @@ def classify(S):
 
 def _classify(S):
     star_wit = _star_axiom_witness(S)
-    probe = S
-    if star_wit is None:
-        try:
-            probe = with_inferred_plus(S) or S
-        except MathFail:
-            pass
+    forced = star_wit is None and S.plus is None and not isinstance(
+        S._cosupport, MathFail)
+    # an algebra of no elements is falsy: the empty one keeps probe S
+    probe = (with_inferred_plus(S) or S) if forced else S
     base_r, base_b = ("restriction", "_BR2"), ("birestriction", "_BR2")
     cls = AlgebraClassification([
         ("ehresmann", (), lambda: star_wit),
@@ -921,11 +945,8 @@ def _local_units_witness(S):
 def _br2_witness(S):
     if detected_zero_projection(S) is None:
         return ("has_zero_projection", ())
-    try:
-        projection_gba(S)
-    except MathFail as exc:
-        return ("BR2", exc.witness)
-    return None
+    gba = S._projection_gba
+    return ("BR2", gba.witness) if isinstance(gba, MathFail) else None
 
 
 def _groupoidal_witness(S):
@@ -1101,9 +1122,10 @@ class SemigroupMorphism:
         return AlgebraClassification([
             ("homomorphism", (),
              lambda: _unpreserved(S, T, m, [("star", S.star, T.star)])),
-            # read only when both have plus tables; rescans mult
-            ("_plus", ("homomorphism",),
-             lambda: _unpreserved(S, T, m, [("plus", S.plus, T.plus)])),
+            # read only when both have plus tables; homomorphism proved mult
+            ("_plus", ("homomorphism",), lambda: next(
+                (("plus", (x,)) for x in range(S.n)
+                 if m[S.plus[x]] != T.plus[m[x]]), None)),
             ("projection_morphism", ("homomorphism",),
              lambda: _projection_map_witness(self)),
             ("weakly_meet_preserving", ("projection_morphism",), lambda: (
@@ -1177,11 +1199,11 @@ def _projection_map_witness(f):
     """The first failure of f on projections as a proper GBA map; raises
     InputError unless both projection lattices are GBAs."""
     S, T, m = f.source, f.target, f.map
-    try:
-        _, to_S, from_S = projection_gba(S)
-        _, to_T, from_T = projection_gba(T)
-    except MathFail as exc:
-        raise InputError(f"projection lattices must be GBAs: {exc}") from exc
+    for X in (S, T):
+        if isinstance(fail := X._projection_gba, MathFail):
+            raise InputError(
+                f"projection lattices must be GBAs: {fail}") from fail
+    (_, to_S, from_S), (_, to_T, from_T) = S._projection_gba, T._projection_gba
     if m[from_S[0]] != from_T[0]:  # the zero projections
         return ("proj-zero", (from_S[0],))
     projS, diff = S.projections(), lambda a, b: a & ~b

@@ -423,6 +423,17 @@ class Cofunctor:
     def equal_tables(self, other):
         return _cofunctor_diff(self, other) is None
 
+    @cached_property
+    def classification(self):
+        """check_cofunctor's flags of self, each decided when first read."""
+        return AlgebraClassification([
+            ("injective_on_arrows", (), lambda: _lift_collision(self)),
+            ("surjective_on_arrows", (), lambda: _unlifted_arrow(self)),
+            ("bijective_on_arrows",
+             ("injective_on_arrows", "surjective_on_arrows"), None),
+            ("action_injective", (), lambda: _action_collision(self)),
+        ])
+
 
 def _cofunctor_diff(A, B):
     """The first place where two cofunctors' tables differ, or None."""
@@ -455,14 +466,8 @@ def identity_cofunctor(C):
 
 
 def check_cofunctor(F):
-    """Injectivity/surjectivity flags of the arrow lift and the action."""
-    return AlgebraClassification([
-        ("injective_on_arrows", (), lambda: _lift_collision(F)),
-        ("surjective_on_arrows", (), lambda: _unlifted_arrow(F)),
-        ("bijective_on_arrows", ("injective_on_arrows", "surjective_on_arrows"),
-         None),
-        ("action_injective", (), lambda: _action_collision(F)),
-    ])
+    """F.classification: injectivity/surjectivity of the lift and action."""
+    return F.classification
 
 
 def _lift_collision(F):

@@ -43,10 +43,6 @@ class NoPlusTable(InputError):
     pass
 
 
-class ParentMismatch(InputError):
-    pass
-
-
 class CompositionMismatch(InputError):
     pass
 

@@ -10,7 +10,8 @@ validated, never completed silently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
+from operator import and_, or_
 
 from .errors import MissingBottom, NotClosed, UnknownElement
 from .report import Report
@@ -104,19 +105,10 @@ def make_gba(universe, subsets):
     the closure, so defects in a candidate projection lattice stay visible.
     """
     universe = tuple(universe)
-    pos = {name: i for i, name in enumerate(universe)}
-    masks = []
-    for sub in subsets:
-        if isinstance(sub, int):
-            masks.append(sub)
-        else:
-            mask = 0
-            for name in sub:
-                if name not in pos:
-                    raise UnknownElement(f"unknown atom identifier {name!r}")
-                mask |= 1 << pos[name]
-            masks.append(mask)
-    family = set(masks)
+    # mask_of reads only the universe, so an empty family will do
+    blank = FinGBA(universe, ())
+    family = {sub if isinstance(sub, int) else blank.mask_of(sub)
+              for sub in subsets}
     if 0 not in family:
         raise MissingBottom("bottom (empty subset) is missing")
     gba = FinGBA(universe, family)
@@ -151,38 +143,21 @@ def verify_stone_duality(E):
     failures would carry witnesses.
     """
     rpt = Report("stone-duality")
-    chars = atoms(E)
-    d = {e: basic_set(E, e) for e in E.elements}
-
-    distinct = len(set(d.values())) == len(E.elements)
-    full = len(E.elements) == 2 ** len(chars)
+    chars, elems, names = atoms(E), E.elements, E.names_of
+    # basic_set(E, e) for every e, from the one list of characters
+    d = {e: frozenset(phi for phi in chars if char_eval(phi, e))
+         for e in elems}
     bad = None
-    if not distinct:
-        for a, b in combinations(E.elements, 2):
-            if d[a] == d[b]:
-                bad = (E.names_of(a), E.names_of(b))
-                break
-    rpt.check("eta-bijective", distinct and full, bad or (len(E.elements), len(chars)))
-
-    ok_join = ok_meet = True
-    wj = wm = None
-    for a in E.elements:
-        for b in E.elements:
-            if ok_join and d[a | b] != d[a] | d[b]:
-                ok_join, wj = False, (E.names_of(a), E.names_of(b))
-            if ok_meet and d[a & b] != d[a] & d[b]:
-                ok_meet, wm = False, (E.names_of(a), E.names_of(b))
-    rpt.check("D-preserves-join", ok_join, wj)
-    rpt.check("D-preserves-meet", ok_meet, wm)
-
-    ok_pt = True
-    wp = None
-    for phi in chars:
-        for e in E.elements:
-            if char_eval(phi, e) != (1 if phi in d[e] else 0):
-                ok_pt, wp = False, (E.names_of(phi.atom), E.names_of(e))
-                break
-        if not ok_pt:
-            break
-    rpt.check("counit-point-identity", ok_pt, wp)
+    if len(set(d.values())) < len(elems):
+        bad = next((names(a), names(b)) for a, b in combinations(elems, 2)
+                   if d[a] == d[b])
+    rpt.check("eta-bijective", bad is None and len(elems) == 2 ** len(chars),
+              bad or (len(elems), len(chars)))
+    for name, op in (("D-preserves-join", or_), ("D-preserves-meet", and_)):
+        bad = next(((names(a), names(b)) for a, b in product(elems, elems)
+                    if d[op(a, b)] != op(d[a], d[b])), None)
+        rpt.check(name, bad is None, bad)
+    bad = next(((names(phi.atom), names(e)) for phi in chars for e in elems
+                if char_eval(phi, e) != (phi in d[e])), None)
+    rpt.check("counit-point-identity", bad is None, bad)
     return rpt

@@ -15,8 +15,7 @@ from stonedual.category import (category_signature, iso_categories,
 from stonedual.algebra import (MorphismVerdict, _join_cover_witness,
                                _unpreserved, _weak_meet_witness,
                                detected_zero_projection, projection_gba)
-from stonedual.errors import (InputError, MathFail, NoPlusTable,
-                              ParentMismatch)
+from stonedual.errors import InputError, MathFail, NoPlusTable
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +292,10 @@ class Slice:
 
     def is_bislice(self):
         return len({self.parent.r[a] for a in self.arrows}) == len(self.arrows)
+
+
+class ParentMismatch(InputError):
+    """Two slices of different categories were multiplied."""
 
 
 def slice_product(A, B):

@@ -113,6 +113,14 @@ def test_declared_zero_must_absorb():
         make_algebra(["z", "b"], mult, [0, 1], zero=0)
 
 
+def test_declared_zero_must_be_a_projection():
+    # z absorbs, but its support is e
+    with pytest.raises(MathFail, match="declared zero is not a projection") \
+            as exc:
+        make_algebra(["z", "e"], [[0, 0], [0, 1]], [1, 1], zero=0)
+    assert exc.value.witness == (0,)
+
+
 def test_plus_star_image_mismatch():
     # meet semilattice on {0 < 1}, plus lands only on 1
     S = make_algebra(["z", "e"], [[0, 0], [0, 1]], [0, 1], plus=[1, 1])
@@ -708,6 +716,22 @@ def test_bd_subalgebra_of_pt2_is_i2():
                for i, k in enumerate(keep))
 
 
+@pytest.mark.parametrize("mult,star,plus,failure,witness", [
+    # x0 is bideterministic, x0*x0 = x1 is not
+    ([[1, 0], [0, 1]], [1, 1], [1, 0], "not closed under product", (0, 0)),
+    # x1 is bideterministic, its cosupport x0 is not
+    ([[0, 1], [0, 1]], [1, 1], [1, 0], "not closed under star/plus", (1,)),
+    # x1 and x2, the projections, are bideterministic, but on them the
+    # support takes the one value x2
+    ([[0, 1, 1], [1, 1, 1], [2, 1, 1]], [1, 2, 2], [2, 1, 1],
+     "projections changed", None)])
+def test_bd_subalgebra_failures(mult, star, plus, failure, witness):
+    S = make_algebra([f"x{i}" for i in range(len(star))], mult, star, plus)
+    with pytest.raises(MathFail, match=failure) as exc:
+        bd_subalgebra(S)
+    assert exc.value.witness == witness
+
+
 def test_partial_isomorphisms_have_literal_inverses():
     S = gen_pt(2)
     piso = partial_isomorphisms(S)
@@ -786,6 +810,41 @@ def test_infer_cosupport_no_left_unit():
     assert exc.value.witness == (1,)
 
 
+def test_a_failed_cosupport_is_derived_once(monkeypatch):
+    # on a plus-less Ehresmann table with no left unit, classify,
+    # infer_cosupport and with_inferred_plus read one kept failure, raised
+    # each time with the same class, message and witness
+    runs = []
+    derive = BiUnaryAlgebra._cosupport.func
+    counted = cached_property(lambda X: runs.append(X) or derive(X))
+    counted.__set_name__(BiUnaryAlgebra, "_cosupport")
+    monkeypatch.setattr(BiUnaryAlgebra, "_cosupport", counted)
+    S = make_algebra(["z", "s"], [[0, 0], [1, 1]], [0, 0])
+    cls = classify(S)
+    assert cls.ehresmann and not cls.plus_inferred
+    assert cls.witness("coehresmann") == ("no-plus-table", ())
+    raised = []
+    for read in (infer_cosupport, with_inferred_plus, infer_cosupport):
+        with pytest.raises(NoLeftUnit) as exc:
+            read(S)
+        raised.append((str(exc.value), exc.value.witness))
+    assert raised == [("no projection f with f*x1 = x1", (1,))] * 3
+    assert runs == [S] and S._cosupport.__traceback__ is None
+
+
+def test_left_local_units_must_be_meet_closed():
+    # a table built directly, not associative: f and g fix s on the left,
+    # but their product h does not
+    S = BiUnaryAlgebra(["f", "g", "h", "s"],
+                       [[0, 2, 2, 3], [2, 1, 2, 3], [2, 2, 2, 2], [3] * 4],
+                       [0, 1, 2, 0])
+    for read in (infer_cosupport, with_inferred_plus):
+        with pytest.raises(MathFail, match="left local units are not "
+                           "meet-closed") as exc:
+            read(S)
+        assert exc.value.witness == (3,)
+
+
 def test_classify_forces_the_plus_table_once(monkeypatch, pt4):
     # the forced table, its probe algebra and the probe's cosupport scan
     # are one value on S; the probe shares S's int16 table
@@ -845,6 +904,22 @@ def test_classify_i2_frozen_witness():
     assert cls.flags["inverse"]
     assert not cls.flags["boolean_restriction"]
     assert cls.witness("boolean_restriction") == ("BR1", (1, 3))
+
+
+def _check_restriction_fails_on_an_ehresmann_table():
+    # the left-zero band x*y = x with every support e: Ehresmann, but
+    # support(e)f = e while f support(ef) = fe = f
+    cls = classify(make_algebra(["e", "f"], [[0, 0], [1, 1]], [0, 0]))
+    assert cls.ehresmann
+    assert cls.witness("restriction") == ("support(x)y=y support(xy)", (0, 1))
+
+
+def test_restriction_fails_on_an_ehresmann_table():
+    _check_restriction_fails_on_an_ehresmann_table()
+
+
+def test_numpy_restriction_fails_on_an_ehresmann_table(numpy_kernel):
+    _check_restriction_fails_on_an_ehresmann_table()
 
 
 def test_classify_triangular_flags():
@@ -1076,6 +1151,13 @@ def test_morphism_flags_match_the_chain(monkeypatch, pt4, pt4_subsemigroups):
                                   (0, 7, 1, 2)))
     calls = [(False, mtype) for mtype in (1, 2, 3, 4)]
     calls += [(True, mtype) for mtype in (4, 3, 2, 1)]
+    # each algebra derives its projection GBA at most once, a failure
+    # included: most of the pt_4 family has none
+    runs = Counter()
+    derive = BiUnaryAlgebra._projection_gba.func
+    counted = cached_property(lambda X: runs.update([id(X)]) or derive(X))
+    counted.__set_name__(BiUnaryAlgebra, "_projection_gba")
+    monkeypatch.setattr(BiUnaryAlgebra, "_projection_gba", counted)
     monkeypatch.setattr(algebra, "_NUMPY_THRESHOLD", 0)
     expected = [[_verdict_or_error(check_morphism_by_chain, f, mtype,
                                    require_plus)
@@ -1087,6 +1169,7 @@ def test_morphism_flags_match_the_chain(monkeypatch, pt4, pt4_subsemigroups):
             got = [_verdict_or_error(check_morphism, f, mtype, require_plus)
                    for require_plus, mtype in calls]
             assert got == want, (threshold, g.map)
+    assert max(runs.values()) == 1
     failed = {getattr(v, "failed", None) for want in expected for v in want}
     assert failed >= {
         "mult", "star", "plus", "proj-zero", "proj-join", "proj-diff",

@@ -5,15 +5,15 @@ import time
 import pytest
 
 from conftest import check_read_order
-from oracles import (Slice, choice_arrows, count_slices_brute,
-                     first_assoc_failure, pushforward_set, slice_cosupport,
-                     slice_of_index, slice_product, slice_sets_brute,
-                     slice_support)
+from oracles import (ParentMismatch, Slice, choice_arrows,
+                     count_slices_brute, first_assoc_failure, pushforward_set,
+                     slice_cosupport, slice_of_index, slice_product,
+                     slice_sets_brute, slice_support)
 import stonedual.category
 from stonedual import algebra
 from stonedual.algebra import SIZE_BOUND, MorphismVerdict, classify
-from stonedual.category import (Cofunctor, CoveringFunctor, _slice_algebra,
-                                _slice_name, check_cofunctor,
+from stonedual.category import (Cofunctor, CoveringFunctor, _cofunctor_diff,
+                                _slice_algebra, _slice_name, check_cofunctor,
                                 cofunctor_to_covering, cofunctor_to_morphism,
                                 compose_cofunctors,
                                 covering_to_cofunctor, enumerate_slices,
@@ -25,7 +25,7 @@ from stonedual.errors import (AxiomFail, BadTableShape, CompDomainMismatch,
                               CompositionMismatch, InputError,
                               InvariantViolation, MathFail,
                               NotBijectiveOnArrows, NotStarBijective,
-                              ParentMismatch, TooLarge)
+                              TooLarge)
 from stonedual.io import load_instance, save_instance
 from stonedual.zoo import gen_free_arrow, gen_pair_groupoid, gen_pt
 
@@ -112,6 +112,14 @@ def test_numpy_associativity_witness_is_the_first_failing_composable_triple(
     _check_associativity_witnesses(
         [C for _, C in corpus_cats]
         + [gen_pair_groupoid(3), gen_pair_groupoid(4), _cyclic_group(41)])
+
+
+def test_composite_domain_checked():
+    # a after u0 is set to u1, which starts at the wrong object
+    with pytest.raises(AxiomFail) as exc:
+        make_category(["1", "2"], ["u1", "u2", "a"], [0, 1, 0], [0, 1, 1],
+                      [0, 1], [[0, -1, -1], [-1, 1, 2], [1, -1, -1]])
+    assert exc.value.witness == ("DP", (2, 0))
 
 
 def test_unit_law_checked():
@@ -394,6 +402,75 @@ def test_cofunctor_axioms_enforced():
     a12 = 2 if K2.d[2] == 1 else 1
     with pytest.raises(AxiomFail):
         Cofunctor(K1, K2, [0, 0], [[1, 0]], [[a12, 3 - a12]])
+
+
+def _small_categories():
+    # K_2's arrows a11, a21, a12, a22 have (d, r) = (0, 0), (0, 1), (1, 0),
+    # (1, 1); in the cyclic groups arrow 0 is the unit and a*b is a + b
+    return {"K1": gen_pair_groupoid(1), "K2": gen_pair_groupoid(2),
+            "Z2": _cyclic_group(2), "Z3": _cyclic_group(3)}
+
+
+@pytest.mark.parametrize("source,target,anchor,mu,rho1,witness", [
+    # a21 acts at object 0 by staying there
+    ("K2", "K2", [0, 1], [[0, -1], [0, -1], [-1, 0], [-1, 1]],
+     [[0, -1], [1, -1], [-1, 2], [-1, 3]], ("A1", (1, 0))),
+    # the unit of K_1 moves object 0 of K_2 to object 1
+    ("K1", "K2", [0, 0], [[1, 1]], [[1, 3]], ("A3", (0,))),
+    # the unit of K_1 lifts to the non-unit arrow of Z_2
+    ("K1", "Z2", [0], [[0]], [[1]], ("rho-unit", (0,))),
+    # 1 sends both objects of K_2 to object 0, but 1 + 1 fixes object 1
+    ("Z2", "K2", [0, 0], [[0, 1], [0, 0]], [[0, 3], [0, 2]],
+     ("A2", (1, 1, 1))),
+    # 1 of Z_2 lifts to 1 of Z_3, and 1 + 1 to 0, not to 2
+    ("Z2", "Z3", [0], [[0], [0]], [[0], [1]], ("rho-comp", (1, 1, 0)))])
+def test_cofunctor_axiom_witnesses(source, target, anchor, mu, rho1,
+                                   witness):
+    cats = _small_categories()
+    with pytest.raises(AxiomFail) as exc:
+        Cofunctor(cats[source], cats[target], anchor, mu, rho1)
+    assert exc.value.witness == witness
+
+
+@pytest.mark.parametrize("source,target,f0,f1,witness", [
+    # a21 and a12 swapped
+    ("K2", "K2", [0, 1], [0, 2, 1, 3], ("functor-dr", (1,))),
+    ("Z2", "Z2", [0], [1, 0], ("functor-unit", (0,))),
+    # 1 + 1 = 2 goes to 1, but 1 + 1 does not
+    ("Z3", "Z3", [0], [0, 1, 1], ("functor-comp", (1, 1)))])
+def test_covering_functor_law_witnesses(source, target, f0, f1, witness):
+    cats = _small_categories()
+    with pytest.raises(AxiomFail) as exc:
+        CoveringFunctor(cats[source], cats[target], f0, f1)
+    assert exc.value.witness == witness
+
+
+def test_covering_functor_must_reach_every_arrow_of_a_fibre():
+    # the unit of K_1 covers only the unit of Z_2's one fibre
+    with pytest.raises(NotStarBijective, match="misses") as exc:
+        CoveringFunctor(gen_pair_groupoid(1), _cyclic_group(2), [0], [0])
+    assert exc.value.witness == ("surjective", 0)
+
+
+def test_cofunctor_diff_names_the_first_difference():
+    K1, K2, Z2 = gen_pair_groupoid(1), gen_pair_groupoid(2), _cyclic_group(2)
+    two = make_category(["1", "2"], ["u1", "u2"], [0, 1], [0, 1], [0, 1],
+                        [[0, -1], [-1, 1]])
+    # Z_2 acting on K_2's objects by swapping them, and by fixing them
+    swap = Cofunctor(Z2, K2, [0, 0], [[0, 1], [1, 0]], [[0, 3], [1, 2]])
+    fix = Cofunctor(Z2, K2, [0, 0], [[0, 1], [0, 1]], [[0, 3], [0, 3]])
+    pairs = [
+        (identity_cofunctor(K2), identity_cofunctor(K1), ("categories",)),
+        # the discrete category on two objects, anchored at either
+        (Cofunctor(two, K1, [0], [[0], [-1]], [[0], [-1]]),
+         Cofunctor(two, K1, [1], [[-1], [0]], [[-1], [0]]), ("anchor", 0)),
+        (swap, fix, ("mu", 1, 0)),
+        # g lifted to itself, and to the unit
+        (identity_cofunctor(Z2), Cofunctor(Z2, Z2, [0], [[0], [0]],
+                                           [[0], [0]]), ("rho1", 1, 0))]
+    for F, G, diff in pairs:
+        assert _cofunctor_diff(F, G) == diff and not F.equal_tables(G)
+        assert _cofunctor_diff(F, F) is None
 
 
 def test_cofunctor_flags_on_partial_action():

@@ -440,6 +440,36 @@ def test_adjunction_corpus_goes_on_past_an_unreadable_file(files, tmp_path,
     assert lines[1].startswith("FAIL b.json ") and lines[2] == "PASS c.json"
 
 
+def test_adjunction_corpus_needs_a_listable_directory_of_files(tmp_path,
+                                                                capsys):
+    missing, empty = tmp_path / "missing", tmp_path / "empty"
+    empty.mkdir()
+    assert run(["adjunction", "--corpus", str(missing)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot list {missing}: No such file or directory\n")
+    assert run(["adjunction", "--corpus", str(empty)]) == 2
+    assert capsys.readouterr().err == f"error: no .json files in {empty}\n"
+
+
+def test_adjunction_corpus_reports_a_failed_check(files, tmp_path,
+                                                  monkeypatch, capsys):
+    # the triangle check of pt_2 is planted to fail with witness
+    # ("planted",); the report's first failure is its witness
+    real = cli.verify_adjunction
+
+    def planted(obj):
+        rep = real(obj)
+        rep.check("planted", False, ("planted",))
+        return rep
+    monkeypatch.setattr(cli, "verify_adjunction", planted)
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "pt2.json").write_text(open(files["pt2"]).read())
+    assert run(["adjunction", "--corpus", str(corpus)]) == 1
+    assert capsys.readouterr().out == (
+        "FAIL pt2.json witness=(planted,(planted))\n")
+
+
 def test_adjunction_requires_input(files):
     with pytest.raises(SystemExit):
         run(["adjunction"])

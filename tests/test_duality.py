@@ -11,11 +11,11 @@ import pytest
 from conftest import planted, small_subsemigroups
 from oracles import (choice_arrows, germ_relation_mismatch, proj_atoms,
                      pushforward_set, theta_set)
-from stonedual import algebra, duality
+from stonedual import algebra, category, duality
 from stonedual.algebra import (BiUnaryAlgebra, MorphismVerdict,
                                SemigroupMorphism, bd_subalgebra,
-                               check_morphism, classify, iso_algebras,
-                               make_algebra)
+                               check_morphism, classify, infer_cosupport,
+                               iso_algebras, make_algebra, projection_gba)
 from stonedual.category import (check_cofunctor, cofunctor_to_covering,
                                 compose_cofunctors, covering_to_cofunctor,
                                 enumerate_slices, identity_cofunctor,
@@ -29,9 +29,9 @@ from stonedual.duality import (GermCategory, category_signature,
                                verify_adjunction,
                                verify_birestriction_equivalence,
                                verify_groupoidal, with_inferred_plus)
-from stonedual.errors import (InvariantViolation, NoLocalUnits, NotAMorphism,
-                              NotBooleanBirestriction, NotPreBoolean,
-                              UnknownElement)
+from stonedual.errors import (InvariantViolation, MathFail, NoLocalUnits,
+                              NotAMorphism, NotBooleanBirestriction,
+                              NotPreBoolean, UnknownElement)
 from stonedual.zoo import (gen_free_arrow, gen_i, gen_pair_groupoid, gen_pt,
                            gen_triangular)
 
@@ -488,10 +488,38 @@ def test_memos_die_with_their_object():
     # the iso searches memoise refinement codes on every object they touch
     assert iso_algebras(S, S) is not None and iso_algebras(T, T) is not None
     assert iso_categories(germ_category(S).category, C) is not None
+    # a cofunctor's flags, read by counit_epsilon
+    memos.append(check_cofunctor(counit_epsilon(C)))
+    assert memos[-1].bijective_on_arrows
     refs = [weakref.ref(x) for x in [S, stripped, C, T, *memos]]
     del S, stripped, C, T, memos
     gc.collect()
     assert [r() for r in refs] == [None] * len(refs)
+    # a kept failure holds no traceback, so its algebra, which has no
+    # other memo that refers back to it, dies without the cycle collector
+    N = make_algebra(["z", "s"], [[0, 0], [1, 1]], [0, 0])
+    for read in (infer_cosupport, projection_gba, infer_cosupport):
+        with pytest.raises(MathFail):
+            read(N)
+    assert "_cosupport" in vars(N) and "_projection_gba" in vars(N)
+    ref = weakref.ref(N)
+    del N
+    assert ref() is None
+
+
+def test_the_counit_is_checked_once(monkeypatch):
+    # counit_epsilon and cofunctor_to_morphism read the one classification
+    # kept on the counit
+    calls = []
+    for name in ("_lift_collision", "_unlifted_arrow"):
+        scan = getattr(category, name)
+        monkeypatch.setattr(category, name, lambda F, name=name, scan=scan:
+                            calls.append((name, F)) or scan(F))
+    assert verify_adjunction(gen_pair_groupoid(2)).passed
+    (lift, eps), (unlifted, same) = sorted(calls, key=lambda c: c[0])
+    assert (lift, unlifted) == ("_lift_collision", "_unlifted_arrow")
+    assert eps is same
+    assert check_cofunctor(eps) is check_cofunctor(eps) is eps.classification
 
 
 # -- category isomorphism search -------------------------------------------------------

@@ -78,6 +78,24 @@ def test_stone_duality_powersets(n):
     assert len(atoms(E)) == n
 
 
+def test_stone_duality_lists_the_characters_once(monkeypatch):
+    # every basic set D_e comes from one list of characters: one scan for
+    # the lattice atoms, not one per element
+    calls = []
+    scan = FinGBA.lattice_atoms
+    monkeypatch.setattr(FinGBA, "lattice_atoms",
+                        lambda E: calls.append(E) or scan(E))
+    E = make_gba("abcd", powerset("abcd"))
+    assert verify_stone_duality(E).passed and calls == [E]
+    # FinGBA does not check closure: {a} and {a, b} have one character
+    bad = FinGBA("ab", [0, 1, 3])
+    assert verify_stone_duality(bad).render() == (
+        "# stone-duality\nFAIL eta-bijective witness=((a),(a,b))\n"
+        "PASS D-preserves-join\nPASS D-preserves-meet\n"
+        "PASS counit-point-identity")
+    assert calls == [E, bad]
+
+
 def test_filters_against_oracle():
     E = make_gba("abc", powerset("abc"))
     as_sets = [frozenset(E.names_of(m)) for m in E.elements]

@@ -2,10 +2,11 @@
 
 A fixed set of sdl commands runs in-process through cli.run, on the zoo
 files, a relabelled copy, a morphism and a cofunctor file and the bad
-inputs of test_cli.  The exit code and stdout lines of every command are
-hashed: one SHA-256 over the whole transcript is pinned, and on a mismatch
-the first eight hex digits of each command's own SHA-256 name the first
-command whose output moved.
+inputs of test_cli.  The exit code and stdout lines of every command, and
+the SHA-256 of the file a command writes with -o, are hashed: one SHA-256
+over the whole transcript is pinned, and on a mismatch the first eight hex
+digits of each command's own SHA-256 name the first command whose output
+moved.
 
 After a deliberate change of output, `PYTHONPATH=src python
 tests/test_golden.py` prints the new pins.
@@ -29,7 +30,7 @@ from stonedual.io import (CofunctorFile, MorphismFile, instance_to_dict,
                           save_instance)
 from stonedual.zoo import gen_i, gen_pt, zoo_categories, zoo_semigroups
 
-TRANSCRIPT_SHA256 = 'dd1aba91bade1a801f739b9803b9002f8fd2658a8892567334331283d9874572'
+TRANSCRIPT_SHA256 = 'dea2290d6a006ae6d49424c687808cb4beeec5564e4818828b0f97409df414ac'
 COMMAND_DIGESTS = """
 1b6abf56 51e68d1d e1cd6f12 8903ea19 aab7f7ef 85915e80 19e9b057 01d393a8
 f5c7db5d 8134b1f0 28b9376f 730e1290 a90516de 6c4fb8a2 41cb127f 377b1917
@@ -87,6 +88,8 @@ abace2e5 367e46b7 9353c5bc 5f56b759 77c4f545 b7025358 8a72d6cc e33ad16f
 9fd9dad4 c3714e3a 21071dee a80fffc1 420068e8 1ad7f0a4 27e95dc4 9277a3f4
 dde35f6e 489fa775 5a63567d 10f1b1dc 5b741c17 b2f5c9d8 461ddf5a ccd5a5b2
 d43ef89d 88964353 7b7fdf4f 8b3ff4c5 33e9e677 44b5749c 583aae4b 70f637c9
+97e02208 f586dde6 6be460e8 919adb05 a56f5ea8 7650114f 438bd2b8 ec96d02f
+716f75fd ea15a29e 4b60d6ed 63dda113 efd688f7 ac13672a 53534663
 """
 
 
@@ -187,18 +190,30 @@ def _commands(semigroups, relabelling, bad):
     for m in ("0,1,2", "zero,one", "", "0,1,2,3,4,5,6,7,9"):
         commands.append(["morphism", "check", "i_2.json", "pt_2.json", m,
                          "--type", "2"])
+    # the files written: germ categories of the semigroups, and slice and
+    # bislice semigroups of the categories
+    commands += [["germs", f"{name}.json", "-o", "out.json"]
+                 for name in semigroups]
+    commands += [["slices", f"{name}.json", *flag, "-o", "out.json"]
+                 for name in zoo_categories() for flag in ([], ["--bislices"])]
     # a seeded map may repeat another
     return [list(argv) for argv in dict.fromkeys(map(tuple, commands))]
 
 
 def _transcript(commands):
-    """One text per command: its argv, its exit code and its stdout."""
+    """One text per command: its argv, its exit code and its stdout, and
+    the SHA-256 of the file it wrote to out.json, if any."""
     out = []
+    written = pathlib.Path("out.json")
     for argv in commands:
+        written.unlink(missing_ok=True)
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf), \
                 contextlib.redirect_stderr(io.StringIO()):
             code = run(argv)
+        if written.exists():
+            digest = hashlib.sha256(written.read_bytes()).hexdigest()
+            buf.write(f"wrote sha256={digest}\n")
         out.append(f"$ {' '.join(argv)}\nexit {code}\n{buf.getvalue()}")
     return out
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 from itertools import chain, combinations, product
 from operator import add, and_, or_
 
@@ -34,15 +34,35 @@ _CHUNK_CELLS = 1 << 16
 _INDEX_DTYPE = "int16"
 
 
+class _memo:
+    """A cached property: the first read stores func's value in the
+    instance dict, where every later read finds it first.  Unlike
+    functools.cached_property it takes no lock on a first read (Python
+    3.11 takes one); two threads racing on a first read may both derive
+    the value, and the one stored last is kept."""
+
+    def __init__(self, func):
+        self.func, self.__doc__ = func, func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        obj.__dict__[self.name] = value = self.func(obj)
+        return value
+
+
 def _kept(derive):
-    """A cached property keeping derive's outcome, its value or the MathFail
-    it raised, without the traceback: a failure is derived once too."""
+    """A _memo keeping derive's outcome, its value or the MathFail it
+    raised, without the traceback: a failure is derived once too."""
     def outcome(self):
         try:
             return derive(self)
         except MathFail as exc:
             return exc.with_traceback(None)
-    return cached_property(outcome)
+    return _memo(outcome)
 
 
 def _value(outcome):
@@ -76,6 +96,9 @@ class BiUnaryAlgebra:
         self.slice_parent = self.slice_sets = self.germ = self.eta = None
         # set by make_algebra: generators proved associative (see _br3_witness)
         self._generating_set = None
+        # (target, map) -> the flags of the map from self (see
+        # SemigroupMorphism.classification)
+        self._map_flags = {}
 
     def __len__(self):
         return self.n
@@ -94,7 +117,7 @@ class BiUnaryAlgebra:
         """The two-sided zero element, if the multiplication has one."""
         return self._detected_zero
 
-    @cached_property
+    @_memo
     def _detected_zero(self):
         mult = self.mult
         return next((z for z in range(self.n)
@@ -120,7 +143,7 @@ class BiUnaryAlgebra:
         """down[j] = bitmask of {i : i <= j}."""
         return self._order_masks[1]
 
-    @cached_property
+    @_memo
     def _order_masks(self):
         n, mult, star = self.n, self.mult, self.star
         if n > _NUMPY_THRESHOLD:
@@ -138,39 +161,48 @@ class BiUnaryAlgebra:
         return tuple(up), tuple(down)
 
     # up and down ranked for _least and _least_array (see _rank)
-    @cached_property
+    @_memo
     def _up_rank(self):
         return _rank(self.up)
 
-    @cached_property
+    @_memo
     def _down_rank(self):
         return _rank(self.down)
 
-    @cached_property
+    @_memo
+    def _holders(self):
+        """(up, down): each up or down mask mapped to the lowest element
+        whose mask it is, when the order is a preorder; else None (see
+        join)."""
+        if not _is_preorder(self.up):
+            return None
+        return _lowest_holders(self.up), _lowest_holders(self.down)
+
+    @_memo
     def joins(self):
         """joins[s][t] = join(self, s, t), for every pair at once."""
-        rank, n = self._up_rank, self.n
+        n = self.n
         table = [[None] * n for _ in range(n)]
         for s in range(n):
             for t in range(s, n):
-                table[s][t] = table[t][s] = _least(rank, s, t)
+                table[s][t] = table[t][s] = join(self, s, t)
         return tuple(map(tuple, table))
 
     # numpy forms, used above _NUMPY_THRESHOLD elements
 
-    @cached_property
+    @_memo
     def _mult_array(self):
         import numpy as np
         return np.array(self.mult, dtype=_INDEX_DTYPE)
 
-    @cached_property
+    @_memo
     def _join_arrays(self):
         """(joins, bounded): the join of every pair as an int matrix, -1
         where there is none, and whether it has an upper bound; read only
         on associative Ehresmann tables (see _least_array)."""
         return _least_array(self._up_rank)
 
-    @cached_property
+    @_memo
     def _deterministic_sets(self):
         """deterministic_sets(self), computed once."""
         mult, star, plus = self.mult, self.star, self.plus
@@ -183,7 +215,7 @@ class BiUnaryAlgebra:
                              for e in proj))
         return det, codet, tuple(sorted(set(det) & set(codet)))
 
-    @cached_property
+    @_memo
     def classification(self):
         """classify(self), computed once."""
         return _classify(self)
@@ -229,7 +261,7 @@ class BiUnaryAlgebra:
         universe = [self.name(a) for a in atoms]
         return gba_mod.FinGBA(universe, family), to_mask, from_mask
 
-    @cached_property
+    @_memo
     def iso_structure(self):
         """The tables an isomorphism preserves: ([star, plus], mult), with
         star standing in for a missing plus."""
@@ -240,7 +272,7 @@ class BiUnaryAlgebra:
         """The binary table of iso_structure as a numpy array."""
         return self._mult_array
 
-    @cached_property
+    @_memo
     def iso_codes(self):
         """Refinement codes of the elements (see _refine), computed once."""
         (star, plus), mult = self.iso_structure
@@ -299,7 +331,8 @@ def _least(rank, s, t):
     rank order: a cover is no smaller than the set, so the scan stops at
     the first smaller mask, or at a cover of the set's own size, as later
     covers have higher indices.  On a partial order the first candidate is
-    the bound if there is one, so it decides."""
+    the bound if there is one, so it decides.  join and meet scan only
+    relations that are not preorders; a preorder's bound is looked up."""
     order, masks = rank
     common = masks[s] & masks[t]
     size, best = common.bit_count(), None
@@ -313,6 +346,21 @@ def _least(rank, s, t):
             if k == size:
                 break
     return best
+
+
+def _lowest_holders(masks):
+    """Each of the masks mapped to the lowest index whose mask it is."""
+    return dict(zip(masks[::-1], range(len(masks) - 1, -1, -1)))
+
+
+def _is_preorder(masks):
+    """Whether the masks, of up (or down) sets, are a preorder's: each
+    holds its own element and contains the mask of each element in it.
+    Elements with one mask share the second test, so it runs once per
+    distinct mask: the mask must be the union of its elements' masks."""
+    return all(m >> i & 1 for i, m in enumerate(masks)) and all(
+        reduce(or_, map(masks.__getitem__, _iter_bits(m))) == m
+        for m in set(masks))
 
 
 def _row_masks(rel):
@@ -559,13 +607,28 @@ def compatible(S, s, t, mode="right"):
 
 
 def join(S, s, t):
-    """Least upper bound of s and t under <=, or None."""
-    return _least(S._up_rank, s, t)
+    """Least upper bound of s and t under <=, or None: the lowest-index
+    element of up[s] & up[t] whose own up set covers it (see _least).
+
+    When <= is a preorder, an element m of that common set has up[m]
+    inside it, by transitivity, so m covers it just when up[m] equals it,
+    and by reflexivity an element whose up set equals it lies in it: the
+    bound is the lowest element holding that mask, one lookup.  The
+    natural order of an associative Ehresmann table is a partial order
+    (see _least_array); any other relation is scanned by _least."""
+    holders, up = S._holders, S.up
+    if holders is None:
+        return _least(S._up_rank, s, t)
+    return holders[0].get(up[s] & up[t])
 
 
 def meet(S, s, t):
-    """Greatest lower bound of s and t under <=, or None."""
-    return _least(S._down_rank, s, t)
+    """Greatest lower bound of s and t under <=, or None: join's lookup,
+    or scan, on the down sets."""
+    holders, down = S._holders, S.down
+    if holders is None:
+        return _least(S._down_rank, s, t)
+    return holders[1].get(down[s] & down[t])
 
 
 def join_all(S, elems):
@@ -624,6 +687,10 @@ def bd_subalgebra(S):
         if S.star[a] not in pos or S.plus[a] not in pos:
             raise MathFail("bideterministic set is not closed under star/plus",
                            witness=(a,))
+    e = next((e for e in S.projections() if e not in pos), None)
+    if e is not None:
+        raise MathFail(f"projection {S.name(e)} is not bideterministic",
+                       witness=(e,))
     sub = make_algebra(
         [S.names[e] for e in keep],
         [[pos[S.mult[a][b]] for b in keep] for a in keep],
@@ -984,9 +1051,8 @@ def _br1_witness(S, axiom, probe=None):
 
 def _meets_witness(S):
     """First pair (s, t), s <= t, with no meet, as a witness."""
-    rank = S._down_rank
     return next((("no-meet", (s, t)) for s in range(S.n)
-                 for t in range(s, S.n) if _least(rank, s, t) is None), None)
+                 for t in range(s, S.n) if meet(S, s, t) is None), None)
 
 
 def _br3_witness(S):
@@ -1114,12 +1180,17 @@ class SemigroupMorphism:
     def __post_init__(self):
         _check_table("morphism map", self.map, (self.source.n,), self.target.n)
 
-    @cached_property
+    @property
     def classification(self):
-        """check_morphism's flags of self, each decided when first read."""
+        """check_morphism's flags of self, each decided when first read.
+        They are kept on the source, keyed by target and map, so maps with
+        equal fields share one classification."""
+        memo, key = self.source._map_flags, (self.target, tuple(self.map))
+        if key in memo:
+            return memo[key]
         S, T, m = self.source, self.target, self.map
         image = lambda: reduce(or_, map(T.down.__getitem__, set(m)))  # down-set
-        return AlgebraClassification([
+        cls = memo[key] = AlgebraClassification([
             ("homomorphism", (),
              lambda: _unpreserved(S, T, m, [("star", S.star, T.star)])),
             # read only when both have plus tables; homomorphism proved mult
@@ -1133,6 +1204,7 @@ class SemigroupMorphism:
             ("proper", ("projection_morphism",), lambda: (
                 w := _join_cover_witness(T, image())) and ("proper", w[1])),
         ])
+        return cls
 
 
 @dataclass

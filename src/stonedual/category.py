@@ -16,12 +16,11 @@ D -> C and back, exactly.
 
 from __future__ import annotations
 
-from functools import cached_property
 from math import prod
 
 from . import algebra
 from .algebra import (AlgebraClassification, SemigroupMorphism, _check_assoc,
-                      _check_size, _check_table, _find_iso, _refine,
+                      _check_size, _check_table, _find_iso, _memo, _refine,
                       check_morphism, classify, deterministic_sets,
                       make_algebra)
 from .errors import (AxiomFail, BadTableShape, CompDomainMismatch,
@@ -55,27 +54,27 @@ class FinCat:
         """Arrows starting at object o."""
         return self._d_fibers[o]
 
-    @cached_property
+    @_memo
     def _d_fibers(self):
         fib = [[] for _ in range(self.n_obj)]
         for a in range(self.n_arr):
             fib[self.d[a]].append(a)
         return tuple(map(tuple, fib))
 
-    @cached_property
+    @_memo
     def iso_structure(self):
         """The tables an isomorphism preserves: the unary tables
         a -> 1_d(a) and a -> 1_r(a), and comp."""
         return ([[self.unit[o] for o in self.d],
                  [self.unit[o] for o in self.r]], self.comp)
 
-    @cached_property
+    @_memo
     def _iso_binary(self):
         """The binary table of iso_structure as a numpy array."""
         import numpy as np
         return np.array(self.comp, dtype=algebra._INDEX_DTYPE)
 
-    @cached_property
+    @_memo
     def iso_codes(self):
         """Refinement codes of the arrows (see algebra._refine), computed
         once."""
@@ -246,18 +245,30 @@ def _slice_algebra(C, slices, names):
     index = {s: i for i, s in enumerate(slices)}
     ends = [[(r_of[b], b) for b in B] for B in slices]
     mult = []
-    for A in slices:
-        # after[o][b]: b, then the arrow of A at o
-        after = [comp[a] for a in A] + [none]
-        mult.append([index[tuple(after[o][b] for o, b in B)] for B in ends])
-    star = [index[tuple(-1 if a < 0 else unit[x] for x, a in enumerate(A))]
-            for A in slices]
-    plus = []
-    for A in slices:
-        ranges = {r_of[a] for a in A}
-        plus.append(index[tuple(unit[y] if y in ranges else -1
-                                for y in objects)])
-    return make_algebra(names, mult, star, plus, zero=index[(-1,) * C.n_obj])
+    # a KeyError is a result that is not among the slices
+    try:
+        for A in slices:
+            # after[o][b]: b, then the arrow of A at o
+            after = [comp[a] for a in A] + [none]
+            mult.append([index[tuple(after[o][b] for o, b in B)] for B in ends])
+        star = [index[tuple(-1 if a < 0 else unit[x] for x, a in enumerate(A))]
+                for A in slices]
+        plus = []
+        for A in slices:
+            ranges = {r_of[a] for a in A}
+            plus.append(index[tuple(unit[y] if y in ranges else -1
+                                    for y in objects)])
+        zero = index[(-1,) * C.n_obj]
+    except KeyError:
+        raise _unclosed_slices() from None
+    return make_algebra(names, mult, star, plus, zero=zero)
+
+
+def _unclosed_slices():
+    """What both slice table builders raise on slices not closed under
+    the operations."""
+    return InvariantViolation("the slices are not closed under the "
+                              "operations", witness=("closed",))
 
 
 def _slice_tables(C, slices):
@@ -298,8 +309,7 @@ def _slice_tables(C, slices):
         if n < space:  # some slices are left out: look each code up
             pos = np.minimum(np.searchsorted(known, c), n - 1)
             if (known[pos] != c).any():
-                raise InvariantViolation("the slices are not closed under "
-                                         "the operations", witness=("closed",))
+                raise _unclosed_slices()
             c = pos
         return order[c]
 
@@ -423,7 +433,7 @@ class Cofunctor:
     def equal_tables(self, other):
         return _cofunctor_diff(self, other) is None
 
-    @cached_property
+    @_memo
     def classification(self):
         """check_cofunctor's flags of self, each decided when first read."""
         return AlgebraClassification([

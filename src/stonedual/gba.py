@@ -112,11 +112,19 @@ def make_gba(universe, subsets):
     if 0 not in family:
         raise MissingBottom("bottom (empty subset) is missing")
     gba = FinGBA(universe, family)
-    for a, b in combinations(sorted(family), 2):
-        for op, res in (("or", a | b), ("and", a & b), ("diff", a & ~b), ("diff", b & ~a)):
-            if res not in family:
-                raise NotClosed(op, gba.names_of(a), gba.names_of(b), gba.names_of(res))
+    _require_closed(gba)
     return gba
+
+
+def _require_closed(E, ops=("or", "and", "diff")):
+    """Raise NotClosed at the first pair of elements of E, in mask order,
+    whose union, intersection or differences, in that order and as far as
+    ops names them, are not all in E."""
+    family = E.index
+    for a, b in combinations(E.elements, 2):
+        for op, res in (("or", a | b), ("and", a & b), ("diff", a & ~b), ("diff", b & ~a)):
+            if op in ops and res not in family:
+                raise NotClosed(op, E.names_of(a), E.names_of(b), E.names_of(res))
 
 
 def atoms(E):
@@ -140,8 +148,12 @@ def verify_stone_duality(E):
     (i) e -> D_e is a bijection of E onto all subsets of the character space,
     (ii) D respects joins and meets, (iii) evaluation at a point recovers the
     point (counit identity).  All three are theorems for valid instances;
-    failures would carry witnesses.
+    failures would carry witnesses.  A FinGBA built directly, not by
+    make_gba, may not be closed: (ii) needs every join and meet in E, so a
+    missing one raises NotClosed, as make_gba would, before any character
+    is computed.  A missing difference shows in the report.
     """
+    _require_closed(E, ("or", "and"))
     rpt = Report("stone-duality")
     chars, elems, names = atoms(E), E.elements, E.names_of
     # basic_set(E, e) for every e, from the one list of characters

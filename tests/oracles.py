@@ -136,6 +136,34 @@ def brute_meet(S, s, t):
     return greatest[0] if greatest else None
 
 
+def is_preorder_brute(S):
+    """Whether the natural order of S is reflexive and transitive."""
+    n = range(S.n)
+    return all(leq(S, a, a) for a in n) and all(
+        leq(S, a, c) for a in n for b in n if leq(S, a, b)
+        for c in n if leq(S, b, c))
+
+
+def join_all_brute(S, elems):
+    """The binary joins of elems folded from the left, by brute_join; None
+    once one is missing."""
+    acc = None
+    for e in elems:
+        acc = e if acc is None else brute_join(S, acc, e)
+        if acc is None:
+            return None
+    return acc
+
+
+def join_cover_witness_brute(S, lower):
+    """The first s that is not the fold, in index order, of the elements
+    of the bitmask lower below it, as ("join-cover", (s,)), or None."""
+    return next((("join-cover", (s,)) for s in range(S.n)
+                 if join_all_brute(S, [e for e in range(S.n)
+                                       if lower >> e & 1 and leq(S, e, s)])
+                 != s), None)
+
+
 # first witnesses of the join axioms, scanning pairs (and then u) in
 # lexicographic order straight from the definitions
 

@@ -10,9 +10,10 @@ from conftest import (check_read_order, shuffle_algebra, small_subsemigroups,
                       subsemigroup)
 from oracles import (br1_witness_brute, br1prime_witness_brute,
                      br3_witness_brute, brute_join, brute_meet,
-                     check_morphism_by_chain, inverse_map, leq as oracle_leq,
-                     nat_leq, no_meet_witness_brute, parse_map,
-                     weak_meet_witness_brute)
+                     check_morphism_by_chain, inverse_map, is_preorder_brute,
+                     join_all_brute, join_cover_witness_brute,
+                     leq as oracle_leq, nat_leq, no_meet_witness_brute,
+                     parse_map, weak_meet_witness_brute)
 from stonedual import algebra
 from stonedual.algebra import (SIZE_BOUND, BiUnaryAlgebra, MorphismVerdict,
                                bd_subalgebra, check_morphism, classify,
@@ -165,16 +166,37 @@ def test_left_compatibility_needs_plus():
         compatible(stripped, 0, 1, "bi")
 
 
+def _relation_algebra(rel):
+    """A table whose natural order is the relation R given by the bool
+    matrix rel: star the identity, and b*a = a just when a R b."""
+    n = len(rel)
+    return BiUnaryAlgebra(range(n), [[a if rel[a][b] else (a + 1) % n
+                                      for a in range(n)] for b in range(n)],
+                          range(n))
+
+
 def _relations():
-    """Seeded arbitrary relations R on 2 to 12 elements, as tables whose
-    natural order is R: star the identity, and b*a = a just when a R b."""
+    """Seeded arbitrary relations on 2 to 12 elements (_relation_algebra)."""
     rng = random.Random(7)
     for _ in range(300):
         n, p = rng.randrange(2, 13), rng.random()
-        rel = [[rng.random() < p for b in range(n)] for a in range(n)]
-        yield BiUnaryAlgebra(range(n), [[a if rel[a][b] else (a + 1) % n
-                                         for a in range(n)] for b in range(n)],
-                             range(n))
+        yield _relation_algebra([[rng.random() < p for b in range(n)]
+                                 for a in range(n)])
+
+
+def _preorders():
+    """Seeded preorders on 2 to 12 elements, most with ties: the reflexive
+    and transitive closures of sparse random relations."""
+    rng = random.Random(29)
+    for _ in range(100):
+        n, p = rng.randrange(2, 13), rng.random() / 3
+        rel = [[a == b or rng.random() < p for b in range(n)]
+               for a in range(n)]
+        for k in range(n):
+            for a in range(n):
+                if rel[a][k]:
+                    rel[a] = [x or y for x, y in zip(rel[a], rel[k])]
+        yield _relation_algebra(rel)
 
 
 JOIN_MEET_FAMILIES = {
@@ -185,6 +207,13 @@ JOIN_MEET_FAMILIES = {
     "pt3-i3-small": lambda: [*small_subsemigroups(gen_pt(3)),
                              *small_subsemigroups(gen_i(3))],
     "relations": _relations,
+    # a chain, the left-zero band, whose order is equality, and the
+    # right-zero band, whose order relates every pair, so each element
+    # ties with all others
+    "bands": lambda: [_op_table(op, perm) for op in (min, lambda i, j: i,
+                                                     lambda i, j: j)
+                      for perm in ([0, 1, 2, 3, 4, 5], [3, 0, 5, 1, 4, 2])],
+    "preorders": _preorders,
 }
 
 
@@ -210,16 +239,41 @@ def test_join_and_meet_match_brute_force(monkeypatch, family):
     # the mutated tables and the relations are not all partial orders (see
     # test_numpy_classification_matches_python_on_mutated_tables); on every
     # relation the bound is the lowest-index element m of the common set
-    # whose own mask covers it, which the oracles find from leq alone
+    # whose own mask covers it, which the oracles find from leq alone.  On
+    # a preorder join and meet look it up, on any other relation they scan
+    # (_least): each is checked with its folds at both cutoffs, on a fresh
+    # algebra each, and the array fold on the partial orders
+    rng = random.Random(12)
     for S in JOIN_MEET_FAMILIES[family]():
-        for s in range(S.n):
-            for t in range(S.n):
-                assert join(S, s, t) == S.joins[s][t] == brute_join(S, s, t)
-                assert meet(S, s, t) == brute_meet(S, s, t)
-                for masks, rank in ((S.up, S._up_rank),
-                                    (S.down, S._down_rank)):
-                    assert algebra._least(rank, s, t) == _least_by_definition(
-                        masks, s, t)
+        n = S.n
+        joins = [[brute_join(S, s, t) for t in range(n)] for s in range(n)]
+        meets = [[brute_meet(S, s, t) for t in range(n)] for s in range(n)]
+        lowers = [(1 << n) - 1, rng.getrandbits(n), rng.getrandbits(n)]
+        covers = [join_cover_witness_brute(S, lower) for lower in lowers]
+        lists = [rng.sample(range(n), rng.randrange(1, n + 1))
+                 for _ in range(3)]
+        folds = [join_all_brute(S, elems) for elems in lists]
+        preorder = is_preorder_brute(S)
+        for threshold in (0, SIZE_BOUND):
+            monkeypatch.setattr(algebra, "_NUMPY_THRESHOLD", threshold)
+            X = BiUnaryAlgebra(S.names, S.mult, S.star, S.plus, S.zero)
+            assert (X._holders is not None) == preorder
+            for s in range(n):
+                for t in range(n):
+                    assert join(X, s, t) == X.joins[s][t] == joins[s][t]
+                    assert meet(X, s, t) == meets[s][t]
+                    for masks, rank in ((X.up, X._up_rank),
+                                        (X.down, X._down_rank)):
+                        assert algebra._least(rank, s, t) == (
+                            _least_by_definition(masks, s, t))
+                    assert algebra._least(X._up_rank, s, t) == joins[s][t]
+                    assert algebra._least(X._down_rank, s, t) == meets[s][t]
+            assert [join_all(X, elems) for elems in lists] == folds
+            assert [algebra._join_cover_witness(X, lower)
+                    for lower in lowers] == covers
+            if preorder and len(set(X.up)) == n:  # a partial order
+                assert [algebra._etale_cover_witness(X, lower)
+                        for lower in lowers] == covers
     if family != "relations":
         return
     # a cover is no smaller than the common set, so the scan stops at the
@@ -259,8 +313,11 @@ def test_least_bounds_try_at_most_two_candidates(monkeypatch, op, flags):
     # pair on a chain whose indices run against the order, and forcing
     # these flags then takes over a minute at 1,000 elements; so the count
     # is pinned, on the table and a seeded relabelled copy, not the time.
-    # The right-zero band's order relates every pair: every mask covers
-    n, tried, inside = 300, [], []
+    # The right-zero band's order relates every pair: every mask covers.
+    # Each of these orders is a preorder, so classify takes every bound
+    # by lookup and scans none; the rank-order scan, which any other
+    # relation takes, is then pinned on every pair of both families
+    n, calls, tried, inside = 300, [], [], []
     real_least, real_bits = algebra._least, algebra._iter_bits
 
     def least(rank, s, t):
@@ -277,15 +334,25 @@ def test_least_bounds_try_at_most_two_candidates(monkeypatch, op, flags):
                 tried[-1] += 1
             yield b
 
+    for name in ("join", "meet"):
+        bound = getattr(algebra, name)
+        monkeypatch.setattr(algebra, name, lambda S, s, t, bound=bound: (
+            calls.append(0) or bound(S, s, t)))
     monkeypatch.setattr(algebra, "_least", least)
     monkeypatch.setattr(algebra, "_iter_bits", bits)
     perm = list(range(n))
     random.Random(3).shuffle(perm)
     for S in (_op_table(op, list(range(n))), _op_table(op, perm)):
-        tried.clear()
+        calls.clear()
         cls = classify(S)
         assert (cls.has_binary_meets, cls.groupoidal_etale) == flags
-        assert len(tried) >= n * (n + 1) // 2 and max(tried) <= 2
+        assert len(calls) >= n * (n + 1) // 2 and tried == []
+        for rank in (S._up_rank, S._down_rank):
+            for s in range(n):
+                for t in range(s, n):
+                    algebra._least(rank, s, t)
+        assert len(tried) == n * (n + 1) and max(tried) <= 2
+        tried.clear()
 
 
 def _cover_masks(S, rng):
@@ -724,7 +791,11 @@ def test_bd_subalgebra_of_pt2_is_i2():
     # x1 and x2, the projections, are bideterministic, but on them the
     # support takes the one value x2
     ([[0, 1, 1], [1, 1, 1], [2, 1, 1]], [1, 2, 2], [2, 1, 1],
-     "projections changed", None)])
+     "projections changed", None),
+    # Z_2 with star and plus swapped: x0 is only deterministic, x1 only
+    # codeterministic, so the projection x0 is not bideterministic
+    ([[0, 1], [1, 0]], [1, 0], [0, 1], "projection x0 is not bideterministic",
+     (0,))])
 def test_bd_subalgebra_failures(mult, star, plus, failure, witness):
     S = make_algebra([f"x{i}" for i in range(len(star))], mult, star, plus)
     with pytest.raises(MathFail, match=failure) as exc:
@@ -949,6 +1020,30 @@ def test_inclusion_passes_all_types():
         assert verdict.ok, (mtype, verdict.failed, verdict.witness)
 
 
+def test_equal_maps_share_one_classification(monkeypatch):
+    # types 1-4 of one map, each asked through a fresh map object: the
+    # flags are kept on the source, keyed by target and map, so the
+    # homomorphism scan and the join-cover fold run once each
+    S = gen_pt(3)
+    perm = list(range(S.n))
+    random.Random(29).shuffle(perm)
+    T = shuffle_algebra(S, perm)
+    m = iso_algebras(S, T)
+    calls = Counter()
+    for name in ("_unpreserved", "_join_cover_witness"):
+        scan = getattr(algebra, name)
+        monkeypatch.setattr(algebra, name, lambda *args, name=name, scan=scan:
+                            calls.update([name]) or scan(*args))
+    maps = [SemigroupMorphism(S, T, tuple(m)) for _ in range(4)]
+    assert all(check_morphism(f, mtype).ok
+               for f, mtype in zip(maps, (1, 2, 3, 4)))
+    assert calls == {"_unpreserved": 1, "_join_cover_witness": 1}
+    assert all(f.classification is maps[0].classification for f in maps)
+    # another target object with the same tables has flags of its own
+    other = SemigroupMorphism(S, _rebuilt(T), tuple(m))
+    assert other.classification is not maps[0].classification
+
+
 def test_constant_to_zero_fails_properness_on_projections():
     P = gen_pt(2)
     f = SemigroupMorphism(P, P, (P.zero,) * P.n)
@@ -1092,23 +1187,28 @@ def _relabelled_maps(gen):
     return S, T, maps, SemigroupMorphism(S, bent, tuple(p))
 
 
+def _rebuilt(X):
+    """A new algebra with the tables of X, holding none of its memos."""
+    return BiUnaryAlgebra(X.names, X.mult, X.star, X.plus, X.zero)
+
+
 @pytest.mark.parametrize("gen", [gen_pt, gen_i, gen_triangular])
 def test_array_morphism_scans_match_python(monkeypatch, gen):
-    # a fresh map at each cutoff, so that neither pass reads the flags the
-    # other one computed
+    # a map's flags are kept on its source, so the source and target are
+    # rebuilt at each cutoff: neither pass reads what the other computed
     S, T, maps, bent = _relabelled_maps(gen)
     for failed, m in maps:
         seen = []
         for threshold in (0, SIZE_BOUND):  # numpy, Python
             monkeypatch.setattr(algebra, "_NUMPY_THRESHOLD", threshold)
-            f = SemigroupMorphism(S, T, m)
+            f = SemigroupMorphism(_rebuilt(S), _rebuilt(T), m)
             seen.append([check_morphism(f, mtype) for mtype in (1, 2, 3, 4)])
         assert seen[0] == seen[1], m
         assert {v.failed for v in seen[0]} == {failed}
     i = next(i for i in range(S.n) if S.plus[i] != S.star[i])
     for threshold in (0, SIZE_BOUND):
         monkeypatch.setattr(algebra, "_NUMPY_THRESHOLD", threshold)
-        f = SemigroupMorphism(S, bent.target, bent.map)
+        f = SemigroupMorphism(_rebuilt(S), _rebuilt(bent.target), bent.map)
         assert check_morphism(f, 1, require_plus=True) == MorphismVerdict(
             False, 1, "plus", (i,))
 
@@ -1135,7 +1235,9 @@ def test_morphism_flags_match_the_chain(monkeypatch, pt4, pt4_subsemigroups):
     # map whose flags are read in a different order with plus than without,
     # against the chain's verdict or error; the chain runs once, at cutoff
     # 0, since its steps that depend on the cutoff, _unpreserved and the
-    # order masks, have numpy-against-Python tests of their own
+    # order masks, have numpy-against-Python tests of their own.  A map's
+    # flags are kept on its source, so every algebra is rebuilt once per
+    # cutoff, and the copies live to the end of the test
     index = {name: i for i, name in enumerate(pt4.names)}
     maps = [SemigroupMorphism(S, pt4, tuple(map(index.get, S.names)))
             for S in pt4_subsemigroups]
@@ -1162,10 +1264,14 @@ def test_morphism_flags_match_the_chain(monkeypatch, pt4, pt4_subsemigroups):
     expected = [[_verdict_or_error(check_morphism_by_chain, f, mtype,
                                    require_plus)
                  for require_plus, mtype in calls] for f in maps]
+    algebras = {id(X): X for g in maps for X in (g.source, g.target)}
+    copies = []
     for threshold in (0, SIZE_BOUND):
         monkeypatch.setattr(algebra, "_NUMPY_THRESHOLD", threshold)
+        copies.append({k: _rebuilt(X) for k, X in algebras.items()})
         for g, want in zip(maps, expected):
-            f = SemigroupMorphism(g.source, g.target, g.map)
+            f = SemigroupMorphism(copies[-1][id(g.source)],
+                                  copies[-1][id(g.target)], g.map)
             got = [_verdict_or_error(check_morphism, f, mtype, require_plus)
                    for require_plus, mtype in calls]
             assert got == want, (threshold, g.map)

@@ -240,6 +240,20 @@ def test_slice_tables_refuse_a_family_not_closed_under_product():
     assert exc.value.witness == ("closed",)
 
 
+@pytest.mark.parametrize("threshold", [0, SIZE_BOUND])  # numpy, Python
+def test_both_slice_builders_refuse_a_family_not_closed(monkeypatch,
+                                                        threshold):
+    # K_2 without its four one-arrow slices: a slice sending both objects
+    # to one has a one-arrow cosupport
+    monkeypatch.setattr(algebra, "_NUMPY_THRESHOLD", threshold)
+    C = gen_pair_groupoid(2)
+    slices = [s for s in enumerate_slices(C) if s.count(-1) != 1]
+    assert len(slices) == 5
+    with pytest.raises(InvariantViolation, match="not closed") as exc:
+        _slice_algebra(C, slices, [_slice_name(C, s) for s in slices])
+    assert exc.value.witness == ("closed",)
+
+
 def test_slice_support_and_cosupport():
     C = gen_free_arrow()
     S = slice_semigroup(C)

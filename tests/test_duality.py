@@ -491,8 +491,13 @@ def test_memos_die_with_their_object():
     # a cofunctor's flags, read by counit_epsilon
     memos.append(check_cofunctor(counit_epsilon(C)))
     assert memos[-1].bijective_on_arrows
-    refs = [weakref.ref(x) for x in [S, stripped, C, T, *memos]]
-    del S, stripped, C, T, memos
+    # a map's flags, kept on its source with the target in their key
+    target = make_algebra(S.names, S.mult, S.star, S.plus, S.zero)
+    g = SemigroupMorphism(stripped, target, tuple(range(S.n)))
+    assert check_morphism(g, 4).ok
+    assert stripped._map_flags == {(target, g.map): g.classification}
+    refs = [weakref.ref(x) for x in [S, stripped, C, T, target, g, *memos]]
+    del S, stripped, C, T, target, g, memos
     gc.collect()
     assert [r() for r in refs] == [None] * len(refs)
     # a kept failure holds no traceback, so its algebra, which has no

@@ -96,6 +96,26 @@ def test_stone_duality_lists_the_characters_once(monkeypatch):
     assert calls == [E, bad]
 
 
+def test_stone_duality_needs_joins_and_meets(monkeypatch):
+    # a FinGBA missing a union or an intersection has no report: its first
+    # such pair, in make_gba's order, raises NotClosed before any
+    # character is listed
+    calls = []
+    monkeypatch.setattr(FinGBA, "lattice_atoms",
+                        lambda E: calls.append(E) or ())
+    for masks, witness, missing in (([0, 1, 2, 4, 7], ("or", ("a",), ("b",)),
+                                     ("a", "b")),
+                                    ([0, 3, 5, 7], ("and", ("a", "b"),
+                                                    ("a", "c")), ("a",))):
+        with pytest.raises(NotClosed) as exc:
+            verify_stone_duality(FinGBA("abc", masks))
+        assert exc.value.witness == witness and exc.value.missing == missing
+        assert str(exc.value) == (
+            f"family not closed under {witness[0]}: {witness[0]}"
+            f"({witness[1]}, {witness[2]}) = {missing} is absent")
+    assert calls == []
+
+
 def test_filters_against_oracle():
     E = make_gba("abc", powerset("abc"))
     as_sets = [frozenset(E.names_of(m)) for m in E.elements]

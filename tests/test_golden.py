@@ -1,12 +1,12 @@
 """Golden transcripts of the command line.
 
 A fixed set of sdl commands runs in-process through cli.run, on the zoo
-files, a relabelled copy, a morphism and a cofunctor file and the bad
-inputs of test_cli.  The exit code and stdout lines of every command, and
-the SHA-256 of the file a command writes with -o, are hashed: one SHA-256
-over the whole transcript is pinned, and on a mismatch the first eight hex
-digits of each command's own SHA-256 name the first command whose output
-moved.
+files, a relabelled copy, a morphism and a cofunctor file, the bad inputs
+of test_cli and a seeded slice of the pt_4 family.  The exit code and
+stdout lines of every command, and the SHA-256 of the file a command
+writes with -o, are hashed: one SHA-256 over the whole transcript is
+pinned, and on a mismatch the first eight hex digits of each command's own
+SHA-256 name the first command whose output moved.
 
 After a deliberate change of output, `PYTHONPATH=src python
 tests/test_golden.py` prints the new pins.
@@ -28,9 +28,10 @@ from stonedual.cli import run
 from stonedual.duality import counit_epsilon
 from stonedual.io import (CofunctorFile, MorphismFile, instance_to_dict,
                           save_instance)
-from stonedual.zoo import gen_i, gen_pt, zoo_categories, zoo_semigroups
+from stonedual.zoo import (gen_i, gen_pt, subsemigroup, zoo_categories,
+                           zoo_semigroups)
 
-TRANSCRIPT_SHA256 = 'dea2290d6a006ae6d49424c687808cb4beeec5564e4818828b0f97409df414ac'
+TRANSCRIPT_SHA256 = '47b9287b564a067b971d29412cc2e804f8e3c8022385a10ed3c449e82991b0fb'
 COMMAND_DIGESTS = """
 1b6abf56 51e68d1d e1cd6f12 8903ea19 aab7f7ef 85915e80 19e9b057 01d393a8
 f5c7db5d 8134b1f0 28b9376f 730e1290 a90516de 6c4fb8a2 41cb127f 377b1917
@@ -89,13 +90,35 @@ abace2e5 367e46b7 9353c5bc 5f56b759 77c4f545 b7025358 8a72d6cc e33ad16f
 dde35f6e 489fa775 5a63567d 10f1b1dc 5b741c17 b2f5c9d8 461ddf5a ccd5a5b2
 d43ef89d 88964353 7b7fdf4f 8b3ff4c5 33e9e677 44b5749c 583aae4b 70f637c9
 97e02208 f586dde6 6be460e8 919adb05 a56f5ea8 7650114f 438bd2b8 ec96d02f
-716f75fd ea15a29e 4b60d6ed 63dda113 efd688f7 ac13672a 53534663
+716f75fd ea15a29e 4b60d6ed 63dda113 efd688f7 ac13672a 53534663 3435f4b5
+cf60246a d2a60f5f afee902b 085354b9 4f037f27 fdfffec8 fb93974b 0a21bb7c
+ca5574b2 85b5cc85 4c2341d1 991283f7 66af0521 af9f9945 95ef55d8 1b46152f
+f440c145 9d39cc8f b5384b43 fb2634bb ed58642c 30ac70db 93224294 a288641a
+d44d4305 409692a3 08505b96 0f7520e7 379e03e1 b7782f25 f6000fcf 603a2045
+242761c6 0f2f65ce 9f579cf1 d5eb2289 0d2f9b2d 99d90694 4cec1b78 f2ccedfe
+65701f3c 5e79ce37 8dd50733 fe261746 9b275d5f 6e7abad3 81030728 9cb2d1df
+f464a4c9 eb13cc53 323012f8 d23e02de bb57c3b3
 """
+
+
+def _pt4_family():
+    """Three seeded pairs of sub-semigroups of pt_4, closed under product
+    and star with at most 40 elements: the projections of pt_4 and one
+    element, and the same with a second element, so the first lies inside
+    the second, and both have pt_4's projection lattice."""
+    P, rng, pairs = gen_pt(4), random.Random(29), []
+    while len(pairs) < 3:
+        gens = [*P.projections(), *rng.sample(range(P.n), 2)]
+        small, big = subsemigroup(P, gens[:-1], 40), subsemigroup(P, gens, 40)
+        if small is not None and big is not None and small.n < big.n:
+            pairs.append((small, big))
+    return pairs
 
 
 def _write_files(root):
     """Write the input files into root; return the semigroups by file
-    name, the relabelling of pt_2 and the names of the bad files."""
+    name, the relabelling of pt_2, the names of the bad files and the
+    pairs of the pt_4 family by file name."""
     semigroups = zoo_semigroups()
     semigroups["i_1"] = gen_i(1)
     rng = random.Random(26)
@@ -151,10 +174,15 @@ def _write_files(root):
         (root / f"{name}.json").write_text(text)
     (root / "undecodable.json").write_bytes(
         b'{"kind": "semigroup", "elements": ["\xff"]}')
-    return semigroups, relabelling, [*bad, "undecodable"]
+    family = {}
+    for k, (small, big) in enumerate(_pt4_family()):
+        family[f"pt4_{k}a", f"pt4_{k}b"] = small, big
+        save_instance(small, root / f"pt4_{k}a.json")
+        save_instance(big, root / f"pt4_{k}b.json")
+    return semigroups, relabelling, [*bad, "undecodable"], family
 
 
-def _commands(semigroups, relabelling, bad):
+def _commands(semigroups, relabelling, bad, family):
     rng = random.Random(7)
     files = [*semigroups, *zoo_categories(), "incl", "eps", *bad]
     commands = [[verb, f"{name}.json"]
@@ -196,6 +224,17 @@ def _commands(semigroups, relabelling, bad):
                  for name in semigroups]
     commands += [["slices", f"{name}.json", *flag, "-o", "out.json"]
                  for name in zoo_categories() for flag in ([], ["--bislices"])]
+    # the pt_4 family: each member classified, and the inclusion, the
+    # identity, the constant map to the zero and a seeded map checked
+    for (a, b), (small, big) in family.items():
+        commands += [["classify", f"{a}.json"], ["classify", f"{b}.json"]]
+        for x, y, m in ((a, b, [big.names.index(nm) for nm in small.names]),
+                        (b, b, range(big.n)),
+                        (a, b, [big.detected_zero()] * small.n),
+                        (a, b, [rng.randrange(big.n) for _ in range(small.n)])):
+            for t in "1234":
+                commands.append(["morphism", "check", f"{x}.json", f"{y}.json",
+                                 ",".join(map(str, m)), "--type", t])
     # a seeded map may repeat another
     return [list(argv) for argv in dict.fromkeys(map(tuple, commands))]
 

@@ -964,8 +964,11 @@ def _classify(S):
     star_wit = _star_axiom_witness(S)
     forced = star_wit is None and S.plus is None and not isinstance(
         S._cosupport, MathFail)
-    # an algebra of no elements is falsy: the empty one keeps probe S
-    probe = (with_inferred_plus(S) or S) if forced else S
+    # None where the forced table fails the cosupport axioms; an algebra of
+    # no elements is falsy, so the test is "is None"
+    probe = with_inferred_plus(S) if forced else None
+    if probe is None:
+        probe = S
     base_r, base_b = ("restriction", "_BR2"), ("birestriction", "_BR2")
     cls = AlgebraClassification([
         ("ehresmann", (), lambda: star_wit),
@@ -993,7 +996,7 @@ def _classify(S):
          lambda: _br1_witness(S, "BBR1", probe)
          or _check_preboolean(cls, "boolean_birestriction")),
         ("boolean_range", ("range", "boolean_restriction"), None),
-        ("etale_range", ("boolean_range",), lambda: _etale_cover_witness(
+        ("etale_range", ("boolean_range",), lambda: _join_cover_witness(
             S, sum(1 << b for b in deterministic_sets(probe)[2]))),
         # join cover by partial isomorphisms; unlike etale this needs no
         # boolean_range prerequisite (a projection semilattice qualifies)
@@ -1114,38 +1117,6 @@ def _join_cover_witness(S, lower):
         if join_all(S, _iter_bits(down[s] & lower)) != s:
             return ("join-cover", (s,))
     return None
-
-
-def _etale_cover_witness(S, lower):
-    """_join_cover_witness(S, lower) for the etale_range rule, whose
-    prerequisites make the order partial.
-
-    Above _NUMPY_THRESHOLD elements the join_all fold runs on the join
-    matrix (see _least_array) for every s at once, one step per depth:
-    step k joins each accumulated value with the k-th element of lower
-    below its s, in index order."""
-    n = S.n
-    if n <= _NUMPY_THRESHOLD:
-        return _join_cover_witness(S, lower)
-    import numpy as np
-    star, elems = S.star, list(_iter_bits(lower))
-    cols = S._mult_array[:, [star[e] for e in elems]]
-    # the pairs e <= s, that is s e^* = e, with e in lower, by s then e
-    ss, ks = np.nonzero(cols == elems)
-    depth = np.arange(len(ss)) - np.searchsorted(ss, ss)
-    # below[s, k]: the k-th element of lower below s; past the last one,
-    # the first, which every accumulated join lies above, so joining it
-    # changes nothing; -1 where nothing is below s
-    below = np.full((n, depth.max(initial=0) + 1), -1, dtype=_INDEX_DTYPE)
-    below[ss, depth] = cols[ss, ks]
-    below = np.where(below < 0, below[:, :1], below)
-    # a last row of -1, read at index -1, keeps a missing join missing
-    joins = np.full((n + 1, n), -1, dtype=_INDEX_DTYPE)
-    joins[:n] = S._join_arrays[0]
-    acc = below[:, 0]
-    for k in range(1, below.shape[1]):
-        acc = joins[acc, below[:, k]]
-    return _first_failure([("join-cover", acc != np.arange(n))])
 
 
 def _inverse_witness(S):

@@ -37,14 +37,6 @@ class FinGBA:
     def __len__(self):
         return len(self.elements)
 
-    def __contains__(self, mask):
-        return mask in self.index
-
-    def __eq__(self, other):
-        return (isinstance(other, FinGBA)
-                and self.universe == other.universe
-                and self.elements == other.elements)
-
     def __repr__(self):
         return f"FinGBA({len(self.universe)} atoms, {len(self.elements)} elements)"
 
@@ -52,9 +44,6 @@ class FinGBA:
         if mask not in self.index:
             raise UnknownElement(f"mask {mask} is not an element")
         return mask
-
-    def leq(self, a, b):
-        return a & b == a
 
     def join(self, a, b):
         return self.require(self.require(a) | self.require(b))

@@ -547,6 +547,9 @@ def test_every_zoo_output_passes_check(tmp_path):
 def test_search_command(capsys):
     assert run(["search-no-cosupport", "--max-order", "3"]) == 0
     assert "found=False" in capsys.readouterr().out
+    # order 4 is the first with a witness (see test_zoo)
+    assert run(["search-no-cosupport", "--max-order", "4"]) == 0
+    assert capsys.readouterr().out == "checked=103 found=True\nwitness=(0,1,2,8)\n"
 
 
 def test_console_script(files):

@@ -444,6 +444,22 @@ def test_birestriction_equivalence_on_i2():
     assert rep.data["bijection"] == (0, 1, 2, 3, 4, 5, 6)
 
 
+def test_birestriction_equivalence_stops_where_the_unit_leaves(monkeypatch):
+    # plant a bideterministic part of the slice semigroup without the
+    # image of element 3 of i_2 under the unit: the report fails there and
+    # checks nothing more
+    real = duality.bd_subalgebra
+
+    def without_one(T):
+        sub, keep = real(T)
+        return sub, keep[:3] + keep[4:]
+
+    monkeypatch.setattr(duality, "bd_subalgebra", without_one)
+    rep = verify_birestriction_equivalence(gen_i(2))
+    assert (rep.lines, rep.data) == (
+        [(False, "unit-lands-in-bideterministic-part", (3,))], {})
+
+
 def test_birestriction_equivalence_rejects_pt2():
     with pytest.raises(NotBooleanBirestriction):
         verify_birestriction_equivalence(gen_pt(2))

@@ -31,7 +31,7 @@ from stonedual.io import (CofunctorFile, MorphismFile, instance_to_dict,
 from stonedual.zoo import (gen_i, gen_pt, subsemigroup, zoo_categories,
                            zoo_semigroups)
 
-TRANSCRIPT_SHA256 = '47b9287b564a067b971d29412cc2e804f8e3c8022385a10ed3c449e82991b0fb'
+TRANSCRIPT_SHA256 = 'bc58b3dd5681654b87aba76e682411c6ed4b1db263ba3a281b6e79ef67f071f3'
 COMMAND_DIGESTS = """
 1b6abf56 51e68d1d e1cd6f12 8903ea19 aab7f7ef 85915e80 19e9b057 01d393a8
 f5c7db5d 8134b1f0 28b9376f 730e1290 a90516de 6c4fb8a2 41cb127f 377b1917
@@ -44,7 +44,7 @@ a7612e39 93922dd0 7c9c9a21 971437e3 d5f7f12d 9b0e55da edb2269a 2c51dc59
 e203d638 3c7b4f37 c543e905 1657fe11 8bf1ca75 b412848e 4aea9415 9540f6f8
 708a345f d22bf4a2 245ccaf8 c4f0d6ff f6a4edc9 3bbc522d 3161fc3f 15b40fe6
 1e373a3f 5f2147b2 937bc71f c574ae58 2413e3b3 610888f5 b2b14c17 d681fa78
-16dda995 f0bbe84a c29343de efa4a0b6 ecd63850 bb45587a 054587fb 3e16797e
+16dda995 fdf02410 c29343de efa4a0b6 ecd63850 bb45587a 054587fb 3e16797e
 8981542f 85243e8c f259d211 fc57ac5c 288085e6 1576024b 056dd507 4bdb1730
 9e29f6e7 f17df0df 1030752e 1599055d feccc19e d72e4d06 43115415 77248e3f
 b7c24af9 c16a1a2d d49f7130 c61aa081 ab645f95 dd360a9a 1c463e77 b01b10dc

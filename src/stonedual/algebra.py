@@ -487,43 +487,45 @@ def _assoc_numpy(a):
             raise NotAssociative(lo + i, j, k)
 
 
-def _generators(a):
-    """A set of elements generating the magma with table a, or None once it
-    would exceed n // 8 elements.
+def _generators(a, rows):
+    """A set of elements generating the magma with table a, given also as
+    the Python rows, or None once it would exceed n // 8 elements.
 
     Greedy, least-factorable first: the next generator is the element not
-    yet generated that occurs least often in the table, and the closure
-    grows by the products of the new elements with all elements so far.
+    yet generated that occurs least often in the table.  Every word in the
+    generators is a shorter word times a generator, so adding g takes g
+    and x*g for each x already generated, then closes the new elements
+    under right products by every generator.
     """
     import numpy as np
-    n = len(a)
-    inside = np.zeros(n, dtype=bool)
-    members = np.empty(0, dtype=a.dtype)
-    gens = []
-    for g in np.argsort(np.bincount(a.ravel(), minlength=n), kind="stable"):
-        if members.size == n:
+    n = len(rows)
+    inside = [False] * n
+    members, gens = [], []
+    for g in np.argsort(np.bincount(a.ravel(), minlength=n),
+                        kind="stable").tolist():
+        if len(members) == n:
             break
         if inside[g]:
             continue
         if len(gens) == n // 8:
             return None
         gens.append(g)
-        new = np.array([g])
-        inside[g] = True
-        while new.size:
-            members = np.concatenate((members, new))
-            prod = np.concatenate((a[members][:, new].ravel(),
-                                   a[new][:, members].ravel()))
-            new = np.unique(prod[~inside[prod]])
-            inside[new] = True
+        todo = [g, *[rows[m][g] for m in members]]
+        while todo:
+            x = todo.pop()
+            if not inside[x]:
+                inside[x] = True
+                members.append(x)
+                todo += map(rows[x].__getitem__, gens)
     return gens
 
 
-def _check_assoc(mult):
+def _check_assoc(mult, rows):
     """Raise NotAssociative at the lexicographically first triple (i, j, k)
     with (i*j)*k != i*(j*k); else return the table as an array (None up to
     _NUMPY_THRESHOLD elements) and the generators that passed Light's test
-    (None if it did not run or a generator failed).
+    (None if it did not run or a generator failed).  rows is mult as a
+    list of Python rows (mult itself, unless it is an array).
 
     Above _NUMPY_THRESHOLD elements the scan runs in numpy.  When it takes
     more than one chunk, Light's test comes first (Clifford & Preston, The
@@ -533,14 +535,16 @@ def _check_assoc(mult):
     first triple, then runs only when a generator fails or no small
     generating set is found.
     """
-    n = len(mult)
+    n = len(rows)
     if n <= _NUMPY_THRESHOLD:
-        _assoc_pure(mult)
+        _assoc_pure(rows)
         return None, None
     import numpy as np
-    a = np.asarray(mult, dtype=_INDEX_DTYPE)
+    a = (np.asarray(mult, dtype=_INDEX_DTYPE) if hasattr(mult, "dtype") else
+         np.fromiter(chain.from_iterable(rows), _INDEX_DTYPE, n * n)
+         .reshape(n, n))
     if n ** 3 > _CHUNK_CELLS:
-        gens = _generators(a)
+        gens = _generators(a, rows)
         if gens is not None and all(np.array_equal(a[a[:, g]], a[:, a[g]])
                                     for g in gens):
             return a, gens
@@ -562,22 +566,23 @@ def make_algebra(names, mult, star, plus=None, zero=None):
         _check_table("plus", plus, (n,), n)
     if zero is not None and not 0 <= zero < n:
         raise BadTableShape(f"zero index {zero} out of range")
-    a, gens = _check_assoc(mult)
+    rows = mult
     if hasattr(mult, "dtype"):
         # one shared int object per element: read cell by cell, the array
         # would give a fresh int for every cell; a row at a time, into the
         # tuples the algebra keeps, so no second whole table is held
         import numpy as np
         ints = np.array(range(n), dtype=object)
-        mult = [tuple(ints[row].tolist()) for row in mult]
+        rows = [tuple(ints[row].tolist()) for row in mult]
+    a, gens = _check_assoc(mult, rows)
     if zero is not None:
         for s in range(n):
-            if mult[zero][s] != zero or mult[s][zero] != zero:
+            if rows[zero][s] != zero or rows[s][zero] != zero:
                 raise MathFail(f"declared zero is not a zero at {names[s]}",
                                witness=(zero, s))
         if star[zero] != zero:
             raise MathFail("declared zero is not a projection", witness=(zero,))
-    S = BiUnaryAlgebra(names, mult, star, plus, zero)
+    S = BiUnaryAlgebra(names, rows, star, plus, zero)
     if a is not None:
         S._mult_array, S._generating_set = a, gens
     return S
@@ -632,10 +637,24 @@ def meet(S, s, t):
 
 
 def join_all(S, elems):
-    """Fold of binary joins; None as soon as one join is missing."""
-    acc = None
+    """Fold of binary joins; None as soon as one join is missing.
+
+    On a preorder the holder of a mask has that mask as its up set, so
+    each step of the fold is the holder of the running AND of the up sets:
+    one lookup an element after the first, which stands for itself."""
+    elems = iter(elems)
+    acc = next(elems, None)
+    if acc is None or S._holders is None:
+        for e in elems:
+            acc = join(S, acc, e)
+            if acc is None:
+                return None
+        return acc
+    holders, up = S._holders[0], S.up
+    mask = up[acc]
     for e in elems:
-        acc = e if acc is None else join(S, acc, e)
+        mask &= up[e]
+        acc = holders.get(mask)
         if acc is None:
             return None
     return acc
@@ -1354,16 +1373,19 @@ def _refine_array(X, init):
 
 
 def _rank_rows(sig):
-    """(ranks, count): each row's rank among the distinct rows of the int
-    matrix sig in lexicographic order, and how many distinct rows it has."""
+    """(ranks, count): each row's rank among the distinct rows of the int32
+    matrix sig in lexicographic order, and how many distinct rows it has.
+    A row read as the bytes of its words, big-endian with the sign bit
+    flipped, compares as bytes just as the row compares as ints.  So the
+    rows become bytes objects, a set keeps one of each, and one sort of
+    those ranks them; equal rows never meet in the sort."""
     import numpy as np
-    order = np.lexsort(sig.T[::-1])
-    rows = sig[order]
-    step = np.zeros(len(sig), dtype=np.int32)
-    step[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-    ranks = np.empty_like(step)
-    ranks[order] = np.cumsum(step, out=step)
-    return ranks, int(step[-1]) + 1
+    words = (sig.view(np.uint32) ^ np.uint32(1 << 31)).astype(">u4",
+                                                              order="C")
+    rows = words.view(np.dtype((np.void, 4 * sig.shape[1]))).ravel().tolist()
+    ranks = {row: k for k, row in enumerate(sorted(set(rows)))}
+    codes = np.fromiter(map(ranks.__getitem__, rows), np.intp, len(rows))
+    return codes, len(ranks)
 
 
 def _find_iso(X, Y):

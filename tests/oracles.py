@@ -234,6 +234,57 @@ def nat_leq(S, a, b, side="star"):
 
 
 # ---------------------------------------------------------------------------
+# numpy kernels as they were before they moved to Python rows or one byte
+# string sort: the generators of Light's test by a closure over products of
+# arrays, and row ranks by a lexsort over every column
+
+
+def generators_reference(a):
+    """A set of elements generating the magma with table a, or None once it
+    would exceed n // 8 elements.
+
+    Greedy, least-factorable first: the next generator is the element not
+    yet generated that occurs least often in the table, and the closure
+    grows by the products of the new elements with all elements so far.
+    """
+    import numpy as np
+    n = len(a)
+    inside = np.zeros(n, dtype=bool)
+    members = np.empty(0, dtype=a.dtype)
+    gens = []
+    for g in np.argsort(np.bincount(a.ravel(), minlength=n), kind="stable"):
+        if members.size == n:
+            break
+        if inside[g]:
+            continue
+        if len(gens) == n // 8:
+            return None
+        gens.append(g)
+        new = np.array([g])
+        inside[g] = True
+        while new.size:
+            members = np.concatenate((members, new))
+            prod = np.concatenate((a[members][:, new].ravel(),
+                                   a[new][:, members].ravel()))
+            new = np.unique(prod[~inside[prod]])
+            inside[new] = True
+    return gens
+
+
+def rank_rows_reference(sig):
+    """(ranks, count): each row's rank among the distinct rows of the int
+    matrix sig in lexicographic order, and how many distinct rows it has."""
+    import numpy as np
+    order = np.lexsort(sig.T[::-1])
+    rows = sig[order]
+    step = np.zeros(len(sig), dtype=np.int32)
+    step[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    ranks = np.empty_like(step)
+    ranks[order] = np.cumsum(step, out=step)
+    return ranks, int(step[-1]) + 1
+
+
+# ---------------------------------------------------------------------------
 # category associativity by the composable-triple loop
 
 

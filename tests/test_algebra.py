@@ -10,7 +10,8 @@ from conftest import (check_read_order, shuffle_algebra, small_subsemigroups,
                       subsemigroup)
 from oracles import (br1_witness_brute, br1prime_witness_brute,
                      br3_witness_brute, brute_join, brute_meet,
-                     check_morphism_by_chain, inverse_map, is_preorder_brute,
+                     check_morphism_by_chain, generators_reference,
+                     inverse_map, is_preorder_brute,
                      join_all_brute, join_cover_witness_brute,
                      leq as oracle_leq, nat_leq, no_meet_witness_brute,
                      parse_map, weak_meet_witness_brute)
@@ -702,7 +703,8 @@ def test_classify_reuses_the_array_and_generators_of_make_algebra(
         monkeypatch, pt4):
     built, real = [], algebra._check_assoc
     monkeypatch.setattr(algebra, "_check_assoc",
-                        lambda mult: built.append(real(mult)) or built[-1])
+                        lambda mult, rows: built.append(real(mult, rows))
+                        or built[-1])
     S = make_algebra(pt4.names, pt4.mult, pt4.star, pt4.plus, pt4.zero)
     (a, gens), = built
     assert gens is not None
@@ -729,9 +731,30 @@ def test_make_algebra_keeps_an_int16_product_table(monkeypatch):
             make_algebra(S.names, bad.astype(np.int16), S.star)
     handed, real = [], algebra._check_assoc
     monkeypatch.setattr(algebra, "_check_assoc",
-                        lambda mult: handed.append(mult) or real(mult))
+                        lambda mult, rows: handed.append(mult)
+                        or real(mult, rows))
     T = slice_semigroup(gen_pair_groupoid(3))
     assert handed == [T._mult_array] and handed[0] is T._mult_array
+
+
+def test_generators_match_the_array_closure(pt4, pt4_subsemigroups):
+    # the closure over Python rows picks the same generators, in the same
+    # order, as the closure over products of arrays it replaced; on the
+    # 64-element left-zero band every element generates only itself, so
+    # both give up at n // 8 generators
+    left_zero = [[i] * 64 for i in range(64)]
+    tables = [gen_pt(3).mult, pt4.mult, gen_i(4).mult,
+              gen_triangular(4).mult,
+              slice_semigroup(gen_pair_groupoid(4)).mult,
+              *(S.mult for S in pt4_subsemigroups if S.n > 40), left_zero]
+    assert len(tables) == 6 + 141
+    found = []
+    for rows in tables:
+        a = np.array(rows, dtype=np.int16)
+        found.append(algebra._generators(a, rows))
+        assert found[-1] == generators_reference(a), len(rows)
+    assert found[-1] is None
+    assert all(g is not None for g in found[:5])
 
 
 @pytest.mark.parametrize("gen,strong,weak", [
@@ -756,6 +779,53 @@ def test_join_all_folds_and_fails():
     # 1|-> 1 and 2|->1 are compatible but have no join in I_2
     assert join(S, 1, 3) is None
     assert join_all(S, [1, 3]) is None
+
+
+def _tied_preorders():
+    """Seeded random tables on 2 to 6 elements, star the identity, whose
+    natural order is a preorder with some elements sharing an up set."""
+    rng, found = random.Random(34), []
+    while len(found) < 40:
+        n = rng.randrange(2, 7)
+        S = BiUnaryAlgebra(range(n), [[rng.randrange(n) for _ in range(n)]
+                                      for _ in range(n)], range(n))
+        if S._holders is not None and len(set(S.up)) < n:
+            found.append(S)
+    return found
+
+
+def test_join_all_on_tied_preorders_is_the_binary_fold(monkeypatch):
+    # on a preorder join_all folds the AND of the up sets, one lookup an
+    # element; a lone element stays itself even where the lowest element
+    # holding its up set is another, as in a fold of binary joins
+    def binary_fold(S, elems):
+        acc = None
+        for e in elems:
+            acc = e if acc is None else join(S, acc, e)
+            if acc is None:
+                return None
+        return acc
+
+    rng = random.Random(35)
+    family = _tied_preorders()
+    assert any(S._holders[0][S.up[e]] != e for S in family
+               for e in range(S.n))
+    for S in family:
+        n = S.n
+        lists = [[], *([e] for e in range(n)),
+                 *(rng.choices(range(n), k=rng.randrange(2, 2 * n + 1))
+                   for _ in range(20))]
+        lowers = [(1 << n) - 1, *(rng.getrandbits(n) for _ in range(3))]
+        covers = [join_cover_witness_brute(S, lower) for lower in lowers]
+        for threshold in (0, SIZE_BOUND):
+            monkeypatch.setattr(algebra, "_NUMPY_THRESHOLD", threshold)
+            X = BiUnaryAlgebra(S.names, S.mult, S.star)
+            assert [join_all(X, elems) for elems in lists] == [
+                binary_fold(X, elems) for elems in lists]
+            assert [join_all(X, [e]) for e in range(n)] == list(range(n))
+            assert join_all(X, []) is None
+            assert [algebra._join_cover_witness(X, lower)
+                    for lower in lowers] == covers
 
 
 def test_local_units_present_in_zoo():

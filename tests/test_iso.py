@@ -5,13 +5,17 @@ and the library's search against the placement search it replaced."""
 import random
 from collections import defaultdict
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import small_subsemigroups
-from oracles import find_iso_by_placement, is_isomorphism, iso_reference
+from oracles import (find_iso_by_placement, is_isomorphism, iso_reference,
+                     rank_rows_reference)
 from stonedual import algebra, category
 from stonedual.algebra import SIZE_BOUND, BiUnaryAlgebra, iso_algebras
-from stonedual.category import FinCat
+from stonedual.category import FinCat, slice_semigroup
 from stonedual.duality import iso_categories
 from stonedual.zoo import (gen_free_arrow, gen_i, gen_pair_groupoid, gen_pt,
                            gen_triangular, zoo_semigroups)
@@ -119,6 +123,41 @@ def test_numpy_refinement_matches_python_on_a_long_path(monkeypatch):
                           range(n))
     assert_refinement_forms_agree([path], monkeypatch)
     assert sorted(path.iso_codes) == list(range(n))
+
+
+@st.composite
+def int32_rows(draw):
+    """A small int32 matrix whose rows repeat: rows drawn from a pool of at
+    most four, with small, negative and extreme entries, one column or
+    more."""
+    width = draw(st.integers(1, 4))
+    entry = st.one_of(st.integers(-3, 3), st.integers(-2 ** 31, 2 ** 31 - 1))
+    pool = draw(st.lists(st.lists(entry, min_size=width, max_size=width),
+                         min_size=1, max_size=4))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1,
+                          max_size=12))
+    return np.array([pool[i] for i in picks], dtype=np.int32)
+
+
+@settings(max_examples=200, deadline=None)
+@given(int32_rows())
+def test_row_ranks_match_the_lexsort(sig):
+    ranks, count = algebra._rank_rows(sig)
+    want, want_count = rank_rows_reference(sig)
+    assert ranks.tolist() == want.tolist() and count == want_count
+
+
+def test_refinement_codes_match_the_lexsort_ranks(numpy_kernel, monkeypatch,
+                                                  corpus_sgs, corpus_cats):
+    # the numpy rounds give the same codes ranking rows by one byte string
+    # sort as by a lexsort over every column, on the corpus semigroups, the
+    # corpus categories and their slice semigroups (up to 64 elements)
+    family = [*(S for _, S in corpus_sgs), *(C for _, C in corpus_cats),
+              *(slice_semigroup(C) for _, C in corpus_cats)]
+    assert len(family) == 5 + 2 * 398
+    codes = [copy(X).iso_codes for X in family]
+    monkeypatch.setattr(algebra, "_rank_rows", rank_rows_reference)
+    assert codes == [copy(X).iso_codes for X in family]
 
 
 # -- iso verdicts against the reference ---------------------------------------

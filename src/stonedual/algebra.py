@@ -488,14 +488,18 @@ def _assoc_numpy(a):
 
 
 def _generators(a, rows):
-    """A set of elements generating the magma with table a, given also as
-    the Python rows, or None once it would exceed n // 8 elements.
+    """A set of elements generating the semigroup with table a, given also
+    as the Python rows, or None once it would exceed n // 8 elements.
 
     Greedy, least-factorable first: the next generator is the element not
-    yet generated that occurs least often in the table.  Every word in the
-    generators is a shorter word times a generator, so adding g takes g
-    and x*g for each x already generated, then closes the new elements
-    under right products by every generator.
+    yet generated that occurs least often in the table.  In a semigroup
+    every word in the generators is a shorter word times a generator, so
+    adding g takes g and x*g for each x already generated, then closes the
+    new elements under right products by every generator.  On a table that
+    is not associative this reaches only the left-normed words and may
+    pick other generators than a closure under all products; Light's test
+    on them still proves associativity when it passes, and any failure
+    falls back to the full scan, so _check_assoc's outcome is the same.
     """
     import numpy as np
     n = len(rows)
@@ -520,12 +524,12 @@ def _generators(a, rows):
     return gens
 
 
-def _check_assoc(mult, rows):
+def _check_assoc(rows, a=None):
     """Raise NotAssociative at the lexicographically first triple (i, j, k)
-    with (i*j)*k != i*(j*k); else return the table as an array (None up to
-    _NUMPY_THRESHOLD elements) and the generators that passed Light's test
-    (None if it did not run or a generator failed).  rows is mult as a
-    list of Python rows (mult itself, unless it is an array).
+    with (i*j)*k != i*(j*k) in the table given as Python rows; else return
+    it as an array (a, if given; None up to _NUMPY_THRESHOLD elements) and
+    the generators that passed Light's test (None if it did not run or a
+    generator failed).
 
     Above _NUMPY_THRESHOLD elements the scan runs in numpy.  When it takes
     more than one chunk, Light's test comes first (Clifford & Preston, The
@@ -540,9 +544,8 @@ def _check_assoc(mult, rows):
         _assoc_pure(rows)
         return None, None
     import numpy as np
-    a = (np.asarray(mult, dtype=_INDEX_DTYPE) if hasattr(mult, "dtype") else
-         np.fromiter(chain.from_iterable(rows), _INDEX_DTYPE, n * n)
-         .reshape(n, n))
+    if a is None:
+        a = np.asarray(rows, dtype=_INDEX_DTYPE)
     if n ** 3 > _CHUNK_CELLS:
         gens = _generators(a, rows)
         if gens is not None and all(np.array_equal(a[a[:, g]], a[:, a[g]])
@@ -566,15 +569,15 @@ def make_algebra(names, mult, star, plus=None, zero=None):
         _check_table("plus", plus, (n,), n)
     if zero is not None and not 0 <= zero < n:
         raise BadTableShape(f"zero index {zero} out of range")
-    rows = mult
+    rows, a = mult, None
     if hasattr(mult, "dtype"):
         # one shared int object per element: read cell by cell, the array
         # would give a fresh int for every cell; a row at a time, into the
         # tuples the algebra keeps, so no second whole table is held
         import numpy as np
         ints = np.array(range(n), dtype=object)
-        rows = [tuple(ints[row].tolist()) for row in mult]
-    a, gens = _check_assoc(mult, rows)
+        rows, a = [tuple(ints[row].tolist()) for row in mult], mult
+    a, gens = _check_assoc(rows, a)
     if zero is not None:
         for s in range(n):
             if rows[zero][s] != zero or rows[s][zero] != zero:
@@ -637,24 +640,10 @@ def meet(S, s, t):
 
 
 def join_all(S, elems):
-    """Fold of binary joins; None as soon as one join is missing.
-
-    On a preorder the holder of a mask has that mask as its up set, so
-    each step of the fold is the holder of the running AND of the up sets:
-    one lookup an element after the first, which stands for itself."""
-    elems = iter(elems)
-    acc = next(elems, None)
-    if acc is None or S._holders is None:
-        for e in elems:
-            acc = join(S, acc, e)
-            if acc is None:
-                return None
-        return acc
-    holders, up = S._holders[0], S.up
-    mask = up[acc]
+    """Fold of binary joins; None as soon as one join is missing."""
+    acc = None
     for e in elems:
-        mask &= up[e]
-        acc = holders.get(mask)
+        acc = e if acc is None else join(S, acc, e)
         if acc is None:
             return None
     return acc

@@ -148,10 +148,9 @@ def make_category(objects, arrows, d, r, unit, comp):
                 raise AxiomFail("RP", (x, y))
     # an adjoined zero n_arr stands for every undefined composite; given DP
     # and RP, only composable triples can then break associativity
-    table = [[n_arr if v == -1 else v for v in row] + [n_arr]
-             for row in comp] + [[n_arr] * (n_arr + 1)]
     try:
-        _check_assoc(table, table)
+        _check_assoc([[n_arr if v == -1 else v for v in row] + [n_arr]
+                      for row in comp] + [[n_arr] * (n_arr + 1)])
     except NotAssociative as exc:
         raise AxiomFail("A", exc.witness) from None
     for x in range(n_arr):

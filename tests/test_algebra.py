@@ -703,7 +703,7 @@ def test_classify_reuses_the_array_and_generators_of_make_algebra(
         monkeypatch, pt4):
     built, real = [], algebra._check_assoc
     monkeypatch.setattr(algebra, "_check_assoc",
-                        lambda mult, rows: built.append(real(mult, rows))
+                        lambda rows, a=None: built.append(real(rows, a))
                         or built[-1])
     S = make_algebra(pt4.names, pt4.mult, pt4.star, pt4.plus, pt4.zero)
     (a, gens), = built
@@ -731,17 +731,17 @@ def test_make_algebra_keeps_an_int16_product_table(monkeypatch):
             make_algebra(S.names, bad.astype(np.int16), S.star)
     handed, real = [], algebra._check_assoc
     monkeypatch.setattr(algebra, "_check_assoc",
-                        lambda mult, rows: handed.append(mult)
-                        or real(mult, rows))
+                        lambda rows, a=None: handed.append(a)
+                        or real(rows, a))
     T = slice_semigroup(gen_pair_groupoid(3))
     assert handed == [T._mult_array] and handed[0] is T._mult_array
 
 
 def test_generators_match_the_array_closure(pt4, pt4_subsemigroups):
-    # the closure over Python rows picks the same generators, in the same
-    # order, as the closure over products of arrays it replaced; on the
-    # 64-element left-zero band every element generates only itself, so
-    # both give up at n // 8 generators
+    # on these semigroups the closure over Python rows picks the same
+    # generators, in the same order, as the closure over products of
+    # arrays it replaced; on the 64-element left-zero band every element
+    # generates only itself, so both give up at n // 8 generators
     left_zero = [[i] * 64 for i in range(64)]
     tables = [gen_pt(3).mult, pt4.mult, gen_i(4).mult,
               gen_triangular(4).mult,
@@ -795,9 +795,9 @@ def _tied_preorders():
 
 
 def test_join_all_on_tied_preorders_is_the_binary_fold(monkeypatch):
-    # on a preorder join_all folds the AND of the up sets, one lookup an
-    # element; a lone element stays itself even where the lowest element
-    # holding its up set is another, as in a fold of binary joins
+    # on preorders with tied up sets join_all is a fold of binary joins: a
+    # lone element stays itself even where the lowest element holding its
+    # up set is another, and the join cover keeps the brute force witness
     def binary_fold(S, elems):
         acc = None
         for e in elems:

@@ -145,20 +145,9 @@ class BiUnaryAlgebra:
 
     @_memo
     def _order_masks(self):
-        n, mult, star = self.n, self.mult, self.star
-        if n > _NUMPY_THRESHOLD:
-            import numpy as np
-            leq = self._mult_array[:, star].T == np.arange(n)[:, None]
-            return _row_masks(leq), _row_masks(leq.T)
-        up = [0] * n
-        down = [0] * n
-        for i in range(n):
-            si = star[i]
-            for j in range(n):
-                if mult[j][si] == i:
-                    up[i] |= 1 << j
-                    down[j] |= 1 << i
-        return tuple(up), tuple(down)
+        import numpy as np
+        leq = self._mult_array[:, self.star].T == np.arange(self.n)[:, None]
+        return _row_masks(leq), _row_masks(leq.T)
 
     # up and down ranked for _least and _least_array (see _rank)
     @_memo
@@ -188,12 +177,13 @@ class BiUnaryAlgebra:
                 table[s][t] = table[t][s] = join(self, s, t)
         return tuple(map(tuple, table))
 
-    # numpy forms, used above _NUMPY_THRESHOLD elements
+    # numpy forms; the join matrix is read above _NUMPY_THRESHOLD only
 
     @_memo
     def _mult_array(self):
         import numpy as np
-        return np.array(self.mult, dtype=_INDEX_DTYPE)
+        # reshaped, so that the empty table is 0 x 0 too
+        return np.array(self.mult, dtype=_INDEX_DTYPE).reshape(self.n, self.n)
 
     @_memo
     def _join_arrays(self):

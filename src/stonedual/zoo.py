@@ -161,19 +161,15 @@ def _complete_comp(n_arr, d, r, unit, relabellings):
             left, right = comp[ab][y], comp[a][z]
             if left >= 0 and right >= 0 and left != right:
                 return False
-        # cell (x, y) as a left-outer value: x = a*b, y = c
+        # cell (x, y) as a left-outer value: x = a*b, y = c (d(b) = r(y))
         for a, b in occ[x]:
-            if d[b] != r[y]:
-                continue
             bc = comp[b][y]
             if bc >= 0:
                 right = comp[a][bc]
                 if right >= 0 and right != z:
                     return False
-        # cell (x, y) as a right-outer value: x = a, y = b*c
+        # cell (x, y) as a right-outer value: x = a, y = b*c (r(b) = d(x))
         for b, c in occ[y]:
-            if d[x] != r[b]:
-                continue
             ab = comp[x][b]
             if ab >= 0:
                 left = comp[ab][c]

@@ -285,6 +285,26 @@ def rank_rows_reference(sig):
 
 
 # ---------------------------------------------------------------------------
+# the natural order by the Python loop that BiUnaryAlgebra._order_masks ran
+# on tables of at most 14 elements, before it ran in numpy at every size
+
+
+def order_masks_reference(S):
+    """(up, down): up[i] = bitmask of {j : i <= j}, down[j] = bitmask of
+    {i : i <= j}, in the natural order a <= b iff a = b * a^*."""
+    n, mult, star = S.n, S.mult, S.star
+    up = [0] * n
+    down = [0] * n
+    for i in range(n):
+        si = star[i]
+        for j in range(n):
+            if mult[j][si] == i:
+                up[i] |= 1 << j
+                down[j] |= 1 << i
+    return tuple(up), tuple(down)
+
+
+# ---------------------------------------------------------------------------
 # category associativity by the composable-triple loop
 
 

@@ -13,8 +13,9 @@ from oracles import (br1_witness_brute, br1prime_witness_brute,
                      check_morphism_by_chain, generators_reference,
                      inverse_map, is_preorder_brute,
                      join_all_brute, join_cover_witness_brute,
-                     leq as oracle_leq, nat_leq, no_meet_witness_brute,
-                     parse_map, weak_meet_witness_brute)
+                     leq as oracle_leq, map_name, nat_leq,
+                     no_meet_witness_brute, order_masks_reference, parse_map,
+                     weak_meet_witness_brute)
 from stonedual import algebra
 from stonedual.algebra import (SIZE_BOUND, BiUnaryAlgebra, MorphismVerdict,
                                bd_subalgebra, check_morphism, classify,
@@ -24,10 +25,14 @@ from stonedual.algebra import (SIZE_BOUND, BiUnaryAlgebra, MorphismVerdict,
                                partial_isomorphisms, projection_gba,
                                projections, SemigroupMorphism,
                                with_inferred_plus)
-from stonedual.errors import (BadTableShape, InvariantViolation, MathFail,
-                              NoLeftUnit, NoPlusTable, NotAssociative,
-                              PlusStarMismatch, SdlError, TooLarge)
-from stonedual.category import slice_semigroup
+from stonedual.errors import (BadTableShape, CompDomainMismatch, InputError,
+                              InvariantViolation, MathFail, NoLeftUnit,
+                              NoPlusTable, NotAssociative, PlusStarMismatch,
+                              SdlError, TooLarge, UnknownElement)
+from stonedual.category import Cofunctor, make_category, slice_semigroup
+from stonedual.duality import verify_groupoidal
+from stonedual.io import instance_to_dict
+from stonedual.report import format_witness
 from stonedual.zoo import gen_i, gen_pair_groupoid, gen_pt, gen_triangular
 
 
@@ -158,6 +163,17 @@ def test_right_compatibility_means_agreement_on_overlap():
             overlap = set(maps[s]) & set(maps[t])
             agree = all(maps[s][x] == maps[t][x] for x in overlap)
             assert compatible(S, s, t, "right") == agree
+
+
+def test_left_compatibility_means_an_idempotent_quotient():
+    # in an inverse semigroup t^+ s = s^+ t just when s^-1 t is idempotent
+    S = gen_i(3)
+    inv = [S.names.index(map_name(inverse_map(parse_map(nm)), 3))
+           for nm in S.names]
+    for s in range(S.n):
+        for t in range(S.n):
+            q = S.mult[inv[s]][t]
+            assert compatible(S, s, t, "left") == (S.mult[q][q] == q)
 
 
 def test_left_compatibility_needs_plus():
@@ -525,7 +541,9 @@ def _mutated_tables():
 def test_numpy_classification_matches_python_on_mutated_tables(monkeypatch):
     # most mutated tables are no longer Ehresmann, so their natural order
     # need not be a partial order; the numpy join kernel is read only under
-    # the restriction flag, and the meets scan is Python only
+    # the restriction flag, and the meets scan is Python only.  The natural
+    # order runs in numpy at both cutoffs (see
+    # test_order_masks_and_support_scans_match_the_python_loops)
     not_partial = 0
     for S, mult, star in _mutated_tables():
         seen = []
@@ -536,6 +554,33 @@ def test_numpy_classification_matches_python_on_mutated_tables(monkeypatch):
         assert seen[0] == seen[1], (S.names, mult, star)
         not_partial += not _is_partial_order(T)
     assert not_partial > 10, not_partial
+
+
+def test_order_masks_and_support_scans_match_the_python_loops(
+        monkeypatch, zoo_sgs, corpus_cats):
+    # the natural order runs in numpy at every size, against the Python loop
+    # it replaced; the support and restriction axioms keep both forms, each
+    # run at both cutoffs.  The tables fail each axiom at many places, and
+    # the empty one, which the loops take at either cutoff, is included
+    family = [BiUnaryAlgebra(S.names, mult, star, S.plus, S.zero)
+              for S, mult, star in _mutated_tables()]
+    family += [*small_subsemigroups(gen_pt(3)), *small_subsemigroups(gen_i(3))]
+    family += [slice_semigroup(C) for _, C in corpus_cats]
+    family += [*zoo_sgs.values(), make_algebra([], [], [])]
+    failed = Counter()
+    for S in family:
+        assert (S.up, S.down) == order_masks_reference(S), S.names
+        seen = []
+        for threshold in (SIZE_BOUND, 0):  # Python, numpy
+            monkeypatch.setattr(algebra, "_NUMPY_THRESHOLD", threshold)
+            seen.append((algebra._star_axiom_witness(S),
+                         algebra._restriction_witness(S)))
+        assert seen[0] == seen[1], S.names
+        failed.update(w[0] for w in seen[0] if w is not None)
+    assert len(family) == 2023 and failed == {
+        "x*support(x)=x": 56, "supports-commute-and-are-projections": 15,
+        "support(xy)=support(support(x)y)": 25,
+        "support(x)y=y support(xy)": 93}, failed
 
 
 # generators of sub-semigroups of pt_4, closed under product and star, that
@@ -1446,3 +1491,62 @@ def test_iso_algebras_rejects_same_size_non_isomorphic():
     T = gen_triangular(2)
     stripped = make_algebra(T.names, T.mult, T.star)
     assert iso_algebras(chain, stripped) is None
+
+
+# -- rejected inputs ---------------------------------------------------------
+
+def _stripped_pt2():
+    S = gen_pt(2)
+    return make_algebra(S.names, S.mult, S.star)
+
+
+def _k2_acting_off_its_domain():
+    # K_2's arrow 0 starts at object 0, but the anchor sits at object 1
+    K1, K2 = gen_pair_groupoid(1), gen_pair_groupoid(2)
+    return Cofunctor(K2, K1, [1], [[0], [-1], [-1], [-1]],
+                     [[0], [-1], [-1], [-1]])
+
+
+def _k1_lifting_to_nothing():
+    # mu is defined at both objects, rho1 only at the first
+    K1, K2 = gen_pair_groupoid(1), gen_pair_groupoid(2)
+    return Cofunctor(K1, K2, [0, 0], [[0, 1]], [[K2.unit[0], -1]])
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: make_category(["o"], ["u"], [0], [0], [0], [[-1]]),
+     CompDomainMismatch, "comp undefined on composable pair (0,0)"),
+    (_k2_acting_off_its_domain, CompDomainMismatch,
+     "action defined off its domain at (0,0)"),
+    (_k1_lifting_to_nothing, CompDomainMismatch,
+     "action undefined on its domain at (0,1)"),
+    (lambda: verify_groupoidal("not an instance"), UnknownElement,
+     "cannot check groupoidality of str"),
+    (lambda: deterministic_sets(_stripped_pt2()), NoPlusTable,
+     "codeterminism needs a plus table"),
+    (lambda: _stripped_pt2().leq_plus(0, 1), NoPlusTable,
+     "the dual order needs a plus table"),
+    (lambda: check_morphism(SemigroupMorphism(
+        gen_pt(1), gen_pt(1), (0, 1)), 5), InputError,
+     "unknown morphism type 5"),
+    (lambda: compatible(gen_pt(2), 0, 1, "up"), InputError,
+     "unknown compatibility mode 'up'"),
+    (lambda: instance_to_dict(object()), InputError,
+     "cannot serialize object"),
+    # a flag name that is not a rule, and a rule that is not a flag
+    (lambda: classify(gen_pt(2)).etale, AttributeError, "etale"),
+    (lambda: classify(gen_pt(2))._BR2, AttributeError, "_BR2"),
+], ids=["comp-undefined", "action-off-domain", "lift-undefined",
+        "groupoidal-of-str", "deterministic-without-plus",
+        "plus-order-without-plus", "morphism-type-5", "compatible-up",
+        "serialize-object", "unknown-flag", "private-flag"])
+def test_rejected_inputs_raise_with_their_message(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+def test_witnesses_format_sets_in_string_order():
+    # a frozenset prints as its formatted members in sorted order
+    assert format_witness(("atoms", frozenset({9, 10, (1, "a b")}),
+                           frozenset())) == "(atoms,{(1,ab),10,9},{})"

@@ -32,8 +32,8 @@ from stonedual.duality import (GermCategory, category_signature,
 from stonedual.errors import (InvariantViolation, MathFail, NoLocalUnits,
                               NotAMorphism, NotBooleanBirestriction,
                               NotPreBoolean, UnknownElement)
-from stonedual.zoo import (gen_free_arrow, gen_i, gen_pair_groupoid, gen_pt,
-                           gen_triangular)
+from stonedual.zoo import (enumerate_categories, gen_free_arrow, gen_i,
+                           gen_pair_groupoid, gen_pt, gen_triangular)
 
 
 def chain_semilattice(n):
@@ -480,6 +480,38 @@ def test_groupoid_criterion_on_semigroups(gen, n, expect):
     rep = verify_groupoidal(S)
     assert rep.passed, rep.render()
     assert ("inversion" in rep.data) == expect
+
+
+@pytest.mark.slow
+def test_every_category_with_six_arrows_passes_the_roundtrip():
+    # every class of enumerate_categories(6, 6), with what sdl roundtrip
+    # checks at the category and at its slice semigroup, and the groupoid
+    # criterion; 2,896 of the 3,257 slice semigroups have at most 14
+    # elements, the largest 64
+    failures, sizes = [], []
+    for C in enumerate_categories(6, 6):
+        S = slice_semigroup(C)
+        sizes.append(S.n)
+        cls, eta = classify(S), unit_eta(S)
+        iso = len(set(eta.map)) == eta.target.n
+        checks = {
+            "adjunction": verify_adjunction(C).passed,
+            "counit-bijective-on-arrows":
+                check_cofunctor(counit_epsilon(C)).bijective_on_arrows,
+            "germ-of-slices-iso-to-original":
+                iso_categories(germ_category(S).category, C) is not None,
+            "groupoidal": verify_groupoidal(C).passed,
+            "semigroup-adjunction": verify_adjunction(S).passed,
+            "unit-injective": len(set(eta.map)) == S.n,
+            "unit-iso-iff-boolean-restriction":
+                iso == cls.boolean_restriction,
+            "birestriction-equivalence": not cls.boolean_birestriction
+                or verify_birestriction_equivalence(S).passed}
+        failures += [(C.arrows, C.comp, name)
+                     for name, ok in checks.items() if not ok]
+    assert failures == []
+    assert len(sizes) == 3257 and max(sizes) == 64
+    assert sum(n <= algebra._NUMPY_THRESHOLD for n in sizes) == 2896
 
 
 def test_with_inferred_plus_matches_stored_table():

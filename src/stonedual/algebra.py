@@ -145,9 +145,16 @@ class BiUnaryAlgebra:
 
     @_memo
     def _order_masks(self):
-        import numpy as np
-        leq = self._mult_array[:, self.star].T == np.arange(self.n)[:, None]
-        return _row_masks(leq), _row_masks(leq.T)
+        """(up, down).  a <= b iff a = b e for the projection e = a^*: each b
+        and projection e give one candidate b e, below b iff (b e)^* = e."""
+        n, star, proj = self.n, self.star, self._projections
+        up, down, bit = [0] * n, [0] * n, [1 << i for i in range(n)]
+        for b, row in enumerate(self.mult):
+            for e in proj:
+                if star[a := row[e]] == e:
+                    up[a] |= bit[b]
+                    down[b] |= bit[a]
+        return tuple(up), tuple(down)
 
     # up and down ranked for _least and _least_array (see _rank)
     @_memo
@@ -351,13 +358,6 @@ def _is_preorder(masks):
     return all(m >> i & 1 for i, m in enumerate(masks)) and all(
         reduce(or_, map(masks.__getitem__, _iter_bits(m))) == m
         for m in set(masks))
-
-
-def _row_masks(rel):
-    """The rows of a bool matrix as bitmasks."""
-    import numpy as np
-    return tuple(int.from_bytes(row.tobytes(), "little")
-                 for row in np.packbits(rel, axis=1, bitorder="little"))
 
 
 def _least_array(rank):

@@ -5,7 +5,10 @@ import pytest
 
 import stonedual.algebra
 import stonedual.category
-from stonedual.algebra import AlgebraClassification, make_algebra
+from stonedual.algebra import (AlgebraClassification, bd_subalgebra,
+                               iso_algebras, make_algebra)
+from stonedual.category import slice_semigroup
+from stonedual.duality import germ_category, iso_categories
 from stonedual.zoo import (corpus_categories, corpus_semigroups, gen_pt,
                            subsemigroup, zoo_categories, zoo_semigroups)
 
@@ -78,9 +81,41 @@ def shuffle_algebra(S, perm):
     mult = [[perm[S.mult[inv[i]][inv[j]]] for j in range(S.n)]
             for i in range(S.n)]
     star = [perm[S.star[inv[i]]] for i in range(S.n)]
-    plus = [perm[S.plus[inv[i]]] for i in range(S.n)]
+    plus = S.plus and [perm[S.plus[inv[i]]] for i in range(S.n)]
     return make_algebra(names, mult, star, plus,
                         perm[S.zero] if S.zero is not None else None)
+
+
+def bislice_composites(C):
+    """The paper's other equivalence from the category side, as named
+    checks on C: bd(Slice(C)) has the bislices of C as its elements and is
+    isomorphic to their semigroup, Germ(bd(Slice(C))) is isomorphic to C,
+    and the bridge sending each germ, a singleton bislice {t}, to t is a
+    bijection that carries d, r, unit and comp over."""
+    S = slice_semigroup(C)
+    B, keep = bd_subalgebra(S)
+    T = slice_semigroup(C, bislices_only=True)
+    germs = germ_category(B)
+    G = germs.category
+    singles = [[a for a in S.slice_sets[keep[x]] if a >= 0]
+               for x in germs.germ_elems]
+    if any(len(t) != 1 for t in singles):
+        return {"germs-are-singletons": False}
+    f = [t for t, in singles]
+    g = [C.d[f[G.unit[i]]] for i in range(G.n_obj)]
+    comp = [[f[k] if k >= 0 else -1 for k in row] for row in G.comp]
+    return {
+        "bd-iso-to-bislices": iso_algebras(B, T) is not None
+        and sorted(S.slice_sets[k] for k in keep) == sorted(T.slice_sets),
+        "germ-of-bd-iso-to-original": iso_categories(G, C) is not None,
+        "germ-bridge-carries-structure":
+            sorted(f) == list(range(C.n_arr))
+            and sorted(g) == list(range(C.n_obj))
+            and all(C.d[f[j]] == g[G.d[j]] and C.r[f[j]] == g[G.r[j]]
+                    for j in range(G.n_arr))
+            and all(C.unit[g[i]] == f[G.unit[i]] for i in range(G.n_obj))
+            and all(comp[i][j] == C.comp[f[i]][f[j]]
+                    for i in range(G.n_arr) for j in range(G.n_arr))}
 
 
 def small_subsemigroups(P, limit=12):

@@ -285,8 +285,9 @@ def rank_rows_reference(sig):
 
 
 # ---------------------------------------------------------------------------
-# the natural order by the Python loop that BiUnaryAlgebra._order_masks ran
-# on tables of at most 14 elements, before it ran in numpy at every size
+# the natural order by the loop over all pairs, which
+# BiUnaryAlgebra._order_masks ran on tables of at most 14 elements before
+# it became one loop over the projections
 
 
 def order_masks_reference(S):

@@ -17,7 +17,8 @@ from oracles import (br1_witness_brute, br1prime_witness_brute,
                      no_meet_witness_brute, order_masks_reference, parse_map,
                      weak_meet_witness_brute)
 from stonedual import algebra
-from stonedual.algebra import (SIZE_BOUND, BiUnaryAlgebra, MorphismVerdict,
+from stonedual.algebra import (SIZE_BOUND, AlgebraClassification,
+                               BiUnaryAlgebra, MorphismVerdict,
                                bd_subalgebra, check_morphism, classify,
                                compatible, deterministic_sets, has_local_units,
                                infer_cosupport, iso_algebras,
@@ -542,7 +543,7 @@ def test_numpy_classification_matches_python_on_mutated_tables(monkeypatch):
     # most mutated tables are no longer Ehresmann, so their natural order
     # need not be a partial order; the numpy join kernel is read only under
     # the restriction flag, and the meets scan is Python only.  The natural
-    # order runs in numpy at both cutoffs (see
+    # order has one form, a loop, at both cutoffs (see
     # test_order_masks_and_support_scans_match_the_python_loops)
     not_partial = 0
     for S, mult, star in _mutated_tables():
@@ -558,10 +559,11 @@ def test_numpy_classification_matches_python_on_mutated_tables(monkeypatch):
 
 def test_order_masks_and_support_scans_match_the_python_loops(
         monkeypatch, zoo_sgs, corpus_cats):
-    # the natural order runs in numpy at every size, against the Python loop
-    # it replaced; the support and restriction axioms keep both forms, each
-    # run at both cutoffs.  The tables fail each axiom at many places, and
-    # the empty one, which the loops take at either cutoff, is included
+    # the natural order, one loop over the projections at every size,
+    # against the loop over all pairs; the support and restriction axioms
+    # keep both forms, each run at both cutoffs.  The tables fail each axiom
+    # at many places, and the empty one, which the loops take at either
+    # cutoff, is included
     family = [BiUnaryAlgebra(S.names, mult, star, S.plus, S.zero)
               for S, mult, star in _mutated_tables()]
     family += [*small_subsemigroups(gen_pt(3)), *small_subsemigroups(gen_i(3))]
@@ -581,6 +583,32 @@ def test_order_masks_and_support_scans_match_the_python_loops(
         "x*support(x)=x": 56, "supports-commute-and-are-projections": 15,
         "support(xy)=support(support(x)y)": 25,
         "support(x)y=y support(xy)": 93}, failed
+
+
+def test_order_masks_match_the_pair_loop_with_all_or_one_projection():
+    # the natural order tries n * |P| candidates: all n^2 when every element
+    # is a projection (chains and bands, star the identity), and n when only
+    # 0 is (the null semigroup and Z_n, star 0), each also relabelled (and
+    # so checked associative by make_algebra).  The related pairs counted
+    # are those of the unrelabelled tables
+    n, ids, rng = 200, range(200), random.Random(0)
+    tables = {
+        "min": ([[min(i, j) for j in ids] for i in ids], ids),
+        "max": ([[max(i, j) for j in ids] for i in ids], ids),
+        "left-zero": ([[i for _ in ids] for i in ids], ids),
+        "right-zero": ([list(ids) for _ in ids], ids),
+        "null": ([[0] * n for _ in ids], [0] * n),
+        "Z_n": ([[(i + j) % n for j in ids] for i in ids], [0] * n)}
+    pairs = {}
+    for name, (mult, star) in tables.items():
+        S = BiUnaryAlgebra([f"x{i}" for i in ids], mult, star)
+        T = shuffle_algebra(S, rng.sample(range(n), n))
+        for A in (S, T):
+            assert (A.up, A.down) == order_masks_reference(A), name
+        pairs[name] = sum(m.bit_count() for m in S.up)
+    assert pairs == {"min": n * (n + 1) // 2, "max": n * (n + 1) // 2,
+                     "left-zero": n, "right-zero": n * n, "null": n,
+                     "Z_n": n}, pairs
 
 
 # generators of sub-semigroups of pt_4, closed under product and star, that
@@ -1153,6 +1181,13 @@ def test_classification_render_mentions_witness():
     text = classify(gen_i(2)).render(gen_i(2).names)
     assert "boolean_restriction=false" in text
     assert "witness=" in text
+
+
+def test_render_names_only_the_indices_of_elements():
+    # a witness entry is renamed when it indexes an element: 0 is, while
+    # len(names) and -1 (no element) are printed as they are
+    cls = AlgebraClassification([("f", (), lambda: ("x", (0, 3, -1)))])
+    assert cls.render(["a", "b", "c"]) == "f=false witness=(x,(a,3,-1))"
 
 
 # -- morphisms ----------------------------------------------------------------

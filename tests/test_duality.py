@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from conftest import planted, small_subsemigroups
+from conftest import bislice_composites, planted, small_subsemigroups
 from oracles import (choice_arrows, germ_relation_mismatch, proj_atoms,
                      pushforward_set, theta_set)
 from stonedual import algebra, category, duality
@@ -485,9 +485,10 @@ def test_groupoid_criterion_on_semigroups(gen, n, expect):
 @pytest.mark.slow
 def test_every_category_with_six_arrows_passes_the_roundtrip():
     # every class of enumerate_categories(6, 6), with what sdl roundtrip
-    # checks at the category and at its slice semigroup, and the groupoid
-    # criterion; 2,896 of the 3,257 slice semigroups have at most 14
-    # elements, the largest 64
+    # checks at the category and at its slice semigroup, the groupoid
+    # criterion, étale range and both composites of the Boolean
+    # birestriction equivalence from the category side; 2,896 of the 3,257
+    # slice semigroups have at most 14 elements, the largest 64
     failures, sizes = [], []
     for C in enumerate_categories(6, 6):
         S = slice_semigroup(C)
@@ -506,7 +507,9 @@ def test_every_category_with_six_arrows_passes_the_roundtrip():
             "unit-iso-iff-boolean-restriction":
                 iso == cls.boolean_restriction,
             "birestriction-equivalence": not cls.boolean_birestriction
-                or verify_birestriction_equivalence(S).passed}
+                or verify_birestriction_equivalence(S).passed,
+            "etale-range": cls.etale_range,
+            **bislice_composites(C)}
         failures += [(C.arrows, C.comp, name)
                      for name, ok in checks.items() if not ok]
     assert failures == []

@@ -36,10 +36,15 @@ def test_library_reads_flags_one_at_a_time():
 
 def test_importing_the_package_leaves_numpy_unloaded():
     # importing the package does not load numpy: every numpy import sits
-    # inside the function that needs it.  Reading the natural order of a
-    # table does load it, whatever its size; a fresh interpreter shows
-    # whether an import leaked to module level
-    code = "import sys, stonedual; print('numpy' in sys.modules)"
+    # inside the function that needs it.  Nor does a small table: the
+    # natural order is a Python loop at every size, and every other scan
+    # takes its Python form up to the size cutoff, so classifying pt_2 with
+    # every flag forced, its unit and its adjunction check stay numpy-free.
+    # A fresh interpreter shows whether an import leaked
+    code = ("import sys, stonedual as sd; S = sd.gen_pt(2); "
+            "sd.classify(S).flags; sd.unit_eta(S); "
+            "assert sd.verify_adjunction(S).passed; "
+            "print('numpy' in sys.modules)")
     src = str(Path(stonedual.__file__).parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from itertools import chain, combinations, product
 from operator import add, and_, or_
 
@@ -39,10 +39,14 @@ class _memo:
     instance dict, where every later read finds it first.  Unlike
     functools.cached_property it takes no lock on a first read (Python
     3.11 takes one); two threads racing on a first read may both derive
-    the value, and the one stored last is kept."""
+    the value, and the one stored last is kept.
 
-    def __init__(self, func):
-        self.func, self.__doc__ = func, func.__doc__
+    A table memo holds a value that the tables alone determine: on an
+    object whose tables_of is set, a first read takes the value from that
+    object, derived there if need be, and keeps it on both."""
+
+    def __init__(self, func, tables=False):
+        self.func, self.__doc__, self.tables = func, func.__doc__, tables
 
     def __set_name__(self, owner, name):
         self.name = name
@@ -50,8 +54,15 @@ class _memo:
     def __get__(self, obj, owner=None):
         if obj is None:
             return self
-        obj.__dict__[self.name] = value = self.func(obj)
+        root = obj.tables_of if self.tables else None
+        value = self.func(obj) if root is None else getattr(root, self.name)
+        obj.__dict__[self.name] = value
         return value
+
+
+# a _memo read through tables_of: it may read the tables of its object,
+# never its names or its links to other objects
+_table_memo = partial(_memo, tables=True)
 
 
 def _kept(derive):
@@ -94,6 +105,9 @@ class BiUnaryAlgebra:
         # set by category.slice_semigroup, duality.germ_category and
         # duality.unit_eta
         self.slice_parent = self.slice_sets = self.germ = self.eta = None
+        # set by category.slice_semigroup: the first algebra built with
+        # self's tables, whose table memos self reads
+        self.tables_of = None
         # set by make_algebra: generators proved associative (see _br3_witness)
         self._generating_set = None
         # (target, map) -> the flags of the map from self (see
@@ -117,7 +131,7 @@ class BiUnaryAlgebra:
         """The two-sided zero element, if the multiplication has one."""
         return self._detected_zero
 
-    @_memo
+    @_table_memo
     def _detected_zero(self):
         mult = self.mult
         return next((z for z in range(self.n)
@@ -143,7 +157,7 @@ class BiUnaryAlgebra:
         """down[j] = bitmask of {i : i <= j}."""
         return self._order_masks[1]
 
-    @_memo
+    @_table_memo
     def _order_masks(self):
         """(up, down).  a <= b iff a = b e for the projection e = a^*: each b
         and projection e give one candidate b e, below b iff (b e)^* = e."""
@@ -157,15 +171,15 @@ class BiUnaryAlgebra:
         return tuple(up), tuple(down)
 
     # up and down ranked for _least and _least_array (see _rank)
-    @_memo
+    @_table_memo
     def _up_rank(self):
         return _rank(self.up)
 
-    @_memo
+    @_table_memo
     def _down_rank(self):
         return _rank(self.down)
 
-    @_memo
+    @_table_memo
     def _holders(self):
         """(up, down): each up or down mask mapped to the lowest element
         whose mask it is, when the order is a preorder; else None (see
@@ -174,7 +188,7 @@ class BiUnaryAlgebra:
             return None
         return _lowest_holders(self.up), _lowest_holders(self.down)
 
-    @_memo
+    @_table_memo
     def joins(self):
         """joins[s][t] = join(self, s, t), for every pair at once."""
         n = self.n
@@ -186,20 +200,20 @@ class BiUnaryAlgebra:
 
     # numpy forms; the join matrix is read above _NUMPY_THRESHOLD only
 
-    @_memo
+    @_table_memo
     def _mult_array(self):
         import numpy as np
         # reshaped, so that the empty table is 0 x 0 too
         return np.array(self.mult, dtype=_INDEX_DTYPE).reshape(self.n, self.n)
 
-    @_memo
+    @_table_memo
     def _join_arrays(self):
         """(joins, bounded): the join of every pair as an int matrix, -1
         where there is none, and whether it has an upper bound; read only
         on associative Ehresmann tables (see _least_array)."""
         return _least_array(self._up_rank)
 
-    @_memo
+    @_table_memo
     def _deterministic_sets(self):
         """deterministic_sets(self), computed once."""
         mult, star, plus = self.mult, self.star, self.plus
@@ -212,7 +226,7 @@ class BiUnaryAlgebra:
                              for e in proj))
         return det, codet, tuple(sorted(set(det) & set(codet)))
 
-    @_memo
+    @_table_memo
     def classification(self):
         """classify(self), computed once."""
         return _classify(self)
@@ -258,7 +272,7 @@ class BiUnaryAlgebra:
         universe = [self.name(a) for a in atoms]
         return gba_mod.FinGBA(universe, family), to_mask, from_mask
 
-    @_memo
+    @_table_memo
     def iso_structure(self):
         """The tables an isomorphism preserves: ([star, plus], mult), with
         star standing in for a missing plus."""
@@ -269,7 +283,7 @@ class BiUnaryAlgebra:
         """The binary table of iso_structure as a numpy array."""
         return self._mult_array
 
-    @_memo
+    @_table_memo
     def iso_codes(self):
         """Refinement codes of the elements (see _refine), computed once."""
         (star, plus), mult = self.iso_structure
@@ -901,9 +915,12 @@ class AlgebraClassification:
     def _eval(self, flag):
         if flag not in self._wit:
             prereqs, check = self._rules[flag]
-            w = next((w for w in map(self._eval, prereqs) if w is not None),
-                     None)
-            self._wit[flag] = check() if w is None and check else w
+            for p in prereqs:
+                if (w := self._eval(p)) is not None:
+                    break
+            else:
+                w = check() if check else None
+            self._wit[flag] = w
         return self._wit[flag]
 
     def __getattr__(self, flag):
@@ -1382,7 +1399,17 @@ def _find_iso(X, Y):
     reaches it is skipped.  Only partial maps that no isomorphism extends
     are cut and candidates run in order, so the map returned is the first
     isomorphism in that order.  A complete map gets check_morphism's
-    exhaustive check, _unpreserved."""
+    exhaustive check, _unpreserved.
+
+    When X and Y hold one table (one root through tables_of), the
+    identity is returned at once, the map the search returns: order is
+    stable, so a colour class comes in ascending index; if every element
+    assigned so far is assigned to itself, the next one, s, finds each
+    smaller member of its class taken, so s is its first free candidate,
+    and closing s -> s forces only pairs (x, x), which never conflict.
+    The identity then passes _unpreserved on equal tables."""
+    if (X.tables_of or X) is (Y.tables_of or Y):
+        return tuple(range(len(X.iso_structure[1])))
     sigA, sigB = X.iso_codes, Y.iso_codes
     if sorted(sigA) != sorted(sigB):
         return None

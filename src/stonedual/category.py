@@ -19,10 +19,10 @@ from __future__ import annotations
 from math import prod
 
 from . import algebra
-from .algebra import (AlgebraClassification, SemigroupMorphism, _check_assoc,
-                      _check_size, _check_table, _find_iso, _memo, _refine,
-                      check_morphism, classify, deterministic_sets,
-                      make_algebra)
+from .algebra import (AlgebraClassification, BiUnaryAlgebra, SemigroupMorphism,
+                      _check_assoc, _check_size, _check_table, _find_iso,
+                      _memo, _refine, _table_memo, check_morphism, classify,
+                      deterministic_sets, make_algebra)
 from .errors import (AxiomFail, BadTableShape, CompDomainMismatch,
                      CompositionMismatch, InputError, InvariantViolation,
                      NotAssociative, NotBijectiveOnArrows, NotStarBijective)
@@ -41,6 +41,9 @@ class FinCat:
         self.n_obj = len(self.objects)
         self.n_arr = len(self.arrows)
         self.slice_sg = self.bislice_sg = None  # set by slice_semigroup
+        # set by duality.germ_category: the algebra self is the germ
+        # category of, and the first category built with self's tables
+        self.germ_of = self.tables_of = None
 
     def __repr__(self):
         return f"FinCat({self.n_obj} objects, {self.n_arr} arrows)"
@@ -54,27 +57,27 @@ class FinCat:
         """Arrows starting at object o."""
         return self._d_fibers[o]
 
-    @_memo
+    @_table_memo
     def _d_fibers(self):
         fib = [[] for _ in range(self.n_obj)]
         for a in range(self.n_arr):
             fib[self.d[a]].append(a)
         return tuple(map(tuple, fib))
 
-    @_memo
+    @_table_memo
     def iso_structure(self):
         """The tables an isomorphism preserves: the unary tables
         a -> 1_d(a) and a -> 1_r(a), and comp."""
         return ([[self.unit[o] for o in self.d],
                  [self.unit[o] for o in self.r]], self.comp)
 
-    @_memo
+    @_table_memo
     def _iso_binary(self):
         """The binary table of iso_structure as a numpy array."""
         import numpy as np
         return np.array(self.comp, dtype=algebra._INDEX_DTYPE)
 
-    @_memo
+    @_table_memo
     def iso_codes(self):
         """Refinement codes of the arrows (see algebra._refine), computed
         once."""
@@ -213,7 +216,8 @@ def slice_semigroup(C, bislices_only=False):
     if not bislices_only:
         _check_size(predicted_slice_count(C))
     elems = enumerate_slices(C, bislices_only)
-    S = _slice_algebra(C, elems, [_slice_name(C, s) for s in elems])
+    S = _slice_algebra(C, elems, [_slice_name(C, s) for s in elems],
+                       C.germ_of)
     S.slice_sets = tuple(elems)
     S.slice_parent = C
     cls = classify(S)
@@ -228,14 +232,35 @@ def slice_semigroup(C, bislices_only=False):
     return S
 
 
-def _slice_algebra(C, slices, names):
+def _slice_algebra(C, slices, names, like=None):
     """The algebra of the given slices (choices) of C, which must be closed
     under the operations: (A*B)[x] is B[x], then the arrow of A at r(B[x]),
     where both exist; support and cosupport are the units over the domains
     and ranges.  The empty slice is the zero.  Above the numpy cutoff the
-    tables come from _slice_tables."""
+    tables come from _slice_tables.
+
+    When the tables equal those of the algebra like, cell by cell, the
+    result holds like's tables and reads like's table memos through
+    tables_of, where make_algebra and every derivation would run again."""
     if len(slices) > algebra._NUMPY_THRESHOLD:
-        return make_algebra(names, *_slice_tables(C, slices))
+        import numpy as np
+        mult, star, plus, zero = _slice_tables(C, slices)
+        same_mult = lambda: np.array_equal(mult, like._mult_array)
+    else:
+        mult, star, plus, zero = _slice_table_rows(C, slices)
+        same_mult = lambda: like.mult == tuple(mult)
+    # the cheap tables first: a rebuild that differs costs little more
+    if like is not None and (like.n, like.zero, like.star, like.plus) == (
+            len(star), zero, tuple(star), tuple(plus)) and same_mult():
+        S = BiUnaryAlgebra(names, like.mult, like.star, like.plus, zero)
+        S.tables_of = like.tables_of or like
+        S._generating_set = like._generating_set
+        return S
+    return make_algebra(names, mult, star, plus, zero=zero)
+
+
+def _slice_table_rows(C, slices):
+    """_slice_algebra's four tables in Python, mult as rows of tuples."""
     objects, unit = range(C.n_obj), C.unit
     # -1 ranges to the extra object n_obj, where every choice has no arrow,
     # and composes through the extra all -1 row and column to -1
@@ -250,7 +275,8 @@ def _slice_algebra(C, slices, names):
         for A in slices:
             # after[o][b]: b, then the arrow of A at o
             after = [comp[a] for a in A] + [none]
-            mult.append([index[tuple(after[o][b] for o, b in B)] for B in ends])
+            mult.append(tuple([index[tuple(after[o][b] for o, b in B)]
+                               for B in ends]))
         star = [index[tuple(-1 if a < 0 else unit[x] for x, a in enumerate(A))]
                 for A in slices]
         plus = []
@@ -261,7 +287,7 @@ def _slice_algebra(C, slices, names):
         zero = index[(-1,) * C.n_obj]
     except KeyError:
         raise _unclosed_slices() from None
-    return make_algebra(names, mult, star, plus, zero=zero)
+    return mult, star, plus, zero
 
 
 def _unclosed_slices():

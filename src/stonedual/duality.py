@@ -83,6 +83,11 @@ def germ_category(S):
             comp[i][j] = gidx[mult[x][y]]
     cat = make_category([S.names[a] for a in atoms],
                         [S.names[x] for x in germs], d, r, unit, comp)
+    cat.germ_of, C = S, S.slice_parent
+    # cat passed make_category, so C's derived state holds for it too
+    if C is not None and (cat.d, cat.r, cat.unit, cat.comp) == (
+            C.d, C.r, C.unit, C.comp):
+        cat.tables_of = C.tables_of or C
     S.germ = GermCategory(S, cat, atoms, germs)
     return S.germ
 

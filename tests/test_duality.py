@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import random
 import subprocess
 import sys
 import weakref
@@ -16,10 +17,10 @@ from stonedual.algebra import (BiUnaryAlgebra, MorphismVerdict,
                                SemigroupMorphism, bd_subalgebra,
                                check_morphism, classify, infer_cosupport,
                                iso_algebras, make_algebra, projection_gba)
-from stonedual.category import (check_cofunctor, cofunctor_to_covering,
-                                compose_cofunctors, covering_to_cofunctor,
-                                enumerate_slices, identity_cofunctor,
-                                is_groupoid, make_category,
+from stonedual.category import (FinCat, check_cofunctor,
+                                cofunctor_to_covering, compose_cofunctors,
+                                covering_to_cofunctor, enumerate_slices,
+                                identity_cofunctor, is_groupoid, make_category,
                                 predicted_slice_count, semigroup_slices,
                                 slice_semigroup)
 from stonedual.duality import (GermCategory, category_signature,
@@ -488,12 +489,15 @@ def test_every_category_with_six_arrows_passes_the_roundtrip():
     # checks at the category and at its slice semigroup, the groupoid
     # criterion, étale range and both composites of the Boolean
     # birestriction equivalence from the category side; 2,896 of the 3,257
-    # slice semigroups have at most 14 elements, the largest 64
+    # slice semigroups have at most 14 elements, the largest 64.  Slices of
+    # the germ category hold the tables of S; and since every class,
+    # one-object or not, numbers its units in ascending order, the germ
+    # category holds the tables of C
     failures, sizes = [], []
     for C in enumerate_categories(6, 6):
         S = slice_semigroup(C)
         sizes.append(S.n)
-        cls, eta = classify(S), unit_eta(S)
+        cls, eta, G = classify(S), unit_eta(S), germ_category(S).category
         iso = len(set(eta.map)) == eta.target.n
         checks = {
             "adjunction": verify_adjunction(C).passed,
@@ -509,6 +513,8 @@ def test_every_category_with_six_arrows_passes_the_roundtrip():
             "birestriction-equivalence": not cls.boolean_birestriction
                 or verify_birestriction_equivalence(S).passed,
             "etale-range": cls.etale_range,
+            "slices-of-germs-share-tables": slice_semigroup(G).tables_of is S,
+            "germs-share-tables": G.tables_of is C,
             **bislice_composites(C)}
         failures += [(C.arrows, C.comp, name)
                      for name, ok in checks.items() if not ok]
@@ -576,6 +582,49 @@ def test_the_counit_is_checked_once(monkeypatch):
     assert (lift, unlifted) == ("_lift_collision", "_unlifted_arrow")
     assert eps is same
     assert check_cofunctor(eps) is check_cofunctor(eps) is eps.classification
+
+
+# -- one table, derived once ------------------------------------------------------------
+
+def test_rebuilt_tables_share_what_they_derive(corpus_cats, monkeypatch):
+    # Slice(Germ(Slice(C))) has exactly the tables of Slice(C), so it reads
+    # Slice(C)'s derived state through tables_of: that state must be what
+    # the rebuilt tables derive afresh, and the germ category's
+    # isomorphism to C the one the search finds on copies without links
+    rng = random.Random(40)
+    family = [C for _, C in corpus_cats] + [gen_pair_groupoid(4)]
+    for C in family:
+        C = relabel_category(C, rng.sample(range(C.n_obj), C.n_obj),
+                             rng.sample(range(C.n_arr), C.n_arr))
+        S = slice_semigroup(C)
+        G = germ_category(S).category
+        T = slice_semigroup(G)
+        assert T.tables_of is S and T.star is S.star
+        fresh = make_algebra(T.names, T.mult, T.star, T.plus, T.zero)
+        cls, ref = classify(T), classify(fresh)
+        assert (cls.flags, cls.witnesses) == (ref.flags, ref.witnesses)
+        assert (T.up, T.down, T.iso_codes) == (
+            fresh.up, fresh.down, fresh.iso_codes)
+        # the germ objects are the atoms {1_x}, numbered as their units
+        # are: C's own tables exactly when its units ascend
+        assert (G.tables_of is C) == (list(C.unit) == sorted(C.unit))
+        bare = [FinCat(X.objects, X.arrows, X.d, X.r, X.unit, X.comp)
+                for X in (G, C)]
+        assert iso_categories(G, C) == iso_categories(*bare)
+    # slices in another order give other tables: the rebuild takes the
+    # full path, and the triangle identity holds all the same
+    real = category.enumerate_slices
+    monkeypatch.setattr(category, "enumerate_slices", lambda C, bis=False: (
+        real(C, bis)[::-1] if C.germ_of is not None else real(C, bis)))
+    for C in family:
+        if C.n_obj > 2 or C.n_arr > 4:
+            continue
+        C = make_category(C.objects, C.arrows, C.d, C.r, C.unit, C.comp)
+        assert verify_adjunction(C).passed
+        assert slice_semigroup(C.slice_sg.germ.category).tables_of is None
+    # pt_3 is not numbered as the slices of its germ category are, so the
+    # semigroup side builds them afresh
+    assert slice_semigroup(germ_category(gen_pt(3)).category).tables_of is None
 
 
 # -- category isomorphism search -------------------------------------------------------

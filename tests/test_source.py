@@ -8,6 +8,8 @@ import sys
 from pathlib import Path
 
 import stonedual
+from stonedual.algebra import BiUnaryAlgebra, _memo
+from stonedual.category import FinCat
 
 
 def test_library_has_no_assert_statements():
@@ -101,4 +103,42 @@ def test_library_has_no_open_mesh_gathers():
     found = [f"{path.name}:{i}" for path in paths
              for i, line in enumerate(path.read_text().splitlines(), 1)
              if "np.ix_" in line]
+    assert found == []
+
+
+# the memos read through tables_of (see algebra._memo), which depend on the
+# tables alone, and those kept per object, whose values carry names: the
+# projection GBA's universe and the probe algebra of the cosupport
+TABLE_MEMOS = {
+    BiUnaryAlgebra: {"_detected_zero", "_order_masks", "_up_rank",
+                     "_down_rank", "_holders", "joins", "_mult_array",
+                     "_join_arrays", "_deterministic_sets", "classification",
+                     "iso_structure", "iso_codes"},
+    FinCat: {"_d_fibers", "iso_structure", "_iso_binary", "iso_codes"}}
+PER_OBJECT_MEMOS = {BiUnaryAlgebra: {"_projection_gba", "_cosupport"},
+                    FinCat: set()}
+
+
+def test_only_table_memos_follow_tables_of():
+    # an object sharing another's tables reads that object's table memos,
+    # so a memo added later is declared here one way or the other
+    for cls in TABLE_MEMOS:
+        memos = {name: m for name, m in vars(cls).items()
+                 if isinstance(m, _memo)}
+        assert {n for n, m in memos.items() if m.tables} == TABLE_MEMOS[cls]
+        assert {n for n, m in memos.items()
+                if not m.tables} == PER_OBJECT_MEMOS[cls]
+    # and no table memo reads a name or a link to another object
+    links = {"names", "name", "objects", "arrows", "slice_parent",
+             "slice_sets", "germ", "germ_of", "eta"}
+    bodies, found = set(), []
+    for path in Path(stonedual.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.FunctionDef) and any(
+                    getattr(d, "id", None) == "_table_memo"
+                    for d in node.decorator_list):
+                bodies.add(node.name)
+                found += [f"{path.name}:{x.lineno}" for x in ast.walk(node)
+                          if isinstance(x, ast.Attribute) and x.attr in links]
+    assert bodies == set().union(*TABLE_MEMOS.values())
     assert found == []

@@ -30,8 +30,7 @@ from .duality import (GermCategory, counit_epsilon, germ_category,
                       verify_groupoidal, with_inferred_plus)
 from .zoo import (corpus_categories, corpus_semigroups, enumerate_categories,
                   gen_free_arrow, gen_i, gen_pair_groupoid, gen_pt,
-                  gen_triangular, search_no_cosupport, zoo_categories,
-                  zoo_semigroups)
+                  gen_triangular, zoo_categories, zoo_semigroups)
 from .io import (CofunctorFile, MorphismFile, dumps_canonical,
                  instance_to_dict, load_instance, save_instance)
 

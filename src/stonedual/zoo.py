@@ -14,11 +14,10 @@ Categories beyond the named ones come from a bounded exhaustive enumeration
 
 from __future__ import annotations
 
-from itertools import (combinations, combinations_with_replacement,
-                       permutations)
+from itertools import combinations_with_replacement, permutations
 from itertools import product as iproduct
 
-from .algebra import _check_size, classify, make_algebra
+from .algebra import _check_size
 from .category import _slice_algebra, make_category
 from .errors import InputError
 
@@ -283,48 +282,3 @@ def corpus_categories(max_objects=3, max_arrows=5):
     for i, C in enumerate(enumerate_categories(max_objects, max_arrows)):
         members.append((f"enum_{i:03d}", C))
     return members
-
-
-def subsemigroup(P, gens, limit=None):
-    """The sub-semigroup of P generated by gens and closed under star, or
-    None once it has more than limit elements."""
-    elems = set(gens)
-    while limit is None or len(elems) <= limit:
-        new = {P.mult[a][b] for a in elems for b in elems}
-        new |= {P.star[a] for a in elems}
-        if new <= elems:
-            break
-        elems |= new
-    else:
-        return None
-    keep = sorted(elems)
-    pos = {e: i for i, e in enumerate(keep)}
-    return make_algebra([P.names[e] for e in keep],
-                        [[pos[P.mult[a][b]] for b in keep] for a in keep],
-                        [pos[P.star[a]] for a in keep])
-
-
-def search_no_cosupport(max_order=8):
-    """Exploratory: hunt for a restriction semigroup with local units that
-    admits no compatible cosupport, among small subalgebras of PT_3.
-
-    Closes systematically generated subsets of up to three generators under
-    product and star.  Returns (found, checked, witness).
-    """
-    PT = gen_pt(3)
-    checked = 0
-    seen = set()
-    for size in (1, 2, 3):
-        for gens in combinations(range(PT.n), size):
-            S = subsemigroup(PT, gens, max_order)
-            if S is None or S.names in seen:
-                continue
-            seen.add(S.names)
-            cls = classify(S)
-            if not (cls.restriction and cls.has_local_units):
-                continue
-            checked += 1
-            # classify infers the plus table whenever S is Ehresmann
-            if not cls.plus_inferred:
-                return True, checked, tuple(map(PT.names.index, S.names))
-    return False, checked, None

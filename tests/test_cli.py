@@ -519,6 +519,15 @@ def test_translate_command(files, capsys):
     assert "PASS covering-round-trip-exact" in out
 
 
+def test_translate_names_the_first_difference(files, capsys, monkeypatch):
+    # a cofunctor between other categories than the file's comes back
+    monkeypatch.setattr(cli, "covering_to_cofunctor", lambda g:
+                        identity_cofunctor(gen_pair_groupoid(1)))
+    assert run(["translate", files["cof"]]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL covering-round-trip-exact witness=(categories)" in out
+
+
 def test_zoo_command(tmp_path, capsys):
     out = tmp_path / "x.json"
     assert run(["zoo", "pt", "2", "-o", str(out)]) == 0
@@ -544,12 +553,12 @@ def test_every_zoo_output_passes_check(tmp_path):
         assert run(["check", str(out)]) == 0
 
 
-def test_search_command(capsys):
-    assert run(["search-no-cosupport", "--max-order", "3"]) == 0
-    assert "found=False" in capsys.readouterr().out
-    # order 4 is the first with a witness (see test_zoo)
-    assert run(["search-no-cosupport", "--max-order", "4"]) == 0
-    assert capsys.readouterr().out == "checked=103 found=True\nwitness=(0,1,2,8)\n"
+def test_removed_search_command_is_a_usage_error(capsys):
+    # the cosupport question is answered by the exhaustive pins of test_zoo
+    with pytest.raises(SystemExit) as exc:
+        run(["search-no-cosupport"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'search-no-cosupport'" in capsys.readouterr().err
 
 
 def test_console_script(files):

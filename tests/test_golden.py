@@ -21,15 +21,14 @@ import pathlib
 import random
 import tempfile
 
-from conftest import shuffle_algebra
+from conftest import shuffle_algebra, subsemigroup
 from stonedual.algebra import SemigroupMorphism
 from stonedual.category import identity_cofunctor
 from stonedual.cli import run
 from stonedual.duality import counit_epsilon
 from stonedual.io import (CofunctorFile, MorphismFile, instance_to_dict,
                           save_instance)
-from stonedual.zoo import (gen_i, gen_pt, subsemigroup, zoo_categories,
-                           zoo_semigroups)
+from stonedual.zoo import gen_i, gen_pt, zoo_categories, zoo_semigroups
 
 TRANSCRIPT_SHA256 = 'bc58b3dd5681654b87aba76e682411c6ed4b1db263ba3a281b6e79ef67f071f3'
 COMMAND_DIGESTS = """

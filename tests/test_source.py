@@ -23,6 +23,30 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
+def test_every_imported_name_is_used():
+    # an import that a deletion left behind: every name a module imports
+    # is read there, apart from the package's re-exports in __init__ and
+    # the two that duality keeps under their stonedual.duality names
+    re_exports = {"duality": {"category_signature", "iso_categories"}}
+    paths = sorted(Path(stonedual.__file__).parent.glob("*.py"))
+    found = []
+    for path in paths:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        found += [f"{path.name}:{node.lineno}:{name}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, (ast.Import, ast.ImportFrom))
+                  and getattr(node, "module", None) != "__future__"
+                  for alias in node.names
+                  for name in [alias.asname or alias.name.split(".")[0]]
+                  if name not in read
+                  and name not in re_exports.get(path.stem, ())]
+    assert found == []
+
+
 def test_library_reads_flags_one_at_a_time():
     # .flags evaluates every rule of a classification; library code reads
     # the flags it needs as attributes (cls.range) or through witness, so

@@ -1,5 +1,6 @@
 import time
 from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -7,21 +8,22 @@ import stonedual.algebra
 import stonedual.category
 import stonedual.duality
 import stonedual.zoo
-from conftest import subsemigroup
+from conftest import restriction_family, subsemigroup
 from oracles import (MONOID_COUNTS, count_monoids_brute,
                      enumerate_categories_reference, expected_map_tables,
                      is_increasing, is_injective, parse_map)
-from stonedual.algebra import (SIZE_BOUND, CosupportResult, classify,
-                               infer_cosupport, with_inferred_plus)
+from stonedual.algebra import (SIZE_BOUND, CosupportResult,
+                               _plus_axiom_witness, classify, infer_cosupport,
+                               iso_algebras, make_algebra, with_inferred_plus)
 from stonedual.category import is_groupoid
-from stonedual.duality import iso_categories
-from stonedual.errors import InputError, TooLarge
+from stonedual.duality import (iso_categories, unit_eta, verify_adjunction,
+                               verify_birestriction_equivalence)
+from stonedual.errors import InputError, NoLeftUnit, TooLarge
 from stonedual.zoo import (ZOO_CATEGORY_NAMES, ZOO_SEMIGROUP_NAMES,
                            corpus_categories, corpus_semigroups,
                            enumerate_categories, gen_free_arrow, gen_i,
                            gen_pair_groupoid, gen_pt, gen_triangular,
-                           search_no_cosupport, zoo_categories,
-                           zoo_semigroups)
+                           zoo_categories, zoo_semigroups)
 
 
 # -- frozen element orders ---------------------------------------------------
@@ -254,34 +256,102 @@ def test_corpus_contents():
     assert len(enum) == 14  # 1+2+7 monoids, 1+3 two-object categories
 
 
-def test_search_no_cosupport_finds_small_witness():
-    found, checked, witness = search_no_cosupport(max_order=6)
-    assert found and checked > 0
-    assert witness is not None and len(witness) <= 6
+# -- every small restriction semigroup ----------------------------------------
+
+def brute_force_cosupports(S):
+    """Every plus table of S sending x to a projection f with fx = x that
+    passes the cosupport and linking axioms."""
+    choices = [[f for f in S.projections() if S.mult[f][x] == x]
+               for x in range(S.n)]
+    return [plus for plus in product(*choices) if _plus_axiom_witness(
+        make_algebra(S.names, S.mult, S.star, plus)) is None]
 
 
-def test_search_no_cosupport_witnesses_are_not_boolean():
-    # the finite case of the cosupport criterion: every finite Boolean
-    # restriction semigroup with local units admits a cosupport, so no
-    # witness of the search is Boolean
-    PT = gen_pt(3)
-    for k in range(4, 9):
-        found, _, witness = search_no_cosupport(max_order=k)
-        assert found, k
-        assert not classify(subsemigroup(PT, witness)).boolean_restriction, k
+def census(family):
+    """The counts of restriction_family(max_order) that the duality and
+    cosupport pins read, the members that break a check, by check, and the
+    members with local units and no cosupport."""
+    counts, broken, lacking = Counter(), {}, []
+    for _, sgs in family.values():
+        for S in sgs:
+            cls = classify(S)
+            brute = brute_force_cosupports(S)
+            try:
+                inferred = infer_cosupport(S).table
+                probe = with_inferred_plus(S)
+            except NoLeftUnit:
+                inferred = probe = None
+                counts["no-left-unit"] += 1
+            counts["cosupports", len(brute)] += 1
+            checks = {"brute-force-is-inferred-cosupport":
+                      brute == ([inferred] if inferred else [])
+                      and brute == ([probe.plus] if probe else [])}
+            if cls.has_local_units and not brute:
+                lacking.append(S)
+                checks["no-cosupport-is-not-boolean"] = \
+                    not cls.boolean_restriction
+            if cls.preboolean_restriction and cls.has_local_units:
+                counts["preboolean-with-local-units"] += 1
+                eta = unit_eta(S)
+                onto = len(set(eta.map)) == eta.target.n
+                counts["unit-onto"] += onto
+                checks["unit-onto-iff-boolean"] = \
+                    onto == cls.boolean_restriction
+                checks["triangle"] = verify_adjunction(S).passed
+            if cls.boolean_birestriction:
+                counts["boolean-birestriction"] += 1
+                checks["bd-equivalence"] = \
+                    verify_birestriction_equivalence(S).passed
+            for name, ok in checks.items():
+                if not ok:
+                    broken.setdefault(name, []).append(S)
+    counts["semigroups"] = tuple(c for c, _ in family.values())
+    counts["restriction"] = tuple(len(sgs) for _, sgs in family.values())
+    counts["no-cosupport-with-local-units"] = tuple(
+        sum(S.n == n for S in lacking) for n in family)
+    return counts, broken, lacking
+
+
+def test_every_small_restriction_semigroup(restriction_semigroups):
+    # the semigroup side of the duality on algebras that no slice table
+    # built: A027851 (semigroups up to isomorphism) to order 5, then the
+    # restriction semigroups on them; the classes with local units and no
+    # cosupport answer the paper's cosupport question at these orders
+    counts, broken, lacking = census(restriction_semigroups)
+    assert broken == {}
+    assert counts == {
+        "semigroups": (1, 5, 24, 188, 1915),
+        "restriction": (1, 3, 15, 90, 636),
+        "no-cosupport-with-local-units": (0, 0, 0, 1, 19),
+        ("cosupports", 1): 614, ("cosupports", 0): 131, "no-left-unit": 111,
+        "preboolean-with-local-units": 50, "unit-onto": 47,
+        "boolean-birestriction": 48}
+    # the order-4 class is the pinned sub-semigroup of pt_3 below
+    witness = lacking[0]
+    pinned = subsemigroup(gen_pt(3), (0, 1, 2, 8))
+    assert iso_algebras(witness, pinned) is not None
+    assert infer_cosupport(witness).axiom == \
+        "cosupport(xy)=cosupport(x cosupport(y))"
+
+
+@pytest.mark.slow
+def test_every_restriction_semigroup_of_order_six():
+    counts, broken, _ = census(restriction_family(6))
+    assert broken == {}
+    assert counts == {
+        "semigroups": (1, 5, 24, 188, 1915, 28634),
+        "restriction": (1, 3, 15, 90, 636, 5596),
+        "no-cosupport-with-local-units": (0, 0, 0, 1, 19, 263),
+        ("cosupports", 1): 5025, ("cosupports", 0): 1316,
+        "no-left-unit": 1033, "preboolean-with-local-units": 297,
+        "unit-onto": 278, "boolean-birestriction": 279}
 
 
 def test_cosupport_failure_is_pinned():
-    S = subsemigroup(gen_pt(3), search_no_cosupport(max_order=4)[2])
+    S = subsemigroup(gen_pt(3), (0, 1, 2, 8))
     assert S.names == ("---", "1--", "2--", "12-")
     assert infer_cosupport(S) == CosupportResult(
         None, "cosupport(xy)=cosupport(x cosupport(y))", (1, 2))
     assert with_inferred_plus(S) is None
     assert classify(S).witness("boolean_restriction") == (
         "BR2", ("RepNotInjective", 1, 3))
-
-
-def test_search_no_cosupport_answers_by_order():
-    assert [search_no_cosupport(max_order=k) for k in (1, 2, 3, 4)] == [
-        (False, 8, None), (False, 48, None), (False, 169, None),
-        (True, 103, (0, 1, 2, 8))]

@@ -36,7 +36,8 @@ _INDEX_DTYPE = "int16"
 
 class _memo:
     """A cached property: the first read stores func's value in the
-    instance dict, where every later read finds it first.  Unlike
+    instance dict, where every later read finds it first; a read that
+    raises stores nothing, so the next read derives again.  Unlike
     functools.cached_property it takes no lock on a first read (Python
     3.11 takes one); two threads racing on a first read may both derive
     the value, and the one stored last is kept.
@@ -63,31 +64,6 @@ class _memo:
 # a _memo read through tables_of: it may read the tables of its object,
 # never its names or its links to other objects
 _table_memo = partial(_memo, tables=True)
-
-
-def _kept(derive):
-    """A _memo keeping derive's outcome, its value or the MathFail it
-    raised, without the traceback: a failure is derived once too."""
-    def outcome(self):
-        try:
-            return derive(self)
-        except MathFail as exc:
-            return exc.with_traceback(None)
-    return _memo(outcome)
-
-
-def _value(outcome):
-    """A _kept outcome's value; a kept failure is raised as a copy of it."""
-    if isinstance(outcome, MathFail):
-        raise _copy(outcome)
-    return outcome
-
-
-def _copy(exc):
-    """exc's class, message and witness in a new exception, sans traceback."""
-    new = type(exc).__new__(type(exc), *exc.args)
-    new.__dict__.update(exc.__dict__)
-    return new
 
 
 class BiUnaryAlgebra:
@@ -231,9 +207,9 @@ class BiUnaryAlgebra:
         """classify(self), computed once."""
         return _classify(self)
 
-    @_kept
+    @_memo
     def _projection_gba(self):
-        """projection_gba(self), or why P(S) is not a GBA."""
+        """projection_gba(self); raises why P(S) is not a GBA."""
         proj = self.projections()
         z = detected_zero_projection(self)
         if z is None:
@@ -294,11 +270,11 @@ class BiUnaryAlgebra:
                          n_star[i], n_plus[i], up[i].bit_count(), down[i].bit_count())
                         for i in range(self.n)])
 
-    @_kept
+    @_memo
     def _cosupport(self):
         """(probe, witness): self's tables with the forced plus table (see
-        infer_cosupport), sharing self's int16 table if it holds one, and
-        the probe's first failed cosupport or linking axiom, or None."""
+        infer_cosupport), and the probe's first failed cosupport or linking
+        axiom, or None."""
         mult, star = self.mult, self.star
         proj = self.projections()
         cand = []
@@ -314,8 +290,6 @@ class BiUnaryAlgebra:
                                witness=(s,))
             cand.append(m)
         probe = BiUnaryAlgebra(self.names, mult, star, cand, self.zero)
-        if "_mult_array" in self.__dict__:
-            probe._mult_array = self._mult_array
         return probe, _plus_axiom_witness(probe)
 
 
@@ -440,10 +414,11 @@ def _check_size(n):
 def _check_table(what, table, shape, bound, low=0):
     """Raise BadTableShape unless table has shape[0] entries (rows of
     shape[1] entries, given a second length), each in low..bound-1.  A
-    numpy array is checked in one vectorised pass."""
+    numpy array, whose dtype must be an integer one, is checked in one
+    vectorised pass."""
     if hasattr(table, "dtype"):
-        if table.shape != shape or table.size and not (
-                low <= table.min() and table.max() < bound):
+        if table.dtype.kind not in "iu" or table.shape != shape or (
+                table.size and not low <= table.min() <= table.max() < bound):
             raise BadTableShape(f"{what} is not a {shape} table of entries "
                                 f"in {low}..{bound - 1}")
         return
@@ -571,8 +546,8 @@ def make_algebra(names, mult, star, plus=None, zero=None):
     _check_table("star", star, (n,), n)
     if plus is not None:
         _check_table("plus", plus, (n,), n)
-    if zero is not None and not 0 <= zero < n:
-        raise BadTableShape(f"zero index {zero} out of range")
+    if zero is not None and not (isinstance(zero, int) and 0 <= zero < n):
+        raise BadTableShape(f"zero index {zero!r} out of range")
     rows, a = mult, None
     if hasattr(mult, "dtype"):
         # one shared int object per element: read cell by cell, the array
@@ -676,7 +651,7 @@ def projection_gba(S):
     a GBA: no zero projection, atom map not injective, or image not closed
     under union / difference.  Diagnoses, never repairs.
     """
-    return _value(S._projection_gba)
+    return S._projection_gba
 
 
 def deterministic_sets(S):
@@ -769,7 +744,7 @@ def infer_cosupport(S):
     and check the candidate satisfies the coEhresmann and linking axioms.
     Raises NoLeftUnit when some element has no left local unit at all.
     """
-    probe, wit = _value(S._cosupport)
+    probe, wit = S._cosupport
     return CosupportResult(probe.plus) if wit is None else CosupportResult(
         None, *wit)
 
@@ -779,7 +754,7 @@ def with_inferred_plus(S):
     None if that fails the cosupport axioms; raises what infer_cosupport does."""
     if S.plus is not None:
         return S
-    probe, wit = _value(S._cosupport)
+    probe, wit = S._cosupport
     return probe if wit is None else None
 
 
@@ -977,11 +952,14 @@ def classify(S):
 
 def _classify(S):
     star_wit = _star_axiom_witness(S)
-    forced = star_wit is None and S.plus is None and not isinstance(
-        S._cosupport, MathFail)
-    # None where the forced table fails the cosupport axioms; an algebra of
-    # no elements is falsy, so the test is "is None"
-    probe = with_inferred_plus(S) if forced else None
+    probe = None
+    if star_wit is None and S.plus is None:
+        try:
+            probe = with_inferred_plus(S)
+        except MathFail:
+            pass
+    # None where no table is forced or it fails the cosupport axioms; an
+    # algebra of no elements is falsy, so the test is "is None"
     if probe is None:
         probe = S
     base_r, base_b = ("restriction", "_BR2"), ("birestriction", "_BR2")
@@ -1030,8 +1008,11 @@ def _local_units_witness(S):
 def _br2_witness(S):
     if detected_zero_projection(S) is None:
         return ("has_zero_projection", ())
-    gba = S._projection_gba
-    return ("BR2", gba.witness) if isinstance(gba, MathFail) else None
+    try:
+        S._projection_gba
+    except MathFail as exc:
+        return ("BR2", exc.witness)
+    return None
 
 
 def _groupoidal_witness(S):
@@ -1257,11 +1238,11 @@ def _projection_map_witness(f):
     """The first failure of f on projections as a proper GBA map; raises
     InputError unless both projection lattices are GBAs."""
     S, T, m = f.source, f.target, f.map
-    for X in (S, T):
-        if isinstance(fail := X._projection_gba, MathFail):
-            raise InputError(
-                f"projection lattices must be GBAs: {fail}") from fail
-    (_, to_S, from_S), (_, to_T, from_T) = S._projection_gba, T._projection_gba
+    try:
+        (_, to_S, from_S), (_, to_T, from_T) = (S._projection_gba,
+                                                T._projection_gba)
+    except MathFail as fail:
+        raise InputError(f"projection lattices must be GBAs: {fail}") from fail
     if m[from_S[0]] != from_T[0]:  # the zero projections
         return ("proj-zero", (from_S[0],))
     projS, diff = S.projections(), lambda a, b: a & ~b

@@ -185,10 +185,13 @@ def predicted_slice_count(C):
 
 def enumerate_slices(C, bislices_only=False):
     """All local (bi)sections as choices, ordered by size then sorted
-    arrows, grown one object at a time.  Every partial bislice extends to a
-    bislice, so more than SIZE_BOUND partial bislices raise TooLarge at
-    once."""
+    arrows, grown one object at a time.  More than SIZE_BOUND predicted
+    slices raise TooLarge before any is listed; every partial bislice
+    extends to a bislice, so more than SIZE_BOUND partial bislices raise
+    TooLarge at once."""
     r = C.r
+    if not bislices_only:
+        _check_size(predicted_slice_count(C))
     out = [()]
     for o in range(C.n_obj):
         out = [s + (-1,) for s in out] + [
@@ -213,8 +216,6 @@ def slice_semigroup(C, bislices_only=False):
     memo = C.bislice_sg if bislices_only else C.slice_sg
     if memo is not None:
         return memo
-    if not bislices_only:
-        _check_size(predicted_slice_count(C))
     elems = enumerate_slices(C, bislices_only)
     S = _slice_algebra(C, elems, [_slice_name(C, s) for s in elems],
                        C.germ_of)
@@ -254,7 +255,6 @@ def _slice_algebra(C, slices, names, like=None):
             len(star), zero, tuple(star), tuple(plus)) and same_mult():
         S = BiUnaryAlgebra(names, like.mult, like.star, like.plus, zero)
         S.tables_of = like.tables_of or like
-        S._generating_set = like._generating_set
         return S
     return make_algebra(names, mult, star, plus, zero=zero)
 

@@ -810,6 +810,17 @@ def test_make_algebra_keeps_an_int16_product_table(monkeypatch):
     assert handed == [T._mult_array] and handed[0] is T._mult_array
 
 
+@pytest.mark.parametrize("dtype,zero", [
+    ("float64", int), ("bool", int), ("object", int), ("int16", float)])
+def test_make_algebra_types_its_array_and_zero(dtype, zero):
+    # a float, bool or object product table passes the range test, and so
+    # does a float zero; each is refused by its type, before any law
+    S = gen_pt(2)
+    with pytest.raises(BadTableShape):
+        make_algebra(S.names, np.array(S.mult).astype(dtype), S.star, S.plus,
+                     zero(S.zero))
+
+
 def test_generators_match_the_array_closure(pt4, pt4_subsemigroups):
     # on these semigroups the closure over Python rows picks the same
     # generators, in the same order, as the closure over products of
@@ -1043,26 +1054,25 @@ def test_infer_cosupport_no_left_unit():
     assert exc.value.witness == (1,)
 
 
-def test_a_failed_cosupport_is_derived_once(monkeypatch):
-    # on a plus-less Ehresmann table with no left unit, classify,
-    # infer_cosupport and with_inferred_plus read one kept failure, raised
-    # each time with the same class, message and witness
-    runs = []
-    derive = BiUnaryAlgebra._cosupport.func
-    counted = cached_property(lambda X: runs.append(X) or derive(X))
-    counted.__set_name__(BiUnaryAlgebra, "_cosupport")
-    monkeypatch.setattr(BiUnaryAlgebra, "_cosupport", counted)
+def test_a_failed_cosupport_raises_alike_on_every_read():
+    # on a plus-less Ehresmann table with no left unit and no zero, a
+    # failure is not kept: classify, infer_cosupport and with_inferred_plus
+    # each derive the cosupport again, and projection_gba its own failure,
+    # raised each time with the same class, message and witness
     S = make_algebra(["z", "s"], [[0, 0], [1, 1]], [0, 0])
     cls = classify(S)
     assert cls.ehresmann and not cls.plus_inferred
     assert cls.witness("coehresmann") == ("no-plus-table", ())
     raised = []
-    for read in (infer_cosupport, with_inferred_plus, infer_cosupport):
-        with pytest.raises(NoLeftUnit) as exc:
+    for read in (infer_cosupport, with_inferred_plus, infer_cosupport,
+                 projection_gba, projection_gba):
+        with pytest.raises(MathFail) as exc:
             read(S)
-        raised.append((str(exc.value), exc.value.witness))
-    assert raised == [("no projection f with f*x1 = x1", (1,))] * 3
-    assert runs == [S] and S._cosupport.__traceback__ is None
+        raised.append((type(exc.value), str(exc.value), exc.value.witness))
+    no_unit = (NoLeftUnit, "no projection f with f*x1 = x1", (1,))
+    no_zero = (MathFail, "P(S) has no zero projection",
+               ("MissingZeroProjection",))
+    assert raised == [no_unit] * 3 + [no_zero] * 2
 
 
 def test_left_local_units_must_be_meet_closed():
@@ -1080,7 +1090,7 @@ def test_left_local_units_must_be_meet_closed():
 
 def test_classify_forces_the_plus_table_once(monkeypatch, pt4):
     # the forced table, its probe algebra and the probe's cosupport scan
-    # are one value on S; the probe shares S's int16 table
+    # are one value on S; the probe converts its own int16 table, once
     scans, conversions = [], []
     scan = algebra._plus_axiom_witness
     monkeypatch.setattr(algebra, "_plus_axiom_witness",
@@ -1092,10 +1102,10 @@ def test_classify_forces_the_plus_table_once(monkeypatch, pt4):
     stripped = make_algebra(pt4.names, pt4.mult, pt4.star, zero=pt4.zero)
     cls = classify(stripped)
     assert cls.flags["coehresmann"] and cls.plus_inferred
-    assert (len(scans), conversions) == (1, [])
+    assert len(scans) == 1 and conversions == scans
     assert with_inferred_plus(stripped) is scans[0]
     assert infer_cosupport(stripped).table == pt4.plus
-    assert len(scans) == 1
+    assert len(scans) == 1 and conversions == scans
 
 
 @pytest.mark.parametrize("gen,n", [(gen_i, 2), (gen_pt, 3)])
@@ -1437,11 +1447,11 @@ def test_morphism_flags_match_the_chain(monkeypatch, pt4, pt4_subsemigroups):
                                   (0, 7, 1, 2)))
     calls = [(False, mtype) for mtype in (1, 2, 3, 4)]
     calls += [(True, mtype) for mtype in (4, 3, 2, 1)]
-    # each algebra derives its projection GBA at most once, a failure
-    # included: most of the pt_4 family has none
-    runs = Counter()
+    # each algebra whose projection GBA exists derives it at most once; a
+    # failure is not kept, and most of the pt_4 family has none
+    derived = []
     derive = BiUnaryAlgebra._projection_gba.func
-    counted = cached_property(lambda X: runs.update([id(X)]) or derive(X))
+    counted = cached_property(lambda X: derived.append(X) or derive(X))
     counted.__set_name__(BiUnaryAlgebra, "_projection_gba")
     monkeypatch.setattr(BiUnaryAlgebra, "_projection_gba", counted)
     monkeypatch.setattr(algebra, "_NUMPY_THRESHOLD", 0)
@@ -1459,7 +1469,9 @@ def test_morphism_flags_match_the_chain(monkeypatch, pt4, pt4_subsemigroups):
             got = [_verdict_or_error(check_morphism, f, mtype, require_plus)
                    for require_plus, mtype in calls]
             assert got == want, (threshold, g.map)
-    assert max(runs.values()) == 1
+    runs = Counter(id(X) for X in derived if "_projection_gba" in vars(X))
+    assert runs and max(runs.values()) == 1
+    assert len(runs) < len(set(map(id, derived)))
     failed = {getattr(v, "failed", None) for want in expected for v in want}
     assert failed >= {
         "mult", "star", "plus", "proj-zero", "proj-join", "proj-diff",

@@ -281,6 +281,19 @@ def test_slice_semigroup_size_guard_fires_before_work():
     assert (exc.value.predicted, exc.value.bound) == (7776, SIZE_BOUND)
 
 
+def test_every_full_slice_enumeration_is_guarded():
+    # K_6 has 7^6 = 117,649 slices: listing them, and the by-name path of
+    # semigroup_slices for an algebra built elsewhere, refuse before work
+    K6 = gen_pair_groupoid(6)
+    for enumerate_all in (lambda: enumerate_slices(K6),
+                          lambda: semigroup_slices(K6, gen_pt(2))):
+        start = time.perf_counter()
+        with pytest.raises(TooLarge) as exc:
+            enumerate_all()
+        assert time.perf_counter() - start < 0.1
+        assert (exc.value.predicted, exc.value.bound) == (117649, SIZE_BOUND)
+
+
 def test_bislice_guard_fires_object_by_object():
     # K_12 has 13^12 slices; the partial bislices pass SIZE_BOUND after a
     # few objects, so enumeration must stop there

@@ -166,3 +166,48 @@ def test_only_table_memos_follow_tables_of():
                           if isinstance(x, ast.Attribute) and x.attr in links]
     assert bodies == set().union(*TABLE_MEMOS.values())
     assert found == []
+
+
+# the attributes that library code sets on an object other than self, by
+# function: the links between objects, and the table and generators that
+# make_algebra hands its algebra; every other derived value is a _memo,
+# kept on its object or shared through tables_of
+DECLARED_LINKS = {
+    "slice_semigroup": {"slice_sets", "slice_parent", "slice_sg",
+                        "bislice_sg"},
+    "_slice_algebra": {"tables_of"},
+    "germ_category": {"germ_of", "tables_of", "germ"},
+    "unit_eta": {"eta"},
+    "make_algebra": {"_mult_array", "_generating_set"}}
+
+
+def _set_attributes(target):
+    """The attributes an assignment target sets, through tuples and stars."""
+    if isinstance(target, (ast.Tuple, ast.List)):
+        return [a for t in target.elts for a in _set_attributes(t)]
+    if isinstance(target, ast.Starred):
+        return _set_attributes(target.value)
+    return [target] if isinstance(target, ast.Attribute) else []
+
+
+def test_derived_state_is_set_only_through_memos_and_declared_links():
+    # and a failed derivation is raised, never kept as a value to be
+    # tested with isinstance
+    links, tested = {}, []
+    for path in Path(stonedual.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in tree.body:
+            for f in node.body if isinstance(node, ast.ClassDef) else [node]:
+                if isinstance(f, ast.FunctionDef):
+                    links.setdefault(f.name, set()).update(
+                        a.attr for x in ast.walk(f)
+                        for t in getattr(x, "targets",
+                                         [getattr(x, "target", None)])
+                        for a in _set_attributes(t)
+                        if getattr(a.value, "id", None) != "self")
+        tested += [f"{path.name}:{x.lineno}" for x in ast.walk(tree)
+                   if isinstance(x, ast.Call)
+                   and getattr(x.func, "id", None) == "isinstance"
+                   and "MathFail" in ast.unparse(x.args[1])]
+    links = {f: a for f, a in links.items() if a}
+    assert (links, tested) == (DECLARED_LINKS, [])

@@ -12,6 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import partial, reduce
 from itertools import chain, combinations, product
+from numbers import Integral
 from operator import add, and_, or_
 
 from . import gba as gba_mod
@@ -413,9 +414,9 @@ def _check_size(n):
 
 def _check_table(what, table, shape, bound, low=0):
     """Raise BadTableShape unless table has shape[0] entries (rows of
-    shape[1] entries, given a second length), each in low..bound-1.  A
-    numpy array, whose dtype must be an integer one, is checked in one
-    vectorised pass."""
+    shape[1] entries, given a second length), each an integer in
+    low..bound-1.  A numpy array, whose dtype must be an integer one, is
+    checked in one vectorised pass."""
     if hasattr(table, "dtype"):
         if table.dtype.kind not in "iu" or table.shape != shape or (
                 table.size and not low <= table.min() <= table.max() < bound):
@@ -429,7 +430,8 @@ def _check_table(what, table, shape, bound, low=0):
     # one C-level subset test per row; the loop only names the first bad
     # entry (its set is no larger than the names the caller already holds)
     valid = frozenset(range(low, bound))
-    for row in table if len(shape) == 2 else (table,):
+    rows = table if len(shape) == 2 else (table,)
+    for row in rows:
         if len(row) != width:
             raise BadTableShape(f"{what} row has {len(row)} entries, "
                                 f"expected {width}")
@@ -437,6 +439,17 @@ def _check_table(what, table, shape, bound, low=0):
             for v in row:
                 if not low <= v < bound:
                     raise BadTableShape(f"{what} entry {v} out of range")
+    # an entry equal to an index but of another type (0.0, Fraction(0))
+    # passes the subset test; its row's sum, and so the sum of them all,
+    # is then no integer, or there is none.  An int total skips the
+    # slower test for any integer type
+    try:
+        total = sum(map(sum, rows))
+    except TypeError:
+        total = None
+    if type(total) is not int and not isinstance(total, Integral):
+        v = next(v for row in rows for v in row if not isinstance(v, Integral))
+        raise BadTableShape(f"{what} entry {v!r} is not an integer")
 
 
 def _assoc_pure(mult):
@@ -452,18 +465,24 @@ def _assoc_pure(mult):
 
 
 def _assoc_numpy(a):
-    """The full scan of the int matrix a: in one pass when its n**3 cells
-    fit in one chunk, else one row i at a time."""
+    """The full scan of the int matrix a, over blocks of rows i and j that
+    hold at most _CHUNK_CELLS triples (i, j, k) between them: in one pass
+    when all n**3 fit, else a block of rows i by every j, or one row i by
+    a block of rows j, in row-major order."""
     import numpy as np
     n = len(a)
-    step = n if n ** 3 <= _CHUNK_CELLS else 1
-    for lo in range(0, n, step):
-        rows = a[lo:lo + step]
-        bad = a[rows] != np.take(rows, a, axis=1)  # (ij)k against i(jk)
-        first = int(bad.argmax())
-        if bad.flat[first]:
-            i, j, k = map(int, np.unravel_index(first, bad.shape))
-            raise NotAssociative(lo + i, j, k)
+    nj = min(n, max(1, _CHUNK_CELLS // n))
+    ni = max(1, _CHUNK_CELLS // (n * nj))
+    for i0 in range(0, n, ni):
+        rows = a[i0:i0 + ni]
+        for j0 in range(0, n, nj):
+            # bad[i, j, k]: (ij)k against i(jk)
+            bad = (a[rows[:, j0:j0 + nj]]
+                   != np.take(rows, a[j0:j0 + nj], axis=1))
+            first = int(bad.argmax())
+            if bad.flat[first]:
+                i, j, k = map(int, np.unravel_index(first, bad.shape))
+                raise NotAssociative(i0 + i, j0 + j, k)
 
 
 def _generators(a, rows):
@@ -484,8 +503,10 @@ def _generators(a, rows):
     n = len(rows)
     inside = [False] * n
     members, gens = [], []
-    for g in np.argsort(np.bincount(a.ravel(), minlength=n),
-                        kind="stable").tolist():
+    step = max(1, _CHUNK_CELLS // n)
+    counts = reduce(add, (np.bincount(a[lo:lo + step].ravel(), minlength=n)
+                          for lo in range(0, n, step)))
+    for g in np.argsort(counts, kind="stable").tolist():
         if len(members) == n:
             break
         if inside[g]:
@@ -527,8 +548,11 @@ def _check_assoc(rows, a=None):
         a = np.asarray(rows, dtype=_INDEX_DTYPE)
     if n ** 3 > _CHUNK_CELLS:
         gens = _generators(a, rows)
-        if gens is not None and all(np.array_equal(a[a[:, g]], a[:, a[g]])
-                                    for g in gens):
+        step = max(1, _CHUNK_CELLS // n)
+        # (x g) y against x (g y), for a block of rows x at a time
+        if gens is not None and all(
+                np.array_equal(a[a[lo:lo + step, g]], a[lo:lo + step, a[g]])
+                for g in gens for lo in range(0, n, step)):
             return a, gens
     _assoc_numpy(a)
     return a, None
@@ -758,18 +782,23 @@ def with_inferred_plus(S):
     return probe if wit is None else None
 
 
-def _first_failure(checks):
+def _first_failure(checks, lo=0):
     """The first (name, witness) among checks, pairs of a name and a bool
     array over elements or element pairs: the witness is the least failing
     index in row-major order, and at one index the earlier check wins.  On
-    a symmetric pair array the first failing pair (s, t) has s <= t."""
+    a symmetric pair array the first failing pair (s, t) has s <= t.
+
+    A row-blocked scan passes the arrays of one block of rows, whose
+    first row lo is added to the witness's first index; its first block
+    with a failure holds the first failure of the whole table."""
     import numpy as np
     fails = reduce(or_, (bad for _, bad in checks))
     k = int(fails.argmax())
     if not fails.flat[k]:
         return None
     name = next(name for name, bad in checks if bad.flat[k])
-    return (name, tuple(map(int, np.unravel_index(k, fails.shape))))
+    i, *rest = map(int, np.unravel_index(k, fails.shape))
+    return (name, (lo + i, *rest))
 
 
 def _star_axiom_witness(S):
@@ -780,12 +809,20 @@ def _star_axiom_witness(S):
         import numpy as np
         a, x = S._mult_array, np.arange(n)
         st = np.array(star, dtype=a.dtype)
-        p = a[st][:, st]  # p[x, y] = x^* y^*
-        return _first_failure([("x*support(x)=x", a[x, st] != x)]) or (
-            _first_failure([
-                ("supports-commute-and-are-projections",
-                 (p != p.T) | (st[p] != p)),
-                ("support(xy)=support(support(x)y)", st[a] != st[a[st]])]))
+        if w := _first_failure([("x*support(x)=x", a[x, st] != x)]):
+            return w
+        step = max(1, _CHUNK_CELLS // n)
+        for lo in range(0, n, step):
+            sx = st[lo:lo + step]
+            # p[x - lo, y] = x^* y^* and q[x - lo, y] = y^* x^*
+            p, q = a[sx][:, st], a.T[sx][:, st]
+            if w := _first_failure([
+                    ("supports-commute-and-are-projections",
+                     (p != q) | (st[p] != p)),
+                    ("support(xy)=support(support(x)y)",
+                     st[a[lo:lo + step]] != st[a[sx]])], lo):
+                return w
+        return None
     for x in range(n):
         if mult[x][star[x]] != x:
             return ("x*support(x)=x", (x,))
@@ -809,16 +846,23 @@ def _plus_axiom_witness(S):
         import numpy as np
         a = S._mult_array
         st, pl = np.array(star, dtype=a.dtype), np.array(plus, dtype=a.dtype)
-        p = a[pl][:, pl]  # p[x, y] = x^+ y^+
-        return _first_failure([
-            ("cosupport(x)*x=x", a[pl, np.arange(n)] != np.arange(n)),
-            ("support(cosupport(x))=cosupport(x)", st[pl] != pl),
-            ("cosupport(support(x))=support(x)", pl[st] != st)]) or (
-            _first_failure([
-                ("cosupports-commute-and-are-projections",
-                 (p != p.T) | (pl[p] != p)),
-                ("cosupport(xy)=cosupport(x cosupport(y))",
-                 pl[a] != pl[a[:, pl]])]))
+        if w := _first_failure([
+                ("cosupport(x)*x=x", a[pl, np.arange(n)] != np.arange(n)),
+                ("support(cosupport(x))=cosupport(x)", st[pl] != pl),
+                ("cosupport(support(x))=support(x)", pl[st] != st)]):
+            return w
+        step = max(1, _CHUNK_CELLS // n)
+        for lo in range(0, n, step):
+            px, rows = pl[lo:lo + step], a[lo:lo + step]
+            # p[x - lo, y] = x^+ y^+ and q[x - lo, y] = y^+ x^+
+            p, q = a[px][:, pl], a.T[px][:, pl]
+            if w := _first_failure([
+                    ("cosupports-commute-and-are-projections",
+                     (p != q) | (pl[p] != p)),
+                    ("cosupport(xy)=cosupport(x cosupport(y))",
+                     pl[rows] != pl[rows[:, pl]])], lo):
+                return w
+        return None
     for x in range(n):
         if mult[plus[x]][x] != x:
             return ("cosupport(x)*x=x", (x,))
@@ -844,11 +888,16 @@ def _restriction_witness(S):
     if n > _NUMPY_THRESHOLD:
         import numpy as np
         a = S._mult_array
-        st = np.array(star, dtype=a.dtype)
-        # support(x)y and y support(xy) at [x, y], the latter read from
-        # the flat table at y n + support(xy)
-        y_sxy = a.ravel().take(st[a] + np.arange(0, n * n, n))
-        return _first_failure([("support(x)y=y support(xy)", a[st] != y_sxy)])
+        st, at_y = np.array(star, dtype=a.dtype), np.arange(0, n * n, n)
+        step = max(1, _CHUNK_CELLS // n)
+        for lo in range(0, n, step):
+            # support(x)y and y support(xy) at [x - lo, y], the latter read
+            # from the flat table at y n + support(xy)
+            y_sxy = a.ravel().take(st[a[lo:lo + step]] + at_y)
+            if w := _first_failure([("support(x)y=y support(xy)",
+                                     a[st[lo:lo + step]] != y_sxy)], lo):
+                return w
+        return None
     for x in range(n):
         sx = star[x]
         for y in range(n):
@@ -1031,15 +1080,25 @@ def _br1_witness(S, axiom, probe=None):
     relation and joins are symmetric, so the first failing pair in
     row-major order has s <= t, and the Python scan visits only those
     pairs; the same holds for the meets scan."""
-    if S.n > _NUMPY_THRESHOLD:
-        joins, related = S._join_arrays
-        if axiom != "BR1'":
-            right = S._mult_array[:, S.star]  # right[s, t] = s t^*
-            related = right == right.T
-            if axiom == "BBR1":
-                left = S._mult_array[list(probe.plus)]  # left[t, s] = t^+ s
-                related &= left == left.T
-        return _first_failure([(axiom, related & (joins < 0))])
+    n = S.n
+    if n > _NUMPY_THRESHOLD:
+        import numpy as np
+        a, (joins, bounded) = S._mult_array, S._join_arrays
+        st = np.array(S.star) if axiom != "BR1'" else None
+        pl = np.array(probe.plus) if axiom == "BBR1" else None
+        step = max(1, _CHUNK_CELLS // n)
+        for lo in range(0, n, step):
+            hi = lo + step
+            related = bounded[lo:hi]
+            if axiom != "BR1'":
+                # s t^* against t s^*, for the rows s of the block
+                related = a[lo:hi][:, st] == a[:, st[lo:hi]].T
+                if axiom == "BBR1":  # and s^+ t against t^+ s
+                    related &= a[pl[lo:hi]] == a[:, lo:hi][pl].T
+            if w := _first_failure([(axiom, related & (joins[lo:hi] < 0))],
+                                   lo):
+                return w
+        return None
     up, joins = S.up, S.joins
     related = {"BR1": lambda s, t: compatible(S, s, t, "right"),
                "BR1'": lambda s, t: up[s] & up[t],
@@ -1071,7 +1130,7 @@ def _br3_witness(S):
         gens = S._generating_set
         if gens is not None and _br3_scan(S, gens) is None:
             return None
-        return _br3_scan(S, range(n))
+        return _br3_scan(S, slice(None))
     joins = S.joins
     for s in range(n):
         ms = mult[s]
@@ -1088,20 +1147,25 @@ def _br3_witness(S):
 
 def _br3_scan(S, columns):
     """The first BR3 failure over the joinable pairs (s, t), s <= t, in
-    row-major order, then the given columns u, or None."""
+    row-major order, then the given columns u (a list, or a slice of
+    them), or None."""
     import numpy as np
     a, joins = S._mult_array[:, columns], S._join_arrays[0]
-    ss, ts = np.nonzero(np.triu(joins >= 0))
-    # a chunk of pairs at a time; bad[p, k] says whether (s v t)u differs
-    # from su v tu for the p-th pair (s, t) and the k-th column u
-    step = max(1, _CHUNK_CELLS // len(columns))
-    for lo in range(0, len(ss), step):
-        s, t = ss[lo:lo + step], ts[lo:lo + step]
-        bad = joins[a[s], a[t]] != a[joins[s, t]]
-        k = int(bad.argmax())
-        if bad.flat[k]:
-            p, u = divmod(k, len(columns))
-            return ("BR3", (int(s[p]), int(t[p]), int(columns[u])))
+    n, us = S.n, np.arange(S.n)[columns]
+    block, step = max(1, _CHUNK_CELLS // n), max(1, _CHUNK_CELLS // len(us))
+    for r in range(0, n, block):
+        # the pairs of a block of rows, then a chunk of them at a time;
+        # bad[p, k] says whether (s v t)u differs from su v tu for the
+        # p-th pair (s, t) and the k-th column u
+        ss, ts = np.nonzero(np.triu(joins[r:r + block] >= 0, r))
+        ss += r
+        for lo in range(0, len(ss), step):
+            s, t = ss[lo:lo + step], ts[lo:lo + step]
+            bad = joins[a[s], a[t]] != a[joins[s, t]]
+            k = int(bad.argmax())
+            if bad.flat[k]:
+                p, u = divmod(k, len(us))
+                return ("BR3", (int(s[p]), int(t[p]), int(us[u])))
     return None
 
 
@@ -1188,18 +1252,22 @@ def _unpreserved(X, Y, m, unary):
     "mult", row-major, then each (name, table of X, table of Y) in unary.
     An undefined entry (-1) must map to -1.  Above _NUMPY_THRESHOLD
     elements one gather per table, Y's binary table by rows and then by
-    columns; at or below it whole rows are compared, and the column is
-    sought only in a failing row."""
+    columns, a block of rows at a time; at or below it whole rows are
+    compared, and the column is sought only in a failing row."""
     n = len(m)
     if n > _NUMPY_THRESHOLD:
         import numpy as np
         ext = np.array([*m, -1], dtype=_INDEX_DTYPE)  # ext[-1] = -1
-        f = ext[:n]
-        first = _first_failure([("mult", ext.take(X._iso_binary)
-                                 != Y._iso_binary[f][:, f])])
+        f, binX, binY = ext[:n], X._iso_binary, Y._iso_binary
+        step = max(1, _CHUNK_CELLS // n)
+        for lo in range(0, n, step):
+            if w := _first_failure([("mult", ext.take(binX[lo:lo + step])
+                                     != binY[f[lo:lo + step]][:, f])], lo):
+                return w
         for name, a, b in unary:
-            first = first or _first_failure([(name, ext[list(a)] != np.array(b)[f])])
-        return first
+            if w := _first_failure([(name, ext[list(a)] != np.array(b)[f])]):
+                return w
+        return None
     # row i of the binary table is checked as a table of its own, whose
     # failing column j gives the witness (i, j)
     get, binY = [*m, -1].__getitem__, Y.iso_structure[1]
@@ -1323,7 +1391,9 @@ def _refine_array(X, init):
     signature of element i: c[i], its colours under the unary tables, then
     its packed triples sorted.  The rows, ranked lexicographically, give
     the codes that the Python tuples give.  A packed triple is below
-    base**3, and base is at most SIZE_BOUND + 1, so below 2**31."""
+    base**3, and base is at most SIZE_BOUND + 1, so below 2**31.  The
+    triples are gathered a block of rows at a time, and every round
+    writes the whole matrix anew, so it is ranked in place."""
     import numpy as np
     unary, _ = X.iso_structure
     b = X._iso_binary
@@ -1333,17 +1403,21 @@ def _refine_array(X, init):
     sig = np.empty((n, 1 + k + n), dtype=np.int32)
     packed = sig[:, 1 + k:]
     lifted = np.zeros(n + 1, dtype=np.int32)  # c + 1, and 0 at index -1
+    step = max(1, _CHUNK_CELLS // n)
     while True:
         base = classes + 1
         lifted[:n] = c + 1
         sig[:, 0] = c
         sig[:, 1:1 + k] = c[u].T
         # packed[i, j] = (c[j]+1) base^2 + (c[i*j]+1) base + (c[j*i]+1)
-        np.take(lifted * base, b, out=packed, mode="wrap")
-        packed += np.take(lifted, b.T, mode="wrap")
-        packed += lifted[:n] * base * base
+        mid, high = lifted * base, lifted[:n] * base * base
+        for lo in range(0, n, step):
+            block = packed[lo:lo + step]
+            np.take(mid, b[lo:lo + step], out=block, mode="wrap")
+            block += np.take(lifted, b.T[lo:lo + step], mode="wrap")
+            block += high
         packed.sort(axis=1)
-        c, count = _rank_rows(sig)
+        c, count = _rank_rows_in_place(sig)
         if count == classes:
             return tuple(c.tolist())
         classes = count
@@ -1351,14 +1425,22 @@ def _refine_array(X, init):
 
 def _rank_rows(sig):
     """(ranks, count): each row's rank among the distinct rows of the int32
-    matrix sig in lexicographic order, and how many distinct rows it has.
-    A row read as the bytes of its words, big-endian with the sign bit
+    matrix sig in lexicographic order, and how many distinct rows it has;
+    sig is left as it is."""
+    return _rank_rows_in_place(sig.copy())
+
+
+def _rank_rows_in_place(sig):
+    """_rank_rows(sig) on a C-ordered sig, whose words it overwrites.  A
+    row read as the bytes of its words, big-endian with the sign bit
     flipped, compares as bytes just as the row compares as ints.  So the
     rows become bytes objects, a set keeps one of each, and one sort of
     those ranks them; equal rows never meet in the sort."""
     import numpy as np
-    words = (sig.view(np.uint32) ^ np.uint32(1 << 31)).astype(">u4",
-                                                              order="C")
+    words = sig.view(np.uint32)
+    words ^= np.uint32(1 << 31)
+    if np.little_endian:
+        words.byteswap(inplace=True)
     rows = words.view(np.dtype((np.void, 4 * sig.shape[1]))).ravel().tolist()
     ranks = {row: k for k, row in enumerate(sorted(set(rows)))}
     codes = np.fromiter(map(ranks.__getitem__, rows), np.intp, len(rows))

@@ -197,35 +197,56 @@ class _IntStrs(dict):
         return s
 
 
-def _layout(o, pad, strs):
-    """o laid out as json lays it out with sorted keys and an indent of
-    two, its closing bracket at indent pad; strs caches the ints' strings."""
-    inner = pad + "  "
-    if isinstance(o, dict):
-        ends = "{}"
-        body = [f"{_key(k)}: {_layout(v, inner, strs)}"
-                for k, v in sorted(o.items())]
-    elif isinstance(o, (list, tuple)):
-        ends = "[]"
-        body = (map(strs.__getitem__, o) if {int}.issuperset(map(type, o))
-                else [_layout(v, inner, strs) for v in o])
-    else:
+def _flat(o, pad, strs):
+    """o's text, as _layout lays it out, when that is one piece: a scalar,
+    an empty list or dict, or a list of ints; else None."""
+    if not isinstance(o, (dict, list, tuple)):
         return _encode(o)
     if not o:
-        return ends
-    sep = ",\n" + inner
-    return f"{ends[0]}\n{inner}{sep.join(body)}\n{pad}{ends[1]}"
+        return "{}" if isinstance(o, dict) else "[]"
+    if isinstance(o, dict) or not {int}.issuperset(map(type, o)):
+        return None
+    sep = ",\n" + pad + "  "
+    return f"[\n{pad}  {sep.join(map(strs.__getitem__, o))}\n{pad}]"
+
+
+def _layout(o, pad, strs):
+    """The pieces of o laid out as json lays it out with sorted keys and an
+    indent of two, its closing bracket at indent pad, made one at a time
+    as they are written; strs caches the ints' strings."""
+    text = _flat(o, pad, strs)
+    if text is not None:
+        yield text
+        return
+    inner = pad + "  "
+    if isinstance(o, dict):
+        ends, body = "{}", [(f"{_key(k)}: ", v) for k, v in sorted(o.items())]
+    else:
+        ends, body = "[]", [("", v) for v in o]
+    head = ends[0] + "\n" + inner
+    for key, v in body:
+        text = _flat(v, inner, strs)
+        if text is None:
+            yield head + key
+            yield from _layout(v, inner, strs)
+        else:
+            yield head + key + text
+        head = ",\n" + inner
+    yield "\n" + pad + ends[1]
 
 
 def dumps_canonical(payload):
-    return _layout(payload, "", _IntStrs()) + "\n"
+    return "".join(_layout(payload, "", _IntStrs())) + "\n"
 
 
 def save_instance(obj, path):
-    text = dumps_canonical(instance_to_dict(obj))
+    """Write obj's canonical file, piece by piece, so that the whole text
+    is never held at once."""
+    pieces = _layout(instance_to_dict(obj), "", _IntStrs())
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
+            fh.write("\n")
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc.strerror}") from exc
 

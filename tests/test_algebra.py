@@ -1,6 +1,8 @@
 import hashlib
 import random
 from collections import Counter
+from decimal import Decimal
+from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -819,6 +821,51 @@ def test_make_algebra_types_its_array_and_zero(dtype, zero):
     with pytest.raises(BadTableShape):
         make_algebra(S.names, np.array(S.mult).astype(dtype), S.star, S.plus,
                      zero(S.zero))
+
+
+def _retyped(table, convert):
+    """table, a list or a list of rows, with its first entry converted."""
+    if isinstance(table[0], (list, tuple)):
+        return [[convert(table[0][0]), *table[0][1:]], *table[1:]]
+    return [convert(table[0]), *table[1:]]
+
+
+@pytest.mark.parametrize("what", ["mult", "star", "plus", "map"])
+@pytest.mark.parametrize("convert", [float, Fraction, Decimal])
+def test_list_tables_refuse_entries_that_are_not_integers(what, convert):
+    # 0.0, Fraction(0) and Decimal(0) equal an index and pass the range
+    # test; the row's sum is not an integer, so each is refused by type
+    S = gen_pt(2)
+    tables = {"mult": S.mult, "star": S.star, "plus": S.plus}
+    if what != "map":
+        tables[what] = _retyped(tables[what], convert)
+        with pytest.raises(BadTableShape, match="not an integer"):
+            make_algebra(S.names, tables["mult"], tables["star"],
+                         tables["plus"], S.zero)
+    else:
+        with pytest.raises(BadTableShape, match="not an integer"):
+            SemigroupMorphism(S, S, _retyped(range(S.n), convert))
+
+
+def test_a_row_of_two_foreign_number_types_is_refused():
+    # Decimal and float do not add, so such a row has no sum at all
+    S = gen_pt(2)
+    first = [Decimal(S.mult[0][0]), float(S.mult[0][1]), *S.mult[0][2:]]
+    with pytest.raises(BadTableShape, match="not an integer"):
+        make_algebra(S.names, [first, *S.mult[1:]], S.star, S.plus, S.zero)
+
+
+@pytest.mark.parametrize("convert", [bool, np.int16, np.int64, np.uint8])
+def test_list_tables_take_integer_entries_of_any_type(convert):
+    # bools and numpy integers are integers: tables and a map holding one
+    # (each first entry is 0) build, classify and check as the ints do
+    S = gen_pt(2)
+    T = make_algebra(S.names, _retyped(S.mult, convert),
+                     _retyped(S.star, convert), _retyped(S.plus, convert),
+                     S.zero)
+    assert classify(T).flags == classify(S).flags
+    assert check_morphism(
+        SemigroupMorphism(S, T, _retyped(range(S.n), convert)), 4).ok
 
 
 def test_generators_match_the_array_closure(pt4, pt4_subsemigroups):

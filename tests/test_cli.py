@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 from oracles import dumps_canonical_reference
 from stonedual import cli
 from stonedual.algebra import SemigroupMorphism
-from stonedual.category import identity_cofunctor
+from stonedual.category import identity_cofunctor, slice_semigroup
 from stonedual.cli import run
-from stonedual.duality import counit_epsilon, iso_categories
+from stonedual.duality import counit_epsilon, germ_category, iso_categories
 from stonedual.io import (CofunctorFile, MorphismFile, dumps_canonical,
                           instance_to_dict, load_instance, save_instance)
 from stonedual.zoo import gen_i, gen_pair_groupoid, gen_pt
@@ -52,6 +52,21 @@ def test_serialization_is_byte_exact(files):
         payload = instance_to_dict(load_instance(path))
         assert dumps_canonical(payload) == text
         assert dumps_canonical_reference(payload) == text
+
+
+@pytest.mark.parametrize("name", [*sorted(cli._GENERATORS), "germ"])
+def test_saved_files_are_the_canonical_text(tmp_path, name):
+    # save_instance writes the layout piece by piece; the bytes are those
+    # of the joined text, for every zoo generator (at 3 points) and for a
+    # category the library builds, the germ category of Slice(K_2)
+    if name == "germ":
+        obj = germ_category(slice_semigroup(gen_pair_groupoid(2))).category
+    else:
+        gen, arity = cli._GENERATORS[name]
+        obj = gen(*[3] * arity)
+    path = tmp_path / "saved.json"
+    save_instance(obj, path)
+    assert path.read_bytes() == dumps_canonical(instance_to_dict(obj)).encode()
 
 
 _SCALARS = (st.none() | st.booleans() | st.integers()

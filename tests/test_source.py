@@ -118,6 +118,36 @@ def test_twin_sites_are_the_declared_ones():
                                   for site in TWIN_SITES)
 
 
+# every numpy kernel that scans a whole table a block of rows at a time,
+# so that apart from the tables an algebra keeps and the refinement's
+# signature matrix no temporary exceeds _CHUNK_CELLS cells, as README
+# "Bounded temporaries" lists them
+BLOCKED_KERNELS = {
+    "algebra._least_array", "algebra._assoc_numpy", "algebra._generators",
+    "algebra._check_assoc", "algebra._star_axiom_witness",
+    "algebra._plus_axiom_witness", "algebra._restriction_witness",
+    "algebra._br1_witness", "algebra._br3_scan", "algebra._unpreserved",
+    "algebra._refine_array", "category._slice_tables"}
+
+
+def test_blocked_kernels_are_the_declared_ones():
+    # a kernel is blocked when it reads the chunk size, as a name or as
+    # algebra._CHUNK_CELLS
+    found = set()
+    for path in Path(stonedual.__file__).parent.glob("*.py"):
+        found |= {f"{path.stem}.{node.name}"
+                  for node in ast.parse(path.read_text(), str(path)).body
+                  if isinstance(node, ast.FunctionDef)
+                  and any(getattr(x, "id", getattr(x, "attr", None))
+                          == "_CHUNK_CELLS" for x in ast.walk(node))}
+    assert found == BLOCKED_KERNELS
+    design = (Path(__file__).parents[1] / "README.md").read_text()
+    blocked = design[design.index("**Bounded temporaries.**"):]
+    blocked = blocked[:blocked.index("\n- **")]
+    assert all(f"`{kernel.split('.', 1)[1]}`" in blocked
+               for kernel in BLOCKED_KERNELS)
+
+
 def test_library_has_no_open_mesh_gathers():
     # a[np.ix_(r, c)] gathers every cell through broadcast index arrays; a
     # row gather then a column gather, a[r][:, c], took 0.35 against 2.5 ms

@@ -380,9 +380,7 @@ def _least_array(rank):
     one = np.uint64(1)
     least = np.empty((n, n), dtype=_INDEX_DTYPE)
     shared = np.empty((n, n), dtype=bool)
-    step = max(1, _CHUNK_CELLS // n)
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
+    for lo, hi in _blocks(n, n):
         # common word w of (s, t) is rows[w, s - lo] & cols[w, t - lo]
         rows, cols = words[:, lo:hi, None], words[:, lo:]
         word = np.zeros((hi - lo, n - lo), dtype=np.intp)
@@ -427,22 +425,27 @@ def _check_table(what, table, shape, bound, low=0):
         raise BadTableShape(f"{what} has {len(table)} entries, "
                             f"expected {shape[0]}")
     width = shape[-1]
-    # one C-level subset test per row; the loop only names the first bad
-    # entry (its set is no larger than the names the caller already holds)
+    # one C-level subset test per row, which an unhashable entry fails; the
+    # loop only names the first integer out of range (its set is no larger
+    # than the names the caller already holds)
     valid = frozenset(range(low, bound))
     rows = table if len(shape) == 2 else (table,)
     for row in rows:
         if len(row) != width:
             raise BadTableShape(f"{what} row has {len(row)} entries, "
                                 f"expected {width}")
-        if not valid.issuperset(row):
+        try:
+            inside = valid.issuperset(row)
+        except TypeError:
+            inside = False
+        if not inside:
             for v in row:
-                if not low <= v < bound:
+                if isinstance(v, Integral) and not low <= v < bound:
                     raise BadTableShape(f"{what} entry {v} out of range")
-    # an entry equal to an index but of another type (0.0, Fraction(0))
-    # passes the subset test; its row's sum, and so the sum of them all,
-    # is then no integer, or there is none.  An int total skips the
-    # slower test for any integer type
+    # an entry that is no integer, such as "0", None, a list, or one equal
+    # to an index (0.0, Fraction(0)) that passes the subset test, leaves
+    # its row's sum, and so the sum of them all, no integer, or there is
+    # none.  An int total skips the slower test for any integer type
     try:
         total = sum(map(sum, rows))
     except TypeError:
@@ -466,19 +469,17 @@ def _assoc_pure(mult):
 
 def _assoc_numpy(a):
     """The full scan of the int matrix a, over blocks of rows i and j that
-    hold at most _CHUNK_CELLS triples (i, j, k) between them: in one pass
+    hold at most one block of triples (i, j, k) between them: in one pass
     when all n**3 fit, else a block of rows i by every j, or one row i by
     a block of rows j, in row-major order."""
     import numpy as np
     n = len(a)
-    nj = min(n, max(1, _CHUNK_CELLS // n))
-    ni = max(1, _CHUNK_CELLS // (n * nj))
-    for i0 in range(0, n, ni):
-        rows = a[i0:i0 + ni]
-        for j0 in range(0, n, nj):
+    js = _blocks(n, n)
+    for i0, i1 in _blocks(n, n * js[0][1]):
+        rows = a[i0:i1]
+        for j0, j1 in js:
             # bad[i, j, k]: (ij)k against i(jk)
-            bad = (a[rows[:, j0:j0 + nj]]
-                   != np.take(rows, a[j0:j0 + nj], axis=1))
+            bad = a[rows[:, j0:j1]] != np.take(rows, a[j0:j1], axis=1)
             first = int(bad.argmax())
             if bad.flat[first]:
                 i, j, k = map(int, np.unravel_index(first, bad.shape))
@@ -503,9 +504,8 @@ def _generators(a, rows):
     n = len(rows)
     inside = [False] * n
     members, gens = [], []
-    step = max(1, _CHUNK_CELLS // n)
-    counts = reduce(add, (np.bincount(a[lo:lo + step].ravel(), minlength=n)
-                          for lo in range(0, n, step)))
+    counts = reduce(add, (np.bincount(a[lo:hi].ravel(), minlength=n)
+                          for lo, hi in _blocks(n, n)))
     for g in np.argsort(counts, kind="stable").tolist():
         if len(members) == n:
             break
@@ -532,7 +532,7 @@ def _check_assoc(rows, a=None):
     generator failed).
 
     Above _NUMPY_THRESHOLD elements the scan runs in numpy.  When it takes
-    more than one chunk, Light's test comes first (Clifford & Preston, The
+    more than one block, Light's test comes first (Clifford & Preston, The
     Algebraic Theory of Semigroups I, 1.2): the elements g with
     (x*g)*y = x*(g*y) for all x and y are closed under product, so checking
     a generating set proves associativity.  The full scan, which finds the
@@ -546,13 +546,12 @@ def _check_assoc(rows, a=None):
     import numpy as np
     if a is None:
         a = np.asarray(rows, dtype=_INDEX_DTYPE)
-    if n ** 3 > _CHUNK_CELLS:
-        gens = _generators(a, rows)
-        step = max(1, _CHUNK_CELLS // n)
+    if len(_blocks(n, n * n)) > 1:  # the full scan takes more than one block
+        gens, blocks = _generators(a, rows), _blocks(n, n)
         # (x g) y against x (g y), for a block of rows x at a time
         if gens is not None and all(
-                np.array_equal(a[a[lo:lo + step, g]], a[lo:lo + step, a[g]])
-                for g in gens for lo in range(0, n, step)):
+                np.array_equal(a[a[lo:hi, g]], a[lo:hi, a[g]])
+                for g in gens for lo, hi in blocks):
             return a, gens
     _assoc_numpy(a)
     return a, None
@@ -782,15 +781,20 @@ def with_inferred_plus(S):
     return probe if wit is None else None
 
 
-def _first_failure(checks, lo=0):
+def _blocks(count, width):
+    """The ranges (lo, hi), in order, that split count items of width cells
+    each into blocks of at most max(1, _CHUNK_CELLS // width) items: the
+    one rule by which every numpy kernel bounds its temporaries."""
+    step = max(1, _CHUNK_CELLS // width)
+    return [(lo, min(lo + step, count)) for lo in range(0, count, step)]
+
+
+def _first_cell(checks, lo=0):
     """The first (name, witness) among checks, pairs of a name and a bool
     array over elements or element pairs: the witness is the least failing
-    index in row-major order, and at one index the earlier check wins.  On
-    a symmetric pair array the first failing pair (s, t) has s <= t.
-
-    A row-blocked scan passes the arrays of one block of rows, whose
-    first row lo is added to the witness's first index; its first block
-    with a failure holds the first failure of the whole table."""
+    index in row-major order, lo added to its first entry, and at one
+    index the earlier check wins.  On a symmetric pair array the first
+    failing pair (s, t) has s <= t."""
     import numpy as np
     fails = reduce(or_, (bad for _, bad in checks))
     k = int(fails.argmax())
@@ -801,6 +805,17 @@ def _first_failure(checks, lo=0):
     return (name, (lo + i, *rest))
 
 
+def _first_failure(n, checks):
+    """The first failure of an n-by-n scan, a block of rows at a time:
+    checks(lo, hi) gives the checks of rows lo..hi-1 for _first_cell.
+    Blocks run in row order, so the first block with a failure holds the
+    first failure of the whole table."""
+    for lo, hi in _blocks(n, n):
+        if w := _first_cell(checks(lo, hi), lo):
+            return w
+    return None
+
+
 def _star_axiom_witness(S):
     """First failure among the support axioms, or None."""
     mult, star = S.mult, S.star
@@ -809,20 +824,18 @@ def _star_axiom_witness(S):
         import numpy as np
         a, x = S._mult_array, np.arange(n)
         st = np.array(star, dtype=a.dtype)
-        if w := _first_failure([("x*support(x)=x", a[x, st] != x)]):
+        if w := _first_cell([("x*support(x)=x", a[x, st] != x)]):
             return w
-        step = max(1, _CHUNK_CELLS // n)
-        for lo in range(0, n, step):
-            sx = st[lo:lo + step]
+
+        def pairs(lo, hi):
+            sx = st[lo:hi]
             # p[x - lo, y] = x^* y^* and q[x - lo, y] = y^* x^*
             p, q = a[sx][:, st], a.T[sx][:, st]
-            if w := _first_failure([
-                    ("supports-commute-and-are-projections",
+            return [("supports-commute-and-are-projections",
                      (p != q) | (st[p] != p)),
                     ("support(xy)=support(support(x)y)",
-                     st[a[lo:lo + step]] != st[a[sx]])], lo):
-                return w
-        return None
+                     st[a[lo:hi]] != st[a[sx]])]
+        return _first_failure(n, pairs)
     for x in range(n):
         if mult[x][star[x]] != x:
             return ("x*support(x)=x", (x,))
@@ -846,23 +859,21 @@ def _plus_axiom_witness(S):
         import numpy as np
         a = S._mult_array
         st, pl = np.array(star, dtype=a.dtype), np.array(plus, dtype=a.dtype)
-        if w := _first_failure([
+        if w := _first_cell([
                 ("cosupport(x)*x=x", a[pl, np.arange(n)] != np.arange(n)),
                 ("support(cosupport(x))=cosupport(x)", st[pl] != pl),
                 ("cosupport(support(x))=support(x)", pl[st] != st)]):
             return w
-        step = max(1, _CHUNK_CELLS // n)
-        for lo in range(0, n, step):
-            px, rows = pl[lo:lo + step], a[lo:lo + step]
+
+        def pairs(lo, hi):
+            px, rows = pl[lo:hi], a[lo:hi]
             # p[x - lo, y] = x^+ y^+ and q[x - lo, y] = y^+ x^+
             p, q = a[px][:, pl], a.T[px][:, pl]
-            if w := _first_failure([
-                    ("cosupports-commute-and-are-projections",
+            return [("cosupports-commute-and-are-projections",
                      (p != q) | (pl[p] != p)),
                     ("cosupport(xy)=cosupport(x cosupport(y))",
-                     pl[rows] != pl[rows[:, pl]])], lo):
-                return w
-        return None
+                     pl[rows] != pl[rows[:, pl]])]
+        return _first_failure(n, pairs)
     for x in range(n):
         if mult[plus[x]][x] != x:
             return ("cosupport(x)*x=x", (x,))
@@ -889,15 +900,11 @@ def _restriction_witness(S):
         import numpy as np
         a = S._mult_array
         st, at_y = np.array(star, dtype=a.dtype), np.arange(0, n * n, n)
-        step = max(1, _CHUNK_CELLS // n)
-        for lo in range(0, n, step):
-            # support(x)y and y support(xy) at [x - lo, y], the latter read
-            # from the flat table at y n + support(xy)
-            y_sxy = a.ravel().take(st[a[lo:lo + step]] + at_y)
-            if w := _first_failure([("support(x)y=y support(xy)",
-                                     a[st[lo:lo + step]] != y_sxy)], lo):
-                return w
-        return None
+        # y support(xy) and support(x)y at [x - lo, y], the former read from
+        # the flat table at y n + support(xy)
+        return _first_failure(n, lambda lo, hi: [(
+            "support(x)y=y support(xy)",
+            a.ravel().take(st[a[lo:hi]] + at_y) != a[st[lo:hi]])])
     for x in range(n):
         sx = star[x]
         for y in range(n):
@@ -1086,19 +1093,16 @@ def _br1_witness(S, axiom, probe=None):
         a, (joins, bounded) = S._mult_array, S._join_arrays
         st = np.array(S.star) if axiom != "BR1'" else None
         pl = np.array(probe.plus) if axiom == "BBR1" else None
-        step = max(1, _CHUNK_CELLS // n)
-        for lo in range(0, n, step):
-            hi = lo + step
+
+        def unjoined(lo, hi):
             related = bounded[lo:hi]
             if axiom != "BR1'":
                 # s t^* against t s^*, for the rows s of the block
                 related = a[lo:hi][:, st] == a[:, st[lo:hi]].T
                 if axiom == "BBR1":  # and s^+ t against t^+ s
                     related &= a[pl[lo:hi]] == a[:, lo:hi][pl].T
-            if w := _first_failure([(axiom, related & (joins[lo:hi] < 0))],
-                                   lo):
-                return w
-        return None
+            return [(axiom, related & (joins[lo:hi] < 0))]
+        return _first_failure(n, unjoined)
     up, joins = S.up, S.joins
     related = {"BR1": lambda s, t: compatible(S, s, t, "right"),
                "BR1'": lambda s, t: up[s] & up[t],
@@ -1152,15 +1156,14 @@ def _br3_scan(S, columns):
     import numpy as np
     a, joins = S._mult_array[:, columns], S._join_arrays[0]
     n, us = S.n, np.arange(S.n)[columns]
-    block, step = max(1, _CHUNK_CELLS // n), max(1, _CHUNK_CELLS // len(us))
-    for r in range(0, n, block):
+    for r, r_hi in _blocks(n, n):
         # the pairs of a block of rows, then a chunk of them at a time;
         # bad[p, k] says whether (s v t)u differs from su v tu for the
         # p-th pair (s, t) and the k-th column u
-        ss, ts = np.nonzero(np.triu(joins[r:r + block] >= 0, r))
+        ss, ts = np.nonzero(np.triu(joins[r:r_hi] >= 0, r))
         ss += r
-        for lo in range(0, len(ss), step):
-            s, t = ss[lo:lo + step], ts[lo:lo + step]
+        for lo, hi in _blocks(len(ss), len(us)):
+            s, t = ss[lo:hi], ts[lo:hi]
             bad = joins[a[s], a[t]] != a[joins[s, t]]
             k = int(bad.argmax())
             if bad.flat[k]:
@@ -1259,13 +1262,11 @@ def _unpreserved(X, Y, m, unary):
         import numpy as np
         ext = np.array([*m, -1], dtype=_INDEX_DTYPE)  # ext[-1] = -1
         f, binX, binY = ext[:n], X._iso_binary, Y._iso_binary
-        step = max(1, _CHUNK_CELLS // n)
-        for lo in range(0, n, step):
-            if w := _first_failure([("mult", ext.take(binX[lo:lo + step])
-                                     != binY[f[lo:lo + step]][:, f])], lo):
-                return w
+        if w := _first_failure(n, lambda lo, hi: [
+                ("mult", ext.take(binX[lo:hi]) != binY[f[lo:hi]][:, f])]):
+            return w
         for name, a, b in unary:
-            if w := _first_failure([(name, ext[list(a)] != np.array(b)[f])]):
+            if w := _first_cell([(name, ext[list(a)] != np.array(b)[f])]):
                 return w
         return None
     # row i of the binary table is checked as a table of its own, whose
@@ -1403,7 +1404,7 @@ def _refine_array(X, init):
     sig = np.empty((n, 1 + k + n), dtype=np.int32)
     packed = sig[:, 1 + k:]
     lifted = np.zeros(n + 1, dtype=np.int32)  # c + 1, and 0 at index -1
-    step = max(1, _CHUNK_CELLS // n)
+    blocks = _blocks(n, n)
     while True:
         base = classes + 1
         lifted[:n] = c + 1
@@ -1411,31 +1412,26 @@ def _refine_array(X, init):
         sig[:, 1:1 + k] = c[u].T
         # packed[i, j] = (c[j]+1) base^2 + (c[i*j]+1) base + (c[j*i]+1)
         mid, high = lifted * base, lifted[:n] * base * base
-        for lo in range(0, n, step):
-            block = packed[lo:lo + step]
-            np.take(mid, b[lo:lo + step], out=block, mode="wrap")
-            block += np.take(lifted, b.T[lo:lo + step], mode="wrap")
+        for lo, hi in blocks:
+            block = packed[lo:hi]
+            np.take(mid, b[lo:hi], out=block, mode="wrap")
+            block += np.take(lifted, b.T[lo:hi], mode="wrap")
             block += high
         packed.sort(axis=1)
-        c, count = _rank_rows_in_place(sig)
+        c, count = _rank_rows(sig)
         if count == classes:
             return tuple(c.tolist())
         classes = count
 
 
 def _rank_rows(sig):
-    """(ranks, count): each row's rank among the distinct rows of the int32
-    matrix sig in lexicographic order, and how many distinct rows it has;
-    sig is left as it is."""
-    return _rank_rows_in_place(sig.copy())
-
-
-def _rank_rows_in_place(sig):
-    """_rank_rows(sig) on a C-ordered sig, whose words it overwrites.  A
-    row read as the bytes of its words, big-endian with the sign bit
-    flipped, compares as bytes just as the row compares as ints.  So the
-    rows become bytes objects, a set keeps one of each, and one sort of
-    those ranks them; equal rows never meet in the sort."""
+    """(ranks, count): each row's rank among the distinct rows of the
+    C-ordered int32 matrix sig in lexicographic order, and how many
+    distinct rows it has; sig's words are overwritten.  A row read as the
+    bytes of its words, big-endian with the sign bit flipped, compares as
+    bytes just as the row compares as ints.  So the rows become bytes
+    objects, a set keeps one of each, and one sort of those ranks them;
+    equal rows never meet in the sort."""
     import numpy as np
     words = sig.view(np.uint32)
     words ^= np.uint32(1 << 31)

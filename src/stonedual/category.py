@@ -340,13 +340,12 @@ def _slice_tables(C, slices):
         return order[c]
 
     mult = np.empty((n, n), dtype=algebra._INDEX_DTYPE)
-    step = max(1, algebra._CHUNK_CELLS // n)
-    for lo in range(0, n, step):
-        rows = np.zeros((min(step, n - lo), n), dtype=code_dtype)
+    for lo, hi in algebra._blocks(n, n):
+        rows = np.zeros((hi - lo, n), dtype=code_dtype)
         for x in range(n_obj):
             b = choice[:, x]
-            rows += after[choice[lo:lo + step, r[b]], b]
-        mult[lo:lo + step] = index(rows)
+            rows += after[choice[lo:hi, r[b]], b]
+        mult[lo:hi] = index(rows)
     units = value[list(C.unit)]
     star = (choice[:, :-1] >= 0) @ units
     ranges = np.zeros((n, n_obj + 1), dtype=bool)
@@ -548,10 +547,11 @@ def compose_cofunctors(G, F):
 def cofunctor_to_morphism(F):
     """The pushforward A -> F_*(A) between the slice semigroups.
 
-    Checks the structure theorems relating cofunctor flags to morphism
-    types: injective on arrows gives weak meet preservation, surjective
-    gives properness, injective action preserves bideterministic elements.
-    A failure raises InvariantViolation with the theorem and its witness.
+    F_* is weakly meet preserving (type 2) exactly when F is injective on
+    arrows, and proper (type 3) exactly when F is surjective on arrows.
+    Each call checks the forward implications, and that an injective
+    action keeps bideterministic elements bideterministic; a failure
+    raises InvariantViolation with the theorem and its witness.
     """
     S = slice_semigroup(F.source)
     T = slice_semigroup(F.target)

@@ -172,8 +172,10 @@ def morphism_to_cofunctor(f):
     """Turn a type-1 semigroup morphism S -> T into a cofunctor between germ
     categories: the anchor pulls each atom b of P(T) back to the unique
     atom a of P(S) with b <= f(a), and the lift sends a germ u to f(u)*b.
-    Between etale range semigroups, a map that keeps bideterministic
-    elements bideterministic gives an injective action.  A failure raises
+    f is of type 2 exactly when the cofunctor is injective on arrows, and
+    of type 3 exactly when it is surjective on arrows.  Between etale
+    range semigroups, a map that keeps bideterministic elements
+    bideterministic gives an injective action.  A failure raises
     InvariantViolation with ("cofunctor-anchor", (b, atoms a)) or
     ("cofunctor-action-injective", witness).
     """

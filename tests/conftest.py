@@ -166,10 +166,11 @@ def pt4_subsemigroups(pt4):
     return list(family.values())
 
 
-def restriction_family(max_order):
+def restriction_family(max_order, monoids=None):
     """{n: (semigroups of order n, [its restriction semigroups])} for n
     from 1 to max_order, each semigroup and each restriction semigroup
-    counted once up to isomorphism.
+    counted once up to isomorphism; monoids, if given, is the list that
+    enumerate_categories(1, max_order + 1) returns.
 
     A semigroup S of order n gives the monoid S^1 with n + 1 arrows by
     adjoining an identity, S and T are isomorphic exactly when S^1 and T^1
@@ -181,7 +182,9 @@ def restriction_family(max_order):
     idempotent e with xe = x, with fixed and commuting values; classify
     keeps the restriction ones, and iso_algebras one of each class."""
     family = {n: [0, []] for n in range(1, max_order + 1)}
-    for C in enumerate_categories(1, max_order + 1):
+    if monoids is None:
+        monoids = enumerate_categories(1, max_order + 1)
+    for C in monoids:
         n = C.n_arr - 1
         mult = [[a - 1 for a in row[1:]] for row in C.comp[1:]]
         if n == 0 or any(a < 0 for row in mult for a in row):
@@ -203,6 +206,14 @@ def restriction_family(max_order):
                 found.append(S)
         family[n][1] += found
     return {n: tuple(v) for n, v in family.items()}
+
+
+@pytest.fixture(scope="session")
+def monoids_to_seven_arrows():
+    """enumerate_categories(1, 7), the slow tests' largest enumeration:
+    the order-seven census and the restriction semigroups of order six
+    read one run of it."""
+    return enumerate_categories(1, 7)
 
 
 @pytest.fixture(scope="session")

@@ -10,11 +10,13 @@ import itertools
 import json
 import operator
 
-from stonedual.category import (category_signature, iso_categories,
-                                make_category, semigroup_slices)
-from stonedual.algebra import (MorphismVerdict, _join_cover_witness,
-                               _unpreserved, _weak_meet_witness,
-                               detected_zero_projection, projection_gba)
+from stonedual.category import (Cofunctor, category_signature,
+                                iso_categories, make_category,
+                                semigroup_slices)
+from stonedual.algebra import (MorphismVerdict, SemigroupMorphism,
+                               _join_cover_witness, _unpreserved,
+                               _weak_meet_witness, detected_zero_projection,
+                               projection_gba)
 from stonedual.errors import InputError, MathFail, NoPlusTable
 
 
@@ -29,16 +31,6 @@ def dumps_canonical_reference(payload):
 
 # ---------------------------------------------------------------------------
 # partial self-maps as dicts {point: image}, points are 1-based
-
-
-def all_partial_maps(n):
-    points = list(range(1, n + 1))
-    out = []
-    for dom in itertools.chain.from_iterable(
-            itertools.combinations(points, k) for k in range(n + 1)):
-        for image in itertools.product(points, repeat=len(dom)):
-            out.append(dict(zip(dom, image)))
-    return out
 
 
 def compose_maps(s, t):
@@ -603,15 +595,6 @@ def enumerate_categories_reference(max_objects=3, max_arrows=5):
 # generalized Boolean algebras of sets
 
 
-def closed_under_union_diff(universe, family):
-    fam = set(family)
-    for a in fam:
-        for b in fam:
-            if (a | b) not in fam or (a - b) not in fam:
-                return False
-    return frozenset() in fam
-
-
 def brute_prime_filters(subsets):
     """All nonempty proper upward-closed meet-closed families F with the
     prime property: a∪b in F implies a in F or b in F."""
@@ -883,3 +866,39 @@ def check_morphism_by_chain(f, mtype, require_plus=False):
         if w is not None:
             return MorphismVerdict(False, mtype, "proper", w[1])
     return MorphismVerdict(True, mtype)
+
+
+# ---------------------------------------------------------------------------
+# every morphism between two small structures, by trying every candidate
+
+
+def all_cofunctors(C, D):
+    """Every cofunctor C ~> D: each anchor, sending the objects of D to
+    objects of C, and each lift, sending an arrow s of C at an object x of
+    D with d(s) = anchor(x) to an arrow of D out of x, kept when the
+    Cofunctor constructor accepts it; the action is the lift's range."""
+    found = []
+    for anchor in itertools.product(range(C.n_obj), repeat=D.n_obj):
+        cells = [(s, x) for s in range(C.n_arr) for x in range(D.n_obj)
+                 if C.d[s] == anchor[x]]
+        out = [[t for t in range(D.n_arr) if D.d[t] == x] for _, x in cells]
+        for lift in itertools.product(*out):
+            rho1 = [[-1] * D.n_obj for _ in range(C.n_arr)]
+            for (s, x), t in zip(cells, lift):
+                rho1[s][x] = t
+            mu = [[-1 if t < 0 else D.r[t] for t in row] for row in rho1]
+            try:
+                found.append(Cofunctor(C, D, anchor, mu, rho1))
+            except MathFail:
+                continue
+    return found
+
+
+def all_homomorphisms(S, T):
+    """Every (2,1)-homomorphism S -> T: each map of the elements with
+    m(xy) = m(x)m(y) and m(x*) = m(x)*."""
+    pairs = list(itertools.product(range(S.n), repeat=2))
+    return [SemigroupMorphism(S, T, m)
+            for m in itertools.product(range(T.n), repeat=S.n)
+            if all(m[S.star[x]] == T.star[m[x]] for x in range(S.n))
+            and all(m[S.mult[x][y]] == T.mult[m[x]][m[y]] for x, y in pairs)]

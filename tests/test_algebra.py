@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
@@ -18,6 +19,7 @@ from oracles import (br1_witness_brute, br1prime_witness_brute,
                      leq as oracle_leq, map_name, nat_leq,
                      no_meet_witness_brute, order_masks_reference, parse_map,
                      weak_meet_witness_brute)
+from test_memory import traced_peak_mb
 from stonedual import algebra
 from stonedual.algebra import (SIZE_BOUND, AlgebraClassification,
                                BiUnaryAlgebra, MorphismVerdict,
@@ -32,7 +34,8 @@ from stonedual.errors import (BadTableShape, CompDomainMismatch, InputError,
                               InvariantViolation, MathFail, NoLeftUnit,
                               NoPlusTable, NotAssociative, PlusStarMismatch,
                               SdlError, TooLarge, UnknownElement)
-from stonedual.category import Cofunctor, make_category, slice_semigroup
+from stonedual.category import (Cofunctor, identity_cofunctor,
+                                make_category, slice_semigroup)
 from stonedual.duality import verify_groupoidal
 from stonedual.io import instance_to_dict
 from stonedual.report import format_witness
@@ -82,6 +85,32 @@ def test_numpy_associativity_path():
     with pytest.raises(NotAssociative) as exc:
         make_algebra([f"e{i}" for i in range(n)], mult, list(range(n)))
     assert exc.value.witness == (0, 0, 1)
+
+
+@pytest.mark.parametrize("chunk,count,width", [
+    (1 << 16, 0, 7), (1, 5, 3), (1, 0, 1), (12, 12, 3), (12, 13, 3),
+    (12, 11, 4), (65536, 256, 256), (65536, 300, 256), (65536, 4, 70000)])
+def test_blocks_cover_the_items_in_order(monkeypatch, chunk, count, width):
+    # no items, one-cell chunks, and exact and inexact multiples of the
+    # block size: the ranges tile 0..count in order, each full but the last
+    monkeypatch.setattr(algebra, "_CHUNK_CELLS", chunk)
+    step = max(1, chunk // width)
+    blocks = algebra._blocks(count, width)
+    assert [lo for lo, _ in blocks] == list(range(0, count, step))
+    assert [hi for _, hi in blocks] == [lo for lo, _ in blocks[1:]] + (
+        [count] if count else [])
+    assert all(0 < hi - lo <= step for lo, hi in blocks)
+    assert all(hi - lo == step for lo, hi in blocks[:-1])
+
+
+def test_full_associativity_scan_holds_one_block_of_triples():
+    # x*y = x on 300 elements: one row i by a block of 218 rows j, 65,400
+    # triples, at a time, about 0.84 MB with the int16 gathers, the intp
+    # copy of the take's indices and the comparison; i blocks as tall as
+    # the j blocks would hold 218 times as much
+    n = 300
+    a = np.repeat(np.arange(n, dtype=np.int16)[:, None], n, axis=1)
+    assert traced_peak_mb(lambda: algebra._assoc_numpy(a)) < 1.2
 
 
 @pytest.mark.parametrize("gen,n", [(gen_pt, 3), (gen_triangular, 4)])
@@ -853,6 +882,32 @@ def test_a_row_of_two_foreign_number_types_is_refused():
     first = [Decimal(S.mult[0][0]), float(S.mult[0][1]), *S.mult[0][2:]]
     with pytest.raises(BadTableShape, match="not an integer"):
         make_algebra(S.names, [first, *S.mult[1:]], S.star, S.plus, S.zero)
+
+
+@pytest.mark.parametrize("what", ["mult", "star", "plus", "map", "comp",
+                                  "mu"])
+@pytest.mark.parametrize("entry", ["0", None, [0]])
+def test_tables_name_entries_that_are_not_numbers(what, entry):
+    # a string or None fails the subset test, and a list cannot be hashed
+    # for it; each is then named by its type, in algebra, map, category
+    # and cofunctor tables alike
+    S, C = gen_pt(2), gen_pair_groupoid(2)
+    tables = {"mult": S.mult, "star": S.star, "plus": S.plus,
+              "comp": C.comp, "mu": identity_cofunctor(C).mu}
+    if what in tables:
+        tables[what] = _retyped(tables[what], lambda v: entry)
+    build = {
+        "map": lambda: SemigroupMorphism(
+            S, S, _retyped(range(S.n), lambda v: entry)),
+        "comp": lambda: make_category(C.objects, C.arrows, C.d, C.r, C.unit,
+                                      tables["comp"]),
+        "mu": lambda: Cofunctor(C, C, range(C.n_obj), tables["mu"],
+                                identity_cofunctor(C).rho1)}.get(
+        what, lambda: make_algebra(S.names, tables["mult"], tables["star"],
+                                   tables["plus"], S.zero))
+    with pytest.raises(BadTableShape, match=re.escape(
+            f"entry {entry!r} is not an integer")):
+        build()
 
 
 @pytest.mark.parametrize("convert", [bool, np.int16, np.int64, np.uint8])

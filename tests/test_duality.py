@@ -10,15 +10,17 @@ from types import SimpleNamespace
 import pytest
 
 from conftest import bislice_composites, planted, small_subsemigroups
-from oracles import (choice_arrows, germ_relation_mismatch, proj_atoms,
-                     pushforward_set, theta_set)
+from oracles import (all_cofunctors, all_homomorphisms, choice_arrows,
+                     germ_relation_mismatch, proj_atoms, pushforward_set,
+                     theta_set)
 from stonedual import algebra, category, duality
 from stonedual.algebra import (BiUnaryAlgebra, MorphismVerdict,
                                SemigroupMorphism, bd_subalgebra,
                                check_morphism, classify, infer_cosupport,
                                iso_algebras, make_algebra, projection_gba)
 from stonedual.category import (FinCat, check_cofunctor,
-                                cofunctor_to_covering, compose_cofunctors,
+                                cofunctor_to_covering, cofunctor_to_morphism,
+                                compose_cofunctors,
                                 covering_to_cofunctor, enumerate_slices,
                                 identity_cofunctor, is_groupoid, make_category,
                                 predicted_slice_count, semigroup_slices,
@@ -388,7 +390,6 @@ def test_pushforward_naturality_square():
     I, P = gen_i(2), gen_pt(2)
     f = SemigroupMorphism(I, P, tuple(P.names.index(nm) for nm in I.names))
     F = morphism_to_cofunctor(f)
-    from stonedual.category import cofunctor_to_morphism
     F_star = cofunctor_to_morphism(F)
     eta_I, eta_P = unit_eta(I), unit_eta(P)
     for s in range(I.n):
@@ -435,6 +436,96 @@ def test_morphism_to_cofunctor_keeps_identities_and_composites():
                         outer), (family[a].names, family[b].names, U.names)
                     composites += 1
     assert (identities, composites) == (171, 265)
+
+
+def test_every_small_cofunctor_pushes_forward_functorially():
+    # the category side of the equivalence on morphisms: every cofunctor
+    # F: C ~> D between the classes with at most 2 objects and 3 arrows.
+    # F_* is a morphism of F's type, and of type 2 or 3 only when F is
+    # injective or surjective on arrows; the counit is natural; identities
+    # and composites push forward to identities and composites
+    cats = enumerate_categories(2, 3)
+    assert len(cats) == 14
+    counts, pushed = Counter(), {}
+    for c, C in enumerate(cats):
+        S = slice_semigroup(C)
+        assert cofunctor_to_morphism(identity_cofunctor(C)).map == tuple(
+            range(S.n)), c
+        for d, D in enumerate(cats):
+            pushed[c, d] = []
+            for F in all_cofunctors(C, D):
+                F_star = cofunctor_to_morphism(F)  # raises unless F's type
+                cls = check_cofunctor(F)
+                where = (c, d, F.anchor, F.rho1)
+                assert check_morphism(F_star, 2).ok == \
+                    cls.injective_on_arrows, where
+                assert check_morphism(F_star, 3).ok == \
+                    cls.surjective_on_arrows, where
+                assert compose_cofunctors(F, counit_epsilon(C)).equal_tables(
+                    compose_cofunctors(counit_epsilon(D),
+                                       morphism_to_cofunctor(F_star))), where
+                pushed[c, d].append((F, F_star.map))
+                counts["injective"] += cls.injective_on_arrows
+                counts["surjective"] += cls.surjective_on_arrows
+    for (c, d), inner in pushed.items():
+        for e in range(len(cats)):
+            for F, f in inner:
+                for G, g in pushed[d, e]:
+                    gf = cofunctor_to_morphism(compose_cofunctors(G, F))
+                    assert gf.map == tuple(g[i] for i in f), (
+                        c, d, e, F.rho1, G.rho1)
+                    counts["composites"] += 1
+    counts["cofunctors"] = sum(map(len, pushed.values()))
+    assert counts == {"cofunctors": 392, "injective": 129,
+                      "surjective": 86, "composites": 11403}
+
+
+def test_every_small_homomorphism_gives_a_natural_cofunctor(
+        restriction_semigroups):
+    # the semigroup side: every (2,1)-homomorphism between the preBoolean
+    # restriction semigroups with local units of order at most 4.  On a
+    # type-1 map f the unit is natural, f has type 2 or 3 just when its
+    # cofunctor is injective or surjective on arrows, and identities and
+    # composites give identity and composite cofunctors
+    family = [S for _, sgs in restriction_semigroups.values() for S in sgs
+              if S.n <= 4 and classify(S).preboolean_restriction
+              and classify(S).has_local_units]
+    assert len(family) == 12
+    counts, typed = Counter(), {}
+    for a, S in enumerate(family):
+        identity = morphism_to_cofunctor(_inclusion(S, S))
+        assert identity.equal_tables(identity_cofunctor(identity.source)), a
+        for b, T in enumerate(family):
+            homs = all_homomorphisms(S, T)
+            counts["homomorphisms"] += len(homs)
+            typed[a, b] = []
+            for f in homs:
+                if not check_morphism(f, 1).ok:
+                    continue
+                F = morphism_to_cofunctor(f)
+                cls = check_cofunctor(F)
+                F_star = cofunctor_to_morphism(F)
+                where = (a, b, f.map)
+                assert [F_star.map[i] for i in unit_eta(S).map] == [
+                    unit_eta(T).map[i] for i in f.map], where
+                assert check_morphism(f, 2).ok == cls.injective_on_arrows, \
+                    where
+                assert check_morphism(f, 3).ok == cls.surjective_on_arrows, \
+                    where
+                typed[a, b].append((f, F))
+    for (a, b), inner in typed.items():
+        for c, U in enumerate(family):
+            for f, F in inner:
+                for g, G in typed[b, c]:
+                    gf = SemigroupMorphism(family[a], U,
+                                           tuple(g.map[i] for i in f.map))
+                    assert check_morphism(gf, 1).ok, (a, b, c, f.map, g.map)
+                    assert morphism_to_cofunctor(gf).equal_tables(
+                        compose_cofunctors(G, F)), (a, b, c, f.map, g.map)
+                    counts["composites"] += 1
+    counts["type 1"] = sum(map(len, typed.values()))
+    assert counts == {"homomorphisms": 595, "type 1": 240,
+                      "composites": 5272}
 
 
 # -- theorem reports -----------------------------------------------------------------

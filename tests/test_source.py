@@ -131,21 +131,40 @@ BLOCKED_KERNELS = {
 
 
 def test_blocked_kernels_are_the_declared_ones():
-    # a kernel is blocked when it reads the chunk size, as a name or as
-    # algebra._CHUNK_CELLS
+    # a kernel is blocked when it takes its row ranges from _blocks, or
+    # has _first_failure walk them (which _first_failure itself does)
     found = set()
     for path in Path(stonedual.__file__).parent.glob("*.py"):
         found |= {f"{path.stem}.{node.name}"
                   for node in ast.parse(path.read_text(), str(path)).body
                   if isinstance(node, ast.FunctionDef)
-                  and any(getattr(x, "id", getattr(x, "attr", None))
-                          == "_CHUNK_CELLS" for x in ast.walk(node))}
-    assert found == BLOCKED_KERNELS
+                  and any(isinstance(x, ast.Call) and getattr(
+                      x.func, "id", getattr(x.func, "attr", None))
+                      in ("_blocks", "_first_failure")
+                      for x in ast.walk(node))}
+    assert found - {"algebra._first_failure"} == BLOCKED_KERNELS
     design = (Path(__file__).parents[1] / "README.md").read_text()
     blocked = design[design.index("**Bounded temporaries.**"):]
     blocked = blocked[:blocked.index("\n- **")]
     assert all(f"`{kernel.split('.', 1)[1]}`" in blocked
                for kernel in BLOCKED_KERNELS)
+
+
+def test_only_blocks_reads_the_chunk_size():
+    # one block rule: apart from its definition, only _blocks names
+    # _CHUNK_CELLS, so every blocked kernel splits its rows the same way
+    found = []
+    for path in Path(stonedual.__file__).parent.glob("*.py"):
+        for node in ast.parse(path.read_text(), str(path)).body:
+            if path.stem == "algebra" and (
+                    getattr(node, "name", None) == "_blocks" or
+                    isinstance(node, ast.Assign) and ast.unparse(
+                        node.targets[0]) == "_CHUNK_CELLS"):
+                continue
+            found += [f"{path.name}:{x.lineno}" for x in ast.walk(node)
+                      if getattr(x, "id", getattr(x, "attr", None))
+                      == "_CHUNK_CELLS"]
+    assert found == []
 
 
 def test_library_has_no_open_mesh_gathers():
@@ -241,3 +260,29 @@ def test_derived_state_is_set_only_through_memos_and_declared_links():
                    and "MathFail" in ast.unparse(x.args[1])]
     links = {f: a for f, a in links.items() if a}
     assert (links, tested) == (DECLARED_LINKS, [])
+
+
+def _names(tree):
+    """Every name that tree reads, imports or reads as an attribute."""
+    return {getattr(x, "id", None) or getattr(x, "attr", None)
+            or getattr(x, "name", None) for x in ast.walk(tree)
+            if isinstance(x, (ast.Name, ast.Attribute, ast.alias))}
+
+
+def test_every_oracle_is_used():
+    # a reference that no test reads checks nothing: every top-level
+    # function and class of tests/oracles.py is named in another test
+    # file, or in an oracle that is, as a helper of it
+    tests = Path(__file__).parent
+    defs = {node.name: node
+            for node in ast.parse((tests / "oracles.py").read_text()).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    todo = set().union(*(_names(ast.parse(path.read_text()))
+                         for path in tests.glob("*.py")
+                         if path.name != "oracles.py")) & defs.keys()
+    used = set()
+    while todo:
+        name = todo.pop()
+        used.add(name)
+        todo |= (_names(defs[name]) & defs.keys()) - used
+    assert sorted(defs.keys() - used) == []

@@ -240,9 +240,9 @@ def test_order_six_monoids():
 
 
 @pytest.mark.slow
-def test_order_seven_monoids():
-    cats = enumerate_categories(max_objects=1, max_arrows=7)
-    assert sum(1 for C in cats if C.n_arr == 7) == MONOID_COUNTS[6]
+def test_order_seven_monoids(monoids_to_seven_arrows):
+    assert sum(1 for C in monoids_to_seven_arrows
+               if C.n_arr == 7) == MONOID_COUNTS[6]
 
 
 def test_corpus_contents():
@@ -335,8 +335,8 @@ def test_every_small_restriction_semigroup(restriction_semigroups):
 
 
 @pytest.mark.slow
-def test_every_restriction_semigroup_of_order_six():
-    counts, broken, _ = census(restriction_family(6))
+def test_every_restriction_semigroup_of_order_six(monoids_to_seven_arrows):
+    counts, broken, _ = census(restriction_family(6, monoids_to_seven_arrows))
     assert broken == {}
     assert counts == {
         "semigroups": (1, 5, 24, 188, 1915, 28634),

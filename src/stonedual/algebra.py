@@ -421,27 +421,30 @@ def _check_table(what, table, shape, bound, low=0):
             raise BadTableShape(f"{what} is not a {shape} table of entries "
                                 f"in {low}..{bound - 1}")
         return
-    if len(table) != shape[0]:
-        raise BadTableShape(f"{what} has {len(table)} entries, "
-                            f"expected {shape[0]}")
     width = shape[-1]
     # one C-level subset test per row, which an unhashable entry fails; the
     # loop only names the first integer out of range (its set is no larger
     # than the names the caller already holds)
     valid = frozenset(range(low, bound))
     rows = table if len(shape) == 2 else (table,)
-    for row in rows:
-        if len(row) != width:
-            raise BadTableShape(f"{what} row has {len(row)} entries, "
-                                f"expected {width}")
-        try:
-            inside = valid.issuperset(row)
-        except TypeError:
-            inside = False
-        if not inside:
-            for v in row:
-                if isinstance(v, Integral) and not low <= v < bound:
-                    raise BadTableShape(f"{what} entry {v} out of range")
+    try:
+        if len(table) != shape[0]:
+            raise BadTableShape(f"{what} has {len(table)} entries, "
+                                f"expected {shape[0]}")
+        for row in rows:
+            if len(row) != width:
+                raise BadTableShape(f"{what} row has {len(row)} entries, "
+                                    f"expected {width}")
+            try:
+                inside = valid.issuperset(row)
+            except TypeError:
+                inside = False
+            if not inside:
+                for v in row:
+                    if isinstance(v, Integral) and not low <= v < bound:
+                        raise BadTableShape(f"{what} entry {v} out of range")
+    except TypeError:  # from len: the table or a row is no sequence
+        raise BadTableShape(f"{what} is not a {shape} table") from None
     # an entry that is no integer, such as "0", None, a list, or one equal
     # to an index (0.0, Fraction(0)) that passes the subset test, leaves
     # its row's sum, and so the sum of them all, no integer, or there is

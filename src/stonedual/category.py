@@ -37,7 +37,9 @@ class FinCat:
         self.d = tuple(d)
         self.r = tuple(r)
         self.unit = tuple(unit)
-        self.comp = tuple(tuple(row) for row in comp)
+        # a tuple of tuples, such as another category's comp, is kept
+        self.comp = comp if type(comp) is tuple and all(
+            type(row) is tuple for row in comp) else tuple(map(tuple, comp))
         self.n_obj = len(self.objects)
         self.n_arr = len(self.arrows)
         self.slice_sg = self.bislice_sg = None  # set by slice_semigroup
@@ -120,8 +122,7 @@ def make_category(objects, arrows, d, r, unit, comp):
     """
     n_obj, n_arr = len(objects), len(arrows)
     _check_size(n_arr)
-    if len(set(objects)) != n_obj or len(set(arrows)) != n_arr:
-        raise BadTableShape("object or arrow names are not unique")
+    _check_names(objects, arrows)
     _check_table("d", d, (n_arr,), n_obj)
     _check_table("r", r, (n_arr,), n_obj)
     _check_table("unit", unit, (n_obj,), n_arr)
@@ -160,6 +161,11 @@ def make_category(objects, arrows, d, r, unit, comp):
         if comp[unit[r[x]]][x] != x or comp[x][unit[d[x]]] != x:
             raise AxiomFail("UL", (x,))
     return FinCat(objects, arrows, d, r, unit, comp)
+
+
+def _check_names(objects, arrows):
+    if len(set(objects)) != len(objects) or len(set(arrows)) != len(arrows):
+        raise BadTableShape("object or arrow names are not unique")
 
 
 def is_groupoid(C):

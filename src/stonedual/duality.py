@@ -15,8 +15,8 @@ from .algebra import (BiUnaryAlgebra, SemigroupMorphism, bd_subalgebra,
                       partial_isomorphisms, projection_gba,
                       with_inferred_plus)
 # category_signature and iso_categories keep their stonedual.duality names
-from .category import (FinCat, _cofunctor_diff, _lifted_cofunctor,
-                       category_signature, check_cofunctor,
+from .category import (FinCat, _check_names, _cofunctor_diff,
+                       _lifted_cofunctor, category_signature, check_cofunctor,
                        cofunctor_to_morphism, compose_cofunctors,
                        identity_cofunctor, is_groupoid, iso_categories,
                        make_category, semigroup_slices, slice_semigroup)
@@ -38,13 +38,17 @@ class GermCategory:
 
 
 def germ_category(S):
-    """Build and fully re-verify the category of germs of S.
+    """Build and verify the category of germs of S.
 
     Objects are the atom projections, arrows the elements with atomic
     support, r(x) the unique atom acting as a left unit on x (checked
     against x^+ on range instances), and comp(x,y) = xy, which is its own
     canonical germ (xy)y^* since yy^* = y.  A germ without a single such
     atom raises InvariantViolation with witness ("germ-range", (x, units)).
+
+    When the tables equal those of S.slice_parent, cell by cell, the
+    category holds them and reads their table memos through tables_of:
+    they have passed make_category, so only the names are checked.
     """
     if S.germ is not None:
         return S.germ
@@ -75,19 +79,19 @@ def germ_category(S):
                                      witness=("germ-range", (x, units)))
         r.append(oidx[units[0]])
     unit = [gidx[a] for a in atoms]
-    comp = [[-1] * len(germs) for _ in germs]
-    for j, y in enumerate(germs):
-        for i, x in enumerate(germs):
-            if d[i] != r[j]:
-                continue
-            comp[i][j] = gidx[mult[x][y]]
-    cat = make_category([S.names[a] for a in atoms],
-                        [S.names[x] for x in germs], d, r, unit, comp)
-    cat.germ_of, C = S, S.slice_parent
-    # cat passed make_category, so C's derived state holds for it too
-    if C is not None and (cat.d, cat.r, cat.unit, cat.comp) == (
-            C.d, C.r, C.unit, C.comp):
+    comp = tuple(tuple([gidx[mult[x][y]] if dx == ry else -1
+                        for y, ry in zip(germs, r)])
+                 for x, dx in zip(germs, d))
+    names = [S.names[a] for a in atoms], [S.names[x] for x in germs]
+    # the cheap tables first: a rebuild that differs costs little more
+    if (C := S.slice_parent) is not None and (C.d, C.r, C.unit) == (
+            tuple(d), tuple(r), tuple(unit)) and C.comp == comp:
+        _check_names(*names)
+        cat = FinCat(*names, C.d, C.r, C.unit, C.comp)
         cat.tables_of = C.tables_of or C
+    else:
+        cat = make_category(*names, d, r, unit, comp)
+    cat.germ_of = S
     S.germ = GermCategory(S, cat, atoms, germs)
     return S.germ
 

@@ -896,9 +896,27 @@ def all_cofunctors(C, D):
 
 def all_homomorphisms(S, T):
     """Every (2,1)-homomorphism S -> T: each map of the elements with
-    m(xy) = m(x)m(y) and m(x*) = m(x)*."""
-    pairs = list(itertools.product(range(S.n), repeat=2))
-    return [SemigroupMorphism(S, T, m)
-            for m in itertools.product(range(T.n), repeat=S.n)
-            if all(m[S.star[x]] == T.star[m[x]] for x in range(S.n))
-            and all(m[S.mult[x][y]] == T.mult[m[x]][m[y]] for x, y in pairs)]
+    m(xy) = m(x)m(y) and m(x*) = m(x)*, in lexicographic order.  The
+    values are chosen element by element, and each equation is tested as
+    soon as the last element it names has a value."""
+    # due[k]: the equations whose largest element is k, as (x, y, xy) with
+    # y = -1 for x* = xy
+    due = [[] for _ in range(S.n)]
+    for x in range(S.n):
+        due[max(x, S.star[x])].append((x, -1, S.star[x]))
+        for y in range(S.n):
+            due[max(x, y, S.mult[x][y])].append((x, y, S.mult[x][y]))
+    found, m = [], [0] * S.n
+
+    def extend(k):
+        if k == S.n:
+            found.append(SemigroupMorphism(S, T, tuple(m)))
+            return
+        for v in range(T.n):
+            m[k] = v
+            if all(m[xy] == (T.star[m[x]] if y < 0 else T.mult[m[x]][m[y]])
+                   for x, y, xy in due[k]):
+                extend(k + 1)
+
+    extend(0)
+    return found

@@ -910,6 +910,19 @@ def test_tables_name_entries_that_are_not_numbers(what, entry):
         build()
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: make_algebra(["a", "b"], [0, 1], [0, 1]),
+     "mult is not a (2, 2) table"),
+    (lambda: make_algebra(["a", "b"], [[0, 0], [0, 1]], 5),
+     "star is not a (2,) table"),
+    (lambda: make_category(["o"], ["u"], [0], [0], [0], [0]),
+     "comp is not a (1, 1) table")])
+def test_tables_name_parts_that_are_not_sequences(build, message):
+    # a table or a row that has no length is named, where len() raised
+    with pytest.raises(BadTableShape, match=re.escape(message)):
+        build()
+
+
 @pytest.mark.parametrize("convert", [bool, np.int16, np.int64, np.uint8])
 def test_list_tables_take_integer_entries_of_any_type(convert):
     # bools and numpy integers are integers: tables and a map holding one

@@ -1,5 +1,7 @@
+import bisect
 import gc
 import hashlib
+import itertools
 import random
 import subprocess
 import sys
@@ -438,14 +440,12 @@ def test_morphism_to_cofunctor_keeps_identities_and_composites():
     assert (identities, composites) == (171, 265)
 
 
-def test_every_small_cofunctor_pushes_forward_functorially():
-    # the category side of the equivalence on morphisms: every cofunctor
-    # F: C ~> D between the classes with at most 2 objects and 3 arrows.
-    # F_* is a morphism of F's type, and of type 2 or 3 only when F is
-    # injective or surjective on arrows; the counit is natural; identities
-    # and composites push forward to identities and composites
-    cats = enumerate_categories(2, 3)
-    assert len(cats) == 14
+def _pushed_cofunctors(cats):
+    """{(c, d): [(F, F_*.map)]}, every cofunctor F: cats[c] ~> cats[d]
+    with its pushforward, and the counts of cofunctors, injective and
+    surjective on arrows.  F_* is a morphism of F's type, and of type 2
+    or 3 only when F is injective or surjective on arrows; the counit is
+    natural; identities push forward to identities."""
     counts, pushed = Counter(), {}
     for c, C in enumerate(cats):
         S = slice_semigroup(C)
@@ -467,30 +467,73 @@ def test_every_small_cofunctor_pushes_forward_functorially():
                 pushed[c, d].append((F, F_star.map))
                 counts["injective"] += cls.injective_on_arrows
                 counts["surjective"] += cls.surjective_on_arrows
-    for (c, d), inner in pushed.items():
-        for e in range(len(cats)):
-            for F, f in inner:
-                for G, g in pushed[d, e]:
-                    gf = cofunctor_to_morphism(compose_cofunctors(G, F))
-                    assert gf.map == tuple(g[i] for i in f), (
-                        c, d, e, F.rho1, G.rho1)
-                    counts["composites"] += 1
     counts["cofunctors"] = sum(map(len, pushed.values()))
+    return counts, pushed
+
+
+def _composable_blocks(pushed, n):
+    """(c, d, e, count) for each c, d, e < n, with the count of composable
+    pairs F: c ~> d, G: d ~> e."""
+    return [(c, d, e, len(pushed[c, d]) * len(pushed[d, e]))
+            for c in range(n) for d in range(n) for e in range(n)]
+
+
+def _check_pushed_composite(pushed, c, d, e, i):
+    """(G F)_* = G_* F_* on the i-th pair of the block (c, d, e)."""
+    q, r = divmod(i, len(pushed[d, e]))
+    (F, f), (G, g) = pushed[c, d][q], pushed[d, e][r]
+    gf = cofunctor_to_morphism(compose_cofunctors(G, F))
+    assert gf.map == tuple(g[x] for x in f), (c, d, e, F.rho1, G.rho1)
+
+
+def test_every_small_cofunctor_pushes_forward_functorially():
+    # the category side of the equivalence on morphisms: every cofunctor
+    # between the classes with at most 2 objects and 3 arrows, checked as
+    # _pushed_cofunctors says, and every composite pushes forward to the
+    # composite
+    cats = enumerate_categories(2, 3)
+    assert len(cats) == 14
+    counts, pushed = _pushed_cofunctors(cats)
+    for c, d, e, count in _composable_blocks(pushed, len(cats)):
+        for i in range(count):
+            _check_pushed_composite(pushed, c, d, e, i)
+        counts["composites"] += count
     assert counts == {"cofunctors": 392, "injective": 129,
                       "surjective": 86, "composites": 11403}
 
 
-def test_every_small_homomorphism_gives_a_natural_cofunctor(
-        restriction_semigroups):
-    # the semigroup side: every (2,1)-homomorphism between the preBoolean
-    # restriction semigroups with local units of order at most 4.  On a
-    # type-1 map f the unit is natural, f has type 2 or 3 just when its
-    # cofunctor is injective or surjective on arrows, and identities and
-    # composites give identity and composite cofunctors
-    family = [S for _, sgs in restriction_semigroups.values() for S in sgs
-              if S.n <= 4 and classify(S).preboolean_restriction
-              and classify(S).has_local_units]
-    assert len(family) == 12
+@pytest.mark.slow
+def test_cofunctors_up_to_three_objects_push_forward_functorially():
+    # the same checks one size up, on every cofunctor between the classes
+    # with at most 3 objects and 4 arrows, and on a seeded sample of 50,000
+    # of their composable pairs
+    cats = enumerate_categories(3, 4)
+    assert len(cats) == 69
+    counts, pushed = _pushed_cofunctors(cats)
+    assert counts == {"cofunctors": 17567, "injective": 3239,
+                      "surjective": 1628}
+    blocks = _composable_blocks(pushed, len(cats))
+    ends = list(itertools.accumulate(count for *_, count in blocks))
+    assert ends[-1] == 4793546
+    for k in sorted(random.Random(19).sample(range(ends[-1]), 50000)):
+        b = bisect.bisect_right(ends, k)
+        c, d, e, count = blocks[b]
+        _check_pushed_composite(pushed, c, d, e, k - (ends[b] - count))
+
+
+def _germ_semigroups(restriction_semigroups):
+    """The preBoolean restriction semigroups with local units of order at
+    most 5, by order: the first 12 have order at most 4."""
+    return [S for _, sgs in restriction_semigroups.values() for S in sgs
+            if classify(S).preboolean_restriction
+            and classify(S).has_local_units]
+
+
+def _typed_homomorphisms(family):
+    """{(a, b): [(f, F)]}, every type-1 map f from family[a] to family[b]
+    with its cofunctor F, and the counts of maps by type.  On each f the
+    unit is natural, and f has type 2 or 3 just when F is injective or
+    surjective on arrows; identity maps give identity cofunctors."""
     counts, typed = Counter(), {}
     for a, S in enumerate(family):
         identity = morphism_to_cofunctor(_inclusion(S, S))
@@ -512,20 +555,55 @@ def test_every_small_homomorphism_gives_a_natural_cofunctor(
                     where
                 assert check_morphism(f, 3).ok == cls.surjective_on_arrows, \
                     where
+                counts["type 2"] += cls.injective_on_arrows
+                counts["type 3"] += cls.surjective_on_arrows
                 typed[a, b].append((f, F))
+    counts["type 1"] = sum(map(len, typed.values()))
+    return counts, typed
+
+
+def _checked_composites(typed, count):
+    """Check every composite g f of type-1 maps among the first count
+    algebras: it is one of the type-1 maps of typed, and its cofunctor is
+    the composite cofunctor.  Returns how many there were."""
+    composites, cofunctor = 0, {(a, c, h.map): H for (a, c), inner
+                                in typed.items() for h, H in inner}
     for (a, b), inner in typed.items():
-        for c, U in enumerate(family):
+        if max(a, b) >= count:
+            continue
+        for c in range(count):
             for f, F in inner:
                 for g, G in typed[b, c]:
-                    gf = SemigroupMorphism(family[a], U,
-                                           tuple(g.map[i] for i in f.map))
-                    assert check_morphism(gf, 1).ok, (a, b, c, f.map, g.map)
-                    assert morphism_to_cofunctor(gf).equal_tables(
-                        compose_cofunctors(G, F)), (a, b, c, f.map, g.map)
-                    counts["composites"] += 1
-    counts["type 1"] = sum(map(len, typed.values()))
-    assert counts == {"homomorphisms": 595, "type 1": 240,
-                      "composites": 5272}
+                    where = (a, b, c, f.map, g.map)
+                    gf = (a, c, tuple(g.map[i] for i in f.map))
+                    assert gf in cofunctor, where
+                    assert cofunctor[gf].equal_tables(
+                        compose_cofunctors(G, F)), where
+                    composites += 1
+    return composites
+
+
+def test_every_small_homomorphism_gives_a_natural_cofunctor(
+        restriction_semigroups):
+    # the semigroup side: every (2,1)-homomorphism between the preBoolean
+    # restriction semigroups with local units of order at most 5, checked
+    # as _typed_homomorphisms says; the composites at order at most 4
+    family = _germ_semigroups(restriction_semigroups)
+    assert (len(family), sum(S.n <= 4 for S in family)) == (50, 12)
+    counts, typed = _typed_homomorphisms(family)
+    assert counts == {"homomorphisms": 15107, "type 1": 8585,
+                      "type 2": 697, "type 3": 383}
+    assert _checked_composites(typed, 12) == 5272
+
+
+@pytest.mark.slow
+def test_every_order_five_homomorphism_composite_is_natural(
+        restriction_semigroups):
+    # every composite of type-1 maps among the 50 semigroups of order at
+    # most 5, which tier-1 checks up to order 4
+    family = _germ_semigroups(restriction_semigroups)
+    _, typed = _typed_homomorphisms(family)
+    assert _checked_composites(typed, len(family)) == 1697798
 
 
 # -- theorem reports -----------------------------------------------------------------
@@ -700,6 +778,9 @@ def test_rebuilt_tables_share_what_they_derive(corpus_cats, monkeypatch):
         # the germ objects are the atoms {1_x}, numbered as their units
         # are: C's own tables exactly when its units ascend
         assert (G.tables_of is C) == (list(C.unit) == sorted(C.unit))
+        if G.tables_of is C:
+            assert (G.d, G.r, G.unit, G.comp) == (C.d, C.r, C.unit, C.comp)
+            assert G.comp is C.comp and G.d is C.d
         bare = [FinCat(X.objects, X.arrows, X.d, X.r, X.unit, X.comp)
                 for X in (G, C)]
         assert iso_categories(G, C) == iso_categories(*bare)
@@ -717,6 +798,52 @@ def test_rebuilt_tables_share_what_they_derive(corpus_cats, monkeypatch):
     # pt_3 is not numbered as the slices of its germ category are, so the
     # semigroup side builds them afresh
     assert slice_semigroup(germ_category(gen_pt(3)).category).tables_of is None
+
+
+def test_germ_rebuild_validates_only_tables_that_differ(corpus_cats,
+                                                       monkeypatch):
+    # work, not time: on the corpus sweep op (build C from raw tables,
+    # verify_adjunction, the germ category of its slices and the search for
+    # its isomorphism to C) the germ side runs make_category only when C's
+    # units do not ascend, and so the table checks run 16 times, or 12
+    calls = Counter()
+
+    def counted(name, real):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(duality, "make_category",
+                        counted("germ", duality.make_category))
+    check = counted("tables", algebra._check_table)
+    monkeypatch.setattr(algebra, "_check_table", check)
+    monkeypatch.setattr(category, "_check_table", check)
+    rng, seen = random.Random(47), Counter()
+    for _, C in corpus_cats[::3]:
+        C = relabel_category(C, rng.sample(range(C.n_obj), C.n_obj),
+                             rng.sample(range(C.n_arr), C.n_arr))
+        calls.clear()
+        C = make_category(C.objects, C.arrows, C.d, C.r, C.unit, C.comp)
+        assert verify_adjunction(C).passed
+        G = germ_category(slice_semigroup(C)).category
+        assert iso_categories(G, C) is not None
+        ascend = list(C.unit) == sorted(C.unit)
+        assert (calls["germ"], calls["tables"]) == (
+            (0, 12) if ascend else (1, 16)), C.comp
+        seen[ascend] += 1
+    assert seen == {True: 108, False: 25}
+    # a parent with the same d, r and unit but the opposite comp is no
+    # match: the germ category validates and keeps its own tables
+    C = next(C for _, C in corpus_cats if C.n_obj == 1
+             and C.comp != tuple(zip(*C.comp)))
+    C = make_category(C.objects, C.arrows, C.d, C.r, C.unit, C.comp)
+    S = slice_semigroup(C)
+    S.slice_parent = FinCat(C.objects, C.arrows, C.d, C.r, C.unit,
+                            tuple(zip(*C.comp)))
+    calls.clear()
+    G = germ_category(S).category
+    assert (calls["germ"], G.tables_of, G.comp) == (1, None, C.comp)
 
 
 # -- category isomorphism search -------------------------------------------------------

@@ -74,7 +74,9 @@ class BiUnaryAlgebra:
     def __init__(self, names, mult, star, plus=None, zero=None):
         self.names = tuple(names)
         self.n = len(self.names)
-        self.mult = tuple(tuple(row) for row in mult)
+        # a tuple of tuples, such as another algebra's mult, is kept
+        self.mult = mult if type(mult) is tuple and all(
+            type(row) is tuple for row in mult) else tuple(map(tuple, mult))
         self.star = tuple(star)
         self.plus = tuple(plus) if plus is not None else None
         self.zero = zero
@@ -448,14 +450,16 @@ def _check_table(what, table, shape, bound, low=0):
     # an entry that is no integer, such as "0", None, a list, or one equal
     # to an index (0.0, Fraction(0)) that passes the subset test, leaves
     # its row's sum, and so the sum of them all, no integer, or there is
-    # none.  An int total skips the slower test for any integer type
+    # none (a small numpy integer's sum may also overflow).  An int total
+    # skips the slower test for any integer type
     try:
         total = sum(map(sum, rows))
-    except TypeError:
+    except (TypeError, OverflowError):
         total = None
     if type(total) is not int and not isinstance(total, Integral):
-        v = next(v for row in rows for v in row if not isinstance(v, Integral))
-        raise BadTableShape(f"{what} entry {v!r} is not an integer")
+        for v in chain.from_iterable(rows):
+            if not isinstance(v, Integral):
+                raise BadTableShape(f"{what} entry {v!r} is not an integer")
 
 
 def _assoc_pure(mult):
@@ -563,25 +567,44 @@ def _check_assoc(rows, a=None):
 def make_algebra(names, mult, star, plus=None, zero=None):
     """Validate tables (shape, associativity, zero laws) and build the algebra;
     the size bound, then every shape and range check, run before any law.
-    mult may be an int16 numpy array, which the algebra then keeps."""
+    mult may be an integer numpy array, kept as int16.  Above
+    _NUMPY_THRESHOLD elements a list mult is checked by one conversion to
+    that array; unless its rows are all tuples, they are rebuilt from the
+    array with one int object per element."""
     n = len(names)
     _check_size(n)
     if len(set(names)) != n:
         raise BadTableShape("element names are not unique")
-    _check_table("mult", mult, (n, n), n)
+    a = mult if hasattr(mult, "dtype") else None
+    if a is None and n > _NUMPY_THRESHOLD:
+        import numpy as np
+        # an int total leaves no float, string or numpy entry (a numpy
+        # integer would wrap in the conversion); the array's dtype, shape
+        # and range then make the checks that the list's own check makes,
+        # and on any fault that check names it
+        try:
+            if type(sum(map(sum, mult))) is int:
+                a = np.array(mult, dtype=_INDEX_DTYPE)
+                _check_table("mult", a, (n, n), n)
+        except (TypeError, ValueError, OverflowError, BadTableShape):
+            a = None
+    if a is None or a is mult:
+        _check_table("mult", mult, (n, n), n)
     _check_table("star", star, (n,), n)
     if plus is not None:
         _check_table("plus", plus, (n,), n)
     if zero is not None and not (isinstance(zero, int) and 0 <= zero < n):
         raise BadTableShape(f"zero index {zero!r} out of range")
-    rows, a = mult, None
-    if hasattr(mult, "dtype"):
-        # one shared int object per element: read cell by cell, the array
-        # would give a fresh int for every cell; a row at a time, into the
-        # tuples the algebra keeps, so no second whole table is held
-        import numpy as np
-        ints = np.array(range(n), dtype=object)
-        rows, a = [tuple(ints[row].tolist()) for row in mult], mult
+    rows = mult
+    if a is not None:
+        a = a.astype(_INDEX_DTYPE, copy=False)
+        if not all(type(row) is tuple for row in mult):
+            # one shared int object per element, where a decoded or array
+            # table has one per cell; a block of rows at a time
+            import numpy as np
+            ints = np.array(range(n), dtype=object)
+            rows = tuple(tuple(row) for lo, hi in _blocks(n, n)
+                         for row in ints[a[lo:hi]].tolist())
     a, gens = _check_assoc(rows, a)
     if zero is not None:
         for s in range(n):

@@ -830,6 +830,10 @@ def test_make_algebra_keeps_an_int16_product_table(monkeypatch):
     cells = [v for row in T.mult for v in row]
     assert {type(v) for v in cells} == {int}
     assert len({id(v) for v in cells}) == S.n
+    # an integer array of another dtype is narrowed after its range check
+    for dtype in (np.int64, np.uint8):
+        T = make_algebra(S.names, a.astype(dtype), S.star, S.plus, S.zero)
+        assert T._mult_array.dtype == np.int16 and T.mult == S.mult
     for bad in (a[:-1], np.where(a == 5, S.n, a), np.where(a == 5, -1, a)):
         with pytest.raises(BadTableShape):
             make_algebra(S.names, bad.astype(np.int16), S.star)
@@ -923,17 +927,66 @@ def test_tables_name_parts_that_are_not_sequences(build, message):
         build()
 
 
+def _cell(value):
+    """A fault: value in row 5, column 3."""
+    return lambda rows: rows[5].__setitem__(3, value)
+
+
+def _planted_row(row):
+    """A fault: row 5 replaced by row(the old row 5)."""
+    return lambda rows: rows.__setitem__(5, row(rows[5]))
+
+
+@pytest.mark.parametrize("n", [9, 14, 15, 34])
+@pytest.mark.parametrize("plant, message", [
+    (_cell(-1), "mult entry -1 out of range"),
+    (_cell(None), "mult entry None is not an integer"),
+    (lambda rows: rows[5].__setitem__(3, len(rows)),
+     "mult entry {n} out of range"),
+    (_cell(10 ** 6), "mult entry 1000000 out of range"),
+    (_cell(10 ** 20), f"mult entry {10 ** 20} out of range"),
+    (_cell(np.int64(65541)), "mult entry 65541 out of range"),
+    (_cell("0"), "mult entry '0' is not an integer"),
+    (_cell([0]), "mult entry [0] is not an integer"),
+    (_cell(0.0), "mult entry 0.0 is not an integer"),
+    (_cell(7.5), "mult entry 7.5 is not an integer"),
+    (_cell(Fraction(1)), "mult entry Fraction(1, 1) is not an integer"),
+    (_planted_row(lambda row: np.array([*row[:-1], 65541])),
+     "mult entry 65541 out of range"),
+    (_planted_row(lambda row: "0" * len(row)),
+     "mult entry '0' is not an integer"),
+    (_planted_row(lambda row: 0), "mult is not a ({n}, {n}) table"),
+    (_planted_row(lambda row: row[:-1]),
+     "mult row has {m} entries, expected {n}"),
+    (lambda rows: rows.pop(), "mult has {m} entries, expected {n}"),
+    (lambda rows: rows[2].__setitem__(0, "0") or rows[5].__setitem__(3, -1),
+     "mult entry -1 out of range")])
+def test_list_tables_name_a_fault_alike_at_every_size(n, plant, message):
+    # above the cutoff a list table is checked by one conversion to int16,
+    # and any fault it meets is named by the Python check, as at or below
+    # the cutoff: the same message at every size (a numpy integer such as
+    # 65541, which the conversion would wrap to 5, included).  A range
+    # fault is named before a type fault
+    rows = [[(i + j) % n for j in range(n)] for i in range(n)]
+    plant(rows)
+    with pytest.raises(BadTableShape) as exc:
+        make_algebra([str(i) for i in range(n)], rows, [0] * n)
+    assert str(exc.value) == message.format(n=n, m=n - 1)
+
+
 @pytest.mark.parametrize("convert", [bool, np.int16, np.int64, np.uint8])
 def test_list_tables_take_integer_entries_of_any_type(convert):
     # bools and numpy integers are integers: tables and a map holding one
-    # (each first entry is 0) build, classify and check as the ints do
-    S = gen_pt(2)
-    T = make_algebra(S.names, _retyped(S.mult, convert),
-                     _retyped(S.star, convert), _retyped(S.plus, convert),
-                     S.zero)
-    assert classify(T).flags == classify(S).flags
-    assert check_morphism(
-        SemigroupMorphism(S, T, _retyped(range(S.n), convert)), 4).ok
+    # (each first entry is 0) build, classify and check as the ints do, at
+    # or below the cutoff (pt_2) and above it (pt_3, where a uint8 entry's
+    # row sum overflows uint8)
+    for S in (gen_pt(2), gen_pt(3)):
+        T = make_algebra(S.names, _retyped(S.mult, convert),
+                         _retyped(S.star, convert), _retyped(S.plus, convert),
+                         S.zero)
+        assert classify(T).flags == classify(S).flags
+        assert check_morphism(
+            SemigroupMorphism(S, T, _retyped(range(S.n), convert)), 4).ok
 
 
 def test_generators_match_the_array_closure(pt4, pt4_subsemigroups):

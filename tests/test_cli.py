@@ -215,7 +215,7 @@ def fuzz_payloads(tmp_path_factory):
     """One valid payload per file kind, written beside its endpoint files,
     with the table cells a mutation may hit: (path, low, bound)."""
     base = tmp_path_factory.mktemp("fuzz")
-    P, I, K2 = gen_pt(2), gen_i(2), gen_pair_groupoid(2)
+    P, I, K2, big = gen_pt(2), gen_i(2), gen_pair_groupoid(2), gen_i(3)
     eps = counit_epsilon(K2)
     for name, obj in (("pt2", P), ("i2", I), ("k2", K2),
                       ("eps_src", eps.source)):
@@ -234,6 +234,10 @@ def fuzz_payloads(tmp_path_factory):
         + [(("units", o), 0, K2.n_arr) for o in range(K2.n_obj)]
         + [(("comp", a, b), -1, K2.n_arr) for a in range(K2.n_arr)
            for b in range(K2.n_arr)],
+        # 34 elements: above the size cutoff, where a list table is
+        # checked by its conversion to an int16 array
+        "big-semigroup": [(("mult", i, j), 0, big.n) for i in range(big.n)
+                          for j in range(big.n)],
         "morphism": [(("map", i), 0, P.n) for i in range(I.n)],
         "cofunctor": [(("anchor", x), 0, C.n_obj) for x in range(K2.n_obj)]
         + [((key, s, x), -1, bound) for key, bound in
@@ -241,6 +245,7 @@ def fuzz_payloads(tmp_path_factory):
            for s in range(C.n_arr) for x in range(K2.n_obj)],
     }
     payloads = {"semigroup": instance_to_dict(P),
+                "big-semigroup": instance_to_dict(big),
                 "category": instance_to_dict(K2),
                 "morphism": instance_to_dict(morph),
                 "cofunctor": instance_to_dict(cof)}
@@ -254,9 +259,9 @@ _CELL_VALUES = st.one_of(st.integers(-3, 12), st.sampled_from([-2, -1]),
                          st.lists(st.integers(0, 2), max_size=2))
 
 
-@settings(deadline=None, max_examples=60, database=None)
-@given(st.sampled_from(["semigroup", "category", "morphism", "cofunctor"]),
-       st.data())
+@settings(deadline=None, max_examples=75, database=None)
+@given(st.sampled_from(["semigroup", "big-semigroup", "category", "morphism",
+                        "cofunctor"]), st.data())
 def test_mutated_files_exit_cleanly(fuzz_payloads, kind, data):
     base, kinds = fuzz_payloads
     payload, cells = kinds[kind]

@@ -769,7 +769,7 @@ def test_rebuilt_tables_share_what_they_derive(corpus_cats, monkeypatch):
         S = slice_semigroup(C)
         G = germ_category(S).category
         T = slice_semigroup(G)
-        assert T.tables_of is S and T.star is S.star
+        assert T.tables_of is S and T.star is S.star and T.mult is S.mult
         fresh = make_algebra(T.names, T.mult, T.star, T.plus, T.zero)
         cls, ref = classify(T), classify(fresh)
         assert (cls.flags, cls.witnesses) == (ref.flags, ref.witnesses)

@@ -4,9 +4,11 @@ Apart from the tables an algebra keeps (its int16 product table and join
 matrices) and the refinement's signature matrix, no kernel holds a
 temporary of more than _CHUNK_CELLS cells: a whole-table scan takes a
 block of rows at a time (README "Bounded temporaries").  The peaks are
-those tracemalloc sees above what was traced before the call.
+those tracemalloc sees above what was traced before the call.  A table
+given as lists is held as rows sharing one int object per element.
 """
 
+import json
 import random
 import tracemalloc
 
@@ -14,6 +16,7 @@ import pytest
 
 from stonedual.algebra import (SemigroupMorphism, check_morphism, classify,
                                iso_algebras, make_algebra)
+from stonedual.io import load_instance, save_instance
 from stonedual.zoo import gen_pt
 
 
@@ -89,6 +92,45 @@ def test_classify_on_pt4_stays_at_its_order_blocks(numpy_kernel, pt4_pair):
     # join matrices it keeps, and no other scan rises above it
     S = fresh(pt4_pair[0])
     assert traced_peak_mb(lambda: classify(S).flags) <= 4.9
+
+
+def test_list_tables_keep_one_int_per_element(pt4_pair):
+    # decoded from JSON, every cell above 256 is its own int object; the
+    # rows are rebuilt from the int16 table, one int object per element
+    S = pt4_pair[1]
+    rows = json.loads(json.dumps([list(row) for row in S.mult]))
+    assert len({id(v) for row in rows for v in row}) > 100_000
+    T = make_algebra(S.names, rows, S.star, S.plus, S.zero)
+    assert T.mult == S.mult
+    assert len({id(v) for row in T.mult for v in row}) <= T.n
+
+
+def test_tuple_rows_are_kept_as_given(pt4_pair):
+    # a tuple of tuples is kept whole, and tuple rows one by one
+    S = pt4_pair[0]
+    for rows in (S.mult, list(S.mult)):
+        T = make_algebra(S.names, rows, S.star, S.plus, S.zero)
+        assert (T.mult is rows) == (type(rows) is tuple)
+        assert all(a is b for a, b in zip(T.mult, rows, strict=True))
+
+
+def test_loaded_table_holds_one_int_per_element(tmp_path, pt4_pair):
+    # what load_instance holds once it returns: the rows (about 3.2 MB of
+    # tuples) and the int16 table (0.8 MB), where rows of decoded ints held
+    # about 9.3 MB.  numpy is imported first, so that its import is not
+    # counted
+    import numpy
+    path = tmp_path / "pt4.json"
+    save_instance(pt4_pair[1], path)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        T = load_instance(path)
+        held = (tracemalloc.get_traced_memory()[0] - before) / 1e6
+    finally:
+        tracemalloc.stop()
+    assert T.mult == pt4_pair[1].mult
+    assert held <= 5
 
 
 @pytest.mark.slow

@@ -78,12 +78,30 @@ def test_importing_the_package_leaves_numpy_unloaded():
     assert out.strip() == "False"
 
 
+def test_small_files_save_load_and_roundtrip_without_numpy(tmp_path):
+    # a list table is converted to an array only above the size cutoff, so
+    # saving, loading and the roundtrip command on the pt 2 file stay
+    # numpy-free, in a fresh interpreter
+    path = str(tmp_path / "pt2.json")
+    code = ("import sys, stonedual as sd; from stonedual import cli, io; "
+            f"io.save_instance(sd.gen_pt(2), {path!r}); "
+            f"assert io.load_instance({path!r}).n == 9; "
+            f"assert cli.run(['roundtrip', {path!r}]) == 0; "
+            "print('numpy' in sys.modules)")
+    src = str(Path(stonedual.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.splitlines()[-1] == "False"
+
+
 # every function with a Python and a numpy form, as README "Design" lists
 # them; a twin is declared here and kept while forcing either of its sides
 # slows a benchmark workload beyond its spread, which README's cost table
 # records, one row per site
 TWIN_SITES = {
-    "algebra._check_assoc", "algebra._star_axiom_witness",
+    "algebra.make_algebra", "algebra._check_assoc",
+    "algebra._star_axiom_witness",
     "algebra._plus_axiom_witness", "algebra._restriction_witness",
     "algebra._br1_witness", "algebra._br3_witness", "algebra._unpreserved",
     "algebra._refine", "category._slice_algebra"}
@@ -127,7 +145,7 @@ BLOCKED_KERNELS = {
     "algebra._check_assoc", "algebra._star_axiom_witness",
     "algebra._plus_axiom_witness", "algebra._restriction_witness",
     "algebra._br1_witness", "algebra._br3_scan", "algebra._unpreserved",
-    "algebra._refine_array", "category._slice_tables"}
+    "algebra._refine_array", "algebra.make_algebra", "category._slice_tables"}
 
 
 def test_blocked_kernels_are_the_declared_ones():
